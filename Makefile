@@ -29,8 +29,10 @@ race:
 cover:
 	GO="$(GO)" COVER_FLOOR_CORE="$(COVER_FLOOR_CORE)" sh scripts/cover.sh
 
-# 10s-per-target fuzz smoke over the artifact loader, WAL recovery and
-# CSV import (see scripts/fuzz_smoke.sh; FUZZTIME=1m for longer runs).
+# 10s-per-target fuzz smoke over the artifact loader, WAL recovery, CSV
+# import, the similarity metrics' range and symmetry, and the fused
+# character kernels' bit-equality with each metric's Compare (see
+# scripts/fuzz_smoke.sh; FUZZTIME=1m for longer runs).
 fuzz:
 	GO="$(GO)" sh scripts/fuzz_smoke.sh
 
@@ -39,12 +41,16 @@ fuzz:
 # serial-vs-parallel pins and the batched-oracle-vs-per-pair pins
 # (internal/core), and the indexed candidate generator against the
 # brute-force blocking reference, including incremental Add and
-# shard-count sweeps (internal/blocking). `race` already covers these;
+# shard-count sweeps (internal/blocking), and the fused character kernels
+# against each metric's Compare plus batched featurization against
+# per-pair Extract on generated pools (internal/textsim,
+# internal/feature). `race` already covers these;
 # the dedicated target keeps the refactor contracts visible and quick to
 # re-run on their own.
 equiv:
 	$(GO) test -race -count=1 -run 'CompositionEquivalence|SerialParallelEquivalent|WorkerInvariant|BatchOracleEquivalence' ./internal/core/
 	$(GO) test -race -count=1 -run 'IndexEquivalence|BruteForce|HotTokenRecall|ThresholdBoundary' ./internal/blocking/
+	$(GO) test -race -count=1 -run 'CharKernelsMatchCompare|ExtractPairsMatchesExtract' ./internal/textsim/ ./internal/feature/
 
 bench:
 	$(GO) test -bench . -benchtime 1x .
@@ -55,12 +61,13 @@ bench:
 # string-vs-interned 30% reduction floor, the warmed Candidates budget
 # and the constant-allocs training fit — plus the bit-identity pins the
 # ratchets rely on, and a -benchtime=1x smoke over the paired scoring
-# benchmarks so a broken benchmark fails `make check` rather than the
-# next BENCH run.
+# benchmarks and the batched featurization benchmark so a broken
+# benchmark fails `make check` rather than the next BENCH run.
 bench-ratchet:
-	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|KnownCacheAcrossAdds|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
+	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|CharKernelsMatchCompare|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|KnownCacheAcrossAdds|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
 		./internal/textsim/ ./internal/feature/ ./internal/match/ ./internal/blocking/ ./internal/neural/
 	$(GO) test -count=1 -run '^$$' -bench 'MatcherScoreAll' -benchtime=1x -benchmem ./internal/match/
+	$(GO) test -count=1 -run '^$$' -bench 'ExtractPairs' -benchtime=1x -benchmem ./internal/feature/
 
 # Selector serial/parallel pairs, blocking naive/indexed pairs and the
 # matcher string/interned pairs → BENCH_9.json (ns/op, allocs/op,

@@ -312,7 +312,8 @@ const (
 // NewPool blocks and featurizes a dataset with the standard extractor.
 func NewPool(d *Dataset) *Pool { return core.NewPool(d) }
 
-// NewPoolContext is NewPool with cancellable candidate generation.
+// NewPoolContext is NewPool with cancellable candidate generation and
+// featurization.
 func NewPoolContext(ctx context.Context, d *Dataset) (*Pool, error) {
 	return core.NewPoolContext(ctx, d)
 }

@@ -42,14 +42,18 @@ func NewPool(d *dataset.Dataset) *Pool {
 	return poolFrom(d, res.Pairs, feature.NewExtractor(d.Left.Schema).ExtractPairs(d, res.Pairs))
 }
 
-// NewPoolContext is NewPool with cancellable candidate generation; it
-// returns the context's error if blocking is cut short.
+// NewPoolContext is NewPool with cancellable candidate generation and
+// featurization; it returns the context's error if either is cut short.
 func NewPoolContext(ctx context.Context, d *dataset.Dataset) (*Pool, error) {
 	res, err := blockCandidates(ctx, d)
 	if err != nil {
 		return nil, err
 	}
-	return poolFrom(d, res.Pairs, feature.NewExtractor(d.Left.Schema).ExtractPairs(d, res.Pairs)), nil
+	X, err := feature.NewExtractor(d.Left.Schema).ExtractPairsContext(ctx, d, res.Pairs)
+	if err != nil {
+		return nil, err
+	}
+	return poolFrom(d, res.Pairs, X), nil
 }
 
 // NewBoolPool is NewPool for the rule learner: Boolean atoms encoded as

@@ -16,11 +16,13 @@
 package feature
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"github.com/alem/alem/internal/dataset"
 	"github.com/alem/alem/internal/textsim"
@@ -32,12 +34,17 @@ type Vector []float64
 // compiledMetric caches the interface assertions of one metric so the
 // per-pair loop never type-switches: tsm is non-nil for metrics with the
 // interned TokenSet fast path (tokIdx then indexes the extractor's
-// tokenizer list), tm for the token-slice fast path.
+// tokenizer list), tm for the token-slice fast path. When the extractor
+// runs the fused character kernels, char is the metric's
+// textsim.CharScores slot (-1 otherwise) and mongeElkan marks
+// Monge-Elkan, which scores from pre-decoded token runes.
 type compiledMetric struct {
-	m      textsim.Metric
-	tm     textsim.TokenMetric
-	tsm    textsim.TokenSetMetric
-	tokIdx int
+	m          textsim.Metric
+	tm         textsim.TokenMetric
+	tsm        textsim.TokenSetMetric
+	tokIdx     int
+	char       int
+	mongeElkan bool
 }
 
 // Extractor computes float feature vectors for record pairs.
@@ -54,6 +61,13 @@ type Extractor struct {
 	// for genuinely new vocabulary. Ids never influence scores, so growth
 	// across calls is harmless; memory is bounded by vocabulary size.
 	dict *textsim.Dict
+	// fused is set when the metric list holds the whole character family
+	// (every metric textsim.CharSlot places, plus Monge-Elkan):
+	// ExtractPairs then scores it from the fused kernels over runes
+	// decoded once per value, and meTok indexes the tokenizer whose
+	// TokenSets Monge-Elkan reads.
+	fused bool
+	meTok int
 }
 
 func newExtractor(schema []string, metrics []textsim.Metric) *Extractor {
@@ -78,7 +92,38 @@ func newExtractor(schema []string, metrics []textsim.Metric) *Extractor {
 		}
 		e.compiled[i] = cm
 	}
+	e.compileCharFamily()
 	return e
+}
+
+// compileCharFamily switches the extractor to the fused character
+// kernels when its metric list contains every metric they compute;
+// otherwise each metric keeps its own per-pair path.
+func (e *Extractor) compileCharFamily() {
+	var seen [textsim.NumCharMetrics]bool
+	me := -1
+	for i := range e.compiled {
+		cm := &e.compiled[i]
+		cm.char = textsim.CharSlot(cm.m)
+		if cm.char >= 0 {
+			seen[cm.char] = true
+		}
+		if _, ok := cm.m.(textsim.MongeElkan); ok {
+			me = i
+		}
+	}
+	e.fused = me >= 0
+	for _, ok := range seen {
+		e.fused = e.fused && ok
+	}
+	if !e.fused {
+		for i := range e.compiled {
+			e.compiled[i].char = -1
+		}
+		return
+	}
+	e.compiled[me].mongeElkan = true
+	e.meTok = e.compiled[me].tokIdx
 }
 
 // NewExtractor builds the standard extractor: all 21 metrics per attribute.
@@ -175,22 +220,44 @@ func (e *Extractor) ExtractDim(left, right dataset.Record, i int) float64 {
 // It is the interned hot path: every record attribute value touched by
 // the pair set is tokenized and interned into a textsim.TokenSet exactly
 // once (a record appearing in k candidate pairs historically paid k
-// tokenizations per token metric), all result vectors share one flat
-// float64 backing array (one allocation instead of one per pair), and
-// the TokenSets are pooled. Output is bit-identical to calling Extract
-// per pair — TestExtractPairsMatchesExtract pins it at worker counts
-// {1, 2, 8}.
+// tokenizations per token metric), and, for the fused character
+// kernels, decoded to runes exactly once. All result vectors share one
+// flat float64 backing array (one allocation instead of one per pair),
+// and the TokenSets are pooled. Output is bit-identical to calling
+// Extract per pair — TestExtractPairsMatchesExtract pins it at worker
+// counts {1, 2, 8}.
 func (e *Extractor) ExtractPairs(d *dataset.Dataset, pairs []dataset.PairKey) []Vector {
-	return e.ExtractPairsWorkers(d, pairs, runtime.GOMAXPROCS(0))
+	out, _ := e.extractPairs(context.Background(), d, pairs, runtime.GOMAXPROCS(0))
+	return out
+}
+
+// ExtractPairsContext is ExtractPairs under ctx: every worker polls ctx
+// each cancelCheckStride rows or pairs, and a cancelled call returns
+// the context's error instead of vectors.
+func (e *Extractor) ExtractPairsContext(ctx context.Context, d *dataset.Dataset, pairs []dataset.PairKey) ([]Vector, error) {
+	return e.extractPairs(ctx, d, pairs, runtime.GOMAXPROCS(0))
 }
 
 // ExtractPairsWorkers is ExtractPairs with an explicit worker bound
 // (zero or negative means GOMAXPROCS, one forces the serial path).
 func (e *Extractor) ExtractPairsWorkers(d *dataset.Dataset, pairs []dataset.PairKey, workers int) []Vector {
+	out, _ := e.extractPairs(context.Background(), d, pairs, workers)
+	return out
+}
+
+// cancelCheckStride bounds how many rows or pairs a worker processes
+// between context checks, the stride the core and blocking packages
+// use.
+const cancelCheckStride = 64
+
+func (e *Extractor) extractPairs(ctx context.Context, d *dataset.Dataset, pairs []dataset.PairKey, workers int) ([]Vector, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	n := len(pairs)
 	out := make([]Vector, n)
 	if n == 0 {
-		return out
+		return out, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -201,14 +268,32 @@ func (e *Extractor) ExtractPairsWorkers(d *dataset.Dataset, pairs []dataset.Pair
 	var leftSets, rightSets [][]*textsim.TokenSet
 	nt := len(e.tokenizers)
 	if nt > 0 {
-		leftSets = e.internRows(d.Left, leftRowsOf(pairs, len(d.Left.Rows)), workers)
-		rightSets = e.internRows(d.Right, rightRowsOf(pairs, len(d.Right.Rows)), workers)
+		leftRows, rightRows := leftRowsOf(pairs, len(d.Left.Rows)), rightRowsOf(pairs, len(d.Right.Rows))
+		leftSets = e.internRows(ctx, d.Left, leftRows, workers)
 		defer releaseRowSets(leftSets)
+		rightSets = e.internRows(ctx, d.Right, rightRows, workers)
 		defer releaseRowSets(rightSets)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	var leftRunes, rightRunes []valueRunes
+	if e.fused {
+		leftRunes = e.decodeRows(d.Left, leftSets)
+		rightRunes = e.decodeRows(d.Right, rightSets)
 	}
 
+	na := len(e.schema)
 	parDo(n, workers, func(lo, hi int) {
+		var kern *textsim.CharKernel
+		if e.fused {
+			kern = textsim.GetCharKernel()
+			defer kern.Release()
+		}
 		for i := lo; i < hi; i++ {
+			if (i-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
+				return
+			}
 			p := pairs[i]
 			row := flat[i*dim : (i+1)*dim : (i+1)*dim]
 			out[i] = row
@@ -226,11 +311,22 @@ func (e *Extractor) ExtractPairsWorkers(d *dataset.Dataset, pairs []dataset.Pair
 					k += len(e.compiled)
 					continue
 				}
+				var chars textsim.CharScores
+				var lr, rr *valueRunes
+				if e.fused {
+					lr, rr = &leftRunes[p.L*na+a], &rightRunes[p.R*na+a]
+					chars = kern.Score(lr.runes, rr.runes)
+				}
 				for ci := range e.compiled {
 					cm := &e.compiled[ci]
-					if cm.tsm != nil {
+					switch {
+					case cm.char >= 0:
+						row[k] = chars[cm.char]
+					case cm.mongeElkan:
+						row[k] = kern.MongeElkan(lsets[a*nt+cm.tokIdx], rsets[a*nt+cm.tokIdx], lr.toks, rr.toks)
+					case cm.tsm != nil:
 						row[k] = cm.tsm.CompareTokenSets(lsets[a*nt+cm.tokIdx], rsets[a*nt+cm.tokIdx])
-					} else {
+					default:
 						row[k] = cm.m.Compare(lv, rv)
 					}
 					k++
@@ -238,7 +334,73 @@ func (e *Extractor) ExtractPairsWorkers(d *dataset.Dataset, pairs []dataset.Pair
 			}
 		}
 	})
-	return out
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// valueRunes is one attribute value decoded for the fused character
+// kernels: its runes, and the runes of each of its Monge-Elkan word
+// tokens in TokenSet.Toks order.
+type valueRunes struct {
+	runes []rune
+	toks  [][]rune
+}
+
+// decodeRows decodes every touched non-empty value of t (the rows whose
+// TokenSets internRows built) and its Monge-Elkan tokens, indexed
+// [row*len(schema)+attr]. Every rune lives in one exactly sized backing
+// array and every token slice header in another, so a side costs three
+// allocations whatever its size. Nothing outlives the ExtractPairs call:
+// the extractor keeps no rune buffers between calls.
+func (e *Extractor) decodeRows(t *dataset.Table, sets [][]*textsim.TokenSet) []valueRunes {
+	na, nt := len(e.schema), len(e.tokenizers)
+	nrunes, ntoks := 0, 0
+	for r, rs := range sets {
+		if rs == nil {
+			continue
+		}
+		for a := range e.schema {
+			if v := t.Rows[r].Values[a]; v != "" {
+				nrunes += utf8.RuneCountInString(v)
+				toks := rs[a*nt+e.meTok].Toks
+				ntoks += len(toks)
+				for _, tok := range toks {
+					nrunes += utf8.RuneCountInString(tok)
+				}
+			}
+		}
+	}
+	vals := make([]valueRunes, len(t.Rows)*na)
+	backing := make([]rune, 0, nrunes)
+	tokBacking := make([][]rune, 0, ntoks)
+	decode := func(s string) []rune {
+		start := len(backing)
+		for _, c := range s {
+			backing = append(backing, c)
+		}
+		return backing[start:len(backing):len(backing)]
+	}
+	for r, rs := range sets {
+		if rs == nil {
+			continue
+		}
+		for a := range e.schema {
+			v := t.Rows[r].Values[a]
+			if v == "" {
+				continue
+			}
+			vr := &vals[r*na+a]
+			vr.runes = decode(v)
+			start := len(tokBacking)
+			for _, tok := range rs[a*nt+e.meTok].Toks {
+				tokBacking = append(tokBacking, decode(tok))
+			}
+			vr.toks = tokBacking[start:len(tokBacking):len(tokBacking)]
+		}
+	}
+	return vals
 }
 
 // leftRowsOf / rightRowsOf collect the distinct row indices a pair set
@@ -268,11 +430,16 @@ func distinctRows(pairs []dataset.PairKey, n int, side func(dataset.PairKey) int
 // once per tokenizer, in parallel over the row list; sets[r] is indexed
 // [attr*len(tokenizers)+tokIdx]. Empty values get nil sets; the
 // extraction loop never consults them (null attributes short-circuit).
-func (e *Extractor) internRows(t *dataset.Table, rows []int, workers int) [][]*textsim.TokenSet {
+// A cancelled ctx stops every worker within cancelCheckStride rows; the
+// caller checks ctx and discards the partial sets.
+func (e *Extractor) internRows(ctx context.Context, t *dataset.Table, rows []int, workers int) [][]*textsim.TokenSet {
 	sets := make([][]*textsim.TokenSet, len(t.Rows))
 	nt := len(e.tokenizers)
 	parDo(len(rows), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
+			if (i-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
+				return
+			}
 			r := rows[i]
 			rs := make([]*textsim.TokenSet, len(e.schema)*nt)
 			for a := range e.schema {

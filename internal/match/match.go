@@ -152,9 +152,10 @@ func (m *Matcher) Match(ctx context.Context, left, right *dataset.Table) ([]Pair
 	}
 
 	d := dataset.NewDataset("match", left, right, nil, m.BlockThreshold)
-	// Candidate generation is the heaviest pre-scoring stage, so it runs
-	// under the caller's context: a cancelled request aborts mid-build
-	// instead of after the full index pass.
+	// Candidate generation and featurization both run under the caller's
+	// context — featurization is the heaviest pre-scoring stage — so a
+	// request past its deadline aborts mid-stage instead of finishing the
+	// index pass and featurizing every candidate.
 	res, err := blocking.Generate(ctx, blocking.NewCandidateIndex(d, blocking.IndexOptions{}))
 	if err != nil {
 		return nil, 0, err
@@ -173,8 +174,8 @@ func (m *Matcher) Match(ctx context.Context, left, right *dataset.Table) ([]Pair
 			}
 			X[i] = v
 		}
-	} else {
-		X = ext.ExtractPairs(d, res.Pairs)
+	} else if X, err = ext.ExtractPairsContext(ctx, d, res.Pairs); err != nil {
+		return nil, 0, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err

@@ -5,7 +5,9 @@ package textsim
 // Every metric here runs on pooled scratch buffers (pool.go): the rune
 // conversions and DP rows are borrowed for the duration of one Compare
 // call and fully (re)initialized before use, so the pooled path is
-// bit-identical to the historical make-per-call implementation.
+// bit-identical to the historical make-per-call implementation. These
+// Compare functions are the reference the fused kernels (charkernel.go)
+// are pinned to.
 
 // Levenshtein is edit-distance similarity: 1 - dist/max(len(a), len(b)).
 type Levenshtein struct{}
@@ -36,8 +38,8 @@ func levenshteinDist(sc *scratch, a, b []rune) int {
 	if len(b) == 0 {
 		return len(a)
 	}
-	sc.ia = growInts(sc.ia, len(b)+1)
-	sc.ib = growInts(sc.ib, len(b)+1)
+	sc.ia = grow(sc.ia, len(b)+1)
+	sc.ib = grow(sc.ib, len(b)+1)
 	prev, cur := sc.ia, sc.ib
 	for j := range prev {
 		prev[j] = j
@@ -79,9 +81,9 @@ func (DamerauLevenshtein) Compare(a, b string) float64 {
 	}
 	// Three rolling rows: i-2, i-1, i.
 	n := len(rb) + 1
-	sc.ia = growInts(sc.ia, n)
-	sc.ib = growInts(sc.ib, n)
-	sc.ic = growInts(sc.ic, n)
+	sc.ia = grow(sc.ia, n)
+	sc.ib = grow(sc.ib, n)
+	sc.ic = grow(sc.ic, n)
 	r2, r1, r0 := sc.ia, sc.ib, sc.ic
 	for j := 0; j < n; j++ {
 		r1[j] = j
@@ -130,12 +132,9 @@ func jaroSim(sc *scratch, a, b []rune) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	window := max(len(a), len(b))/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	sc.ba = growBools(sc.ba, len(a))
-	sc.bb = growBools(sc.bb, len(b))
+	window := jaroWindow(len(a), len(b))
+	sc.ba = grow(sc.ba, len(a))
+	sc.bb = grow(sc.bb, len(b))
 	aMatch, bMatch := sc.ba, sc.bb
 	clear(aMatch)
 	clear(bMatch)
@@ -169,8 +168,20 @@ func jaroSim(sc *scratch, a, b []rune) float64 {
 		}
 		j++
 	}
+	return jaroScore(matches, trans, len(a), len(b))
+}
+
+// jaroWindow is how far apart (in runes) two equal runes of strings of
+// lengths la and lb may sit and still count as a Jaro match.
+func jaroWindow(la, lb int) int {
+	return max(0, max(la, lb)/2-1)
+}
+
+// jaroScore is Jaro similarity from its match and transposition counts
+// (matches > 0).
+func jaroScore(matches, trans, la, lb int) float64 {
 	m := float64(matches)
-	return (m/float64(len(a)) + m/float64(len(b)) + (m-float64(trans)/2)/m) / 3
+	return (m/float64(la) + m/float64(lb) + (m-float64(trans)/2)/m) / 3
 }
 
 // JaroWinkler boosts Jaro for strings sharing a common prefix (up to 4
@@ -187,13 +198,7 @@ func (JaroWinkler) Compare(a, b string) float64 {
 	defer putScratch(sc)
 	sc.ra = runesInto(sc.ra, a)
 	sc.rb = runesInto(sc.rb, b)
-	ra, rb := sc.ra, sc.rb
-	j := jaroSim(sc, ra, rb)
-	prefix := 0
-	for prefix < min(4, len(ra), len(rb)) && ra[prefix] == rb[prefix] {
-		prefix++
-	}
-	return j + float64(prefix)*0.1*(1-j)
+	return winklerBoost(jaroSim(sc, sc.ra, sc.rb), commonPrefix(sc.ra, sc.rb))
 }
 
 // NeedlemanWunsch is global-alignment similarity with match +1,
@@ -217,8 +222,8 @@ func (NeedlemanWunsch) Compare(a, b string) float64 {
 	if len(ra) == 0 || len(rb) == 0 {
 		return 0
 	}
-	sc.ia = growInts(sc.ia, len(rb)+1)
-	sc.ib = growInts(sc.ib, len(rb)+1)
+	sc.ia = grow(sc.ia, len(rb)+1)
+	sc.ib = grow(sc.ib, len(rb)+1)
 	prev, cur := sc.ia, sc.ib
 	for j := range prev {
 		prev[j] = -j
@@ -255,9 +260,10 @@ func (SmithWaterman) Compare(a, b string) float64 {
 	return smithWatermanStrings(a, b, -1, -1)
 }
 
-// SmithWatermanGotoh is Smith-Waterman with cheaper gap extension
-// (open -1, extend -0.5 approximated by a constant -0.5 gap), tolerating
-// longer gaps such as dropped words.
+// SmithWatermanGotoh is Smith-Waterman with a cheaper linear gap: match
+// +1, mismatch -1 and -0.5 per gap rune, with no separate opening
+// penalty, normalized like SmithWaterman. The cheap gaps tolerate longer
+// gaps such as dropped words.
 type SmithWatermanGotoh struct{}
 
 // Name implements Metric.
@@ -285,8 +291,8 @@ func smithWaterman(sc *scratch, a, b []rune, gap, mismatch float64) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	sc.fa = growFloats(sc.fa, len(b)+1)
-	sc.fb = growFloats(sc.fb, len(b)+1)
+	sc.fa = grow(sc.fa, len(b)+1)
+	sc.fb = grow(sc.fb, len(b)+1)
 	prev, cur := sc.fa, sc.fb
 	for j := range prev {
 		prev[j] = 0

@@ -354,6 +354,27 @@ func TestCompareAllocRatchet(t *testing.T) {
 			run    func()
 		}{"tokenset_" + m.Name(), budget, func() { m.CompareTokenSets(sa, sb) }})
 	}
+	// The fused character kernels and the pre-decoded Monge-Elkan run on
+	// one borrowed kernel; after the first call has sized its buffers
+	// they allocate nothing.
+	{
+		k := GetCharKernel()
+		ra, rb := []rune(a), []rune(b)
+		sa, sb := GetTokenSet(), GetTokenSet()
+		dict.InternValue(Whitespace{}, a, sa)
+		dict.InternValue(Whitespace{}, b, sb)
+		ta, tb := tokenRunes(sa), tokenRunes(sb)
+		k.Score(ra, rb)
+		cases = append(cases, struct {
+			name   string
+			budget float64
+			run    func()
+		}{"char_kernels", 0.5, func() { k.Score(ra, rb) }}, struct {
+			name   string
+			budget float64
+			run    func()
+		}{"char_monge_elkan", 0.5, func() { k.MongeElkan(sa, sb, ta, tb) }})
+	}
 	// The q-gram interning path itself must be allocation-free once the
 	// dictionary has seen the grams (steady-state record ingestion).
 	{

@@ -33,32 +33,11 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
 func putScratch(s *scratch) { scratchPool.Put(s) }
 
-// growRunes returns buf resized to hold n runes, reallocating only when
+// grow returns buf resized to hold n elements, reallocating only when
 // capacity is short. Contents are unspecified; callers overwrite.
-func growRunes(buf []rune, n int) []rune {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]rune, n, n+n/2+8)
-	}
-	return buf[:n]
-}
-
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n, n+n/2+8)
-	}
-	return buf[:n]
-}
-
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n, n+n/2+8)
-	}
-	return buf[:n]
-}
-
-func growBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n, n+n/2+8)
+		return make([]T, n, n+n/2+8)
 	}
 	return buf[:n]
 }

@@ -21,8 +21,8 @@ func (LongestCommonSubsequence) Compare(a, b string) float64 {
 	if len(ra) == 0 || len(rb) == 0 {
 		return 0
 	}
-	sc.ia = growInts(sc.ia, len(rb)+1)
-	sc.ib = growInts(sc.ib, len(rb)+1)
+	sc.ia = grow(sc.ia, len(rb)+1)
+	sc.ib = grow(sc.ib, len(rb)+1)
 	prev, cur := sc.ia, sc.ib
 	clear(prev)
 	cur[0] = 0
@@ -59,8 +59,8 @@ func (LongestCommonSubstring) Compare(a, b string) float64 {
 	if len(ra) == 0 || len(rb) == 0 {
 		return 0
 	}
-	sc.ia = growInts(sc.ia, len(rb)+1)
-	sc.ib = growInts(sc.ib, len(rb)+1)
+	sc.ia = grow(sc.ia, len(rb)+1)
+	sc.ib = grow(sc.ib, len(rb)+1)
 	prev, cur := sc.ia, sc.ib
 	clear(prev)
 	cur[0] = 0

@@ -296,10 +296,13 @@ func (NumericSim) Compare(a, b string) float64 {
 	return sim
 }
 
+// parseNumeric parses s as a finite number. ParseFloat also accepts
+// "NaN" and "Inf", which would turn the relative difference into NaN;
+// those count as non-numeric.
 func parseNumeric(s string) (float64, bool) {
 	s = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(s), "$"))
 	v, err := strconv.ParseFloat(s, 64)
-	return v, err == nil
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 // Extended returns the corpus-aware and numeric metrics beyond the

@@ -103,6 +103,12 @@ func TestNumericSim(t *testing.T) {
 	if s := n.Compare("abc", "xyz"); s != 0 {
 		t.Errorf("non-numeric disjoint = %v, want 0", s)
 	}
+	// ParseFloat accepts NaN and infinities; they are not numbers here.
+	for _, c := range [][2]string{{"0", "nAn"}, {"inf", "1"}, {"-Inf", "+inf"}} {
+		if got, want := n.Compare(c[0], c[1]), (Levenshtein{}).Compare(c[0], c[1]); got != want {
+			t.Errorf("numeric(%q, %q) = %v, want the Levenshtein fallback %v", c[0], c[1], got, want)
+		}
+	}
 }
 
 func TestExtendedMetricsSatisfyInvariants(t *testing.T) {

@@ -265,7 +265,7 @@ func softJaccardDirected(sa, sb []string) float64 {
 	jw := JaroWinkler{}
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.ba = growBools(sc.ba, len(sb))
+	sc.ba = grow(sc.ba, len(sb))
 	used := sc.ba
 	clear(used)
 	var matched float64
