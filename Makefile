@@ -1,17 +1,25 @@
-# Development targets. `make check` is the full pre-merge gate: static
-# vetting, a clean build of every package, the test suite under the race
-# detector (the Session engine's cancellation paths are concurrent), the
-# coverage ratchet, and a short fuzz smoke over every parser target.
+# Development targets. `make check` is the full pre-merge gate: gofmt,
+# static vetting, a clean build of every package, the test suite under
+# the race detector (the Session engine's cancellation paths are
+# concurrent), the coverage ratchet, and a short fuzz smoke over every
+# parser target.
 
 GO ?= go
+GOFMT ?= gofmt
 
 # Coverage ratchet for the engine package. Raise after a PR that durably
 # lifts internal/core coverage; never lower it to absorb a regression.
 COVER_FLOOR_CORE ?= 88.3
 
-.PHONY: check vet build test race cover fuzz bench bench-json bench-ratchet chaos serve-smoke equiv
+.PHONY: check fmt vet build test race cover fuzz bench bench-json bench-ratchet chaos serve-smoke equiv
 
-check: vet build race equiv bench-ratchet cover fuzz chaos serve-smoke
+check: fmt vet build race equiv bench-ratchet cover fuzz chaos serve-smoke
+
+# Fails, listing them, when any Go file outside the benchmark's build
+# state (.bench_build/) is not gofmt-formatted.
+fmt:
+	@unformatted=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -37,9 +45,11 @@ fuzz:
 	GO="$(GO)" sh scripts/fuzz_smoke.sh
 
 # Bit-identity gates, under the race detector: every paper selector
-# against its frozen pre-refactor implementation plus the
+# against its frozen pre-refactor implementation, the bounded top-k
+# pickers against the full sorts they replaced, plus the
 # serial-vs-parallel pins and the batched-oracle-vs-per-pair pins
-# (internal/core), and the indexed candidate generator against the
+# (internal/core), the sorted-sweep tree split search against the frozen
+# rescan (internal/tree), and the indexed candidate generator against the
 # brute-force blocking reference, including incremental Add and
 # shard-count sweeps (internal/blocking), and the fused character kernels
 # against each metric's Compare plus batched featurization against
@@ -48,7 +58,8 @@ fuzz:
 # the dedicated target keeps the refactor contracts visible and quick to
 # re-run on their own.
 equiv:
-	$(GO) test -race -count=1 -run 'CompositionEquivalence|SerialParallelEquivalent|WorkerInvariant|BatchOracleEquivalence' ./internal/core/
+	$(GO) test -race -count=1 -run 'CompositionEquivalence|SerialParallelEquivalent|WorkerInvariant|BatchOracleEquivalence|PickersMatchLegacySort' ./internal/core/
+	$(GO) test -race -count=1 -run 'GrowMatchesLegacy' ./internal/tree/
 	$(GO) test -race -count=1 -run 'IndexEquivalence|BruteForce|HotTokenRecall|ThresholdBoundary' ./internal/blocking/
 	$(GO) test -race -count=1 -run 'CharKernelsMatchCompare|ExtractPairsMatchesExtract' ./internal/textsim/ ./internal/feature/
 
@@ -61,13 +72,15 @@ bench:
 # string-vs-interned 30% reduction floor, the warmed Candidates budget
 # and the constant-allocs training fit — plus the bit-identity pins the
 # ratchets rely on, and a -benchtime=1x smoke over the paired scoring
-# benchmarks and the batched featurization benchmark so a broken
-# benchmark fails `make check` rather than the next BENCH run.
+# benchmarks, the batched featurization benchmark and the forest training
+# benchmarks so a broken benchmark fails `make check` rather than the
+# next BENCH run.
 bench-ratchet:
 	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|CharKernelsMatchCompare|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|KnownCacheAcrossAdds|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
 		./internal/textsim/ ./internal/feature/ ./internal/match/ ./internal/blocking/ ./internal/neural/
 	$(GO) test -count=1 -run '^$$' -bench 'MatcherScoreAll' -benchtime=1x -benchmem ./internal/match/
 	$(GO) test -count=1 -run '^$$' -bench 'ExtractPairs' -benchtime=1x -benchmem ./internal/feature/
+	$(GO) test -count=1 -run '^$$' -bench 'ForestTrain' -benchtime=1x -benchmem .
 
 # Selector serial/parallel pairs, blocking naive/indexed pairs and the
 # matcher string/interned pairs → BENCH_9.json (ns/op, allocs/op,

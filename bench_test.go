@@ -156,11 +156,24 @@ func BenchmarkSVMTrain(b *testing.B) {
 	}
 }
 
+// BenchmarkForestTrain fits forest(20) at the labeled-set sizes runs
+// reach: 160 rows (a dollar-capped run on a small pool), 500 (a
+// 500-label budget) and 1000 (the serving set-up fit). Every tenth label
+// is flipped: trainingData alone is separable on any feature, and the
+// trees would be stumps rather than the deep trees a run's
+// boundary-heavy labeled set grows.
 func BenchmarkForestTrain(b *testing.B) {
-	X, y := trainingData(500, 63, 2)
-	for i := 0; i < b.N; i++ {
-		f := alem.NewRandomForest(10, int64(i))
-		f.Train(X, y)
+	for _, n := range []int{160, 500, 1000} {
+		X, y := trainingData(n, 63, 2)
+		for i := 0; i < n; i += 10 {
+			y[i] = !y[i]
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f := alem.NewRandomForest(20, int64(i))
+				f.Train(X, y)
+			}
+		})
 	}
 }
 

@@ -92,7 +92,7 @@ type indexShard struct {
 }
 
 type funnelCounters struct {
-	builds, adds                      atomic.Int64
+	builds, adds                        atomic.Int64
 	probed, sizeSkipped, verified, kept atomic.Int64
 }
 

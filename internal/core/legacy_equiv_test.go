@@ -516,6 +516,53 @@ func TestCompositionEquivalence(t *testing.T) {
 	}
 }
 
+// TestPickersMatchLegacySort pins the bounded top-k pickers to the full
+// sorts they replaced: TopPicker against legacySmallestMargins and
+// ShuffledTopPicker against legacyVariancePick, on shuffled candidates
+// whose scores carry heavy ties, ±Inf, ±0 or one value throughout, for
+// batch sizes from 0 past the candidate count. Batches and RNG draw
+// counts must be equal.
+func TestPickersMatchLegacySort(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	special := []float64{math.Inf(1), math.Inf(-1), 0, negZero, 1, -1, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	scoreKinds := []struct {
+		name string
+		gen  func(r *rand.Rand) float64
+	}{
+		{"continuous", func(r *rand.Rand) float64 { return -r.Float64() }},
+		{"ties", func(r *rand.Rand) float64 { return float64(r.Intn(5)) / 4 }},
+		{"specials", func(r *rand.Rand) float64 { return special[r.Intn(len(special))] }},
+		{"all-equal", func(*rand.Rand) float64 { return negZero }},
+	}
+	for _, n := range []int{1, 2, 9, 300, 40000} {
+		for _, kind := range scoreKinds {
+			r := rand.New(rand.NewSource(int64(n) + 17))
+			cands := r.Perm(2 * n)[:n] // distinct pool rows, shuffled
+			scores := make([]float64, n)
+			for j := range scores {
+				scores[j] = kind.gen(r)
+			}
+			set := &ScoredSet{Candidates: cands, Scores: scores}
+			for _, k := range []int{0, 1, 10, n - 1, n, n + 5} {
+				t.Run(fmt.Sprintf("n=%d/%s/k=%d", n, kind.name, k), func(t *testing.T) {
+					s := make([]legacyScored, n)
+					for j, i := range cands {
+						s[j] = legacyScored{i, -scores[j]}
+					}
+					want := legacySmallestMargins(s, k)
+					got := TopPicker{}.Pick(&SelectContext{}, set, k)
+					assertSameSelection(t, 0, got, want, 0, 0, 0, 0)
+
+					wantSrc, gotSrc := newCountingSource(int64(k)), newCountingSource(int64(k))
+					want = legacyVariancePick(rand.New(wantSrc), cands, scores, k)
+					got = ShuffledTopPicker{}.Pick(&SelectContext{Rand: rand.New(gotSrc)}, set, k)
+					assertSameSelection(t, 0, got, want, gotSrc.n63, wantSrc.n63, gotSrc.n64, wantSrc.n64)
+				})
+			}
+		}
+	}
+}
+
 // TestCompositionEquivalenceLFPLFN covers the rule learner separately:
 // it needs a Boolean pool and a trained DNF. The composition ranks the
 // FULL interleave and top-k's it; the frozen legacy caps at k inside the

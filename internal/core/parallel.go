@@ -80,3 +80,26 @@ func parallelFor(ctx context.Context, n, workers, cutoff int, body func(j int)) 
 	wg.Wait()
 	return ctx.Err()
 }
+
+// parallelForRows is parallelFor over candidates, a set of distinct pool
+// rows: body(j) still runs once for every j in [0, len(candidates)), but
+// the sweep visits the j in ascending order of their pool row, so the
+// body reads pool.X front to back instead of in the candidates' (often
+// shuffled) order. An O(poolLen) position array finds that order without
+// a sort. body(j) must write only its own output slot j; then the results
+// stay aligned with candidates and bit-identical at every worker count.
+func parallelForRows(ctx context.Context, poolLen int, candidates []int, workers int, body func(j int)) error {
+	at := make([]int, poolLen) // at[row] = j+1 for the candidate on row, 0 for none
+	for j, row := range candidates {
+		at[row] = j + 1
+	}
+	order := make([]int, 0, len(candidates))
+	for _, a := range at {
+		if a > 0 {
+			order = append(order, a-1)
+		}
+	}
+	return parallelFor(ctx, len(order), workers, parallelCutoff, func(t int) {
+		body(order[t])
+	})
+}

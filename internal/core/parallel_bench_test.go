@@ -4,9 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-
-	"github.com/alem/alem/internal/linear"
-	"github.com/alem/alem/internal/tree"
 )
 
 // Serial/parallel pairs for every selection hot path ported onto the
@@ -20,22 +17,7 @@ const benchPoolSize = 4096
 
 func benchSetup(b *testing.B) *selectorSetup {
 	b.Helper()
-	pool := syntheticPool(benchPoolSize, 7)
-	nLab := 60
-	st := &selectorSetup{pool: pool}
-	for i := 0; i < nLab; i++ {
-		st.labeled = append(st.labeled, i)
-		st.labels = append(st.labels, pool.Truth[i])
-	}
-	for i := nLab; i < benchPoolSize; i++ {
-		st.unlabel = append(st.unlabel, i)
-	}
-	trainX, trainY := gatherTraining(pool, st.labeled, st.labels, nLab)
-	st.svm = linear.NewSVM(7)
-	st.svm.Train(trainX, trainY)
-	st.forest = tree.NewForest(9, 7)
-	st.forest.Train(trainX, trainY)
-	return st
+	return newSelectorSetup(b, benchPoolSize, 7)
 }
 
 func benchSelect(b *testing.B, sel Selector, learner Learner, workers int) {

@@ -61,8 +61,11 @@ type selectorSetup struct {
 	forest  *tree.Forest
 }
 
-func newSelectorSetup(t *testing.T, poolSize int, seed int64) *selectorSetup {
-	t.Helper()
+// newSelectorSetup labels the first 60 rows and lists the rest as
+// Unlabeled in a seeded shuffled order, as every session does, so the
+// selector pins see candidates out of pool order.
+func newSelectorSetup(tb testing.TB, poolSize int, seed int64) *selectorSetup {
+	tb.Helper()
 	pool := syntheticPool(poolSize, seed)
 	nLab := 60
 	st := &selectorSetup{pool: pool}
@@ -73,6 +76,9 @@ func newSelectorSetup(t *testing.T, poolSize int, seed int64) *selectorSetup {
 	for i := nLab; i < poolSize; i++ {
 		st.unlabel = append(st.unlabel, i)
 	}
+	rand.New(rand.NewSource(seed)).Shuffle(len(st.unlabel), func(a, b int) {
+		st.unlabel[a], st.unlabel[b] = st.unlabel[b], st.unlabel[a]
+	})
 	trainX, trainY := gatherTraining(pool, st.labeled, st.labels, nLab)
 	st.svm = linear.NewSVM(seed)
 	st.svm.Train(trainX, trainY)

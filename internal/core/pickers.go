@@ -20,6 +20,9 @@ import (
 // TopPicker deterministically takes the k highest-scoring candidates,
 // ties broken by lower pool index — the fully deterministic ordering
 // §4.2.1 credits margin selection with. It draws nothing from the RNG.
+// Scores must not be NaN: (score descending, pool index) is then a
+// strict total order, so the batch is its first k candidates in that
+// order, whatever order the candidates arrive in.
 type TopPicker struct{}
 
 // Name implements Picker.
@@ -27,18 +30,14 @@ func (TopPicker) Name() string { return "top" }
 
 // Pick implements Picker.
 func (TopPicker) Pick(_ *SelectContext, set *ScoredSet, k int) []int {
-	s := make([]scored, len(set.Candidates))
-	for j, i := range set.Candidates {
-		s[j] = scored{i, -set.Scores[j]}
-	}
-	return smallestMargins(s, k)
+	return smallestMargins(set.Candidates, set.Scores, k)
 }
 
 // ShuffledTopPicker takes the k highest-scoring candidates with RANDOM
-// tie-breaking: one Perm over the candidates, then a stable sort by
-// score, so equal-score candidates come out in shuffled order (§4.1's
-// committee-variance tie-break). Exactly one Perm(len candidates)) is
-// drawn regardless of k.
+// tie-breaking: one Perm over the candidates, then the order of a stable
+// sort by score, so equal-score candidates come out in shuffled order
+// (§4.1's committee-variance tie-break). Exactly one Perm(len
+// candidates) is drawn regardless of k. Scores must not be NaN.
 type ShuffledTopPicker struct{}
 
 // Name implements Picker.
@@ -345,46 +344,85 @@ func (cp ScoredClusterPicker) Pick(ctx *SelectContext, set *ScoredSet, k int) []
 }
 
 // variancePick selects the k highest-variance indices with random
-// tie-breaking: candidates are shuffled first, then stably sorted by
-// variance, so equal-variance examples come out in random order (§4.1).
+// tie-breaking: candidates are shuffled first and ranked by (variance
+// descending, shuffled position), the order a stable sort of the
+// shuffle by variance produces, so equal-variance examples come out in
+// random order (§4.1).
 func variancePick(r *rand.Rand, unlabeled []int, variance []float64, k int) []int {
 	order := r.Perm(len(unlabeled))
-	sort.SliceStable(order, func(a, b int) bool {
-		return variance[order[a]] > variance[order[b]]
+	top := boundedTop(len(order), k, func(a, b int) bool {
+		va, vb := variance[order[a]], variance[order[b]]
+		return va > vb || (va == vb && a < b)
 	})
-	if k > len(order) {
-		k = len(order)
+	for t, p := range top {
+		top[t] = unlabeled[order[p]]
 	}
-	out := make([]int, 0, k)
-	for _, oi := range order[:k] {
-		out = append(out, unlabeled[oi])
-	}
-	return out
+	return top
 }
 
-// scored pairs a pool index with its selection score.
-type scored struct {
-	idx int
-	m   float64
+// smallestMargins selects the k highest scores (the smallest margins,
+// which scorers negate), ties broken by pool index — the fully
+// deterministic ordering §4.2.1 credits margin with. For NaN-free
+// scores the (score, idx) key is a strict total order, so the result
+// does not depend on the input's arrangement.
+func smallestMargins(cands []int, scores []float64, k int) []int {
+	top := boundedTop(len(cands), k, func(a, b int) bool {
+		return scores[a] > scores[b] || (scores[a] == scores[b] && cands[a] < cands[b])
+	})
+	for t, j := range top {
+		top[t] = cands[j]
+	}
+	return top
 }
 
-// smallestMargins returns the indices of the k smallest scores, ties
-// broken by pool index — the fully deterministic ordering §4.2.1 credits
-// margin with. The (score, idx) key is a total order, so the result does
-// not depend on the input's arrangement.
-func smallestMargins(s []scored, k int) []int {
-	sort.Slice(s, func(a, b int) bool {
-		if s[a].m != s[b].m {
-			return s[a].m < s[b].m
+// boundedTop returns the k least positions of [0, n) under less, in
+// ascending order: the first k of a full sort, in O(n log k). It keeps
+// the k best positions seen so far in a heap whose root is the worst of
+// them, then heap-sorts the survivors. less must be a strict total
+// order, so the survivors and their order are unique.
+func boundedTop(n, k int, less func(a, b int) bool) []int {
+	k = max(0, min(k, n))
+	h := make([]int, 0, k)
+	if k == 0 {
+		return h
+	}
+	// siftDown restores the heap below i in h[:end]: a parent never
+	// orders before its children.
+	siftDown := func(i, end int) {
+		for {
+			c := 2*i + 1
+			if c >= end {
+				return
+			}
+			if c+1 < end && less(h[c], h[c+1]) {
+				c++
+			}
+			if !less(h[i], h[c]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
 		}
-		return s[a].idx < s[b].idx
-	})
-	if k > len(s) {
-		k = len(s)
 	}
-	out := make([]int, 0, k)
-	for _, x := range s[:k] {
-		out = append(out, x.idx)
+	for j := 0; j < n; j++ {
+		if len(h) < k {
+			h = append(h, j)
+			for i := len(h) - 1; i > 0; {
+				parent := (i - 1) / 2
+				if !less(h[parent], h[i]) {
+					break
+				}
+				h[i], h[parent] = h[parent], h[i]
+				i = parent
+			}
+		} else if less(j, h[0]) {
+			h[0] = j
+			siftDown(0, k)
+		}
 	}
-	return out
+	for end := k - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(0, end)
+	}
+	return h
 }

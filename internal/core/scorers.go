@@ -13,7 +13,7 @@ import (
 
 // The built-in informativeness measures, one per paper selector family.
 // Each scorer reproduces its pre-refactor selector's computation exactly
-// — same arithmetic, same parallelFor fan-out, same serial pre-draw of
+// — same arithmetic, same fan-out substrate, same serial pre-draw of
 // all randomness — so the compositions in selectors.go are bit-identical
 // to the concrete implementations they replaced (pinned by the
 // Equivalence tests at worker counts {0,1,2,8}).
@@ -74,7 +74,7 @@ func (q QBCScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 	ctx.CommitteeCreate = time.Since(start)
 
 	variance := make([]float64, len(ctx.Unlabeled))
-	if err := parallelFor(ctx.Ctx, len(ctx.Unlabeled), ctx.Workers, parallelCutoff, func(j int) {
+	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(j int) {
 		pos := 0
 		for _, m := range committee {
 			if m.Predict(ctx.Pool.X[ctx.Unlabeled[j]]) {
@@ -116,7 +116,7 @@ func (MarginScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 // for its everything-pruned fallback.
 func marginScores(ctx *SelectContext, ml MarginLearner) (*ScoredSet, error) {
 	scores := make([]float64, len(ctx.Unlabeled))
-	if err := parallelFor(ctx.Ctx, len(ctx.Unlabeled), ctx.Workers, parallelCutoff, func(j int) {
+	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(j int) {
 		scores[j] = -math.Abs(ml.Margin(ctx.Pool.X[ctx.Unlabeled[j]]))
 	}); err != nil {
 		return nil, err
@@ -156,10 +156,10 @@ func (bm BlockedMarginScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, erro
 
 	// Score in parallel: an example whose blocking dimensions are all
 	// zero records a sentinel instead of paying the dot product; the
-	// survivors are collected serially in pool order afterwards, so the
-	// result is identical at every worker count.
+	// survivors are collected serially in candidate order afterwards, so
+	// the result is identical at every worker count.
 	margins := make([]float64, len(ctx.Unlabeled))
-	if err := parallelFor(ctx.Ctx, len(ctx.Unlabeled), ctx.Workers, parallelCutoff, func(j int) {
+	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(j int) {
 		x := ctx.Pool.X[ctx.Unlabeled[j]]
 		for _, d := range dims {
 			if x[d] != 0 {
@@ -281,7 +281,7 @@ func (bf BlockedVoteScorer) Score(ctx *SelectContext, k int) (*ScoredSet, error)
 // over the candidate examples, fanning out across ctx.Workers.
 func voteVariance(ctx *SelectContext, vl VoteLearner, candidates []int) ([]float64, error) {
 	variance := make([]float64, len(candidates))
-	err := parallelFor(ctx.Ctx, len(candidates), ctx.Workers, parallelCutoff, func(j int) {
+	err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), candidates, ctx.Workers, func(j int) {
 		pos, total := vl.Votes(ctx.Pool.X[candidates[j]])
 		if total == 0 {
 			return
@@ -347,7 +347,7 @@ func (AmbiguityScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 		return nil, errNotApplicable
 	}
 	margins := make([]float64, len(ctx.Unlabeled))
-	if err := parallelFor(ctx.Ctx, len(ctx.Unlabeled), ctx.Workers, parallelCutoff, func(j int) {
+	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(j int) {
 		margins[j] = math.Abs(ml.Margin(ctx.Pool.X[ctx.Unlabeled[j]]))
 	}); err != nil {
 		return nil, err

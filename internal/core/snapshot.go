@@ -97,18 +97,18 @@ func (s *Session) Snapshot() *Snapshot {
 		}
 	}
 	return &Snapshot{
-		Config:      s.cfg,
-		Draws63:     s.src.n63,
-		Draws64:     s.src.n64,
-		OracleDraws: oracleDraws,
-		Seeded:      s.seeded,
-		Iteration:   s.iter,
-		MaxLabels:   s.maxLabels,
-		TestIdx:     append([]int(nil), s.testIdx...),
-		Labeled:     append([]int(nil), s.labeled...),
-		Labels:      append([]bool(nil), s.labels...),
-		Unlabeled:   append([]int(nil), s.unlabeled...),
-		PrevPred:    append([]bool(nil), s.prevPred...),
+		Config:        s.cfg,
+		Draws63:       s.src.n63,
+		Draws64:       s.src.n64,
+		OracleDraws:   oracleDraws,
+		Seeded:        s.seeded,
+		Iteration:     s.iter,
+		MaxLabels:     s.maxLabels,
+		TestIdx:       append([]int(nil), s.testIdx...),
+		Labeled:       append([]int(nil), s.labeled...),
+		Labels:        append([]bool(nil), s.labels...),
+		Unlabeled:     append([]int(nil), s.unlabeled...),
+		PrevPred:      append([]bool(nil), s.prevPred...),
 		StableIters:   s.stableIters,
 		Curve:         append(eval.Curve(nil), s.res.Curve...),
 		Ledger:        ledger,

@@ -16,8 +16,8 @@ import (
 // identical state — recovery must be idempotent across re-crashes.
 func FuzzScanWAL(f *testing.F) {
 	f.Add(0, []byte{})
-	f.Add(3, []byte("{\"seq\":9}"))                            // out-of-sequence intact tail line
-	f.Add(2, []byte("{\"seq\":3,\"index\":7,\"label\":true"))  // torn: no newline
+	f.Add(3, []byte("{\"seq\":9}"))                                      // out-of-sequence intact tail line
+	f.Add(2, []byte("{\"seq\":3,\"index\":7,\"label\":true"))            // torn: no newline
 	f.Add(1, []byte("{\"seq\":2,\"index\":1,\"label\":true}\n{garbage")) // valid extension then tear
 	f.Add(4, []byte("\x00\xff\x00binary junk"))
 	f.Fuzz(func(t *testing.T, acked int, tail []byte) {

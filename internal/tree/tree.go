@@ -57,16 +57,34 @@ func depth(n *Node) int {
 	return 1 + max(depth(n.Left), depth(n.Right))
 }
 
-// growConfig carries the hyper-parameters down the recursive build.
+// growConfig carries the hyper-parameters down the recursive build,
+// plus the split search's scratch: vals and posVals hold one node's
+// values of one feature (all rows, positive rows), sized for the root.
+// A node is done with them before it recurses, so one pair serves the
+// whole tree.
 type growConfig struct {
-	maxFeatures int
-	rand        *rand.Rand
-	X           []feature.Vector
-	y           []bool
+	maxFeatures   int
+	rand          *rand.Rand
+	X             []feature.Vector
+	y             []bool
+	vals, posVals []float64
 }
 
 // grow builds a tree on the row subset idx. Depth is unlimited; recursion
 // stops only on pure nodes or when no split improves Gini impurity.
+//
+// The candidate thresholds of a feature are the midpoints between its
+// distinct sorted values, and a threshold's left side is every row at or
+// below it. Rather than recount the node per threshold, one sweep walks
+// the thresholds in ascending order with two cursors: one over the
+// node's sorted values, one over its positive rows' sorted values. The
+// cursor counts are exact because the thresholds never decrease: the
+// sum and the halving round monotonically, so a later pair of larger
+// values cannot round to a smaller midpoint, even where the midpoint of
+// two adjacent floats rounds up to the larger one. Values must not be
+// NaN. (The one NaN midpoint, −Inf beside +Inf, arises only when those
+// are the node's only values; no cursor moves and, as in a rescan, the
+// empty left side skips it.)
 func grow(cfg *growConfig, idx []int) *Node {
 	pos := 0
 	for _, i := range idx {
@@ -74,24 +92,32 @@ func grow(cfg *growConfig, idx []int) *Node {
 			pos++
 		}
 	}
-	if pos == 0 || pos == len(idx) {
+	n := len(idx)
+	if pos == 0 || pos == n {
 		return &Node{Leaf: true, Label: pos > 0}
 	}
 
 	dim := len(cfg.X[0])
 	bestGain := 0.0
-	bestFeat, bestThresh := -1, 0.0
-	parentImp := gini(pos, len(idx))
+	bestFeat, bestThresh, bestLeft := -1, 0.0, 0
+	parentImp := gini(pos, n)
 
 	// Random feature subset of size log2(Dim+1), per Corleone.
 	feats := cfg.rand.Perm(dim)[:cfg.maxFeatures]
+	vals, posVals := cfg.vals[:n], cfg.posVals[:pos]
 	for _, f := range feats {
-		// Candidate thresholds: midpoints between distinct sorted values.
-		vals := make([]float64, 0, len(idx))
-		for _, i := range idx {
-			vals = append(vals, cfg.X[i][f])
+		p := 0
+		for j, i := range idx {
+			v := cfg.X[i][f]
+			vals[j] = v
+			if cfg.y[i] {
+				posVals[p] = v
+				p++
+			}
 		}
 		sortFloats(vals)
+		sortFloats(posVals)
+		l, lp := 0, 0 // rows, positive rows at or below th
 		prev := vals[0]
 		for _, v := range vals[1:] {
 			if v == prev {
@@ -99,37 +125,27 @@ func grow(cfg *growConfig, idx []int) *Node {
 			}
 			th := (prev + v) / 2
 			prev = v
-			lp, ln, rp, rn := 0, 0, 0, 0
-			for _, i := range idx {
-				if cfg.X[i][f] <= th {
-					if cfg.y[i] {
-						lp++
-					} else {
-						ln++
-					}
-				} else {
-					if cfg.y[i] {
-						rp++
-					} else {
-						rn++
-					}
-				}
+			for l < n && vals[l] <= th {
+				l++
 			}
-			l, r := lp+ln, rp+rn
+			for lp < pos && posVals[lp] <= th {
+				lp++
+			}
+			r, rp := n-l, pos-lp
 			if l == 0 || r == 0 {
 				continue
 			}
-			w := float64(l) / float64(len(idx))
+			w := float64(l) / float64(n)
 			childImp := w*gini(lp, l) + (1-w)*gini(rp, r)
 			if gain := parentImp - childImp; gain > bestGain+1e-12 {
-				bestGain, bestFeat, bestThresh = gain, f, th
+				bestGain, bestFeat, bestThresh, bestLeft = gain, f, th, l
 			}
 		}
 	}
 	if bestFeat < 0 {
-		return &Node{Leaf: true, Label: 2*pos >= len(idx)}
+		return &Node{Leaf: true, Label: 2*pos >= n}
 	}
-	var li, ri []int
+	li, ri := make([]int, 0, bestLeft), make([]int, 0, n-bestLeft)
 	for _, i := range idx {
 		if cfg.X[i][bestFeat] <= bestThresh {
 			li = append(li, i)
@@ -224,12 +240,13 @@ func (f *Forest) Train(X []feature.Vector, y []bool) {
 	if maxFeatures > dim {
 		maxFeatures = dim
 	}
+	cfg := &growConfig{maxFeatures: maxFeatures, rand: f.rand, X: X, y: y,
+		vals: make([]float64, len(X)), posVals: make([]float64, len(X))}
 	for t := 0; t < f.NumTrees; t++ {
 		idx := make([]int, len(X))
 		for i := range idx {
 			idx[i] = f.rand.Intn(len(X))
 		}
-		cfg := &growConfig{maxFeatures: maxFeatures, rand: f.rand, X: X, y: y}
 		f.trees = append(f.trees, &Tree{Root: grow(cfg, idx)})
 	}
 }
