@@ -5,7 +5,6 @@
 # parser target.
 
 GO ?= go
-GOFMT ?= gofmt
 
 # Coverage ratchet for the engine package. Raise after a PR that durably
 # lifts internal/core coverage; never lower it to absorb a regression.
@@ -16,9 +15,9 @@ COVER_FLOOR_CORE ?= 88.3
 check: fmt vet build race equiv bench-ratchet cover fuzz chaos serve-smoke
 
 # Fails, listing them, when any Go file outside the benchmark's build
-# state (.bench_build/) is not gofmt-formatted.
+# state (.bench_build/) is not formatted by the toolchain's own gofmt.
 fmt:
-	@unformatted=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
+	@unformatted=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs "$$($(GO) env GOROOT)/bin/gofmt" -l); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 vet:

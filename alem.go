@@ -500,6 +500,7 @@ func NewNeuralNet(hidden int, seed int64) *NeuralNet { return neural.NewNet(hidd
 
 // NewRandomForest returns a forest with the given committee size
 // (Corleone settings: unlimited depth, log2(Dim+1) features per split).
+// Its Train needs NaN-free feature values; every extractor's are finite.
 func NewRandomForest(trees int, seed int64) *RandomForest { return tree.NewForest(trees, seed) }
 
 // NewRuleModel returns a monotone-DNF rule learner over ext's atoms.

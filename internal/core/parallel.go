@@ -81,23 +81,26 @@ func parallelFor(ctx context.Context, n, workers, cutoff int, body func(j int)) 
 	return ctx.Err()
 }
 
-// parallelForRows is parallelFor over candidates, a set of distinct pool
-// rows: body(j) still runs once for every j in [0, len(candidates)), but
-// the sweep visits the j in ascending order of their pool row, so the
-// body reads pool.X front to back instead of in the candidates' (often
-// shuffled) order. An O(poolLen) position array finds that order without
-// a sort. body(j) must write only its own output slot j; then the results
+// parallelForRows is parallelFor over candidates, a list of pool rows:
+// body(j) still runs once for every j in [0, len(candidates)), but the
+// sweep visits the j in ascending order of their pool row (ties, from a
+// row listed twice, in ascending j), so the body reads pool.X front to
+// back instead of in the candidates' (often shuffled) order. A counting
+// sort over the O(poolLen) rows finds that order without a comparison
+// sort. body(j) must write only its own output slot j; then the results
 // stay aligned with candidates and bit-identical at every worker count.
 func parallelForRows(ctx context.Context, poolLen int, candidates []int, workers int, body func(j int)) error {
-	at := make([]int, poolLen) // at[row] = j+1 for the candidate on row, 0 for none
-	for j, row := range candidates {
-		at[row] = j + 1
+	next := make([]int, poolLen+1) // next[row] = next free slot of order for row
+	for _, row := range candidates {
+		next[row+1]++
 	}
-	order := make([]int, 0, len(candidates))
-	for _, a := range at {
-		if a > 0 {
-			order = append(order, a-1)
-		}
+	for row := 0; row < poolLen; row++ {
+		next[row+1] += next[row]
+	}
+	order := make([]int, len(candidates))
+	for j, row := range candidates {
+		order[next[row]] = j
+		next[row]++
 	}
 	return parallelFor(ctx, len(order), workers, parallelCutoff, func(t int) {
 		body(order[t])

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -27,6 +28,57 @@ func TestParallelForMatchesSerial(t *testing.T) {
 			for j := range out {
 				if out[j] != j*j {
 					t.Fatalf("n=%d workers=%d: out[%d] = %d", n, workers, j, out[j])
+				}
+			}
+		}
+	}
+}
+
+// TestParallelForRows pins parallelForRows' contract: body(j) runs
+// exactly once per candidate slot, duplicate rows included, and a serial
+// sweep visits the slots in ascending pool row, ties in ascending slot.
+func TestParallelForRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const poolLen = 3*parallelCutoff + 17
+	shuffled := rng.Perm(poolLen)[:2*parallelCutoff]
+	dups := make([]int, 0, len(shuffled)+40)
+	dups = append(dups, shuffled...)
+	for i := 0; i < 40; i++ {
+		dups = append(dups, shuffled[rng.Intn(len(shuffled))])
+	}
+	rng.Shuffle(len(dups), func(a, b int) { dups[a], dups[b] = dups[b], dups[a] })
+	cases := map[string][]int{
+		"empty":      nil,
+		"one":        {poolLen - 1},
+		"shuffled":   shuffled,
+		"duplicates": dups,
+		"all-same":   {4, 4, 4, 4},
+	}
+	for name, cands := range cases {
+		for _, workers := range []int{1, 2, 7} {
+			var mu sync.Mutex
+			runs := make([]int, len(cands))
+			var visited []int
+			if err := parallelForRows(context.Background(), poolLen, cands, workers, func(j int) {
+				mu.Lock()
+				runs[j]++
+				visited = append(visited, j)
+				mu.Unlock()
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for j, r := range runs {
+				if r != 1 {
+					t.Fatalf("%s workers=%d: body(%d) ran %d times, want 1", name, workers, j, r)
+				}
+			}
+			if workers != 1 {
+				continue
+			}
+			for i := 1; i < len(visited); i++ {
+				a, b := visited[i-1], visited[i]
+				if cands[a] > cands[b] || (cands[a] == cands[b] && a > b) {
+					t.Fatalf("%s: slot %d (row %d) visited before slot %d (row %d)", name, a, cands[a], b, cands[b])
 				}
 			}
 		}

@@ -226,7 +226,9 @@ func NewForest(numTrees int, seed int64) *Forest {
 func (f *Forest) Name() string { return "random-forest" }
 
 // Train grows NumTrees trees on bootstrap resamples of the labeled data,
-// each split drawing log2(Dim+1) random features.
+// each split drawing log2(Dim+1) random features. Feature values must not
+// be NaN: the split search sweeps each feature's sorted values, and NaN
+// has no place in that order, so the split counts past it would be wrong.
 func (f *Forest) Train(X []feature.Vector, y []bool) {
 	f.trees = nil
 	if len(X) == 0 {
