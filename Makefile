@@ -48,7 +48,9 @@ fuzz:
 # pickers against the full sorts they replaced, plus the
 # serial-vs-parallel pins and the batched-oracle-vs-per-pair pins
 # (internal/core), the sorted-sweep tree split search against the frozen
-# rescan (internal/tree), and the indexed candidate generator against the
+# rescan (internal/tree), the blocked neural-net Train and Margin against
+# the frozen per-unit trainer and Margin (internal/neural), and the
+# indexed candidate generator against the
 # brute-force blocking reference, including incremental Add and
 # shard-count sweeps (internal/blocking), and the fused character kernels
 # against each metric's Compare plus batched featurization against
@@ -59,6 +61,7 @@ fuzz:
 equiv:
 	$(GO) test -race -count=1 -run 'CompositionEquivalence|SerialParallelEquivalent|WorkerInvariant|BatchOracleEquivalence|PickersMatchLegacySort' ./internal/core/
 	$(GO) test -race -count=1 -run 'GrowMatchesLegacy' ./internal/tree/
+	$(GO) test -race -count=1 -run 'TrainMatchesLegacy' ./internal/neural/
 	$(GO) test -race -count=1 -run 'IndexEquivalence|BruteForce|HotTokenRecall|ThresholdBoundary' ./internal/blocking/
 	$(GO) test -race -count=1 -run 'CharKernelsMatchCompare|ExtractPairsMatchesExtract' ./internal/textsim/ ./internal/feature/
 
@@ -71,15 +74,15 @@ bench:
 # string-vs-interned 30% reduction floor, the warmed Candidates budget
 # and the constant-allocs training fit — plus the bit-identity pins the
 # ratchets rely on, and a -benchtime=1x smoke over the paired scoring
-# benchmarks, the batched featurization benchmark and the forest training
-# benchmarks so a broken benchmark fails `make check` rather than the
-# next BENCH run.
+# benchmarks, the batched featurization benchmark, the forest and
+# neural-net training benchmarks and the neural-net Margin sweep so a
+# broken benchmark fails `make check` rather than the next BENCH run.
 bench-ratchet:
 	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|CharKernelsMatchCompare|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|KnownCacheAcrossAdds|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
 		./internal/textsim/ ./internal/feature/ ./internal/match/ ./internal/blocking/ ./internal/neural/
 	$(GO) test -count=1 -run '^$$' -bench 'MatcherScoreAll' -benchtime=1x -benchmem ./internal/match/
 	$(GO) test -count=1 -run '^$$' -bench 'ExtractPairs' -benchtime=1x -benchmem ./internal/feature/
-	$(GO) test -count=1 -run '^$$' -bench 'ForestTrain' -benchtime=1x -benchmem .
+	$(GO) test -count=1 -run '^$$' -bench 'ForestTrain|NeuralNetTrain|NeuralNetMargin' -benchtime=1x -benchmem .
 
 # Selector serial/parallel pairs, blocking naive/indexed pairs and the
 # matcher string/interned pairs → BENCH_9.json (ns/op, allocs/op,

@@ -495,7 +495,8 @@ type (
 func NewSVM(seed int64) *SVM { return linear.NewSVM(seed) }
 
 // NewNeuralNet returns the paper's feed-forward network (one hidden
-// layer, batch norm, dropout) with the given hidden width.
+// layer, batch norm, dropout) with the given hidden width. Its Train
+// needs every row to have the first row's width; pool vectors always do.
 func NewNeuralNet(hidden int, seed int64) *NeuralNet { return neural.NewNet(hidden, seed) }
 
 // NewRandomForest returns a forest with the given committee size

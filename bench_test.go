@@ -177,13 +177,37 @@ func BenchmarkForestTrain(b *testing.B) {
 	}
 }
 
+// BenchmarkNeuralNetTrain fits the paper's network (hidden width 16, 50
+// epochs, mini-batch 8) on 160 rows, the labeled-set size a
+// dollar-capped run on a small pool reaches, at the feature widths of
+// the generated pools: 84 (amazon-bestbuy) and 294 (baby-products).
 func BenchmarkNeuralNetTrain(b *testing.B) {
-	X, y := trainingData(200, 63, 3)
-	for i := 0; i < b.N; i++ {
-		n := alem.NewNeuralNet(16, int64(i))
-		n.Train(X, y)
+	for _, dim := range []int{84, 294} {
+		X, y := trainingData(160, dim, 3)
+		b.Run(fmt.Sprintf("n=160/dim=%d", dim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				n := alem.NewNeuralNet(16, int64(i))
+				n.Train(X, y)
+			}
+		})
 	}
 }
+
+// BenchmarkNeuralNetMargin sweeps Margin over a 500-row pool, one op per
+// sweep: the work of one evaluate or margin-score pass with the net.
+func BenchmarkNeuralNetMargin(b *testing.B) {
+	X, y := trainingData(500, 84, 6)
+	n := alem.NewNeuralNet(16, 1)
+	n.Train(X[:160], y[:160])
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, x := range X {
+			sinkMargin += n.Margin(x)
+		}
+	}
+}
+
+var sinkMargin float64
 
 func BenchmarkForestPredict(b *testing.B) {
 	X, y := trainingData(500, 63, 4)

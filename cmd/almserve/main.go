@@ -110,11 +110,17 @@ func run(o serveOpts) error {
 	if shed < 0 {
 		shed = 4 * o.workers
 	}
+	// The library reads a zero Linger as "use the default"; a negative
+	// one is what turns the window off.
+	linger := o.linger
+	if linger == 0 {
+		linger = -1
+	}
 	srv := alem.NewMultiModelServer(alem.MatchServerConfig{
 		Addr:             o.addr,
 		Workers:          o.workers,
 		MaxBatch:         o.batch,
-		Linger:           o.linger,
+		Linger:           linger,
 		RequestTimeout:   o.timeout,
 		DrainTimeout:     o.drain,
 		BreakerThreshold: o.brkThresh,

@@ -39,6 +39,18 @@ func TestSVMLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// An empty weight list loads as an untrained model: Dim reports 0, so
+// no dimension check guards DecisionValue, which must not index it.
+func TestSVMLoadEmptyWeightsScoresZero(t *testing.T) {
+	s, err := LoadJSON(strings.NewReader(`{"weights":[],"bias":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := s.DecisionValue(feature.Vector{0, 0}); d != 0 {
+		t.Errorf("DecisionValue = %v, want 0 for an empty weight list", d)
+	}
+}
+
 func TestSVMLoadedModelRetrains(t *testing.T) {
 	X, y := separableData(100, 42)
 	s := NewSVM(42)

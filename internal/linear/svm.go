@@ -98,7 +98,7 @@ func (s *SVM) decision(x feature.Vector) float64 {
 
 // DecisionValue returns w·x + b (signed).
 func (s *SVM) DecisionValue(x feature.Vector) float64 {
-	if s.w == nil {
+	if len(s.w) == 0 {
 		return 0
 	}
 	return s.decision(x)

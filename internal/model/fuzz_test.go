@@ -3,17 +3,22 @@ package model
 import (
 	"bytes"
 	"math/rand"
+	"regexp"
 	"testing"
 
+	"github.com/alem/alem/internal/core"
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/linear"
+	"github.com/alem/alem/internal/match"
+	"github.com/alem/alem/internal/neural"
+	"github.com/alem/alem/internal/tree"
 )
 
-// validArtifactBytes builds a well-formed artifact to seed the fuzzer:
-// a tiny SVM trained at the dimensionality the one-attribute float
-// pipeline implies, so mutations explore the space near real files
-// instead of bouncing off the envelope checks immediately.
-func validArtifactBytes(tb testing.TB) []byte {
+// artifactBytes builds a well-formed artifact to seed the fuzzer: l
+// trained at the dimensionality the one-attribute float pipeline
+// implies, so mutations explore the space near real files instead of
+// bouncing off the envelope checks immediately.
+func artifactBytes(tb testing.TB, l core.Learner) []byte {
 	tb.Helper()
 	schema := []string{"name"}
 	dim := feature.NewExtractor(schema).Dim()
@@ -28,10 +33,9 @@ func validArtifactBytes(tb testing.TB) []byte {
 		X[i] = v
 		y[i] = i%2 == 0
 	}
-	svm := linear.NewSVM(1)
-	svm.Train(X, y)
+	l.Train(X, y)
 	var buf bytes.Buffer
-	if err := Save(&buf, svm, Meta{Schema: schema}); err != nil {
+	if err := Save(&buf, l, Meta{Schema: schema}); err != nil {
 		tb.Fatalf("building seed artifact: %v", err)
 	}
 	return buf.Bytes()
@@ -42,10 +46,15 @@ func validArtifactBytes(tb testing.TB) []byte {
 // come back as an error, never a panic or a successfully "loaded" model
 // that violates its own invariants. Artifacts are the trust boundary
 // between training and serving (almserve loads whatever file it is
-// pointed at), so the loader is the right place to be paranoid.
+// pointed at), so the loader is the right place to be paranoid. A
+// loaded learner must also score a vector of the artifact's width.
 func FuzzLoadModel(f *testing.F) {
-	valid := validArtifactBytes(f)
+	valid := artifactBytes(f, linear.NewSVM(1))
 	f.Add(valid)
+	net := neural.NewNet(4, 1)
+	net.Epochs = 2
+	f.Add(artifactBytes(f, net))
+	f.Add(artifactBytes(f, tree.NewForest(3, 1)))
 	f.Add([]byte("{}"))
 	f.Add([]byte(`{"format":"alem-model","version":1}`))
 	f.Add([]byte(`{"format":"alem-model","version":1,"kind":"svm","meta":{"schema":["a"]}}`))
@@ -53,6 +62,8 @@ func FuzzLoadModel(f *testing.F) {
 		f.Add(valid[:len(valid)/2]) // truncated file
 		mutated := bytes.Replace(valid, []byte(`"svm"`), []byte(`"rules"`), 1)
 		f.Add(mutated) // kind/payload mismatch
+		// An empty weight list: Dim 0 skips the dimension check.
+		f.Add(regexp.MustCompile(`"weights":\s*\[[^\]]*\]`).ReplaceAll(valid, []byte(`"weights":[]`)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		art, err := Load(bytes.NewReader(data))
@@ -69,5 +80,6 @@ func FuzzLoadModel(f *testing.F) {
 		if len(art.Meta.Schema) == 0 {
 			t.Fatal("Load succeeded with an empty schema")
 		}
+		match.Score(art.Learner, make(feature.Vector, art.Dim))
 	})
 }

@@ -173,6 +173,29 @@ func legacyTrain(n *Net, X []feature.Vector, y []bool) {
 	}
 }
 
+// legacyMargin is the one-unit-at-a-time Margin, frozen verbatim: each
+// hidden pre-activation summed by its own loop, its contribution added
+// before the next unit starts. The four-unit Margin must match it bit
+// for bit.
+func legacyMargin(n *Net, x feature.Vector) float64 {
+	if !n.trained {
+		return 0
+	}
+	m := n.b2
+	for h := 0; h < n.Hidden; h++ {
+		s := n.b1[h]
+		for j, xj := range x {
+			s += n.w1[h][j] * xj
+		}
+		if s < 0 {
+			s = 0
+		}
+		xhat := (s - n.runMean[h]) / math.Sqrt(n.runVar[h]+bnEps)
+		m += n.w2[h] * (n.gamma[h]*xhat + n.beta[h])
+	}
+	return m
+}
+
 // trainingSet builds a labeled, mildly noisy, linearly-ish separable
 // sample for the equivalence runs.
 func trainingSet(rng *rand.Rand, n, dim int) ([]feature.Vector, []bool) {
@@ -207,34 +230,56 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestTrainMatchesLegacy pins the scratch-buffer Train bit-identical to
-// the frozen allocate-per-batch implementation: same seed, same data,
-// same number of RNG draws, and every learned parameter and running
-// statistic equal to the last bit — including sample counts that leave
-// a short final mini-batch, and a fit after a fit (scratch reuse across
-// Train calls on the same net).
+// TestTrainMatchesLegacy pins Train and Margin bit-identical to the
+// frozen allocate-per-batch trainer and the frozen one-unit-at-a-time
+// Margin: same seed, same data, same number of RNG draws, and every
+// learned parameter, momentum and running statistic equal to the last
+// bit. The cases cover a short final mini-batch, a fit after a fit
+// (scratch reuse across Train calls on the same net), hidden widths
+// that leave a remainder after the four-unit blocks, feature widths
+// that leave a remainder after the four-feature blocks (1, 3, and the
+// 84 and 294 of the generated pools), a pool-shaped fit, and all-zero
+// inputs, where no unit ever has an active row.
 func TestTrainMatchesLegacy(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		samples   int
 		dim       int
+		hidden    int
+		epochs    int
 		seed      int64
 		batchSize int
+		zeroX     bool
 	}{
-		{"even_batches", 64, 12, 7, 8},
-		{"ragged_final_batch", 61, 9, 8, 8},
-		{"single_sample", 1, 5, 9, 8},
-		{"batch_larger_than_set", 5, 7, 10, 8},
-		{"tiny_batches", 33, 6, 11, 2},
+		{"even_batches", 64, 12, 16, 10, 7, 8, false},
+		{"ragged_final_batch", 61, 9, 16, 10, 8, 8, false},
+		{"single_sample", 1, 5, 16, 10, 9, 8, false},
+		{"batch_larger_than_set", 5, 7, 16, 10, 10, 8, false},
+		{"tiny_batches", 33, 6, 16, 10, 11, 2, false},
+		{"hidden_1", 40, 10, 1, 10, 12, 8, false},
+		{"hidden_3", 40, 10, 3, 10, 20, 8, false},
+		{"hidden_4", 40, 10, 4, 10, 21, 8, false},
+		{"hidden_5", 40, 10, 5, 10, 13, 8, false},
+		{"hidden_7_dim_3", 40, 3, 7, 10, 14, 8, false},
+		{"dim_1", 40, 1, 16, 10, 15, 8, false},
+		{"dim_84", 48, 84, 16, 10, 16, 8, false},
+		{"dim_294", 24, 294, 16, 10, 17, 8, false},
+		{"pool_shaped", 160, 84, 16, 50, 18, 8, false},
+		{"zero_inputs", 40, 12, 16, 10, 19, 8, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			X, y := trainingSet(rng, tc.samples, tc.dim)
+			if tc.zeroX {
+				for _, x := range X {
+					clear(x)
+				}
+			}
 
-			a := NewNet(16, tc.seed)
-			a.Epochs, a.BatchSize = 10, tc.batchSize
-			b := NewNet(16, tc.seed)
-			b.Epochs, b.BatchSize = 10, tc.batchSize
+			a := NewNet(tc.hidden, tc.seed)
+			a.Epochs, a.BatchSize = tc.epochs, tc.batchSize
+			b := NewNet(tc.hidden, tc.seed)
+			b.Epochs, b.BatchSize = tc.epochs, tc.batchSize
 
 			a.Train(X, y)
 			legacyTrain(b, X, y)
@@ -245,34 +290,41 @@ func TestTrainMatchesLegacy(t *testing.T) {
 					t.Errorf("%s diverged from the legacy trainer", label)
 				}
 			}
-			for h := range a.w1 {
-				compare("w1", a.w1[h], b.w1[h])
-				compare("momentW1", a.momentW1[h], b.momentW1[h])
+			compareAll := func(suffix string) {
+				t.Helper()
+				for h := range a.w1 {
+					compare("w1"+suffix, a.w1[h], b.w1[h])
+					compare("momentW1"+suffix, a.momentW1[h], b.momentW1[h])
+				}
+				compare("b1"+suffix, a.b1, b.b1)
+				compare("momentB1"+suffix, a.momentB1, b.momentB1)
+				compare("gamma"+suffix, a.gamma, b.gamma)
+				compare("momentG"+suffix, a.momentG, b.momentG)
+				compare("beta"+suffix, a.beta, b.beta)
+				compare("momentB"+suffix, a.momentB, b.momentB)
+				compare("runMean"+suffix, a.runMean, b.runMean)
+				compare("runVar"+suffix, a.runVar, b.runVar)
+				compare("w2"+suffix, a.w2, b.w2)
+				compare("momentW2"+suffix, a.momentW2, b.momentW2)
+				compare("b2"+suffix, []float64{a.b2}, []float64{b.b2})
+				compare("momentB2"+suffix, []float64{a.momentB2}, []float64{b.momentB2})
 			}
-			compare("b1", a.b1, b.b1)
-			compare("gamma", a.gamma, b.gamma)
-			compare("beta", a.beta, b.beta)
-			compare("runMean", a.runMean, b.runMean)
-			compare("runVar", a.runVar, b.runVar)
-			compare("w2", a.w2, b.w2)
-			compare("b2", []float64{a.b2}, []float64{b.b2})
-			compare("momentB2", []float64{a.momentB2}, []float64{b.momentB2})
+			compareAll("")
 
 			// RNG streams must stay aligned too: a retrain on the same
 			// data must keep matching (catches any extra or missing
 			// random draws in the rewritten loop).
 			a.Train(X, y)
 			legacyTrain(b, X, y)
-			compare("b1 after retrain", a.b1, b.b1)
-			compare("w2 after retrain", a.w2, b.w2)
-			for h := range a.w1 {
-				compare("w1 after retrain", a.w1[h], b.w1[h])
-			}
+			compareAll(" after retrain")
 
-			// Inference parity on fresh inputs.
+			// Inference parity on fresh inputs, against the frozen Margin.
 			probe, _ := trainingSet(rng, 16, tc.dim)
+			if tc.zeroX {
+				probe = append(probe, make(feature.Vector, tc.dim))
+			}
 			for _, x := range probe {
-				ma, mb := a.Margin(x), b.Margin(x)
+				ma, mb := a.Margin(x), legacyMargin(b, x)
 				if math.Float64bits(ma) != math.Float64bits(mb) {
 					t.Fatalf("margin diverged: %v vs %v", ma, mb)
 				}

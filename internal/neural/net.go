@@ -62,11 +62,9 @@ func (n *Net) Name() string { return "neural-net" }
 func (n *Net) init(dim int) {
 	n.dim = dim
 	scale := math.Sqrt(2 / float64(dim)) // He init for ReLU
-	n.w1 = make([][]float64, n.Hidden)
-	n.momentW1 = make([][]float64, n.Hidden)
+	n.w1 = matrix[float64](n.Hidden, dim)
+	n.momentW1 = matrix[float64](n.Hidden, dim)
 	for h := range n.w1 {
-		n.w1[h] = make([]float64, dim)
-		n.momentW1[h] = make([]float64, dim)
 		for j := range n.w1[h] {
 			n.w1[h][j] = n.rand.NormFloat64() * scale
 		}
@@ -95,15 +93,26 @@ func (n *Net) init(dim int) {
 
 const bnEps = 1e-5
 
+// matrix returns a rows×cols matrix whose rows share one backing array.
+func matrix[T any](rows, cols int) [][]T {
+	back := make([]T, rows*cols)
+	m := make([][]T, rows)
+	for i := range m {
+		m[i] = back[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return m
+}
+
 // trainScratch holds every per-batch work buffer Train needs, allocated
 // once per fit and reused across all mini-batches of all epochs. The
 // original implementation re-made each of these inside the batch loop —
 // roughly eighty allocations per batch, tens of thousands per fit.
 // Reuse is exact because every slot is either written unconditionally
-// on the forward/backward pass (z1, xhat, bn, dBN, dRelu), written on
-// both branches of its conditional (relu, drop, dXhat), or zeroed below
-// before its += accumulation (mean, variance and the grad buffers) —
-// matching the zero state a fresh make provided.
+// on the forward/backward pass (z1, sd, xhat, bn, dBN, dRelu), written
+// on both branches of its conditional (relu, drop, dXhat), written
+// before it is read (act, actG), or zeroed below before its +=
+// accumulation (mean, variance and the grad buffers) — matching the zero
+// state a fresh make provided.
 type trainScratch struct {
 	z1    [][]float64 // pre-BN ReLU input
 	relu  [][]float64 // post-ReLU (pre-BN)
@@ -115,45 +124,73 @@ type trainScratch struct {
 	drop  [][]bool
 
 	mean, variance      []float64
+	sd                  []float64 // per-unit batch standard deviation
 	gradW2              []float64
 	gradGamma, gradBeta []float64
-	gradB1              []float64
-	gradW1              [][]float64
+
+	// One hidden unit's active rows (z1 > 0) in batch order, and their
+	// dRelu: the terms of that unit's W1 and b1 gradients.
+	act  []feature.Vector
+	actG []float64
 }
 
-func newTrainScratch(batch, hidden, dim int) *trainScratch {
-	mat := func(rows, cols int) [][]float64 {
-		m := make([][]float64, rows)
-		for i := range m {
-			m[i] = make([]float64, cols)
-		}
-		return m
-	}
-	s := &trainScratch{
-		z1:    mat(batch, hidden),
-		relu:  mat(batch, hidden),
-		xhat:  mat(batch, hidden),
-		bn:    mat(batch, hidden),
-		dBN:   mat(batch, hidden),
-		dXhat: mat(batch, hidden),
-		dRelu: mat(batch, hidden),
-		drop:  make([][]bool, batch),
+func newTrainScratch(batch, hidden int) *trainScratch {
+	return &trainScratch{
+		z1:    matrix[float64](batch, hidden),
+		relu:  matrix[float64](batch, hidden),
+		xhat:  matrix[float64](batch, hidden),
+		bn:    matrix[float64](batch, hidden),
+		dBN:   matrix[float64](batch, hidden),
+		dXhat: matrix[float64](batch, hidden),
+		dRelu: matrix[float64](batch, hidden),
+		drop:  matrix[bool](batch, hidden),
 
 		mean:      make([]float64, hidden),
 		variance:  make([]float64, hidden),
+		sd:        make([]float64, hidden),
 		gradW2:    make([]float64, hidden),
 		gradGamma: make([]float64, hidden),
 		gradBeta:  make([]float64, hidden),
-		gradB1:    make([]float64, hidden),
-		gradW1:    mat(hidden, dim),
+
+		act:  make([]feature.Vector, batch),
+		actG: make([]float64, batch),
 	}
-	for i := range s.drop {
-		s.drop[i] = make([]bool, hidden)
-	}
-	return s
 }
 
-// Train fits the network from scratch on the labeled vectors.
+// preact writes the hidden pre-activations b1[h] + Σ_j w1[h][j]·x[j] of
+// x into out[h], for the first len(out) units of w1 and b1. Each unit
+// keeps one accumulator summed in feature order, so every value is the
+// one a unit-at-a-time loop produces; four units advance together so
+// their add chains overlap instead of waiting on each other.
+func preact(out []float64, w1 [][]float64, b1 []float64, x feature.Vector) {
+	h := 0
+	for ; h+4 <= len(out); h += 4 {
+		r0, r1, r2, r3 := w1[h][:len(x)], w1[h+1][:len(x)], w1[h+2][:len(x)], w1[h+3][:len(x)]
+		s0, s1, s2, s3 := b1[h], b1[h+1], b1[h+2], b1[h+3]
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		out[h], out[h+1], out[h+2], out[h+3] = s0, s1, s2, s3
+	}
+	for ; h < len(out); h++ {
+		r := w1[h][:len(x)]
+		s := b1[h]
+		for j, xj := range x {
+			s += r[j] * xj
+		}
+		out[h] = s
+	}
+}
+
+// Train fits the network from scratch on the labeled vectors. Every row
+// of X must have the first row's width; pool feature vectors always do.
+//
+// Every sum keeps the order of terms of the plain per-unit, per-row
+// loops (frozen in legacy_equiv_test.go), so the fit is bit-identical to
+// them; only independent sums are interleaved.
 func (n *Net) Train(X []feature.Vector, y []bool) {
 	if len(X) == 0 {
 		n.trained = false
@@ -168,7 +205,7 @@ func (n *Net) Train(X []feature.Vector, y []bool) {
 	lr := n.LR
 	const bnMomentum = 0.9
 	maxBatch := min(n.BatchSize, len(X))
-	sc := newTrainScratch(maxBatch, n.Hidden, n.dim)
+	sc := newTrainScratch(maxBatch, n.Hidden)
 	for epoch := 0; epoch < n.Epochs; epoch++ {
 		n.rand.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for start := 0; start < len(idx); start += n.BatchSize {
@@ -180,12 +217,8 @@ func (n *Net) Train(X []feature.Vector, y []bool) {
 			// touched; a short final batch simply leaves the rest idle.
 			z1, relu := sc.z1, sc.relu
 			for bi, i := range batch {
-				for h := 0; h < n.Hidden; h++ {
-					s := n.b1[h]
-					for j, xj := range X[i] {
-						s += n.w1[h][j] * xj
-					}
-					z1[bi][h] = s
+				preact(z1[bi], n.w1, n.b1, X[i])
+				for h, s := range z1[bi] {
 					if s > 0 {
 						relu[bi][h] = s
 					} else {
@@ -194,7 +227,7 @@ func (n *Net) Train(X []feature.Vector, y []bool) {
 				}
 			}
 			// Batch norm over the mini-batch.
-			mean, variance := sc.mean, sc.variance
+			mean, variance, sd := sc.mean, sc.variance, sc.sd
 			for h := 0; h < n.Hidden; h++ {
 				mean[h], variance[h] = 0, 0
 				for bi := 0; bi < m; bi++ {
@@ -206,13 +239,14 @@ func (n *Net) Train(X []feature.Vector, y []bool) {
 					variance[h] += d * d
 				}
 				variance[h] /= float64(m)
+				sd[h] = math.Sqrt(variance[h] + bnEps)
 				n.runMean[h] = bnMomentum*n.runMean[h] + (1-bnMomentum)*mean[h]
 				n.runVar[h] = bnMomentum*n.runVar[h] + (1-bnMomentum)*variance[h]
 			}
 			xhat, bn, drop := sc.xhat, sc.bn, sc.drop
 			for bi := 0; bi < m; bi++ {
 				for h := 0; h < n.Hidden; h++ {
-					xhat[bi][h] = (relu[bi][h] - mean[h]) / math.Sqrt(variance[h]+bnEps)
+					xhat[bi][h] = (relu[bi][h] - mean[h]) / sd[h]
 					v := n.gamma[h]*xhat[bi][h] + n.beta[h]
 					// Inverted dropout.
 					if n.rand.Float64() < n.Dropout {
@@ -270,7 +304,7 @@ func (n *Net) Train(X []feature.Vector, y []bool) {
 			// Standard batch-norm backward pass to pre-BN activations.
 			dRelu := sc.dRelu
 			for h := 0; h < n.Hidden; h++ {
-				invStd := 1 / math.Sqrt(variance[h]+bnEps)
+				invStd := 1 / sd[h]
 				var sumDXhat, sumDXhatXhat float64
 				for bi := 0; bi < m; bi++ {
 					sumDXhat += dXhat[bi][h]
@@ -281,34 +315,53 @@ func (n *Net) Train(X []feature.Vector, y []bool) {
 						(float64(m)*dXhat[bi][h] - sumDXhat - xhat[bi][h]*sumDXhatXhat)
 				}
 			}
-			// Through ReLU into first-layer parameters.
-			gradW1, gradB1 := sc.gradW1, sc.gradB1
-			for h := range gradW1 {
-				for j := range gradW1[h] {
-					gradW1[h][j] = 0
-				}
-				gradB1[h] = 0
-			}
-			for bi, i := range batch {
-				for h := 0; h < n.Hidden; h++ {
+			// Through ReLU into the first-layer parameters, and the
+			// momentum SGD updates (gradients averaged over the batch).
+			// A W1 gradient reads only dRelu and X, never w1, so each
+			// one is summed — from +0, over the unit's active rows in
+			// batch order — right before its own update step.
+			inv := 1 / float64(m)
+			act, actG := sc.act, sc.actG
+			for h := 0; h < n.Hidden; h++ {
+				na, gradB1 := 0, 0.0
+				for bi, i := range batch {
 					if z1[bi][h] <= 0 {
 						continue
 					}
-					g := dRelu[bi][h]
-					for j, xj := range X[i] {
-						gradW1[h][j] += g * xj
+					act[na], actG[na] = X[i], dRelu[bi][h]
+					gradB1 += actG[na]
+					na++
+				}
+				rows, gs := act[:na], actG[:na]
+				w, mw := n.w1[h], n.momentW1[h]
+				j := 0
+				for ; j+4 <= len(w); j += 4 {
+					var g0, g1, g2, g3 float64
+					for k, x := range rows {
+						g, xs := gs[k], x[j:j+4:j+4]
+						g0 += g * xs[0]
+						g1 += g * xs[1]
+						g2 += g * xs[2]
+						g3 += g * xs[3]
 					}
-					gradB1[h] += g
+					mw[j] = n.Momentum*mw[j] - lr*g0*inv
+					w[j] += mw[j]
+					mw[j+1] = n.Momentum*mw[j+1] - lr*g1*inv
+					w[j+1] += mw[j+1]
+					mw[j+2] = n.Momentum*mw[j+2] - lr*g2*inv
+					w[j+2] += mw[j+2]
+					mw[j+3] = n.Momentum*mw[j+3] - lr*g3*inv
+					w[j+3] += mw[j+3]
 				}
-			}
-			// Momentum SGD updates (gradients averaged over the batch).
-			inv := 1 / float64(m)
-			for h := 0; h < n.Hidden; h++ {
-				for j := 0; j < n.dim; j++ {
-					n.momentW1[h][j] = n.Momentum*n.momentW1[h][j] - lr*gradW1[h][j]*inv
-					n.w1[h][j] += n.momentW1[h][j]
+				for ; j < len(w); j++ {
+					var g0 float64
+					for k, x := range rows {
+						g0 += gs[k] * x[j]
+					}
+					mw[j] = n.Momentum*mw[j] - lr*g0*inv
+					w[j] += mw[j]
 				}
-				n.momentB1[h] = n.Momentum*n.momentB1[h] - lr*gradB1[h]*inv
+				n.momentB1[h] = n.Momentum*n.momentB1[h] - lr*gradB1*inv
 				n.b1[h] += n.momentB1[h]
 				n.momentG[h] = n.Momentum*n.momentG[h] - lr*gradGamma[h]*inv
 				n.gamma[h] += n.momentG[h]
@@ -328,22 +381,26 @@ func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // Margin returns the affine output-layer value for x (§4.2.2): the
 // non-convex margin whose magnitude measures classifier confidence.
-// Inference uses batch-norm running statistics and no dropout.
+// Inference uses batch-norm running statistics and no dropout. The
+// pre-activations come four units at a time from preact; each unit's
+// contribution is added to the margin in ascending unit order.
 func (n *Net) Margin(x feature.Vector) float64 {
 	if !n.trained {
 		return 0
 	}
 	m := n.b2
-	for h := 0; h < n.Hidden; h++ {
-		s := n.b1[h]
-		for j, xj := range x {
-			s += n.w1[h][j] * xj
+	var pre [4]float64
+	for h0 := 0; h0 < n.Hidden; h0 += len(pre) {
+		units := pre[:min(len(pre), n.Hidden-h0)]
+		preact(units, n.w1[h0:], n.b1[h0:], x)
+		for k, s := range units {
+			h := h0 + k
+			if s < 0 {
+				s = 0
+			}
+			xhat := (s - n.runMean[h]) / math.Sqrt(n.runVar[h]+bnEps)
+			m += n.w2[h] * (n.gamma[h]*xhat + n.beta[h])
 		}
-		if s < 0 {
-			s = 0
-		}
-		xhat := (s - n.runMean[h]) / math.Sqrt(n.runVar[h]+bnEps)
-		m += n.w2[h] * (n.gamma[h]*xhat + n.beta[h])
 	}
 	return m
 }

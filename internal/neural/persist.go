@@ -47,16 +47,51 @@ func LoadJSON(r io.Reader) (*Net, error) {
 	if err := json.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("neural: decoding network: %w", err)
 	}
-	if len(st.W1) != st.Hidden || len(st.W2) != st.Hidden {
-		return nil, fmt.Errorf("neural: decoding network: inconsistent layer sizes")
+	if err := st.validate(); err != nil {
+		return nil, fmt.Errorf("neural: decoding network: %w", err)
 	}
 	n := NewNet(st.Hidden, 0)
 	n.dim = st.Dim
-	n.w1, n.b1 = st.W1, st.B1
+	// Rows cut from one exact-capacity backing, as init lays them out:
+	// Margin's row slicing then panics on a vector wider than the net,
+	// never reading past a decoded row's length.
+	n.w1 = matrix[float64](st.Hidden, st.Dim)
+	for h, row := range st.W1 {
+		copy(n.w1[h], row)
+	}
+	n.b1 = st.B1
 	n.gamma, n.beta = st.Gamma, st.Beta
 	n.runMean, n.runVar = st.RunMean, st.RunVar
 	n.w2, n.b2 = st.W2, st.B2
 	n.rand = rand.New(rand.NewSource(0))
 	n.trained = true
 	return n, nil
+}
+
+// validate rejects a state whose layer sizes disagree with its declared
+// widths, so a corrupted file cannot panic Margin.
+func (st *netState) validate() error {
+	if st.Hidden < 1 || st.Dim < 1 {
+		return fmt.Errorf("hidden width %d and input width %d must both be positive", st.Hidden, st.Dim)
+	}
+	if len(st.W1) != st.Hidden {
+		return fmt.Errorf("w1 has %d rows, want hidden width %d", len(st.W1), st.Hidden)
+	}
+	for h, row := range st.W1 {
+		if len(row) != st.Dim {
+			return fmt.Errorf("w1 row %d has %d weights, want input width %d", h, len(row), st.Dim)
+		}
+	}
+	for _, v := range []struct {
+		name string
+		vals []float64
+	}{
+		{"b1", st.B1}, {"gamma", st.Gamma}, {"beta", st.Beta},
+		{"run_mean", st.RunMean}, {"run_var", st.RunVar}, {"w2", st.W2},
+	} {
+		if len(v.vals) != st.Hidden {
+			return fmt.Errorf("%s has %d values, want hidden width %d", v.name, len(v.vals), st.Hidden)
+		}
+	}
+	return nil
 }

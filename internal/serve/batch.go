@@ -108,7 +108,8 @@ func (p *scorePool) close() {
 // collect merges queued jobs into batches: a batch opens with the first
 // job and admits more until it holds maxBatch vectors or the linger
 // window closes. Under load batches fill instantly; when idle a lone
-// request pays at most linger of extra latency (zero when linger is 0).
+// request pays at most linger of extra latency (none when linger is not
+// positive).
 func (p *scorePool) collect() {
 	defer func() {
 		close(p.workCh)

@@ -61,8 +61,8 @@ type Config struct {
 	// MaxBatch caps the vectors merged into one score batch (default 256).
 	MaxBatch int
 	// Linger is how long an under-filled batch waits for company
-	// (default 2ms; negative disables waiting but still coalesces
-	// already-queued requests).
+	// (0 selects the default 2ms; negative disables waiting but still
+	// coalesces already-queued requests).
 	Linger time.Duration
 	// QueueDepth bounds queued score jobs per model version before
 	// submit blocks (default 4×Workers).
@@ -116,6 +116,8 @@ type Config struct {
 	EnablePprof bool
 }
 
+// withDefaults fills unset fields. It is idempotent: New and NewMulti
+// apply it, and so does the registry they build.
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
@@ -128,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Linger == 0 {
 		c.Linger = 2 * time.Millisecond
-	}
-	if c.Linger < 0 {
-		c.Linger = 0
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers

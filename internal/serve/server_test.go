@@ -362,6 +362,29 @@ func (g gatedLearner) PredictAll(X []feature.Vector) []bool {
 }
 func (g gatedLearner) Dim() int { return g.dim }
 
+// TestLingerDefaultsIdempotent pins withDefaults as a fixed point: New
+// and NewMulti apply it and the registry applies it again, so a second
+// pass must not turn a disabled window into the 2ms default.
+func TestLingerDefaultsIdempotent(t *testing.T) {
+	for _, l := range []time.Duration{-1, 0, time.Millisecond} {
+		once := Config{Linger: l}.withDefaults()
+		if twice := once.withDefaults(); twice != once {
+			t.Errorf("Linger %v: withDefaults twice = %+v, once = %+v", l, twice, once)
+		}
+	}
+	s := New(artifactFor(slowLearner{dim: 3}), Config{Linger: -1})
+	t.Cleanup(s.Close)
+	e, release, err := s.models.acquire("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	// collect starts its fill timer only for a positive linger.
+	if e.pool.linger > 0 {
+		t.Errorf("Config{Linger: -1} built a pool with a %v fill window", e.pool.linger)
+	}
+}
+
 // TestShutdownDrain holds a request in flight at the learner, triggers
 // shutdown while it is provably mid-work, and verifies the request
 // completes before ListenAndServe returns and that the server refuses

@@ -45,7 +45,8 @@ func LoadJSON(r io.Reader) (*Forest, error) {
 }
 
 // validateNode rejects structurally broken trees (an internal node must
-// have both children) so a corrupted file cannot panic Predict.
+// have both children and split on a non-negative feature index) so a
+// corrupted file cannot panic Predict.
 func validateNode(n *Node) error {
 	if n == nil {
 		return fmt.Errorf("nil node")
@@ -55,6 +56,9 @@ func validateNode(n *Node) error {
 	}
 	if n.Left == nil || n.Right == nil {
 		return fmt.Errorf("internal node missing a child")
+	}
+	if n.Feature < 0 {
+		return fmt.Errorf("internal node splits on negative feature %d", n.Feature)
 	}
 	if err := validateNode(n.Left); err != nil {
 		return err

@@ -50,6 +50,12 @@ func TestForestLoadRejectsBrokenTree(t *testing.T) {
 	if _, err := LoadJSON(strings.NewReader(`{"num_trees":1,"roots":[null]}`)); err == nil {
 		t.Error("LoadJSON accepted a nil root")
 	}
+	// A negative split feature: MinDim reads it as 0, so no dim check
+	// caught it, and Predict indexed x[-1].
+	negative := `{"num_trees":1,"roots":[{"Leaf":false,"Feature":-1,"Threshold":0.5,"Left":{"Leaf":true,"Label":true},"Right":{"Leaf":true}}]}`
+	if _, err := LoadJSON(strings.NewReader(negative)); err == nil {
+		t.Error("LoadJSON accepted a negative split feature")
+	}
 }
 
 func TestForestSaveEmpty(t *testing.T) {
