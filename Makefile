@@ -10,7 +10,7 @@ GO ?= go
 # lifts internal/core coverage; never lower it to absorb a regression.
 COVER_FLOOR_CORE ?= 88.3
 
-.PHONY: check fmt vet build test race cover fuzz bench bench-json bench-ratchet chaos serve-smoke equiv
+.PHONY: check fmt vet build test race cover fuzz bench bench-json bench-ratchet bench-e2e chaos serve-smoke equiv
 
 check: fmt vet build race equiv bench-ratchet cover fuzz chaos serve-smoke
 
@@ -49,7 +49,9 @@ fuzz:
 # serial-vs-parallel pins and the batched-oracle-vs-per-pair pins
 # (internal/core), the sorted-sweep tree split search against the frozen
 # rescan (internal/tree), the blocked neural-net Train and Margin against
-# the frozen per-unit trainer and Margin (internal/neural), and the
+# the frozen per-unit trainer and Margin (internal/neural), the fused
+# linear-SVM Train and the four-row DecisionValues against the frozen
+# trainer and DecisionValue (internal/linear), and the
 # indexed candidate generator against the
 # brute-force blocking reference, including incremental Add and
 # shard-count sweeps (internal/blocking), and the fused character kernels
@@ -62,6 +64,7 @@ equiv:
 	$(GO) test -race -count=1 -run 'CompositionEquivalence|SerialParallelEquivalent|WorkerInvariant|BatchOracleEquivalence|PickersMatchLegacySort' ./internal/core/
 	$(GO) test -race -count=1 -run 'GrowMatchesLegacy' ./internal/tree/
 	$(GO) test -race -count=1 -run 'TrainMatchesLegacy' ./internal/neural/
+	$(GO) test -race -count=1 -run 'SVMTrainMatchesLegacy|DecisionValuesMatchDecisionValue' ./internal/linear/
 	$(GO) test -race -count=1 -run 'IndexEquivalence|BruteForce|HotTokenRecall|ThresholdBoundary' ./internal/blocking/
 	$(GO) test -race -count=1 -run 'CharKernelsMatchCompare|ExtractPairsMatchesExtract' ./internal/textsim/ ./internal/feature/
 
@@ -74,15 +77,17 @@ bench:
 # string-vs-interned 30% reduction floor, the warmed Candidates budget
 # and the constant-allocs training fit — plus the bit-identity pins the
 # ratchets rely on, and a -benchtime=1x smoke over the paired scoring
-# benchmarks, the batched featurization benchmark, the forest and
-# neural-net training benchmarks and the neural-net Margin sweep so a
-# broken benchmark fails `make check` rather than the next BENCH run.
+# benchmarks, the batched featurization benchmark, the forest, neural-net
+# and linear-SVM training benchmarks, the neural-net Margin and SVM
+# DecisionValues sweeps and the QBC selection pair so a broken benchmark
+# fails `make check` rather than the next BENCH run.
 bench-ratchet:
 	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|CharKernelsMatchCompare|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|KnownCacheAcrossAdds|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
 		./internal/textsim/ ./internal/feature/ ./internal/match/ ./internal/blocking/ ./internal/neural/
 	$(GO) test -count=1 -run '^$$' -bench 'MatcherScoreAll' -benchtime=1x -benchmem ./internal/match/
 	$(GO) test -count=1 -run '^$$' -bench 'ExtractPairs' -benchtime=1x -benchmem ./internal/feature/
-	$(GO) test -count=1 -run '^$$' -bench 'ForestTrain|NeuralNetTrain|NeuralNetMargin' -benchtime=1x -benchmem .
+	$(GO) test -count=1 -run '^$$' -bench 'ForestTrain|NeuralNetTrain|NeuralNetMargin|SVMTrain|SVMDecisionValues' -benchtime=1x -benchmem .
+	$(GO) test -count=1 -run '^$$' -bench '^BenchmarkQBCSelect$$' -benchtime=1x -benchmem ./internal/core/
 
 # Selector serial/parallel pairs, blocking naive/indexed pairs and the
 # matcher string/interned pairs → BENCH_9.json (ns/op, allocs/op,
@@ -91,6 +96,14 @@ bench-ratchet:
 # their 30% ratchet). Requires an effective GOMAXPROCS of at least 2.
 bench-json:
 	GO="$(GO)" sh scripts/bench_json.sh BENCH_9.json
+
+# Ten alternating pairs of the end-to-end benchmark's al-large workload
+# at seed 1, the last commit against its parent, each side built once in
+# its own checkout under .bench_build/pairs/ (see scripts/bench_pairs.sh;
+# call the script directly for other commits, workloads, seeds or pair
+# counts). About ten minutes on a 2-CPU host.
+bench-e2e:
+	bash scripts/bench_pairs.sh HEAD~1 HEAD al-large 1 10
 
 # Seeded fault-injection suite: kill/resume bit-identity, oracle stall
 # termination, panic containment, breaker lifecycle, hot model swaps

@@ -491,7 +491,8 @@ type (
 	Rule = rules.Rule
 )
 
-// NewSVM returns a linear SVM with benchmark defaults.
+// NewSVM returns a linear SVM with benchmark defaults. Its Train needs
+// every row to have the first row's width; pool vectors always do.
 func NewSVM(seed int64) *SVM { return linear.NewSVM(seed) }
 
 // NewNeuralNet returns the paper's feed-forward network (one hidden

@@ -148,11 +148,24 @@ func trainingData(n, dim int, seed int64) ([]alem.FeatureVector, []bool) {
 	return X, y
 }
 
+// BenchmarkSVMTrain fits the linear SVM (60 epochs) at the labeled-set
+// sizes runs reach — 160 rows (a dollar-capped run on a small pool) and
+// 500 (a 500-label budget) — at dblp-scholar's width, 84. Every tenth
+// label is flipped so samples keep violating the margin and take the
+// hinge update, as a run's boundary-heavy labeled set does; trainingData
+// alone is separable, and almost every step would only shrink.
 func BenchmarkSVMTrain(b *testing.B) {
-	X, y := trainingData(500, 63, 1)
-	for i := 0; i < b.N; i++ {
-		s := alem.NewSVM(int64(i))
-		s.Train(X, y)
+	for _, n := range []int{160, 500} {
+		X, y := trainingData(n, 84, 1)
+		for i := 0; i < n; i += 10 {
+			y[i] = !y[i]
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s := alem.NewSVM(int64(i))
+				s.Train(X, y)
+			}
+		})
 	}
 }
 
@@ -226,6 +239,24 @@ func BenchmarkMarginScoring(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Margin(X[i%len(X)])
+	}
+}
+
+// BenchmarkSVMDecisionValues scores 4,096 rows of width 84 in one
+// DecisionValues call per op, in pool order: the block sweep evaluation,
+// margin scoring and each QBC committee member run over the pool.
+func BenchmarkSVMDecisionValues(b *testing.B) {
+	X, y := trainingData(4096, 84, 7)
+	s := alem.NewSVM(1)
+	s.Train(X[:200], y[:200])
+	rows := make([]int, len(X))
+	for i := range rows {
+		rows[i] = i
+	}
+	out := make([]float64, len(rows))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.DecisionValues(X, rows, out)
 	}
 }
 

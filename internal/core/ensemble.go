@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/oracle"
 )
 
@@ -104,14 +103,6 @@ func RunEnsembleContext(ctx context.Context, pool *Pool, o oracle.Oracle, cfg En
 	res.TestSize = len(e.testIdx)
 
 	var accepted []Learner
-	ensemblePredict := func(candidate Learner, x feature.Vector) bool {
-		for _, m := range accepted {
-			if m.Predict(x) {
-				return true
-			}
-		}
-		return candidate != nil && candidate.Predict(x)
-	}
 
 	for iter := 0; ; iter++ {
 		emit(IterationStart{Iteration: iter, LabelsUsed: e.totalLabels, PoolRemaining: len(e.unlabeled)})
@@ -134,12 +125,15 @@ func RunEnsembleContext(ctx context.Context, pool *Pool, o oracle.Oracle, cfg En
 			return finish(StopCancelled, err)
 		}
 
-		// Evaluate the ensemble union on the test universe.
-		cand := candidate
+		// Evaluate the ensemble union on the test universe. The full
+		// slice expression keeps the append out of accepted's backing
+		// array.
+		members := accepted[:len(accepted):len(accepted)]
+		if candidate != nil {
+			members = append(members, candidate)
+		}
 		evalStart := time.Now()
-		pred, err := parallelPredict(ctx, func(x feature.Vector) bool {
-			return ensemblePredict(cand, x)
-		}, pool, e.testIdx, cfg.Workers)
+		pred, err := parallelPredict(ctx, pool, e.testIdx, cfg.Workers, members...)
 		if err != nil {
 			return finish(StopCancelled, err)
 		}

@@ -268,7 +268,7 @@ func TestParallelPredictMatchesSequential(t *testing.T) {
 	svm := linear.NewSVM(32)
 	svm.Train(pool.X[:100], pool.Truth[:100])
 	idx := seqInts(1000)
-	par, err := parallelPredict(context.Background(), svm.Predict, pool, idx, 0)
+	par, err := parallelPredict(context.Background(), pool, idx, 0, svm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestParallelPredictMatchesSequential(t *testing.T) {
 		}
 	}
 	// Small input takes the sequential path; same contract.
-	small, err := parallelPredict(context.Background(), svm.Predict, pool, idx[:10], 0)
+	small, err := parallelPredict(context.Background(), pool, idx[:10], 0, svm)
 	if err != nil {
 		t.Fatal(err)
 	}

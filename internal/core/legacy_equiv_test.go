@@ -479,9 +479,12 @@ func legacySelectLFPLFN(m *rules.Model, X []feature.Vector, unlabeled []int, k i
 // paper selector, expressed as a Scorer×Picker composition behind its
 // exported type, must match its frozen pre-refactor implementation —
 // same batch, same counted-RNG position — at worker counts {0,1,2,8}
-// and pool sizes on both sides of the parallel cutoff.
+// and pool sizes on both sides of the parallel cutoff. The unlabeled
+// counts 131 and 545 are multiples of neither four (the SVM's row
+// group) nor cancelCheckStride (the sweep block), so the last block and
+// its last row group are partial.
 func TestCompositionEquivalence(t *testing.T) {
-	for _, size := range []int{parallelCutoff / 2, 2*parallelCutoff + 33} {
+	for _, size := range []int{parallelCutoff / 2, parallelCutoff/2 + 3, 2*parallelCutoff + 33} {
 		st := newSelectorSetup(t, size+60, int64(size)+7)
 		cases := []struct {
 			name    string
@@ -491,6 +494,7 @@ func TestCompositionEquivalence(t *testing.T) {
 		}{
 			{"random", Random{}, legacyRandom{}, st.svm},
 			{"qbc", QBC{B: 7, Factory: svmFactory}, legacyQBC{B: 7, Factory: svmFactory}, st.svm},
+			{"qbc-b10", QBC{B: 10, Factory: svmFactory}, legacyQBC{B: 10, Factory: svmFactory}, st.svm},
 			{"qbc-entropy", QBC{B: 5, Factory: svmFactory, UseEntropy: true},
 				legacyQBC{B: 5, Factory: svmFactory, UseEntropy: true}, st.svm},
 			{"margin", Margin{}, legacyMargin{}, st.svm},

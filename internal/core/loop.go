@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/alem/alem/internal/eval"
-	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/oracle"
 )
 
@@ -191,25 +190,29 @@ func Run(pool *Pool, learner Learner, sel Selector, o oracle.Oracle, cfg Config)
 	return res
 }
 
-// parallelPredictCutoff is the test-universe size below which parallel
-// prediction is not worth the goroutine fan-out and the serial path is
-// taken instead. It is the shared parallelCutoff of the fan-out
-// substrate; the name survives for the tests and docs that predate it.
-const parallelPredictCutoff = parallelCutoff
-
-// parallelPredict evaluates predict over pool.X[idx...] with up to
-// workers goroutines (<= 0 means one per CPU), preserving order. Learner
-// Predict methods only read model state, so concurrent evaluation is
-// safe. Cancelling ctx makes every worker stop within cancelCheckStride
-// predictions; the partial output is discarded and ctx's error returned.
-func parallelPredict(ctx context.Context, predict func(feature.Vector) bool, pool *Pool, idx []int, workers int) ([]bool, error) {
-	out := make([]bool, len(idx))
-	if err := parallelFor(ctx, len(idx), workers, parallelCutoff, func(j int) {
-		out[j] = predict(pool.X[idx[j]])
+// parallelPredict reports, for each pool row idx[j], whether any of
+// learners predicts it a match: the session's one learner, or an
+// ensemble's accepted classifiers plus its candidate. It sweeps idx in
+// pool-row blocks with up to workers goroutines (<= 0 means one per CPU),
+// each learner scoring a whole block in turn (see countPositive); the
+// output stays in idx order. Learner prediction only reads model state,
+// so concurrent evaluation is safe. Cancelling ctx makes every worker
+// stop within one block; the partial output is discarded and ctx's error
+// returned.
+func parallelPredict(ctx context.Context, pool *Pool, idx []int, workers int, learners ...Learner) ([]bool, error) {
+	pred := make([]bool, len(idx))
+	if err := parallelForRows(ctx, pool.Len(), idx, workers, func(slots, rows []int) {
+		var pos [cancelCheckStride]int
+		for _, l := range learners {
+			countPositive(l, pool.X, rows, pos[:])
+		}
+		for k, j := range slots {
+			pred[j] = pos[k] > 0
+		}
 	}); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return pred, nil
 }
 
 func bothClasses(labels []bool) bool {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -42,6 +43,59 @@ func workerCount(n int) int {
 // stops every worker within cancelCheckStride items; the partial output
 // is then meaningless and the context's error is returned.
 func parallelFor(ctx context.Context, n, workers, cutoff int, body func(j int)) error {
+	return forBlocks(ctx, n, workers, cutoff, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			body(j)
+		}
+	})
+}
+
+// parallelForRows sweeps candidates, a list of pool rows, in blocks:
+// body(slots, rows) runs on consecutive blocks of up to cancelCheckStride
+// candidate slots j, visited in ascending order of their pool row (ties,
+// from a row listed twice, in ascending j), with rows[k] =
+// candidates[slots[k]]. Every slot lands in exactly one block, so the
+// body reads pool.X front to back instead of in the candidates' (often
+// shuffled) order, and a learner can score a whole block in one call.
+// Candidates already in ascending order are swept as they are (rows then
+// aliases candidates); any other order is found by a counting sort over
+// the O(poolLen) rows, without a comparison sort. The body must write
+// only the output slots it is handed; then the results stay aligned with
+// candidates and bit-identical at every worker count. The context is
+// checked once per block, and the serial/parallel cutoff is
+// parallelCutoff rows.
+func parallelForRows(ctx context.Context, poolLen int, candidates []int, workers int, body func(slots, rows []int)) error {
+	slots := make([]int, len(candidates))
+	rows := candidates
+	if slices.IsSorted(candidates) {
+		for j := range slots {
+			slots[j] = j
+		}
+	} else {
+		next := make([]int, poolLen+1) // next[row] = next free position of row in the order
+		for _, row := range candidates {
+			next[row+1]++
+		}
+		for row := 0; row < poolLen; row++ {
+			next[row+1] += next[row]
+		}
+		rows = make([]int, len(candidates))
+		for j, row := range candidates {
+			slots[next[row]], rows[next[row]] = j, row
+			next[row]++
+		}
+	}
+	return forBlocks(ctx, len(slots), workers, parallelCutoff, func(lo, hi int) {
+		body(slots[lo:hi], rows[lo:hi])
+	})
+}
+
+// forBlocks is the fan-out behind parallelFor and parallelForRows: it
+// splits [0, n) into one contiguous chunk per worker and hands each
+// worker's chunk to body in blocks [lo, hi) of at most cancelCheckStride
+// items, checking ctx before each block. Below cutoff items, or with one
+// worker, the blocks run serially on the calling goroutine.
+func forBlocks(ctx context.Context, n, workers, cutoff int, body func(lo, hi int)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -49,13 +103,11 @@ func parallelFor(ctx context.Context, n, workers, cutoff int, body func(j int)) 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if n < cutoff || workers == 1 {
-		for j := 0; j < n; j++ {
-			if j%cancelCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+		for lo := 0; lo < n; lo += cancelCheckStride {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			body(j)
+			body(lo, min(lo+cancelCheckStride, n))
 		}
 		return nil
 	}
@@ -69,40 +121,14 @@ func parallelFor(ctx context.Context, n, workers, cutoff int, body func(j int)) 
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for j := lo; j < hi; j++ {
-				if (j-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
+			for b := lo; b < hi; b += cancelCheckStride {
+				if ctx.Err() != nil {
 					return
 				}
-				body(j)
+				body(b, min(b+cancelCheckStride, hi))
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
 	return ctx.Err()
-}
-
-// parallelForRows is parallelFor over candidates, a list of pool rows:
-// body(j) still runs once for every j in [0, len(candidates)), but the
-// sweep visits the j in ascending order of their pool row (ties, from a
-// row listed twice, in ascending j), so the body reads pool.X front to
-// back instead of in the candidates' (often shuffled) order. A counting
-// sort over the O(poolLen) rows finds that order without a comparison
-// sort. body(j) must write only its own output slot j; then the results
-// stay aligned with candidates and bit-identical at every worker count.
-func parallelForRows(ctx context.Context, poolLen int, candidates []int, workers int, body func(j int)) error {
-	next := make([]int, poolLen+1) // next[row] = next free slot of order for row
-	for _, row := range candidates {
-		next[row+1]++
-	}
-	for row := 0; row < poolLen; row++ {
-		next[row+1] += next[row]
-	}
-	order := make([]int, len(candidates))
-	for j, row := range candidates {
-		order[next[row]] = j
-		next[row]++
-	}
-	return parallelFor(ctx, len(order), workers, parallelCutoff, func(t int) {
-		body(order[t])
-	})
 }

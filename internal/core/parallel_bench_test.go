@@ -101,7 +101,7 @@ func BenchmarkParallelPredict(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := parallelPredict(context.Background(), st.svm.Predict, st.pool, idx, workers); err != nil {
+			if _, err := parallelPredict(context.Background(), st.pool, idx, workers, st.svm); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,9 +35,12 @@ func TestParallelForMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelForRows pins parallelForRows' contract: body(j) runs
-// exactly once per candidate slot, duplicate rows included, and a serial
-// sweep visits the slots in ascending pool row, ties in ascending slot.
+// TestParallelForRows pins parallelForRows' contract, for shuffled
+// candidates (counting sort) and ascending ones (swept as they are):
+// every candidate slot lands in exactly one block, duplicate rows
+// included; a block holds at most cancelCheckStride slots with rows[k] =
+// cands[slots[k]]; and a serial sweep visits the slots in ascending pool
+// row, ties in ascending slot, in full blocks but the last.
 func TestParallelForRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const poolLen = 3*parallelCutoff + 17
@@ -47,29 +51,41 @@ func TestParallelForRows(t *testing.T) {
 		dups = append(dups, shuffled[rng.Intn(len(shuffled))])
 	}
 	rng.Shuffle(len(dups), func(a, b int) { dups[a], dups[b] = dups[b], dups[a] })
+	ascending := slices.Clone(dups)
+	slices.Sort(ascending)
 	cases := map[string][]int{
 		"empty":      nil,
 		"one":        {poolLen - 1},
 		"shuffled":   shuffled,
 		"duplicates": dups,
+		"ascending":  ascending,
 		"all-same":   {4, 4, 4, 4},
 	}
 	for name, cands := range cases {
 		for _, workers := range []int{1, 2, 7} {
 			var mu sync.Mutex
 			runs := make([]int, len(cands))
-			var visited []int
-			if err := parallelForRows(context.Background(), poolLen, cands, workers, func(j int) {
+			var visited, blockLens []int
+			if err := parallelForRows(context.Background(), poolLen, cands, workers, func(slots, rows []int) {
 				mu.Lock()
-				runs[j]++
-				visited = append(visited, j)
-				mu.Unlock()
+				defer mu.Unlock()
+				if len(slots) == 0 || len(slots) > cancelCheckStride || len(rows) != len(slots) {
+					t.Errorf("%s workers=%d: block of %d slots and %d rows", name, workers, len(slots), len(rows))
+				}
+				for k, j := range slots {
+					if rows[k] != cands[j] {
+						t.Errorf("%s workers=%d: rows[%d] = %d, want cands[%d] = %d", name, workers, k, rows[k], j, cands[j])
+					}
+					runs[j]++
+				}
+				visited = append(visited, slots...)
+				blockLens = append(blockLens, len(slots))
 			}); err != nil {
 				t.Fatal(err)
 			}
 			for j, r := range runs {
 				if r != 1 {
-					t.Fatalf("%s workers=%d: body(%d) ran %d times, want 1", name, workers, j, r)
+					t.Fatalf("%s workers=%d: slot %d ran %d times, want 1", name, workers, j, r)
 				}
 			}
 			if workers != 1 {
@@ -79,6 +95,11 @@ func TestParallelForRows(t *testing.T) {
 				a, b := visited[i-1], visited[i]
 				if cands[a] > cands[b] || (cands[a] == cands[b] && a > b) {
 					t.Fatalf("%s: slot %d (row %d) visited before slot %d (row %d)", name, a, cands[a], b, cands[b])
+				}
+			}
+			for i, n := range blockLens[:max(len(blockLens)-1, 0)] {
+				if n != cancelCheckStride {
+					t.Fatalf("%s: serial block %d holds %d slots, want %d", name, i, n, cancelCheckStride)
 				}
 			}
 		}

@@ -73,19 +73,21 @@ func (q QBCScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 	}
 	ctx.CommitteeCreate = time.Since(start)
 
+	// Each member scores the whole block in turn; pos counts its
+	// positive votes per slot.
 	variance := make([]float64, len(ctx.Unlabeled))
-	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(j int) {
-		pos := 0
+	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(slots, rows []int) {
+		var pos [cancelCheckStride]int
 		for _, m := range committee {
-			if m.Predict(ctx.Pool.X[ctx.Unlabeled[j]]) {
-				pos++
-			}
+			countPositive(m, ctx.Pool.X, rows, pos[:])
 		}
-		p := float64(pos) / float64(q.B)
-		if q.UseEntropy {
-			variance[j] = binaryEntropy(p)
-		} else {
-			variance[j] = p * (1 - p)
+		for k, j := range slots {
+			p := float64(pos[k]) / float64(q.B)
+			if q.UseEntropy {
+				variance[j] = binaryEntropy(p)
+			} else {
+				variance[j] = p * (1 - p)
+			}
 		}
 	}); err != nil {
 		return nil, err
@@ -116,8 +118,12 @@ func (MarginScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 // for its everything-pruned fallback.
 func marginScores(ctx *SelectContext, ml MarginLearner) (*ScoredSet, error) {
 	scores := make([]float64, len(ctx.Unlabeled))
-	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(j int) {
-		scores[j] = -math.Abs(ml.Margin(ctx.Pool.X[ctx.Unlabeled[j]]))
+	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(slots, rows []int) {
+		var margins [cancelCheckStride]float64
+		absMargins(ml, ctx.Pool.X, rows, margins[:])
+		for k, j := range slots {
+			scores[j] = -margins[k]
+		}
 	}); err != nil {
 		return nil, err
 	}
@@ -159,15 +165,17 @@ func (bm BlockedMarginScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, erro
 	// survivors are collected serially in candidate order afterwards, so
 	// the result is identical at every worker count.
 	margins := make([]float64, len(ctx.Unlabeled))
-	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(j int) {
-		x := ctx.Pool.X[ctx.Unlabeled[j]]
-		for _, d := range dims {
-			if x[d] != 0 {
-				margins[j] = math.Abs(wl.Margin(x))
-				return
+	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(slots, rows []int) {
+		for k, j := range slots {
+			x := ctx.Pool.X[rows[k]]
+			margins[j] = blockedSentinel // margin == |bias|: pruned without the dot product
+			for _, d := range dims {
+				if x[d] != 0 {
+					margins[j] = math.Abs(wl.Margin(x))
+					break
+				}
 			}
 		}
-		margins[j] = blockedSentinel // margin == |bias|: pruned without the dot product
 	}); err != nil {
 		return nil, err
 	}
@@ -281,13 +289,15 @@ func (bf BlockedVoteScorer) Score(ctx *SelectContext, k int) (*ScoredSet, error)
 // over the candidate examples, fanning out across ctx.Workers.
 func voteVariance(ctx *SelectContext, vl VoteLearner, candidates []int) ([]float64, error) {
 	variance := make([]float64, len(candidates))
-	err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), candidates, ctx.Workers, func(j int) {
-		pos, total := vl.Votes(ctx.Pool.X[candidates[j]])
-		if total == 0 {
-			return
+	err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), candidates, ctx.Workers, func(slots, rows []int) {
+		for k, j := range slots {
+			pos, total := vl.Votes(ctx.Pool.X[rows[k]])
+			if total == 0 {
+				continue
+			}
+			p := float64(pos) / float64(total)
+			variance[j] = p * (1 - p)
 		}
-		p := float64(pos) / float64(total)
-		variance[j] = p * (1 - p)
 	})
 	return variance, err
 }
@@ -347,8 +357,12 @@ func (AmbiguityScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 		return nil, errNotApplicable
 	}
 	margins := make([]float64, len(ctx.Unlabeled))
-	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(j int) {
-		margins[j] = math.Abs(ml.Margin(ctx.Pool.X[ctx.Unlabeled[j]]))
+	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(slots, rows []int) {
+		var block [cancelCheckStride]float64
+		absMargins(ml, ctx.Pool.X, rows, block[:])
+		for k, j := range slots {
+			margins[j] = block[k]
+		}
 	}); err != nil {
 		return nil, err
 	}

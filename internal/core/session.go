@@ -474,7 +474,7 @@ func (s *Session) trainPhase() time.Duration {
 // confusion matrix.
 func (s *Session) evalPhase(ctx context.Context, trainTime time.Duration) (eval.Point, []bool, error) {
 	start := time.Now()
-	pred, err := parallelPredict(ctx, s.activeLearner().Predict, s.pool, s.testIdx, s.cfg.Workers)
+	pred, err := parallelPredict(ctx, s.pool, s.testIdx, s.cfg.Workers, s.activeLearner())
 	if err != nil {
 		return eval.Point{}, nil, err
 	}

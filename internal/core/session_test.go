@@ -397,17 +397,17 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestParallelPredictPathsAgree is the serial/parallel property test:
-// for sizes straddling parallelPredictCutoff, the concurrent path must
+// for sizes straddling parallelCutoff, the concurrent path must
 // produce exactly the plain serial sweep.
 func TestParallelPredictPathsAgree(t *testing.T) {
 	svm := linear.NewSVM(26)
-	pool := syntheticPool(2*parallelPredictCutoff+37, 26)
+	pool := syntheticPool(2*parallelCutoff+37, 26)
 	svm.Train(pool.X[:120], pool.Truth[:120])
 
-	for _, n := range []int{1, parallelPredictCutoff - 1, parallelPredictCutoff,
-		parallelPredictCutoff + 1, pool.Len()} {
+	for _, n := range []int{1, parallelCutoff - 1, parallelCutoff,
+		parallelCutoff + 1, pool.Len()} {
 		idx := seqInts(n)
-		got, err := parallelPredict(context.Background(), svm.Predict, pool, idx, 0)
+		got, err := parallelPredict(context.Background(), pool, idx, 0, svm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,11 +421,11 @@ func TestParallelPredictPathsAgree(t *testing.T) {
 
 func TestParallelPredictCancelled(t *testing.T) {
 	svm := linear.NewSVM(27)
-	pool := syntheticPool(4*parallelPredictCutoff, 27)
+	pool := syntheticPool(4*parallelCutoff, 27)
 	svm.Train(pool.X[:120], pool.Truth[:120])
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := parallelPredict(ctx, svm.Predict, pool, seqInts(pool.Len()), 0); err != context.Canceled {
+	if _, err := parallelPredict(ctx, pool, seqInts(pool.Len()), 0, svm); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

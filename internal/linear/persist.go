@@ -28,11 +28,19 @@ func (s *SVM) SaveJSON(w io.Writer) error {
 }
 
 // LoadJSON reads a model written by SaveJSON. The loaded model predicts
-// immediately; retraining reinitializes it.
+// immediately; retraining reinitializes it, so LoadJSON rejects
+// hyper-parameters that cannot retrain: a lambda that is not positive
+// (the step size is 1/lambda) and fewer than one epoch.
 func LoadJSON(r io.Reader) (*SVM, error) {
 	var st svmState
 	if err := json.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("linear: decoding SVM: %w", err)
+	}
+	if !(st.Lambda > 0) {
+		return nil, fmt.Errorf("linear: SVM lambda %v is not positive", st.Lambda)
+	}
+	if st.Epochs < 1 {
+		return nil, fmt.Errorf("linear: SVM epochs %d is less than 1", st.Epochs)
 	}
 	s := NewSVM(0)
 	s.Lambda, s.Epochs, s.PosWeight = st.Lambda, st.Epochs, st.PosWeight

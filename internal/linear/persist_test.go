@@ -42,12 +42,34 @@ func TestSVMLoadRejectsGarbage(t *testing.T) {
 // An empty weight list loads as an untrained model: Dim reports 0, so
 // no dimension check guards DecisionValue, which must not index it.
 func TestSVMLoadEmptyWeightsScoresZero(t *testing.T) {
-	s, err := LoadJSON(strings.NewReader(`{"weights":[],"bias":1}`))
+	s, err := LoadJSON(strings.NewReader(`{"lambda":0.0001,"epochs":60,"weights":[],"bias":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := s.DecisionValue(feature.Vector{0, 0}); d != 0 {
 		t.Errorf("DecisionValue = %v, want 0 for an empty weight list", d)
+	}
+}
+
+// A lambda of 0 makes every step 1/0 and retrains to NaN weights; a
+// negative one diverges; zero epochs leaves w at 0. The loader must
+// refuse each, naming the field.
+func TestSVMLoadRejectsBadHyperParameters(t *testing.T) {
+	for _, tc := range []struct{ body, field string }{
+		{`{"lambda":0,"epochs":60,"weights":[1,2],"bias":0.5}`, "lambda"},
+		{`{"lambda":-0.0001,"epochs":60,"weights":[1,2],"bias":0.5}`, "lambda"},
+		{`{"epochs":60,"weights":[1,2],"bias":0.5}`, "lambda"},
+		{`{"lambda":0.0001,"epochs":0,"weights":[1,2],"bias":0.5}`, "epochs"},
+		{`{"lambda":0.0001,"epochs":-3,"weights":[1,2],"bias":0.5}`, "epochs"},
+	} {
+		_, err := LoadJSON(strings.NewReader(tc.body))
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("LoadJSON(%s) error = %v, want one naming %q", tc.body, err, tc.field)
+		}
+	}
+	// One epoch is enough.
+	if _, err := LoadJSON(strings.NewReader(`{"lambda":0.0001,"epochs":1,"weights":[1],"bias":0}`)); err != nil {
+		t.Errorf("LoadJSON rejected epochs 1: %v", err)
 	}
 }
 

@@ -64,6 +64,10 @@ func FuzzLoadModel(f *testing.F) {
 		f.Add(mutated) // kind/payload mismatch
 		// An empty weight list: Dim 0 skips the dimension check.
 		f.Add(regexp.MustCompile(`"weights":\s*\[[^\]]*\]`).ReplaceAll(valid, []byte(`"weights":[]`)))
+		// Hyper-parameters that cannot retrain: lambda 0 (step 1/0) and
+		// no epoch.
+		f.Add(regexp.MustCompile(`"lambda":[^,]*`).ReplaceAll(valid, []byte(`"lambda":0`)))
+		f.Add(regexp.MustCompile(`"epochs":[^,]*`).ReplaceAll(valid, []byte(`"epochs":0`)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		art, err := Load(bytes.NewReader(data))
@@ -81,5 +85,10 @@ func FuzzLoadModel(f *testing.F) {
 			t.Fatal("Load succeeded with an empty schema")
 		}
 		match.Score(art.Learner, make(feature.Vector, art.Dim))
+		// A loaded SVM must also retrain: a positive lambda (the step is
+		// 1/lambda) and at least one epoch.
+		if s, ok := art.Learner.(*linear.SVM); ok && (!(s.Lambda > 0) || s.Epochs < 1) {
+			t.Fatalf("Load accepted an SVM with lambda %v, epochs %d", s.Lambda, s.Epochs)
+		}
 	})
 }
