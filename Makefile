@@ -10,9 +10,9 @@ GO ?= go
 # lifts internal/core coverage; never lower it to absorb a regression.
 COVER_FLOOR_CORE ?= 88.3
 
-.PHONY: check fmt vet build test race cover fuzz bench bench-json bench-ratchet bench-e2e chaos serve-smoke equiv
+.PHONY: check fmt vet build test race cover fuzz bench bench-json bench-ratchet bench-e2e harness chaos serve-smoke equiv
 
-check: fmt vet build race equiv bench-ratchet cover fuzz chaos serve-smoke
+check: fmt vet build race equiv bench-ratchet cover fuzz chaos serve-smoke harness
 
 # Fails, listing them, when any Go file outside the benchmark's build
 # state (.bench_build/) is not formatted by the toolchain's own gofmt.
@@ -44,14 +44,18 @@ fuzz:
 	GO="$(GO)" sh scripts/fuzz_smoke.sh
 
 # Bit-identity gates, under the race detector: every paper selector
-# against its frozen pre-refactor implementation, the bounded top-k
-# pickers against the full sorts they replaced, plus the
+# against its frozen pre-refactor implementation, with and without a
+# session's pool values, the bounded top-k pickers against the full
+# sorts they replaced, sessions whose selectors read evaluation's pool
+# values against the same sessions sweeping the pool, plus the
 # serial-vs-parallel pins and the batched-oracle-vs-per-pair pins
 # (internal/core), the sorted-sweep tree split search against the frozen
-# rescan (internal/tree), the blocked neural-net Train and Margin against
-# the frozen per-unit trainer and Margin (internal/neural), the fused
-# linear-SVM Train and the four-row DecisionValues against the frozen
-# trainer and DecisionValue (internal/linear), and the
+# rescan and the forest's DecisionValues against its votes
+# (internal/tree), the blocked neural-net Train and Margin against the
+# frozen per-unit trainer and Margin, and DecisionValues against Margin
+# (internal/neural), the fused linear-SVM Train and the four-row
+# DecisionValues against the frozen trainer and DecisionValue
+# (internal/linear), and the
 # indexed candidate generator against the
 # brute-force blocking reference, including incremental Add and
 # shard-count sweeps (internal/blocking), and the fused character kernels
@@ -61,9 +65,9 @@ fuzz:
 # the dedicated target keeps the refactor contracts visible and quick to
 # re-run on their own.
 equiv:
-	$(GO) test -race -count=1 -run 'CompositionEquivalence|SerialParallelEquivalent|WorkerInvariant|BatchOracleEquivalence|PickersMatchLegacySort' ./internal/core/
-	$(GO) test -race -count=1 -run 'GrowMatchesLegacy' ./internal/tree/
-	$(GO) test -race -count=1 -run 'TrainMatchesLegacy' ./internal/neural/
+	$(GO) test -race -count=1 -run 'CompositionEquivalence|SerialParallelEquivalent|WorkerInvariant|BatchOracleEquivalence|PickersMatchLegacySort|PoolValues' ./internal/core/
+	$(GO) test -race -count=1 -run 'GrowMatchesLegacy|ForestDecisionValuesMatchVotes' ./internal/tree/
+	$(GO) test -race -count=1 -run 'TrainMatchesLegacy|NetDecisionValuesMatchMargin' ./internal/neural/
 	$(GO) test -race -count=1 -run 'SVMTrainMatchesLegacy|DecisionValuesMatchDecisionValue' ./internal/linear/
 	$(GO) test -race -count=1 -run 'IndexEquivalence|BruteForce|HotTokenRecall|ThresholdBoundary' ./internal/blocking/
 	$(GO) test -race -count=1 -run 'CharKernelsMatchCompare|ExtractPairsMatchesExtract' ./internal/textsim/ ./internal/feature/
@@ -78,15 +82,15 @@ bench:
 # and the constant-allocs training fit — plus the bit-identity pins the
 # ratchets rely on, and a -benchtime=1x smoke over the paired scoring
 # benchmarks, the batched featurization benchmark, the forest, neural-net
-# and linear-SVM training benchmarks, the neural-net Margin and SVM
-# DecisionValues sweeps and the QBC selection pair so a broken benchmark
-# fails `make check` rather than the next BENCH run.
+# and linear-SVM training benchmarks, the forest and SVM DecisionValues
+# and neural-net Margin sweeps and the QBC selection pair so a broken
+# benchmark fails `make check` rather than the next BENCH run.
 bench-ratchet:
 	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|CharKernelsMatchCompare|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|KnownCacheAcrossAdds|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
 		./internal/textsim/ ./internal/feature/ ./internal/match/ ./internal/blocking/ ./internal/neural/
 	$(GO) test -count=1 -run '^$$' -bench 'MatcherScoreAll' -benchtime=1x -benchmem ./internal/match/
 	$(GO) test -count=1 -run '^$$' -bench 'ExtractPairs' -benchtime=1x -benchmem ./internal/feature/
-	$(GO) test -count=1 -run '^$$' -bench 'ForestTrain|NeuralNetTrain|NeuralNetMargin|SVMTrain|SVMDecisionValues' -benchtime=1x -benchmem .
+	$(GO) test -count=1 -run '^$$' -bench 'ForestTrain|ForestPredict|NeuralNetTrain|NeuralNetMargin|SVMTrain|SVMDecisionValues' -benchtime=1x -benchmem .
 	$(GO) test -count=1 -run '^$$' -bench '^BenchmarkQBCSelect$$' -benchtime=1x -benchmem ./internal/core/
 
 # Selector serial/parallel pairs, blocking naive/indexed pairs and the
@@ -104,6 +108,19 @@ bench-json:
 # counts). About ten minutes on a 2-CPU host.
 bench-e2e:
 	bash scripts/bench_pairs.sh HEAD~1 HEAD al-large 1 10
+
+# The end-to-end benchmark harness's own tests. e2ebench/ is a module of
+# its own, so `go test ./...` does not reach them; they run with the
+# build environment e2ebench/run.sh sets (build state under
+# .bench_build/e2ebench, no toolchain download, no module fetch). Among
+# other things they check that a traced round learns exactly the curves
+# an untraced one does.
+harness:
+	@out="$$(pwd)/.bench_build/e2ebench"; \
+	mkdir -p "$$out/gocache" "$$out/gotmp" "$$out/gomodcache" "$$out/config"; \
+	GOCACHE="$$out/gocache" GOTMPDIR="$$out/gotmp" GOMODCACHE="$$out/gomodcache" \
+	XDG_CONFIG_HOME="$$out/config" GOTOOLCHAIN=local GOPROXY=off GOWORK=off \
+	GOFLAGS=-mod=mod CGO_ENABLED=0 $(GO) -C e2ebench test -count=1 .
 
 # Seeded fault-injection suite: kill/resume bit-identity, oracle stall
 # termination, panic containment, breaker lifecycle, hot model swaps

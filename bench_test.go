@@ -222,13 +222,26 @@ func BenchmarkNeuralNetMargin(b *testing.B) {
 
 var sinkMargin float64
 
+// BenchmarkForestPredict sweeps 4,096 rows through forest(20)'s
+// DecisionValues in one call per op, in pool order: one evaluation sweep,
+// whose vote fractions learner-aware QBC reads as well. The forest is fit
+// on the first 500 rows with every tenth label flipped, so its trees grow
+// as deep as a run's do (see BenchmarkForestTrain).
 func BenchmarkForestPredict(b *testing.B) {
-	X, y := trainingData(500, 63, 4)
+	X, y := trainingData(4096, 63, 4)
+	for i := 0; i < 500; i += 10 {
+		y[i] = !y[i]
+	}
 	f := alem.NewRandomForest(20, 1)
-	f.Train(X, y)
+	f.Train(X[:500], y[:500])
+	rows := make([]int, len(X))
+	for i := range rows {
+		rows[i] = i
+	}
+	out := make([]float64, len(rows))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Predict(X[i%len(X)])
+		f.DecisionValues(X, rows, out)
 	}
 }
 

@@ -32,20 +32,31 @@ type MarginLearner interface {
 	Margin(x feature.Vector) float64
 }
 
-// DecisionLearner is a learner whose prediction and margin both come
-// from one signed value per example — linear.SVM's w·x + b: Predict(x)
-// is value > 0 and Margin(x) is |value|. DecisionValues writes the value
-// of X[rows[k]] into out[k], bit-identical to the per-row value, and
-// scores a block of rows faster than row by row, so pool sweeps hand it
-// whole blocks (see countPositive and absMargins).
+// DecisionLearner is a learner whose prediction comes from one value per
+// example: Predict(x) is value > DecisionThreshold(), bit for bit.
+// linear.SVM's value is w·x + b and neural.Net's is its Margin, both with
+// threshold 0, so a margin selector's |Margin(x)| is |value|.
+// tree.Forest's value is its positive vote fraction
+// float64(pos)/float64(total) (0 when untrained), with threshold
+// VoteThreshold (0.5 when that is ≤ 0), so learner-aware QBC's variance
+// is value·(1 − value). Any learner that is also a MarginLearner or a
+// VoteLearner must keep the matching identity. DecisionValues writes the
+// value of X[rows[k]] into out[k], bit-identical to the per-row value,
+// and scores a block of rows at least as fast as row by row, so pool
+// sweeps hand it whole blocks (see countPositive and absMargins). A
+// Progressive session keeps evaluation's values of every pool row and
+// hands them to the selector, so the pool is swept once per step (see
+// SelectContext.valuesOf).
 type DecisionLearner interface {
 	Learner
 	DecisionValues(X []feature.Vector, rows []int, out []float64)
+	DecisionThreshold() float64
 }
 
 // countPositive adds 1 to pos[k] for each row X[rows[k]] of a sweep
 // block that l predicts a match: one DecisionValues call over the block
-// for a DecisionLearner, Predict row by row for any other learner.
+// for a DecisionLearner, whose threshold is read once per block, and
+// Predict row by row for any other learner.
 func countPositive(l Learner, X []feature.Vector, rows []int, pos []int) {
 	dl, ok := l.(DecisionLearner)
 	if !ok {
@@ -59,8 +70,9 @@ func countPositive(l Learner, X []feature.Vector, rows []int, pos []int) {
 	vals := blockScratch.Get().(*[cancelCheckStride]float64)
 	defer blockScratch.Put(vals)
 	dl.DecisionValues(X, rows, vals[:len(rows)])
+	th := dl.DecisionThreshold()
 	for k, v := range vals[:len(rows)] {
-		if v > 0 {
+		if v > th {
 			pos[k]++
 		}
 	}

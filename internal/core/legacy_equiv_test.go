@@ -482,40 +482,54 @@ func legacySelectLFPLFN(m *rules.Model, X []feature.Vector, unlabeled []int, k i
 // and pool sizes on both sides of the parallel cutoff. The unlabeled
 // counts 131 and 545 are multiples of neither four (the SVM's row
 // group) nor cancelCheckStride (the sweep block), so the last block and
-// its last row group are partial.
+// its last row group are partial. Each selector that reads a session's
+// pool values runs twice, with the learner's values of every pool row
+// in its context and without, against the same legacy batch.
 func TestCompositionEquivalence(t *testing.T) {
 	for _, size := range []int{parallelCutoff / 2, parallelCutoff/2 + 3, 2*parallelCutoff + 33} {
 		st := newSelectorSetup(t, size+60, int64(size)+7)
+		svmValues, forestValues := st.valuesOf(t, st.svm), st.valuesOf(t, st.forest)
 		cases := []struct {
 			name    string
 			current Selector
 			legacy  Selector
 			learner Learner
+			values  poolValues // the learner's pool values, for selectors that read them
 		}{
-			{"random", Random{}, legacyRandom{}, st.svm},
-			{"qbc", QBC{B: 7, Factory: svmFactory}, legacyQBC{B: 7, Factory: svmFactory}, st.svm},
-			{"qbc-b10", QBC{B: 10, Factory: svmFactory}, legacyQBC{B: 10, Factory: svmFactory}, st.svm},
+			{"random", Random{}, legacyRandom{}, st.svm, poolValues{}},
+			{"qbc", QBC{B: 7, Factory: svmFactory}, legacyQBC{B: 7, Factory: svmFactory}, st.svm, poolValues{}},
+			{"qbc-b10", QBC{B: 10, Factory: svmFactory}, legacyQBC{B: 10, Factory: svmFactory}, st.svm, poolValues{}},
 			{"qbc-entropy", QBC{B: 5, Factory: svmFactory, UseEntropy: true},
-				legacyQBC{B: 5, Factory: svmFactory, UseEntropy: true}, st.svm},
-			{"margin", Margin{}, legacyMargin{}, st.svm},
-			{"margin-blocked", BlockedMargin{TopK: 3}, legacyBlockedMargin{TopK: 3}, st.svm},
-			{"margin-blocked-alldims", BlockedMargin{}, legacyBlockedMargin{}, st.svm},
-			{"forest-qbc", ForestQBC{}, legacyForestQBC{}, st.forest},
-			{"forest-qbc-blocked", BlockedForestQBC{}, legacyBlockedForestQBC{}, st.forest},
-			{"iwal", IWAL{}, legacyIWAL{}, st.svm},
-			{"iwal-pmin", IWAL{PMin: 0.3}, legacyIWAL{PMin: 0.3}, st.svm},
+				legacyQBC{B: 5, Factory: svmFactory, UseEntropy: true}, st.svm, poolValues{}},
+			{"margin", Margin{}, legacyMargin{}, st.svm, svmValues},
+			{"margin-blocked", BlockedMargin{TopK: 3}, legacyBlockedMargin{TopK: 3}, st.svm, svmValues},
+			{"margin-blocked-alldims", BlockedMargin{}, legacyBlockedMargin{}, st.svm, svmValues},
+			{"forest-qbc", ForestQBC{}, legacyForestQBC{}, st.forest, forestValues},
+			{"forest-qbc-blocked", BlockedForestQBC{}, legacyBlockedForestQBC{}, st.forest, forestValues},
+			{"iwal", IWAL{}, legacyIWAL{}, st.svm, svmValues},
+			{"iwal-pmin", IWAL{PMin: 0.3}, legacyIWAL{PMin: 0.3}, st.svm, svmValues},
 		}
 		for _, tc := range cases {
-			t.Run(fmt.Sprintf("%s/size=%d", tc.name, size), func(t *testing.T) {
-				for _, workers := range []int{0, 1, 2, 8} {
-					wantBatch, want63, want64 := st.run(tc.legacy, tc.learner, workers, 10, 321)
-					gotBatch, got63, got64 := st.run(tc.current, tc.learner, workers, 10, 321)
-					if len(wantBatch) == 0 {
-						t.Fatalf("workers=%d: legacy %s selected nothing", workers, tc.legacy.Name())
-					}
-					assertSameSelection(t, workers, gotBatch, wantBatch, got63, want63, got64, want64)
+			runs := []poolValues{{}}
+			if tc.values.vals != nil {
+				runs = append(runs, tc.values)
+			}
+			for _, values := range runs {
+				name := fmt.Sprintf("%s/size=%d", tc.name, size)
+				if values.vals != nil {
+					name += "/pool-values"
 				}
-			})
+				t.Run(name, func(t *testing.T) {
+					for _, workers := range []int{0, 1, 2, 8} {
+						wantBatch, want63, want64 := st.run(tc.legacy, tc.learner, workers, 10, 321)
+						gotBatch, got63, got64 := st.runWith(tc.current, tc.learner, values, workers, 10, 321)
+						if len(wantBatch) == 0 {
+							t.Fatalf("workers=%d: legacy %s selected nothing", workers, tc.legacy.Name())
+						}
+						assertSameSelection(t, workers, gotBatch, wantBatch, got63, want63, got64, want64)
+					}
+				})
+			}
 		}
 	}
 }

@@ -215,6 +215,28 @@ func parallelPredict(ctx context.Context, pool *Pool, idx []int, workers int, le
 	return pred, nil
 }
 
+// parallelDecide is parallelPredict for one DecisionLearner that keeps
+// the values behind the predictions: vals[j] is dl's decision value of
+// pool row idx[j] and pred[j] is vals[j] > dl.DecisionThreshold(), which
+// is Predict bit for bit. It sweeps idx in its own order, in the blocks
+// and with the cancellation checks parallelPredict uses; a Progressive
+// session passes every pool row in row order, so vals is then a per-row
+// table the selector can read.
+func parallelDecide(ctx context.Context, pool *Pool, idx []int, workers int, dl DecisionLearner) ([]float64, []bool, error) {
+	vals := make([]float64, len(idx))
+	pred := make([]bool, len(idx))
+	th := dl.DecisionThreshold()
+	if err := forBlocks(ctx, len(idx), workers, parallelCutoff, func(lo, hi int) {
+		dl.DecisionValues(pool.X, idx[lo:hi], vals[lo:hi])
+		for j := lo; j < hi; j++ {
+			pred[j] = vals[j] > th
+		}
+	}); err != nil {
+		return nil, nil, err
+	}
+	return vals, pred, nil
+}
+
 func bothClasses(labels []bool) bool {
 	if len(labels) == 0 {
 		return false

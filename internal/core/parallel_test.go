@@ -163,6 +163,12 @@ func newSelectorSetup(tb testing.TB, poolSize int, seed int64) *selectorSetup {
 // run executes sel once with the given worker count over a fresh
 // counted RNG and returns the batch plus the draw counters.
 func (st *selectorSetup) run(sel Selector, learner Learner, workers, k int, seed int64) ([]int, uint64, uint64) {
+	return st.runWith(sel, learner, poolValues{}, workers, k, seed)
+}
+
+// runWith is run with the context carrying values, as a Progressive
+// session's selectPhase hands over its evaluation's values.
+func (st *selectorSetup) runWith(sel Selector, learner Learner, values poolValues, workers, k int, seed int64) ([]int, uint64, uint64) {
 	src := newCountingSource(seed)
 	sctx := &SelectContext{
 		Ctx:     context.Background(),
@@ -170,9 +176,25 @@ func (st *selectorSetup) run(sel Selector, learner Learner, workers, k int, seed
 		LabeledIdx: st.labeled, Labels: st.labels,
 		Unlabeled: st.unlabel, Rand: rand.New(src),
 		Workers: workers,
+		values:  values,
 	}
 	batch := sel.Select(sctx, k)
 	return batch, src.n63, src.n64
+}
+
+// valuesOf computes dl's decision value of every pool row the way a
+// Progressive session's evaluation does.
+func (st *selectorSetup) valuesOf(t testing.TB, dl DecisionLearner) poolValues {
+	t.Helper()
+	all := make([]int, st.pool.Len())
+	for i := range all {
+		all[i] = i
+	}
+	vals, _, err := parallelDecide(context.Background(), st.pool, all, 1, dl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return poolValues{learner: dl, vals: vals}
 }
 
 // TestSelectorsSerialParallelEquivalent pins the tentpole invariant: for

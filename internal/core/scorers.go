@@ -113,21 +113,44 @@ func (MarginScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 	return marginScores(ctx, ml)
 }
 
-// marginScores is the shared |margin| sweep (negated into scores),
-// fanned out on the standard substrate. BlockedMarginScorer reuses it
-// for its everything-pruned fallback.
+// marginScores is the shared |margin| sweep (negated into scores).
+// BlockedMarginScorer reuses it for its everything-pruned fallback.
 func marginScores(ctx *SelectContext, ml MarginLearner) (*ScoredSet, error) {
-	scores := make([]float64, len(ctx.Unlabeled))
+	scores, err := unlabeledAbsMargins(ctx, ml)
+	if err != nil {
+		return nil, err
+	}
+	for j, m := range scores {
+		scores[j] = -m
+	}
+	return &ScoredSet{Candidates: ctx.Unlabeled, Scores: scores}, nil
+}
+
+// unlabeledAbsMargins returns |Margin| of every unlabeled candidate,
+// aligned with ctx.Unlabeled: read from this step's pool values when
+// they are ml's, and otherwise swept in pool-row blocks (see
+// absMargins). Both paths fan out on the standard substrate and poll
+// cancellation once per block.
+func unlabeledAbsMargins(ctx *SelectContext, ml MarginLearner) ([]float64, error) {
+	margins := make([]float64, len(ctx.Unlabeled))
+	if vals := ctx.valuesOf(ml); vals != nil {
+		if err := parallelFor(ctx.Ctx, len(ctx.Unlabeled), ctx.Workers, parallelCutoff, func(j int) {
+			margins[j] = math.Abs(vals[ctx.Unlabeled[j]])
+		}); err != nil {
+			return nil, err
+		}
+		return margins, nil
+	}
 	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(slots, rows []int) {
-		var margins [cancelCheckStride]float64
-		absMargins(ml, ctx.Pool.X, rows, margins[:])
+		var block [cancelCheckStride]float64
+		absMargins(ml, ctx.Pool.X, rows, block[:])
 		for k, j := range slots {
-			scores[j] = -margins[k]
+			margins[j] = block[k]
 		}
 	}); err != nil {
 		return nil, err
 	}
-	return &ScoredSet{Candidates: ctx.Unlabeled, Scores: scores}, nil
+	return margins, nil
 }
 
 // BlockedMarginScorer is MarginScorer with the §5.1 blocking-dimension
@@ -161,9 +184,11 @@ func (bm BlockedMarginScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, erro
 	dims := topWeightDims(w, topK)
 
 	// Score in parallel: an example whose blocking dimensions are all
-	// zero records a sentinel instead of paying the dot product; the
-	// survivors are collected serially in candidate order afterwards, so
-	// the result is identical at every worker count.
+	// zero records a sentinel instead of paying the dot product; a
+	// survivor's margin is read from this step's pool values when they
+	// are wl's. The survivors are collected serially in candidate order
+	// afterwards, so the result is identical at every worker count.
+	vals := ctx.valuesOf(wl)
 	margins := make([]float64, len(ctx.Unlabeled))
 	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(slots, rows []int) {
 		for k, j := range slots {
@@ -171,7 +196,11 @@ func (bm BlockedMarginScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, erro
 			margins[j] = blockedSentinel // margin == |bias|: pruned without the dot product
 			for _, d := range dims {
 				if x[d] != 0 {
-					margins[j] = math.Abs(wl.Margin(x))
+					if vals != nil {
+						margins[j] = math.Abs(vals[rows[k]])
+					} else {
+						margins[j] = math.Abs(wl.Margin(x))
+					}
 					break
 				}
 			}
@@ -286,9 +315,18 @@ func (bf BlockedVoteScorer) Score(ctx *SelectContext, k int) (*ScoredSet, error)
 }
 
 // voteVariance computes the (P/C)(1−P/C) disagreement of a vote committee
-// over the candidate examples, fanning out across ctx.Workers.
+// over the candidate examples, fanning out across ctx.Workers. When this
+// step's pool values are vl's, each is its vote fraction P/C (see
+// DecisionLearner) and is read instead of polling the trees again.
 func voteVariance(ctx *SelectContext, vl VoteLearner, candidates []int) ([]float64, error) {
 	variance := make([]float64, len(candidates))
+	if vals := ctx.valuesOf(vl); vals != nil {
+		err := parallelFor(ctx.Ctx, len(candidates), ctx.Workers, parallelCutoff, func(j int) {
+			p := vals[candidates[j]]
+			variance[j] = p * (1 - p)
+		})
+		return variance, err
+	}
 	err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), candidates, ctx.Workers, func(slots, rows []int) {
 		for k, j := range slots {
 			pos, total := vl.Votes(ctx.Pool.X[rows[k]])
@@ -356,14 +394,8 @@ func (AmbiguityScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 	if !ok {
 		return nil, errNotApplicable
 	}
-	margins := make([]float64, len(ctx.Unlabeled))
-	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(slots, rows []int) {
-		var block [cancelCheckStride]float64
-		absMargins(ml, ctx.Pool.X, rows, block[:])
-		for k, j := range slots {
-			margins[j] = block[k]
-		}
-	}); err != nil {
+	margins, err := unlabeledAbsMargins(ctx, ml)
+	if err != nil {
 		return nil, err
 	}
 	maxM := 0.0

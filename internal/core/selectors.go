@@ -39,6 +39,31 @@ type SelectContext struct {
 	// Filled by Select.
 	CommitteeCreate time.Duration
 	Score           time.Duration
+
+	// values, when set, are this step's evaluation values (see
+	// valuesOf).
+	values poolValues
+}
+
+// poolValues are one learner's decision values of every pool row,
+// indexed by row, as a Progressive session's evaluation computed them.
+type poolValues struct {
+	learner Learner
+	vals    []float64
+}
+
+// valuesOf returns l's decision value of every pool row (see
+// DecisionLearner), indexed by row, when this step's evaluation computed
+// them for l, and nil otherwise: under HeldOut, in ensembles, in direct
+// Select calls, for learners without DecisionValues, and for any learner
+// but the one evaluated. Scorers that find them read them instead of
+// sweeping the pool again; the values are valid until the learner is
+// retrained, which no selector does.
+func (ctx *SelectContext) valuesOf(l Learner) []float64 {
+	if ctx.values.vals == nil || ctx.values.learner != l {
+		return nil
+	}
+	return ctx.values.vals
 }
 
 // Cancelled reports whether the run's context has been cancelled. It is

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"time"
 
 	"github.com/alem/alem/internal/eval"
@@ -115,6 +116,11 @@ type Session struct {
 	iter        int
 	prevPred    []bool
 	stableIters int
+
+	// values are the active learner's decision values of every pool row
+	// from the last evaluation, handed to the selector of the same step;
+	// trainPhase clears them (see evalPhase).
+	values poolValues
 
 	res    *Result
 	reason StopReason
@@ -461,6 +467,7 @@ func (s *Session) labelBatch(ctx context.Context, batch []int) error {
 // model and is never trained, which keeps snapshot replay trivially
 // deterministic.
 func (s *Session) trainPhase() time.Duration {
+	s.values = poolValues{}
 	if s.useWarm() {
 		return 0
 	}
@@ -471,10 +478,23 @@ func (s *Session) trainPhase() time.Duration {
 }
 
 // evalPhase predicts over the test universe in parallel and scores the
-// confusion matrix.
+// confusion matrix. When the test universe is every pool row in row
+// order (Progressive) and the active learner is a DecisionLearner, it
+// keeps the value behind each prediction in s.values, so this step's
+// selector reads them instead of sweeping the pool again. The values
+// are tied to the learner by identity, so a learner whose type cannot
+// be compared (a value type holding a slice) is swept the old way.
 func (s *Session) evalPhase(ctx context.Context, trainTime time.Duration) (eval.Point, []bool, error) {
 	start := time.Now()
-	pred, err := parallelPredict(ctx, s.pool, s.testIdx, s.cfg.Workers, s.activeLearner())
+	l := s.activeLearner()
+	var pred []bool
+	var err error
+	if dl, ok := l.(DecisionLearner); ok && wholePool(s.testIdx, s.pool.Len()) && reflect.TypeOf(l).Comparable() {
+		s.values.learner = l
+		s.values.vals, pred, err = parallelDecide(ctx, s.pool, s.testIdx, s.cfg.Workers, dl)
+	} else {
+		pred, err = parallelPredict(ctx, s.pool, s.testIdx, s.cfg.Workers, l)
+	}
 	if err != nil {
 		return eval.Point{}, nil, err
 	}
@@ -499,6 +519,7 @@ func (s *Session) selectPhase(ctx context.Context, pt *eval.Point) ([]int, StopR
 		LabeledIdx: s.labeled, Labels: s.labels,
 		Unlabeled: s.unlabeled, Rand: s.rng,
 		Workers: s.cfg.Workers,
+		values:  s.values,
 	}
 	var batch []int
 	reason := StopNone
@@ -573,6 +594,20 @@ func gatherTraining(pool *Pool, labeled []int, labels []bool, n int) ([]feature.
 		trainY[j] = labels[j]
 	}
 	return trainX, trainY
+}
+
+// wholePool reports whether idx lists every row of a pool of n rows
+// once, in row order: a Progressive session's test universe.
+func wholePool(idx []int, n int) bool {
+	if len(idx) != n {
+		return false
+	}
+	for j, i := range idx {
+		if i != j {
+			return false
+		}
+	}
+	return true
 }
 
 // evalPoint scores predictions over the test universe into a curve point.

@@ -181,8 +181,9 @@ func TestSVMTrainRejectsRaggedRows(t *testing.T) {
 // from 0 to 9 and 37, with duplicated rows, rows narrower than the model
 // and feature values of ±0, denormals and magnitudes whose products
 // overflow, and requires DecisionValues to write exactly DecisionValue
-// for each row (a NaN matches a NaN), to leave out past len(rows)
-// untouched, and to write 0 for an untrained model.
+// for each row (a NaN matches a NaN), value > DecisionThreshold to be
+// Predict, to leave out past len(rows) untouched, and to write 0 for an
+// untrained model.
 func TestDecisionValuesMatchDecisionValue(t *testing.T) {
 	special := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 		1e-310, 1e308, -1e308, math.MaxFloat64, 1}
@@ -226,6 +227,9 @@ func TestDecisionValuesMatchDecisionValue(t *testing.T) {
 					if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
 						t.Fatalf("width=%d trained=%v n=%d: out[%d] (row %d) = %v, want %v",
 							width, m.Dim() > 0, n, k, row, got, want)
+					}
+					if (got > m.DecisionThreshold()) != m.Predict(pool[row]) {
+						t.Fatalf("width=%d: value %v > threshold disagrees with Predict", width, got)
 					}
 				}
 				for k := n; k < len(out); k++ {

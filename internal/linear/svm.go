@@ -192,6 +192,10 @@ func (s *SVM) DecisionValues(X []feature.Vector, rows []int, out []float64) {
 	}
 }
 
+// DecisionThreshold returns 0, the value DecisionValue must exceed for
+// Predict to report a match.
+func (s *SVM) DecisionThreshold() float64 { return 0 }
+
 // Margin returns |w·x + b|, the distance proxy used by margin-based
 // example selection (§4.2.1): the sign is ignored because ambiguous
 // examples are selected from both classes.

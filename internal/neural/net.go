@@ -405,6 +405,20 @@ func (n *Net) Margin(x feature.Vector) float64 {
 	return m
 }
 
+// DecisionValues writes Margin(X[rows[k]]) into out[k] for every k, bit
+// for bit: the value Predict compares with DecisionThreshold. An
+// untrained network writes 0. out must have room for len(rows) values.
+func (n *Net) DecisionValues(X []feature.Vector, rows []int, out []float64) {
+	out = out[:len(rows)]
+	for k, row := range rows {
+		out[k] = n.Margin(X[row])
+	}
+}
+
+// DecisionThreshold returns 0, the margin Predict requires a match to
+// exceed.
+func (n *Net) DecisionThreshold() float64 { return 0 }
+
 // Prob returns the sigmoid match probability of x.
 func (n *Net) Prob(x feature.Vector) float64 { return sigmoid(n.Margin(x)) }
 

@@ -219,3 +219,59 @@ func TestNetHighDimensionalInput(t *testing.T) {
 		t.Errorf("189-dim accuracy %.2f, want >= 0.9", float64(ok)/float64(len(X)))
 	}
 }
+
+// TestNetDecisionValuesMatchMargin is the forest's vote-fraction pin for
+// the network: DecisionValues must write Margin bit for bit for row
+// lists of length 0–9 and 65 with a duplicated row, leave out past
+// len(rows) untouched, and value > DecisionThreshold must be Predict; an
+// untrained network writes 0.
+func TestNetDecisionValuesMatchMargin(t *testing.T) {
+	X, y := xorData(200, 16)
+	r := rand.New(rand.NewSource(17))
+	pool := append([]feature.Vector(nil), X[:40]...)
+	for i := 0; i < 60; i++ {
+		pool = append(pool, feature.Vector{r.Float64()*1.2 - 0.1, r.Float64()*1.2 - 0.1})
+	}
+	trained := NewNet(16, 16)
+	trained.Train(X, y)
+	matches := 0
+	for _, x := range pool {
+		if trained.Predict(x) {
+			matches++
+		}
+	}
+	if matches == 0 || matches == len(pool) {
+		t.Fatalf("trained net predicts %d of %d probes a match; the threshold would go untested", matches, len(pool))
+	}
+	for _, n := range []*Net{trained, NewNet(16, 1)} {
+		for _, size := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 65} {
+			rows := make([]int, size)
+			for k := range rows {
+				rows[k] = r.Intn(len(pool))
+			}
+			if size > 2 {
+				rows[size-1] = rows[0] // a duplicated row
+			}
+			out := make([]float64, size+3)
+			for k := range out {
+				out[k] = -7
+			}
+			n.DecisionValues(pool, rows, out)
+			for k, row := range rows {
+				x := pool[row]
+				if want := n.Margin(x); math.Float64bits(out[k]) != math.Float64bits(want) {
+					t.Fatalf("trained=%v n=%d: out[%d] (row %d) = %v, want Margin %v",
+						n.Dim() > 0, size, k, row, out[k], want)
+				}
+				if got := out[k] > n.DecisionThreshold(); got != n.Predict(x) {
+					t.Fatalf("trained=%v: value %v > threshold is %v, Predict %v", n.Dim() > 0, out[k], got, n.Predict(x))
+				}
+			}
+			for k := size; k < len(out); k++ {
+				if out[k] != -7 {
+					t.Fatalf("n=%d: out[%d] past len(rows) overwritten", size, k)
+				}
+			}
+		}
+	}
+}

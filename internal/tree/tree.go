@@ -254,17 +254,40 @@ func (f *Forest) Train(X []feature.Vector, y []bool) {
 }
 
 // Predict labels x as matching when the positive vote fraction exceeds
-// VoteThreshold (majority by default).
+// DecisionThreshold (majority by default).
 func (f *Forest) Predict(x feature.Vector) bool {
 	pos, total := f.Votes(x)
 	if total == 0 {
 		return false
 	}
-	th := f.VoteThreshold
-	if th <= 0 {
-		th = 0.5
+	return float64(pos)/float64(total) > f.DecisionThreshold()
+}
+
+// DecisionThreshold returns the positive vote fraction a row must exceed
+// to be predicted a match: VoteThreshold, or 0.5 (majority) when that is
+// not positive.
+func (f *Forest) DecisionThreshold() float64 {
+	if f.VoteThreshold <= 0 {
+		return 0.5
 	}
-	return float64(pos)/float64(total) > th
+	return f.VoteThreshold
+}
+
+// DecisionValues writes the positive vote fraction of X[rows[k]] into
+// out[k]: float64(pos)/float64(total) from Votes, the value Predict
+// compares with DecisionThreshold and learner-aware QBC turns into its
+// variance, bit for bit. An untrained forest writes 0. out must have
+// room for len(rows) values.
+func (f *Forest) DecisionValues(X []feature.Vector, rows []int, out []float64) {
+	out = out[:len(rows)]
+	if len(f.trees) == 0 {
+		clear(out)
+		return
+	}
+	for k, row := range rows {
+		pos, total := f.Votes(X[row])
+		out[k] = float64(pos) / float64(total)
+	}
 }
 
 // PredictAll classifies a batch.

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -231,5 +232,79 @@ func TestForestVoteThreshold(t *testing.T) {
 	}
 	if c := low.Clone(1); c.VoteThreshold != 0.15 {
 		t.Error("Clone lost VoteThreshold")
+	}
+}
+
+// TestForestDecisionValuesMatchVotes requires DecisionValues to write,
+// bit for bit, the vote fraction float64(pos)/float64(total) that
+// Predict and learner-aware QBC compute from Votes, for row lists of
+// length 0–9 and 65 with a duplicated row, and to leave out past
+// len(rows) untouched; DecisionThreshold must be 0.5, 0.3 and 0.75 at
+// VoteThreshold 0, 0.3 and 0.75, and value > DecisionThreshold must be
+// Predict; an untrained forest writes 0.
+func TestForestDecisionValuesMatchVotes(t *testing.T) {
+	X, y := xorData(200, 14)
+	for i := 0; i < len(y); i += 7 {
+		y[i] = !y[i] // label noise, so probes between the corners split the vote
+	}
+	r := rand.New(rand.NewSource(15))
+	pool := append([]feature.Vector(nil), X[:40]...)
+	for i := 0; i < 120; i++ {
+		pool = append(pool, feature.Vector{r.Float64() * 1.1, r.Float64() * 1.1})
+	}
+	trained := NewForest(20, 14)
+	trained.Train(X, y)
+	var between, above bool // a fraction in (0.3, 0.5] and one in (0.5, 0.75]
+	for _, x := range pool {
+		pos, total := trained.Votes(x)
+		p := float64(pos) / float64(total)
+		between = between || (p > 0.3 && p <= 0.5)
+		above = above || (p > 0.5 && p <= 0.75)
+	}
+	if !between || !above {
+		t.Fatal("no probe splits the vote; the thresholds would not be told apart")
+	}
+	for _, f := range []*Forest{trained, NewForest(20, 1)} {
+		for _, th := range []float64{0, 0.3, 0.75} {
+			f.VoteThreshold = th
+			if want := map[float64]float64{0: 0.5, 0.3: 0.3, 0.75: 0.75}[th]; f.DecisionThreshold() != want {
+				t.Fatalf("VoteThreshold %v: DecisionThreshold %v, want %v", th, f.DecisionThreshold(), want)
+			}
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 65} {
+				rows := make([]int, n)
+				for k := range rows {
+					rows[k] = r.Intn(len(pool))
+				}
+				if n > 2 {
+					rows[n-1] = rows[0] // a duplicated row
+				}
+				out := make([]float64, n+3)
+				for k := range out {
+					out[k] = -7
+				}
+				f.DecisionValues(pool, rows, out)
+				for k, row := range rows {
+					x := pool[row]
+					pos, total := f.Votes(x)
+					want := 0.0
+					if total > 0 {
+						want = float64(pos) / float64(total)
+					}
+					if math.Float64bits(out[k]) != math.Float64bits(want) {
+						t.Fatalf("trained=%v th=%v n=%d: out[%d] (row %d) = %v, want %v (%d/%d)",
+							total > 0, th, n, k, row, out[k], want, pos, total)
+					}
+					if got := out[k] > f.DecisionThreshold(); got != f.Predict(x) {
+						t.Fatalf("trained=%v th=%v: value %v > threshold %v is %v, Predict %v",
+							total > 0, th, out[k], f.DecisionThreshold(), got, f.Predict(x))
+					}
+				}
+				for k := n; k < len(out); k++ {
+					if out[k] != -7 {
+						t.Fatalf("th=%v n=%d: out[%d] past len(rows) overwritten", th, n, k)
+					}
+				}
+			}
+		}
 	}
 }
