@@ -69,7 +69,7 @@ equiv:
 	$(GO) test -race -count=1 -run 'GrowMatchesLegacy|ForestDecisionValuesMatchVotes' ./internal/tree/
 	$(GO) test -race -count=1 -run 'TrainMatchesLegacy|NetDecisionValuesMatchMargin' ./internal/neural/
 	$(GO) test -race -count=1 -run 'SVMTrainMatchesLegacy|DecisionValuesMatchDecisionValue' ./internal/linear/
-	$(GO) test -race -count=1 -run 'IndexEquivalence|BruteForce|HotTokenRecall|ThresholdBoundary' ./internal/blocking/
+	$(GO) test -race -count=1 -run 'IndexEquivalence|BruteForce|HotTokenRecall|ThresholdBoundary|RebuildOverChangedTable' ./internal/blocking/
 	$(GO) test -race -count=1 -run 'CharKernelsMatchCompare|ExtractPairsMatchesExtract' ./internal/textsim/ ./internal/feature/
 
 bench:
@@ -83,8 +83,9 @@ bench:
 # ratchets rely on, and a -benchtime=1x smoke over the paired scoring
 # benchmarks, the batched featurization benchmark, the forest, neural-net
 # and linear-SVM training benchmarks, the forest and SVM DecisionValues
-# and neural-net Margin sweeps and the QBC selection pair so a broken
-# benchmark fails `make check` rather than the next BENCH run.
+# and neural-net Margin sweeps, the QBC selection pair and candidate
+# enumeration (synthetic and dblp-scholar) so a broken benchmark fails
+# `make check` rather than the next BENCH run.
 bench-ratchet:
 	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|CharKernelsMatchCompare|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|KnownCacheAcrossAdds|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
 		./internal/textsim/ ./internal/feature/ ./internal/match/ ./internal/blocking/ ./internal/neural/
@@ -92,6 +93,7 @@ bench-ratchet:
 	$(GO) test -count=1 -run '^$$' -bench 'ExtractPairs' -benchtime=1x -benchmem ./internal/feature/
 	$(GO) test -count=1 -run '^$$' -bench 'ForestTrain|ForestPredict|NeuralNetTrain|NeuralNetMargin|SVMTrain|SVMDecisionValues' -benchtime=1x -benchmem .
 	$(GO) test -count=1 -run '^$$' -bench '^BenchmarkQBCSelect$$' -benchtime=1x -benchmem ./internal/core/
+	$(GO) test -count=1 -run '^$$' -bench '^BenchmarkCandidates$$' -benchtime=1x -benchmem ./internal/blocking/
 
 # Selector serial/parallel pairs, blocking naive/indexed pairs and the
 # matcher string/interned pairs → BENCH_9.json (ns/op, allocs/op,

@@ -70,14 +70,14 @@ type (
 	// enumerate candidate pairs under a context.
 	CandidateGenerator = blocking.CandidateGenerator
 	// CandidateIndex is the indexed generator: sharded inverted posting
-	// lists with prefix and size filters, built in parallel and
+	// lists with prefix and count filters, built in parallel and
 	// incrementally extendable.
 	CandidateIndex = blocking.CandidateIndex
 	// CandidateIndexOptions sizes a CandidateIndex (threshold, shards,
 	// workers); the zero value takes the dataset's defaults.
 	CandidateIndexOptions = blocking.IndexOptions
-	// CandidateIndexStats reports index shape and the probe → size-filter
-	// → verify → keep funnel.
+	// CandidateIndexStats reports index shape and the probe → size/count
+	// filter → verify → keep funnel.
 	CandidateIndexStats = blocking.IndexStats
 )
 

@@ -62,13 +62,28 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkCandidates times enumeration alone, Build outside the timer:
+// the synthetic corpus at θ 0.5, serial and parallel, and generated
+// dblp-scholar at scale 1 at its own θ 0.1875 — long records at a low
+// threshold, where prefixes cover most of each record, posting probes
+// surface millions of pairs and the count filter prunes nearly all of
+// them before verification.
 func BenchmarkCandidates(b *testing.B) {
-	d := benchDataset()
+	synth := benchDataset()
 	for _, bc := range []struct {
 		name    string
+		load    func() (*dataset.Dataset, error)
 		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
+	}{
+		{"serial", func() (*dataset.Dataset, error) { return synth, nil }, 1},
+		{"parallel", func() (*dataset.Dataset, error) { return synth, nil }, 0},
+		{"dblp-scholar", func() (*dataset.Dataset, error) { return dataset.Load("dblp-scholar", 1.0, 1) }, 0},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
+			d, err := bc.load()
+			if err != nil {
+				b.Fatal(err)
+			}
 			idx := NewCandidateIndex(d, IndexOptions{Workers: bc.workers})
 			if err := idx.Build(context.Background()); err != nil {
 				b.Fatal(err)

@@ -6,7 +6,7 @@
 // selector operates on.
 //
 // Candidate generation is served by the CandidateGenerator interface:
-// CandidateIndex (sharded inverted posting lists with prefix and size
+// CandidateIndex (sharded inverted posting lists with prefix and count
 // filters, built in parallel, incrementally extendable with Add) is the
 // production path, Naive is the Cartesian reference it is pinned against.
 // Block and BlockThreshold remain as one-shot convenience wrappers.

@@ -3,7 +3,9 @@ package blocking
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -83,6 +85,69 @@ func TestCancelledRebuildKeepsOldIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPairsEqual(t, "post-cancelled-rebuild", after.Pairs, before.Pairs)
+}
+
+// wordyTable generates n records of minToks..maxToks tokens drawn from a
+// 40-token vocabulary, so records overlap heavily at moderate thresholds.
+func wordyTable(r *rand.Rand, n, minToks, maxToks int, side string) *dataset.Table {
+	tb := &dataset.Table{}
+	for i := 0; i < n; i++ {
+		toks := make([]string, minToks+r.Intn(maxToks-minToks+1))
+		for j := range toks {
+			toks[j] = fmt.Sprintf("w%02d", r.Intn(40))
+		}
+		tb.Rows = append(tb.Rows, dataset.Record{
+			ID:     fmt.Sprintf("%s%d", side, i),
+			Values: []string{strings.Join(toks, " ")},
+		})
+	}
+	return tb
+}
+
+// TestRebuildOverChangedTable pins that Build commits every per-record
+// structure together, at its end. The right table changes under a built
+// index from long records (many tokens left out of each prefix) to more,
+// shorter ones; a re-Build cancelled at every poll budget up to
+// completion must leave the old candidate set intact, and the completed
+// re-Build must match brute force over the new table. A per-record count
+// published early, or kept from the first Build, bounds overlaps with
+// the wrong record and loses pairs or indexes past its end.
+func TestRebuildOverChangedTable(t *testing.T) {
+	const threshold = 0.34
+	r := rand.New(rand.NewSource(5))
+	left := wordyTable(r, 80, 6, 14, "L")
+	right := wordyTable(r, 80, 10, 18, "R")
+	d := dataset.NewDataset("rebuild", left, right, nil, threshold)
+	idx := NewCandidateIndex(d, IndexOptions{Threshold: threshold, Shards: 2})
+	if err := idx.Build(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before, err := idx.Candidates(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPairsEqual(t, "initial", before.Pairs, bruteForceOrdered(d, threshold))
+
+	right.Rows = wordyTable(r, 120, 2, 5, "R").Rows
+	for polls := int64(0); ; polls++ {
+		err := idx.Build(newCountdownCtx(polls))
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("re-Build with %d-poll budget: err = %v, want context.Canceled", polls, err)
+		}
+		after, err := idx.Candidates(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertPairsEqual(t, fmt.Sprintf("after re-Build cancelled at %d polls", polls), after.Pairs, before.Pairs)
+	}
+	got, err := idx.Candidates(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPairsEqual(t, "completed re-Build", got.Pairs, bruteForceOrdered(d, threshold))
 }
 
 // TestCandidatesCancelled checks enumeration honours cancellation on

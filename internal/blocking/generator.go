@@ -63,8 +63,9 @@ type IndexOptions struct {
 }
 
 // IndexStats is a point-in-time snapshot of a generator's index shape and
-// its candidate funnel: posting-probe survivors → size-filter survivors →
-// exact verifications → kept pairs. The funnel counters accumulate across
+// its candidate funnel: posting-probe survivors → size- and count-filter
+// survivors (exact verifications) → kept pairs, with Probed = SizeSkipped
+// + CountSkipped + Verified. The funnel counters accumulate across
 // Candidates calls.
 type IndexStats struct {
 	// Built reports whether Build has completed successfully.
@@ -76,10 +77,13 @@ type IndexStats struct {
 	// across Shards shards.
 	RightRecords, Tokens, Postings, Shards int
 	// Probed counts distinct (left, right) candidates surfaced by posting
-	// lists; SizeSkipped those pruned by the size filter before exact
-	// verification; Verified the exact Jaccard computations; Kept the
-	// pairs at or above threshold.
-	Probed, SizeSkipped, Verified, Kept int64
+	// lists. Each is skipped before exact verification when a bound on
+	// its overlap caps Jaccard below the threshold: SizeSkipped counts the
+	// skips bound by min(nx, ny), the size filter; CountSkipped those
+	// bound more tightly by the posting hits plus the right record's
+	// unposted tokens, the count filter. Verified counts the exact
+	// Jaccard computations, Kept the pairs at or above threshold.
+	Probed, SizeSkipped, CountSkipped, Verified, Kept int64
 }
 
 // Generate builds gen and enumerates its candidates in one call — the

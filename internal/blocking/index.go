@@ -15,7 +15,7 @@ import (
 
 // CandidateIndex is the indexed CandidateGenerator: sharded inverted
 // posting lists over the right table's tokens, with a prefix filter that
-// bounds which postings a record appears in and a size filter applied
+// bounds which postings a record appears in and a count filter applied
 // before exact Jaccard verification.
 //
 // Index layout. Tokens are interned to dense int32 ids, partitioned into
@@ -40,11 +40,13 @@ import (
 // math.Ceil over a float product, so a pair that sits exactly on the
 // threshold can never be lost to rounding.
 //
-// Enumeration dedups posting hits per left record, drops candidates
-// whose distinct-token counts alone cap Jaccard below the threshold
-// (min/max size filter), and verifies survivors with an exact
-// sorted-intersection Jaccard — so the output is identical to the naive
-// Cartesian scan, in the same left-major, right-ascending order.
+// Enumeration dedups posting hits per left record while counting them,
+// drops candidates whose overlap cannot reach the threshold (count
+// filter: the hits plus the right record's unposted tokens, capped by
+// both records' distinct-token counts, bound the intersection), and
+// verifies survivors with an exact sorted-intersection Jaccard — so the
+// output is identical to the naive Cartesian scan, in the same
+// left-major, right-ascending order.
 //
 // A CandidateIndex is safe for concurrent use: Add takes the write lock,
 // Candidates and Stats share the read lock.
@@ -59,6 +61,7 @@ type CandidateIndex struct {
 
 	shards    []indexShard
 	rightSets [][]int32 // per right record: sorted distinct token ids
+	unposted  []int32   // per right record: distinct tokens its prefix leaves unposted
 	postings  int       // posting entries across all shards
 
 	// Left-side tokenization is fixed at construction, so Build caches the
@@ -92,8 +95,8 @@ type indexShard struct {
 }
 
 type funnelCounters struct {
-	builds, adds                        atomic.Int64
-	probed, sizeSkipped, verified, kept atomic.Int64
+	builds, adds                                      atomic.Int64
+	probed, sizeSkipped, countSkipped, verified, kept atomic.Int64
 }
 
 // NewCandidateIndex returns an unbuilt index over d. The zero options
@@ -185,10 +188,13 @@ func (x *CandidateIndex) dfOfLocked(shards []indexShard, g int32) int32 {
 // holds the current marker. Markers only ever grow, so a recycled array
 // needs no clearing — every historic write is below the next marker —
 // and growth within capacity is equally safe for the same reason. Only
-// marker wraparound (once per 2^31 probes) pays for a clear.
+// marker wraparound (once per 2^31 probes) pays for a clear. hits[ri]
+// counts the posting hits of the current marker's probe; it is set on
+// the first hit, so it never needs clearing either.
 type stampSet struct {
-	v   []int32
-	cur int32
+	v    []int32
+	hits []int32
+	cur  int32
 }
 
 var stampPool = sync.Pool{New: func() any { return new(stampSet) }}
@@ -197,9 +203,11 @@ func getStampSet(n int) *stampSet {
 	st := stampPool.Get().(*stampSet)
 	if cap(st.v) < n {
 		st.v = make([]int32, n)
+		st.hits = make([]int32, n)
 		st.cur = 0
 	}
 	st.v = st.v[:n]
+	st.hits = st.hits[:n]
 	return st
 }
 
@@ -347,12 +355,14 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 	// Stage 4: per-record prefixes — rarest-first order, truncated so only
 	// need−1 tokens stay unposted.
 	prefixes := make([][]int32, nR)
+	unposted := make([]int32, nR)
 	err = parChunks(ctx, nR, x.workers, func(lo, hi int) {
 		for ri := lo; ri < hi; ri++ {
 			if (ri-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
 				return
 			}
 			prefixes[ri] = x.prefixOf(shards, rightSets[ri])
+			unposted[ri] = int32(len(rightSets[ri]) - len(prefixes[ri]))
 		}
 	})
 	if err != nil {
@@ -390,6 +400,7 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 	// previously built index (if any) stays intact and usable.
 	x.shards = shards
 	x.rightSets = rightSets
+	x.unposted = unposted
 	x.postings = postings
 	x.leftDistinct = leftDistinct
 	x.leftHash = leftHash
@@ -465,6 +476,7 @@ func (x *CandidateIndex) Add(ctx context.Context, rec dataset.Record) (int, erro
 	ri := len(x.rightSets)
 	x.rightSets = append(x.rightSets, set)
 	pre := x.prefixOf(x.shards, set)
+	x.unposted = append(x.unposted, int32(len(set)-len(pre)))
 	for _, g := range pre {
 		sh := &x.shards[int(g)%S]
 		sh.post[g] = append(sh.post[g], int32(ri))
@@ -477,7 +489,8 @@ func (x *CandidateIndex) Add(ctx context.Context, rec dataset.Record) (int, erro
 }
 
 // Candidates enumerates the candidate pairs of left × indexed-right:
-// posting-list probe, per-left dedup, size filter, exact verification.
+// posting-list probe, per-left dedup and hit count, count filter, exact
+// verification.
 // Pairs are ordered left-major with ascending right indices — the same
 // canonical order the pre-index implementation produced, so pools built
 // on top are bit-identical.
@@ -504,19 +517,23 @@ func (x *CandidateIndex) Candidates(ctx context.Context) (*Result, error) {
 	}
 
 	err = parChunks(ctx, nL, x.workers, func(lo, hi int) {
-		// Worker-local probe state: a pooled stamp array dedups posting
-		// hits without clearing between left records or between calls.
+		// Worker-local probe state: a pooled stamp array dedups and counts
+		// posting hits without clearing between left records or between
+		// calls, and one pairs buffer serves every left record.
 		st := getStampSet(nR)
 		defer stampPool.Put(st)
 		var cand []int32
-		var probed, sizeSkipped, verified, kept int64
+		var buf []dataset.PairKey
+		var probed, sizeSkipped, countSkipped, verified, kept int64
 		defer func() {
 			x.c.probed.Add(probed)
 			x.c.sizeSkipped.Add(sizeSkipped)
+			x.c.countSkipped.Add(countSkipped)
 			x.c.verified.Add(verified)
 			x.c.kept.Add(kept)
 			totalProbed.Add(probed)
 			totalSizeSkipped.Add(sizeSkipped)
+			totalCountSkipped.Add(countSkipped)
 			totalVerified.Add(verified)
 			totalKept.Add(kept)
 		}()
@@ -529,47 +546,60 @@ func (x *CandidateIndex) Candidates(ctx context.Context) (*Result, error) {
 				continue
 			}
 			known := leftKnown[li]
-			// Probe every known token's postings, deduping right ids.
+			// Probe every known token's postings, deduping right ids and
+			// counting each one's hits. A posting list holds a record at
+			// most once and known is distinct, so hits is exactly the
+			// posted part of the pair's intersection.
 			cand = cand[:0]
 			mark := st.mark()
 			for _, g := range known {
 				for _, ri := range x.shards[int(g)%S].post[g] {
 					if st.v[ri] != mark {
 						st.v[ri] = mark
+						st.hits[ri] = 1
 						cand = append(cand, ri)
+					} else {
+						st.hits[ri]++
 					}
 				}
 			}
 			probed += int64(len(cand))
-			var pairs []dataset.PairKey
-			if len(cand) > 0 {
-				// One right-sized allocation instead of append growth;
-				// len(cand) bounds the kept pairs exactly.
-				pairs = make([]dataset.PairKey, 0, len(cand))
-			}
+			buf = buf[:0]
 			for _, ri := range cand {
 				ny := len(x.rightSets[ri])
-				minv, maxv := nx, ny
-				if ny < nx {
-					minv, maxv = ny, nx
-				}
-				// Size filter: even a containment pair cannot beat
-				// min/max, computed with the verifier's own division so a
-				// skip can never lose a boundary pair.
-				if float64(minv)/float64(maxv) < threshold {
-					sizeSkipped++
+				minv := min(nx, ny)
+				// Count filter: the intersection is at most the hits plus
+				// the tokens the right record left unposted, and at most
+				// either record's size. The verifier's own expression
+				// does not decrease as the intersection grows (correctly
+				// rounded division is monotone), so a bound below the
+				// threshold can never lose a pair. With ub = min(nx, ny)
+				// the check is the size filter min/max, term for term, and
+				// the skip is charged to it.
+				ub := min(int(st.hits[ri])+int(x.unposted[ri]), minv)
+				if float64(ub)/float64(nx+ny-ub) < threshold {
+					if ub == minv {
+						sizeSkipped++
+					} else {
+						countSkipped++
+					}
 					continue
 				}
 				verified++
 				inter := intersectSorted(known, x.rightSets[ri])
 				union := nx + ny - inter
 				if float64(inter)/float64(union) >= threshold {
-					pairs = append(pairs, dataset.PairKey{L: li, R: int(ri)})
+					buf = append(buf, dataset.PairKey{L: li, R: int(ri)})
 				}
 			}
-			slices.SortFunc(pairs, func(a, b dataset.PairKey) int { return cmp.Compare(a.R, b.R) })
-			kept += int64(len(pairs))
-			perLeft[li] = pairs
+			if len(buf) == 0 {
+				continue
+			}
+			slices.SortFunc(buf, func(a, b dataset.PairKey) int { return cmp.Compare(a.R, b.R) })
+			kept += int64(len(buf))
+			// One right-sized slice per productive left record; the
+			// buffer itself is reused for the next one.
+			perLeft[li] = slices.Clone(buf)
 		}
 	})
 	if err != nil {
@@ -613,6 +643,7 @@ func (x *CandidateIndex) Stats() IndexStats {
 		Shards:       x.nShards,
 		Probed:       x.c.probed.Load(),
 		SizeSkipped:  x.c.sizeSkipped.Load(),
+		CountSkipped: x.c.countSkipped.Load(),
 		Verified:     x.c.verified.Load(),
 		Kept:         x.c.kept.Load(),
 	}

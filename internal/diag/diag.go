@@ -145,9 +145,9 @@ func (r *Report) Separation() float64 {
 func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "dataset %s: %d post-blocking pairs, skew %.3f, matches kept %d/%d\n",
 		r.Dataset, r.PostBlockingPairs, r.Skew, r.MatchesKept, r.MatchesTotal)
-	fmt.Fprintf(w, "candidate index: %d tokens, %d postings in %d shards; probed %d, size-filtered %d, verified %d, kept %d\n",
+	fmt.Fprintf(w, "candidate index: %d tokens, %d postings in %d shards; probed %d, size-filtered %d, count-filtered %d, verified %d, kept %d\n",
 		r.Index.Tokens, r.Index.Postings, r.Index.Shards,
-		r.Index.Probed, r.Index.SizeSkipped, r.Index.Verified, r.Index.Kept)
+		r.Index.Probed, r.Index.SizeSkipped, r.Index.CountSkipped, r.Index.Verified, r.Index.Kept)
 	fmt.Fprintf(w, "class separation %.3f (match-mean minus non-match-mean similarity)\n\n", r.Separation())
 	fmt.Fprintf(w, "%-20s %11s %14s %11s %11s\n", "attribute", "match mean", "non-match mean", "null left", "null right")
 	for _, a := range r.AttrSeparation {

@@ -527,6 +527,7 @@ func TestMetricsNamesStable(t *testing.T) {
 		"# TYPE alem_blocking_index_postings_total counter",
 		"# TYPE alem_blocking_candidates_probed_total counter",
 		"# TYPE alem_blocking_size_filter_skipped_total counter",
+		"# TYPE alem_blocking_count_filter_skipped_total counter",
 		"# TYPE alem_blocking_pairs_verified_total counter",
 		"# TYPE alem_blocking_pairs_kept_total counter",
 		"# TYPE alem_oracle_cost_batches_total counter",
