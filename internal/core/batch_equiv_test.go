@@ -1,19 +1,26 @@
 package core
 
-// Equivalence pins for the batched engine path: a BatchOracle wrapper
-// around a per-pair oracle must be indistinguishable from the classic
-// per-pair path — same selected batches, same RNG draw positions, same
-// snapshot bytes at every step, same WAL bytes — at every worker count.
-// Run with `make equiv`.
+// Label-path pins. testdata/golden_labelpath.json was recorded from the
+// per-pair labeling engine the Session used to carry beside its batch
+// path: after every step of eight scenarios it holds the snapshot bytes
+// (timings zeroed), the RNG draw counters, the WAL bytes, the labeler's
+// query, noise-draw and attempt counts, the OracleFault count, the stop
+// reason and the run error. The file is never regenerated: a diff means
+// the batch path no longer reproduces the per-pair one. Run with `make
+// equiv`.
 
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/alem/alem/internal/linear"
 	"github.com/alem/alem/internal/oracle"
@@ -35,143 +42,197 @@ func encodeTimeless(t *testing.T, sn *Snapshot, buf *bytes.Buffer) {
 	}
 }
 
-// stepLockstep drives two sessions step-for-step, asserting identical
-// done flags and byte-identical snapshots at every boundary.
-func stepLockstep(t *testing.T, a, b *Session) {
+// labelPathStep is what the golden records after one Step.
+type labelPathStep struct {
+	Done        bool   `json:"done"`
+	Reason      string `json:"reason"`
+	Err         string `json:"err,omitempty"`
+	Labeled     int    `json:"labeled"`
+	Unlabeled   int    `json:"unlabeled"`
+	Snapshot    string `json:"snapshot_sha256"`
+	Draws63     uint64 `json:"draws63"`
+	Draws64     uint64 `json:"draws64"`
+	WALRecords  int    `json:"wal_records"`
+	WAL         string `json:"wal_sha256"`
+	Queries     int    `json:"queries"`
+	OracleDraws uint64 `json:"oracle_draws,omitempty"`
+	Attempts    int    `json:"attempts,omitempty"`
+	Faults      int    `json:"faults"`
+}
+
+// labelPathRig is one scenario's session plus the labeler pieces whose
+// counters the golden records.
+type labelPathRig struct {
+	s       *Session
+	labeler interface{ Queries() int }
+	noisy   *oracle.Noisy            // nil unless the labeler is noisy
+	faulty  *resilience.FaultyOracle // nil unless faults are injected
+}
+
+// perfectRig is the free perfect oracle at a worker count.
+func perfectRig(t *testing.T, workers int) labelPathRig {
+	pool := syntheticPool(500, 21)
+	o := poolOracle(pool)
+	s, err := NewSession(pool, linear.NewSVM(21), Margin{}, o,
+		Config{Seed: 21, MaxLabels: 100, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return labelPathRig{s: s, labeler: o}
+}
+
+// faultRig is a seeded FaultyOracle over the perfect oracle, behind a
+// Retrier when attempts > 0.
+func faultRig(t *testing.T, size int, seed int64, maxLabels int, rate float64, faultSeed int64, attempts int) labelPathRig {
+	pool := syntheticPool(size, seed)
+	faulty := resilience.NewFaultyOracle(resilience.Wrap(poolOracle(pool)),
+		resilience.FaultConfig{TransientRate: rate}, faultSeed)
+	var fo resilience.FallibleOracle = faulty
+	if attempts > 0 {
+		fo = resilience.NewRetrier(faulty, resilience.RetryPolicy{
+			MaxAttempts: attempts, BaseDelay: time.Nanosecond, Sleep: func(time.Duration) {},
+		}, faultSeed)
+	}
+	s, err := NewFallibleSession(pool, linear.NewSVM(seed), Margin{}, fo,
+		Config{Seed: seed, MaxLabels: maxLabels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return labelPathRig{s: s, labeler: fo, faulty: faulty}
+}
+
+// labelPathScenarios are the golden's eight scenarios, by name.
+var labelPathScenarios = map[string]func(t *testing.T) labelPathRig{
+	"perfect/workers=0": func(t *testing.T) labelPathRig { return perfectRig(t, 0) },
+	"perfect/workers=1": func(t *testing.T) labelPathRig { return perfectRig(t, 1) },
+	"perfect/workers=2": func(t *testing.T) labelPathRig { return perfectRig(t, 2) },
+	"perfect/workers=8": func(t *testing.T) labelPathRig { return perfectRig(t, 8) },
+	"noisy-0.2": func(t *testing.T) labelPathRig {
+		pool := syntheticPool(500, 22)
+		noisy := noisyPoolOracle(pool, 0.2, 13)
+		s, err := NewSession(pool, linear.NewSVM(22), Margin{}, noisy, Config{Seed: 22, MaxLabels: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return labelPathRig{s: s, labeler: noisy, noisy: noisy}
+	},
+	"faulty-0.2": func(t *testing.T) labelPathRig { return faultRig(t, 400, 33, 80, 0.2, 9, 0) },
+	"retrier-faulty-0.3": func(t *testing.T) labelPathRig {
+		return faultRig(t, 600, 31, 120, 0.3, 77, 8)
+	},
+	"dead": func(t *testing.T) labelPathRig { return faultRig(t, 200, 32, 50, 1.0, 5, 2) },
+}
+
+// runLabelPath drives one scenario to its end with a WAL attached,
+// recording every step.
+func runLabelPath(t *testing.T, rig labelPathRig) []labelPathStep {
 	t.Helper()
-	ctx := context.Background()
-	for step := 0; ; step++ {
-		aDone, aErr := a.Step(ctx)
-		bDone, bErr := b.Step(ctx)
-		if aErr != nil || bErr != nil {
-			t.Fatalf("step %d: errs %v vs %v", step, aErr, bErr)
+	walPath := filepath.Join(t.TempDir(), "labels.wal")
+	wal, _, err := resilience.OpenLabelWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	rig.s.SetLabelSink(wal)
+	faults := 0
+	rig.s.AddObserver(ObserverFunc(func(e Event) {
+		if _, ok := e.(OracleFault); ok {
+			faults++
 		}
-		if aDone != bDone {
-			t.Fatalf("step %d: done flags differ: %v vs %v", step, aDone, bDone)
+	}))
+
+	var steps []labelPathStep
+	for len(steps) < 1000 {
+		done, stepErr := rig.s.Step(context.Background())
+		var snap bytes.Buffer
+		encodeTimeless(t, rig.s.Snapshot(), &snap)
+		walBytes, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var aSnap, bSnap bytes.Buffer
-		encodeTimeless(t, a.Snapshot(), &aSnap)
-		encodeTimeless(t, b.Snapshot(), &bSnap)
-		if !bytes.Equal(aSnap.Bytes(), bSnap.Bytes()) {
-			t.Fatalf("step %d: snapshots diverge\nlegacy:\n%s\nbatched:\n%s",
-				step, aSnap.String(), bSnap.String())
+		st := labelPathStep{
+			Done:       done,
+			Reason:     rig.s.Reason().String(),
+			Labeled:    len(rig.s.labeled),
+			Unlabeled:  len(rig.s.unlabeled),
+			Snapshot:   digest(snap.Bytes()),
+			Draws63:    rig.s.src.n63,
+			Draws64:    rig.s.src.n64,
+			WALRecords: bytes.Count(walBytes, []byte{'\n'}),
+			WAL:        digest(walBytes),
+			Queries:    rig.labeler.Queries(),
+			Faults:     faults,
 		}
-		if aDone {
-			return
+		if stepErr != nil {
+			st.Err = stepErr.Error()
+		}
+		if rig.noisy != nil {
+			st.OracleDraws = rig.noisy.Draws()
+		}
+		if rig.faulty != nil {
+			st.Attempts = rig.faulty.Calls()
+		}
+		steps = append(steps, st)
+		if done || stepErr != nil {
+			return steps
+		}
+	}
+	t.Fatal("scenario did not finish within 1000 steps")
+	return nil
+}
+
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// checkLabelPath runs one scenario against its golden steps.
+func checkLabelPath(t *testing.T, name string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "golden_labelpath.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string][]labelPathStep
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := golden[name]
+	if !ok {
+		t.Fatalf("golden has no scenario %q", name)
+	}
+	got := runLabelPath(t, labelPathScenarios[name](t))
+	if len(got) != len(want) {
+		t.Errorf("%d steps, golden has %d", len(got), len(want))
+	}
+	for i := 0; i < min(len(got), len(want)); i++ {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("step %d diverges from the per-pair path:\ngot  %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
 }
 
-// TestBatchOracleEquivalenceBitIdentical pins the batched path against
-// the classic per-pair path over a free, perfect oracle: batches of one
-// LabelBatch call each, zero cost, zero abstentions — and bit-identical
-// everything, under serial and parallel scoring alike.
+// TestBatchOracleEquivalenceBitIdentical pins the free perfect oracle at
+// worker counts 0, 1, 2 and 8 against the per-pair path's golden.
 func TestBatchOracleEquivalenceBitIdentical(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			pool := syntheticPool(500, 21)
-			cfg := Config{Seed: 21, MaxLabels: 100, Workers: workers}
-			dir := t.TempDir()
-
-			legacyOra := poolOracle(pool)
-			legacy, err := NewSession(pool, linear.NewSVM(21), Margin{}, legacyOra, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batchOra := oracle.Batched(poolOracle(pool))
-			batched, err := NewBatchSession(pool, linear.NewSVM(21), Margin{}, batchOra, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var legacyWAL, batchedWAL *resilience.LabelWAL
-			for _, w := range []struct {
-				s    *Session
-				wal  **resilience.LabelWAL
-				name string
-			}{{legacy, &legacyWAL, "legacy.wal"}, {batched, &batchedWAL, "batched.wal"}} {
-				wal, _, err := resilience.OpenLabelWAL(filepath.Join(dir, w.name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer wal.Close()
-				w.s.SetLabelSink(wal)
-				*w.wal = wal
-			}
-
-			var legacyBatches, batchedBatches [][]int
-			legacy.AddObserver(ObserverFunc(func(e Event) {
-				if bs, ok := e.(BatchSelected); ok {
-					legacyBatches = append(legacyBatches, append([]int(nil), bs.Batch...))
-				}
-			}))
-			batched.AddObserver(ObserverFunc(func(e Event) {
-				if bs, ok := e.(BatchSelected); ok {
-					batchedBatches = append(batchedBatches, append([]int(nil), bs.Batch...))
-				}
-			}))
-
-			stepLockstep(t, legacy, batched)
-
-			if legacy.src.n63 != batched.src.n63 || legacy.src.n64 != batched.src.n64 {
-				t.Errorf("RNG draw positions diverge: (%d,%d) vs (%d,%d)",
-					legacy.src.n63, legacy.src.n64, batched.src.n63, batched.src.n64)
-			}
-			if !reflect.DeepEqual(legacyBatches, batchedBatches) {
-				t.Error("selected batches diverge between the per-pair and batched paths")
-			}
-			curvesEqual(t, legacy.Result().Curve, batched.Result().Curve)
-			if legacy.Reason() != batched.Reason() {
-				t.Errorf("reasons differ: %v vs %v", legacy.Reason(), batched.Reason())
-			}
-			if legacyOra.Queries() != batchOra.Queries() {
-				t.Errorf("oracle queries differ: %d vs %d", legacyOra.Queries(), batchOra.Queries())
-			}
-
-			// The free adapter's ledger is trivial: all answers are labels,
-			// nothing spent, nothing abstained.
-			led := batched.Ledger()
-			want := CostLedger{Labels: batched.Result().LabelsUsed, Answers: batched.Result().LabelsUsed}
-			if led != want {
-				t.Errorf("ledger = %+v, want %+v", led, want)
-			}
-
-			// Both WALs journaled the identical byte stream.
-			lBytes, err := os.ReadFile(filepath.Join(dir, "legacy.wal"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			bBytes, err := os.ReadFile(filepath.Join(dir, "batched.wal"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(lBytes, bBytes) {
-				t.Error("WAL bytes diverge between the per-pair and batched paths")
-			}
+			checkLabelPath(t, fmt.Sprintf("perfect/workers=%d", workers))
 		})
 	}
 }
 
-// TestBatchOracleEquivalenceNoisy repeats the pin over a Noisy oracle:
-// the Batched adapter must consume the noise RNG at exactly the per-pair
-// path's draw positions, so both runs flip the same labels.
+// TestBatchOracleEquivalenceNoisy pins a Noisy oracle: every noise draw
+// lands on the pair the per-pair path drew it for.
 func TestBatchOracleEquivalenceNoisy(t *testing.T) {
-	pool := syntheticPool(500, 22)
-	cfg := Config{Seed: 22, MaxLabels: 100}
-	const noise, noiseSeed = 0.2, 13
+	checkLabelPath(t, "noisy-0.2")
+}
 
-	legacy, err := NewSession(pool, linear.NewSVM(22), Margin{}, noisyPoolOracle(pool, noise, noiseSeed), cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestBatchOracleEquivalenceFaults pins fallible labelers: terminal
+// faults requeued at 20%, a Retrier absorbing 30% transient faults, and
+// a dead labeler that stalls the seed round.
+func TestBatchOracleEquivalenceFaults(t *testing.T) {
+	for _, name := range []string{"faulty-0.2", "retrier-faulty-0.3", "dead"} {
+		t.Run(name, func(t *testing.T) { checkLabelPath(t, name) })
 	}
-	batched, err := NewBatchSession(pool, linear.NewSVM(22), Margin{},
-		oracle.Batched(noisyPoolOracle(pool, noise, noiseSeed)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batched.stateful == nil {
-		t.Fatal("NewBatchSession did not discover the Noisy oracle's Stateful hook through the adapter")
-	}
-	stepLockstep(t, legacy, batched)
-	curvesEqual(t, legacy.Result().Curve, batched.Result().Curve)
 }

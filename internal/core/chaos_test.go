@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -261,6 +262,185 @@ func TestChaosPartialRoundDegradesGracefully(t *testing.T) {
 	}
 	if faults == 0 {
 		t.Error("expected some OracleFault events at 20% terminal failure rate")
+	}
+}
+
+// journalAudit is the outermost labeler of
+// TestChaosJournalBeforeNextQuery: on every query it checks that each
+// label it has granted so far is already in the WAL.
+type journalAudit struct {
+	inner   resilience.FallibleOracle
+	wal     *resilience.LabelWAL
+	granted int
+	calls   int
+	lagged  int
+	first   string
+}
+
+func (j *journalAudit) Label(ctx context.Context, p dataset.PairKey) (bool, error) {
+	j.calls++
+	if seq := j.wal.LastSeq(); seq != j.granted {
+		if j.lagged == 0 {
+			j.first = fmt.Sprintf("query %d: WAL at seq %d with %d labels granted", j.calls, seq, j.granted)
+		}
+		j.lagged++
+	}
+	lab, err := j.inner.Label(ctx, p)
+	if err == nil {
+		j.granted++
+	}
+	return lab, err
+}
+
+func (j *journalAudit) Queries() int      { return j.inner.Queries() }
+func (j *journalAudit) UnwrapOracle() any { return j.inner }
+
+// TestChaosJournalBeforeNextQuery pins durability per label: under 30%
+// transient faults behind a Retrier, every granted label is in the WAL
+// before the labeler is asked anything else, so a kill at any moment
+// loses no paid-for label.
+func TestChaosJournalBeforeNextQuery(t *testing.T) {
+	pool := syntheticPool(600, 31)
+	wal, _, err := resilience.OpenLabelWAL(filepath.Join(t.TempDir(), "labels.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	retrier, faulty := chaosLabeler(pool, 0.3, 77)
+	audit := &journalAudit{inner: retrier, wal: wal}
+	s, err := NewFallibleSession(pool, linear.NewSVM(31), Margin{}, audit, Config{Seed: 31, MaxLabels: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetLabelSink(wal)
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if faulty.Injected() == 0 {
+		t.Fatal("no faults injected; the scenario needs retries")
+	}
+	if audit.lagged > 0 {
+		t.Errorf("%d of %d queries ran with a granted label not yet journaled (first: %s)",
+			audit.lagged, audit.calls, audit.first)
+	}
+	if wal.LastSeq() != res.LabelsUsed || audit.granted != res.LabelsUsed {
+		t.Errorf("WAL seq %d, granted %d, LabelsUsed %d", wal.LastSeq(), audit.granted, res.LabelsUsed)
+	}
+}
+
+// TestChaosNoisyMidRoundResume kills a Noisy-oracle run after 63 grants,
+// three labels into a round, and resumes it from the last snapshot plus
+// the WAL. The WAL-cached answers must advance the noise stream in round
+// order, before the round's first live query, so the resumed run draws
+// every flip at the uninterrupted run's position.
+func TestChaosNoisyMidRoundResume(t *testing.T) {
+	pool := syntheticPool(500, 36)
+	cfg := Config{Seed: 36, MaxLabels: 120}
+	const noise, noiseSeed = 0.2, 17
+
+	refNoisy := noisyPoolOracle(pool, noise, noiseSeed)
+	ref, err := NewSession(pool, linear.NewSVM(36), Margin{}, refNoisy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRes, err := ref.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	walPath := filepath.Join(t.TempDir(), "labels.wal")
+	wal, _, err := resilience.OpenLabelWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ks := &killSwitch{inner: resilience.Wrap(noisyPoolOracle(pool, noise, noiseSeed)), after: 63, kill: cancel}
+	victim, err := NewFallibleSession(pool, linear.NewSVM(36), Margin{}, ks, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim.SetLabelSink(wal)
+	sn := victim.Snapshot()
+	for {
+		done, err := victim.Step(ctx)
+		if err != nil {
+			break // the kill
+		}
+		if done {
+			t.Fatal("victim finished before the kill fired")
+		}
+		sn = victim.Snapshot()
+	}
+	wal.Close()
+
+	wal2, records, err := resilience.OpenLabelWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal2.Close()
+	if len(records) != 63 || len(sn.Labeled) >= 63 {
+		t.Fatalf("WAL holds %d records past a %d-label snapshot, want 63 past a round boundary",
+			len(records), len(sn.Labeled))
+	}
+	resNoisy := noisyPoolOracle(pool, noise, noiseSeed)
+	resumed, err := RestoreWithWAL(pool, linear.NewSVM(36), Margin{}, resilience.Wrap(resNoisy), sn, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed.SetLabelSink(wal2)
+	resRes, err := resumed.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	curvesEqual(t, refRes.Curve, resRes.Curve)
+	if resNoisy.Draws() != refNoisy.Draws() {
+		t.Errorf("resumed noise stream at draw %d, uninterrupted at %d", resNoisy.Draws(), refNoisy.Draws())
+	}
+	if got, want := resNoisy.Queries(), refNoisy.Queries()-len(records); got != want {
+		t.Errorf("resumed process paid %d queries, want %d (WAL labels must not be re-bought)", got, want)
+	}
+}
+
+// errSinkFull is failingSink's append error.
+var errSinkFull = errors.New("sink full")
+
+// failingSink accepts appends until its failAt-th, which fails.
+type failingSink struct{ failAt, appends int }
+
+func (f *failingSink) Append(int, int, bool) error { return f.AppendRecord(resilience.LabelRecord{}) }
+
+func (f *failingSink) AppendRecord(resilience.LabelRecord) error {
+	f.appends++
+	if f.appends == f.failAt {
+		return errSinkFull
+	}
+	return nil
+}
+
+// TestChaosSinkFailureStopsQueries pins that a label which cannot be
+// made durable stops the run before the labeler is asked again: a sink
+// failing on its k-th append leaves exactly k queries paid.
+func TestChaosSinkFailureStopsQueries(t *testing.T) {
+	for _, k := range []int{1, 35} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			pool := syntheticPool(300, 37)
+			o := poolOracle(pool)
+			s, err := NewSession(pool, linear.NewSVM(37), Margin{}, o, Config{Seed: 37, MaxLabels: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := &failingSink{failAt: k}
+			s.SetLabelSink(sink)
+			if _, err := s.Run(context.Background()); !errors.Is(err, errSinkFull) {
+				t.Fatalf("err = %v, want the sink's error", err)
+			}
+			if o.Queries() != k || sink.appends != k {
+				t.Errorf("%d queries and %d appends after the sink failed on append %d", o.Queries(), sink.appends, k)
+			}
+		})
 	}
 }
 
