@@ -126,22 +126,6 @@ func ReadTableCSV(name string, r io.Reader) (*Table, error) {
 	return dataset.ReadCSV(name, r)
 }
 
-// Block applies the offline token-Jaccard blocking step at the dataset's
-// profile threshold. The result is bit-identical to the indexed API.
-//
-// Deprecated: Block remains for convenience but cannot be cancelled and
-// exposes no index statistics. New code should use
-// GenerateCandidates(ctx, NewCandidateIndex(d, CandidateIndexOptions{})).
-func Block(d *Dataset) *BlockingResult { return blocking.Block(d) }
-
-// BlockThreshold is Block with an explicit Jaccard threshold.
-//
-// Deprecated: like Block, kept as a one-shot wrapper; use
-// NewCandidateIndex with CandidateIndexOptions.Threshold instead.
-func BlockThreshold(d *Dataset, threshold float64) *BlockingResult {
-	return blocking.BlockThreshold(d, threshold)
-}
-
 // SortedNeighborhoodBlock is the classic merge/purge alternative to
 // threshold blocking: sort both tables by a key attribute (empty =
 // whole record) and take cross-table pairs within a sliding window.
@@ -362,14 +346,13 @@ type (
 	Event = core.Event
 	// IterationStart opens one train→evaluate→select→label iteration.
 	IterationStart = core.IterationStart
-	// TrainDone closes the train phase.
-	TrainDone = core.TrainDone
 	// EvalDone closes the evaluate phase and carries the curve point.
 	EvalDone = core.EvalDone
 	// BatchSelected closes the select phase.
 	BatchSelected = core.BatchSelected
 	// PhaseDone is the uniform per-phase timing span (seed, train,
-	// evaluate, select, label) behind run manifests.
+	// evaluate, select, label) behind run manifests; the train span is
+	// the train phase's only event.
 	PhaseDone = core.PhaseDone
 	// CandidateAccepted reports an ensemble acceptance (§5.2).
 	CandidateAccepted = core.CandidateAccepted
@@ -408,7 +391,9 @@ const (
 	StopBudgetExhausted = core.StopBudgetExhausted
 )
 
-// NewSession validates cfg and prepares a run without starting it.
+// NewSession validates cfg and prepares a run without starting it; the
+// Oracle is asked one pair per call (NewBatchSession over
+// BatchOfOracle(WrapOracle(o))).
 func NewSession(pool *Pool, l Learner, s Selector, o Oracle, cfg Config) (*Session, error) {
 	return core.NewSession(pool, l, s, o, cfg)
 }
@@ -788,7 +773,7 @@ func NewTenantLimiter(rate float64, burst int) *TenantLimiter {
 // OpenLabelWAL opens (or creates) a label write-ahead log, replaying
 // its intact prefix and truncating any torn tail from a crash
 // mid-append. Wire the WAL into a Session with SetLabelSink; pass the
-// replayed records to RestoreSessionWithWAL on resume.
+// replayed records to RestoreBatchSessionWithWAL on resume.
 func OpenLabelWAL(path string) (*LabelWAL, []LabelRecord, error) {
 	return resilience.OpenLabelWAL(path)
 }
@@ -797,24 +782,6 @@ func OpenLabelWAL(path string) (*LabelWAL, []LabelRecord, error) {
 // never observe a torn write — the way checkpoints should hit disk.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	return resilience.WriteFileAtomic(path, write)
-}
-
-// NewFallibleSession is NewSession over a FallibleOracle: failed
-// queries emit OracleFault events and requeue their pairs, the run
-// trains on whatever labels were granted, and a fully failed round
-// stops with StopOracleFailed instead of spinning.
-func NewFallibleSession(pool *Pool, l Learner, s Selector, fo FallibleOracle, cfg Config) (*Session, error) {
-	return core.NewFallibleSession(pool, l, s, fo, cfg)
-}
-
-// RestoreSessionWithWAL is RestoreSession plus replay of labels granted
-// after the snapshot was taken: WAL records beyond the snapshot are
-// served from cache when the resumed run re-selects their pairs, so a
-// killed process pays for no label twice and reproduces the
-// uninterrupted run bit-identically.
-func RestoreSessionWithWAL(pool *Pool, l Learner, s Selector, fo FallibleOracle,
-	sn *SessionSnapshot, wal []LabelRecord) (*Session, error) {
-	return core.RestoreWithWAL(pool, l, s, fo, sn, wal)
 }
 
 // Costly oracles: batched labelers that charge per answer, abstain, and
@@ -869,28 +836,28 @@ func NewSimulatedLLMOracle(d *Dataset, cfg LLMSimConfig, seed int64) *SimulatedL
 	return oracle.NewSimulatedLLM(d, cfg, seed)
 }
 
-// BatchedOracle adapts a per-pair Oracle to the BatchOracle interface:
-// free, never abstains, never fails — and bit-identical to the per-pair
-// path (the equivalence suite pins this).
-func BatchedOracle(inner Oracle) BatchOracle { return oracle.Batched(inner) }
-
-// BatchOfOracle adapts a FallibleOracle to the BatchOracle interface,
-// mapping per-pair errors to per-answer errors.
+// BatchOfOracle adapts a FallibleOracle to the BatchOracle interface
+// a Session labels through, one pair per call, mapping per-pair errors
+// to per-answer errors. Pass it to NewBatchSession and
+// RestoreBatchSessionWithWAL for a labeler that can fail: failed
+// queries emit OracleFault events and requeue their pairs, and a fully
+// failed round stops with StopOracleFailed instead of spinning.
 func BatchOfOracle(fo FallibleOracle) BatchOracle { return resilience.BatchOf(fo) }
 
-// NewBatchSession is NewSession over a BatchOracle: labels are bought in
-// one priced call per iteration, abstentions are billed and requeued up
-// to Config.AbstainCutoff, and Config.MaxDollars bounds total spend
-// (the run stops with StopBudgetExhausted when the next answer could
-// overdraw it).
+// NewBatchSession prepares a run that labels through a BatchOracle:
+// each round's pairs are asked in order, abstentions are billed and
+// requeued up to Config.AbstainCutoff, and Config.MaxDollars bounds
+// total spend (the run stops with StopBudgetExhausted when the next
+// answer could overdraw it). NewSession is this over BatchOfOracle.
 func NewBatchSession(pool *Pool, l Learner, s Selector, bo BatchOracle, cfg Config) (*Session, error) {
 	return core.NewBatchSession(pool, l, s, bo, cfg)
 }
 
-// RestoreBatchSessionWithWAL resumes a batch-oracle run from a snapshot
-// plus label WAL: answers the dead process paid for — labels and billed
-// abstentions alike — are replayed from the WAL, never re-bought, and
-// the restored ledger matches the uninterrupted run to the cent.
+// RestoreBatchSessionWithWAL resumes a run from a snapshot plus label
+// WAL: answers the dead process paid for — labels and billed
+// abstentions alike — are replayed from the WAL, never re-bought, so
+// the resumed run reproduces the uninterrupted one bit-identically and
+// its ledger matches to the cent.
 func RestoreBatchSessionWithWAL(pool *Pool, l Learner, s Selector, bo BatchOracle,
 	sn *SessionSnapshot, wal []LabelRecord) (*Session, error) {
 	return core.RestoreBatchWithWAL(pool, l, s, bo, sn, wal)

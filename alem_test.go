@@ -190,8 +190,9 @@ func TestFacadeWrapperSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Blocking variants.
-	if res := alem.BlockThreshold(d, 0.3); len(res.Pairs) == 0 {
-		t.Error("BlockThreshold found nothing at 0.3")
+	idx := alem.NewCandidateIndex(d, alem.CandidateIndexOptions{Threshold: 0.3})
+	if res, err := alem.GenerateCandidates(context.Background(), idx); err != nil || len(res.Pairs) == 0 {
+		t.Errorf("candidate index found nothing at 0.3 (err %v)", err)
 	}
 	if res := alem.SortedNeighborhoodBlock(d, "beer_name", 8); len(res.Pairs) == 0 {
 		t.Error("SortedNeighborhoodBlock found nothing")

@@ -162,40 +162,28 @@ func train(o trainOpts) error {
 	}
 	cfg := alem.Config{Seed: o.seed, MaxLabels: o.maxLabels, TargetF1: 0.99, Workers: o.workers}
 
-	// Two labeling back ends share the construction below: the free
-	// fallible oracle (with optional -flaky fault injection plus retries)
-	// and the priced, abstaining simulated LLM labeler, where -flaky maps
-	// to the simulator's per-answer failure rate and -max-dollars arms the
-	// dollar budget.
-	var newSession func() (*alem.Session, error)
-	var restoreSession func(*alem.SessionSnapshot, []alem.LabelRecord) (*alem.Session, error)
+	// Two labeling back ends share one session path: the free oracle
+	// (with optional -flaky fault injection plus retries), asked one
+	// pair per call, and the priced, abstaining simulated LLM labeler,
+	// where -flaky maps to the simulator's per-answer failure rate and
+	// -max-dollars arms the dollar budget.
+	var labeler alem.BatchOracle
 	if o.llmOracle {
 		cfg.MaxDollars = o.maxDollars
-		bo := alem.NewSimulatedLLMOracle(d, alem.LLMSimConfig{
+		labeler = alem.NewSimulatedLLMOracle(d, alem.LLMSimConfig{
 			AbstainRate: o.abstainRate,
 			NoiseRate:   o.llmNoise,
 			FailRate:    o.flaky,
 			Price:       alem.PriceTable{PerLabel: o.priceLabel, PerAbstain: o.priceAbstain},
 		}, o.seed)
-		newSession = func() (*alem.Session, error) {
-			return alem.NewBatchSession(pool, learner, sel, bo, cfg)
-		}
-		restoreSession = func(sn *alem.SessionSnapshot, records []alem.LabelRecord) (*alem.Session, error) {
-			return alem.RestoreBatchSessionWithWAL(pool, learner, sel, bo, sn, records)
-		}
 	} else {
-		labeler := alem.WrapOracle(alem.NewPerfectOracle(d))
+		fo := alem.WrapOracle(alem.NewPerfectOracle(d))
 		if o.flaky > 0 {
-			labeler = alem.NewRetryOracle(
-				alem.NewFaultyOracle(labeler, alem.FaultConfig{TransientRate: o.flaky}, o.seed),
+			fo = alem.NewRetryOracle(
+				alem.NewFaultyOracle(fo, alem.FaultConfig{TransientRate: o.flaky}, o.seed),
 				alem.RetryPolicy{}, o.seed)
 		}
-		newSession = func() (*alem.Session, error) {
-			return alem.NewFallibleSession(pool, learner, sel, labeler, cfg)
-		}
-		restoreSession = func(sn *alem.SessionSnapshot, records []alem.LabelRecord) (*alem.Session, error) {
-			return alem.RestoreSessionWithWAL(pool, learner, sel, labeler, sn, records)
-		}
+		labeler = alem.BatchOfOracle(fo)
 	}
 
 	var session *alem.Session
@@ -217,7 +205,7 @@ func train(o trainOpts) error {
 			return err
 		}
 		wal = w
-		session, err = restoreSession(sn, records)
+		session, err = alem.RestoreBatchSessionWithWAL(pool, learner, sel, labeler, sn, records)
 		if err != nil {
 			wal.Close()
 			return err
@@ -229,7 +217,7 @@ func train(o trainOpts) error {
 		// would poison the WAL replay, so they are removed up front.
 		os.Remove(o.checkpoint)
 		os.Remove(walPath)
-		session, err = newSession()
+		session, err = alem.NewBatchSession(pool, learner, sel, labeler, cfg)
 		if err != nil {
 			return err
 		}
@@ -239,7 +227,7 @@ func train(o trainOpts) error {
 		}
 		wal = w
 	default:
-		session, err = newSession()
+		session, err = alem.NewBatchSession(pool, learner, sel, labeler, cfg)
 		if err != nil {
 			return err
 		}
@@ -281,8 +269,10 @@ func train(o trainOpts) error {
 				fmt.Fprintf(os.Stderr, "iter %3d: pair (%d,%d) failed, requeued: %v\n",
 					ev.Iteration, ev.Pair.L, ev.Pair.R, ev.Err)
 			case alem.OracleBatchDone:
-				fmt.Fprintf(os.Stderr, "iter %3d: batch of %d -> %d labels, %d abstain; spent $%.4f\n",
-					ev.Iteration, ev.Pairs, ev.Labels, ev.Abstains, ev.Spent)
+				if o.llmOracle { // a free round has no bill to report
+					fmt.Fprintf(os.Stderr, "iter %3d: batch of %d -> %d labels, %d abstain; spent $%.4f\n",
+						ev.Iteration, ev.Pairs, ev.Labels, ev.Abstains, ev.Spent)
+				}
 			}
 		}))
 	}

@@ -36,13 +36,14 @@ func main() {
 	ckptPath := filepath.Join(dir, "session.ckpt")
 	walPath := filepath.Join(dir, "labels.wal")
 
-	// Phase 1: the "first process". Every granted label goes to the WAL
-	// as it is paid for; a snapshot is written atomically at iteration 3.
+	// Phase 1: the "first process". The oracle is asked one pair per
+	// call, and every granted label goes to the WAL before the next
+	// query; a snapshot is written atomically at iteration 3.
 	// The process then runs two more iterations — whose labels exist only
 	// in the WAL — before dying without warning.
 	oracle := alem.NewPerfectOracle(d)
-	session, err := alem.NewFallibleSession(pool, alem.NewSVM(1), alem.MarginSelector{},
-		alem.WrapOracle(oracle), cfg)
+	session, err := alem.NewBatchSession(pool, alem.NewSVM(1), alem.MarginSelector{},
+		alem.BatchOfOracle(alem.WrapOracle(oracle)), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,8 +93,8 @@ func main() {
 	}
 	defer wal2.Close()
 	oracle2 := alem.NewPerfectOracle(d)
-	resumed, err := alem.RestoreSessionWithWAL(pool, alem.NewSVM(1), alem.MarginSelector{},
-		alem.WrapOracle(oracle2), sn, records)
+	resumed, err := alem.RestoreBatchSessionWithWAL(pool, alem.NewSVM(1), alem.MarginSelector{},
+		alem.BatchOfOracle(alem.WrapOracle(oracle2)), sn, records)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func faultRig(t *testing.T, size int, seed int64, maxLabels int, rate float64, f
 			MaxAttempts: attempts, BaseDelay: time.Nanosecond, Sleep: func(time.Duration) {},
 		}, faultSeed)
 	}
-	s, err := NewFallibleSession(pool, linear.NewSVM(seed), Margin{}, fo,
+	s, err := NewBatchSession(pool, linear.NewSVM(seed), Margin{}, resilience.BatchOf(fo),
 		Config{Seed: seed, MaxLabels: maxLabels})
 	if err != nil {
 		t.Fatal(err)

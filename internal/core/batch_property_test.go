@@ -8,7 +8,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/alem/alem/internal/dataset"
@@ -128,5 +131,85 @@ func TestBatchOracleBudgetAndAbstainProperties(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// prefixOracle answers at most per pairs of each LabelBatch call from a
+// per-pair oracle, padding its answer with bogus ones past the pairs it
+// was given (which the session must ignore); with per 0 it answers
+// nothing. calls records each call's size.
+type prefixOracle struct {
+	inner oracle.Oracle
+	per   int
+	calls []int
+}
+
+func (p *prefixOracle) LabelBatch(_ context.Context, pairs []dataset.PairKey) ([]oracle.Answer, error) {
+	p.calls = append(p.calls, len(pairs))
+	if p.per == 0 {
+		return nil, nil
+	}
+	out := make([]oracle.Answer, p.per)
+	for j := range out {
+		out[j].Verdict = oracle.VerdictMatch
+		if j < len(pairs) && !p.inner.Label(pairs[j]) {
+			out[j].Verdict = oracle.VerdictNonMatch
+		}
+	}
+	return out, nil
+}
+
+func (p *prefixOracle) Queries() int { return p.inner.Queries() }
+
+// TestBatchOraclePrefixContract pins LabelBatch's prefix contract: a
+// labeler answering three pairs per call has each remainder submitted
+// again and ends exactly where the one-pair-per-call path does, while
+// one that answers nothing without an error turns the whole round into
+// faults and stalls.
+func TestBatchOraclePrefixContract(t *testing.T) {
+	pool := syntheticPool(300, 43)
+	cfg := Config{Seed: 43, MaxLabels: 60}
+	ref := mustSession(t, pool, linear.NewSVM(43), Margin{}, cfg)
+	refRes, err := ref.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	threes := &prefixOracle{inner: poolOracle(pool), per: 3}
+	s, err := NewBatchSession(pool, linear.NewSVM(43), Margin{}, threes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	curvesEqual(t, refRes.Curve, res.Curve)
+	if threes.Queries() != refRes.LabelsUsed || s.Ledger() != ref.Ledger() {
+		t.Errorf("%d queries, ledger %+v; want %d and %+v", threes.Queries(), s.Ledger(), refRes.LabelsUsed, ref.Ledger())
+	}
+	if want := []int{30, 27, 24, 21, 18, 15, 12, 9, 6, 3, 10, 7, 4, 1}; !reflect.DeepEqual(threes.calls[:len(want)], want) {
+		t.Errorf("call sizes start %v, want %v", threes.calls[:len(want)], want)
+	}
+
+	mute := &prefixOracle{inner: poolOracle(pool)}
+	s, err = NewBatchSession(pool, linear.NewSVM(43), Margin{}, mute, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := 0
+	s.AddObserver(ObserverFunc(func(e Event) {
+		if f, ok := e.(OracleFault); ok {
+			faults++
+			if !strings.Contains(f.Err.Error(), "answered 0 of 30 pairs") {
+				t.Errorf("fault err = %v", f.Err)
+			}
+		}
+	}))
+	if _, err := s.Run(context.Background()); !errors.Is(err, ErrLabelingStalled) || s.Reason() != StopOracleFailed {
+		t.Fatalf("err = %v, reason %v; want a stalled run", err, s.Reason())
+	}
+	if faults != 30 || len(mute.calls) != 1 {
+		t.Errorf("%d faults in %d calls, want 30 in one", faults, len(mute.calls))
 	}
 }

@@ -69,7 +69,7 @@ func TestChaosKillResumeBitIdentical(t *testing.T) {
 
 	// Reference: the uninterrupted faulty run.
 	refLabeler, refFaulty := chaosLabeler(pool, faultRate, faultSeed)
-	ref, err := NewFallibleSession(pool, linear.NewSVM(31), Margin{}, refLabeler, cfg)
+	ref, err := NewBatchSession(pool, linear.NewSVM(31), Margin{}, resilience.BatchOf(refLabeler), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestChaosKillResumeBitIdentical(t *testing.T) {
 	defer cancel()
 	victimLabeler, _ := chaosLabeler(pool, faultRate, faultSeed)
 	ks := &killSwitch{inner: victimLabeler, after: 63, kill: cancel}
-	victim, err := NewFallibleSession(pool, linear.NewSVM(31), Margin{}, ks, cfg)
+	victim, err := NewBatchSession(pool, linear.NewSVM(31), Margin{}, resilience.BatchOf(ks), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestChaosKillResumeBitIdentical(t *testing.T) {
 			len(records), len(sn.Labeled))
 	}
 	resLabeler, _ := chaosLabeler(pool, faultRate, faultSeed)
-	resumed, err := RestoreWithWAL(pool, linear.NewSVM(31), Margin{}, resLabeler, sn, records)
+	resumed, err := RestoreBatchWithWAL(pool, linear.NewSVM(31), Margin{}, resilience.BatchOf(resLabeler), sn, records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestChaosStallTerminates(t *testing.T) {
 	retrier := resilience.NewRetrier(faulty, resilience.RetryPolicy{
 		MaxAttempts: 2, BaseDelay: time.Nanosecond, Sleep: func(time.Duration) {},
 	}, 5)
-	s, err := NewFallibleSession(pool, linear.NewSVM(32), Margin{}, retrier,
+	s, err := NewBatchSession(pool, linear.NewSVM(32), Margin{}, resilience.BatchOf(retrier),
 		Config{Seed: 32, MaxLabels: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestChaosPartialRoundDegradesGracefully(t *testing.T) {
 	// so ~20% of queries fail outright and must be requeued.
 	faulty := resilience.NewFaultyOracle(resilience.Wrap(poolOracle(pool)),
 		resilience.FaultConfig{TransientRate: 0.2}, 9)
-	s, err := NewFallibleSession(pool, linear.NewSVM(33), Margin{}, faulty,
+	s, err := NewBatchSession(pool, linear.NewSVM(33), Margin{}, resilience.BatchOf(faulty),
 		Config{Seed: 33, MaxLabels: 80})
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,8 @@ func TestChaosJournalBeforeNextQuery(t *testing.T) {
 	defer wal.Close()
 	retrier, faulty := chaosLabeler(pool, 0.3, 77)
 	audit := &journalAudit{inner: retrier, wal: wal}
-	s, err := NewFallibleSession(pool, linear.NewSVM(31), Margin{}, audit, Config{Seed: 31, MaxLabels: 120})
+	s, err := NewBatchSession(pool, linear.NewSVM(31), Margin{}, resilience.BatchOf(audit),
+		Config{Seed: 31, MaxLabels: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func TestChaosNoisyMidRoundResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ks := &killSwitch{inner: resilience.Wrap(noisyPoolOracle(pool, noise, noiseSeed)), after: 63, kill: cancel}
-	victim, err := NewFallibleSession(pool, linear.NewSVM(36), Margin{}, ks, cfg)
+	victim, err := NewBatchSession(pool, linear.NewSVM(36), Margin{}, resilience.BatchOf(ks), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +386,8 @@ func TestChaosNoisyMidRoundResume(t *testing.T) {
 			len(records), len(sn.Labeled))
 	}
 	resNoisy := noisyPoolOracle(pool, noise, noiseSeed)
-	resumed, err := RestoreWithWAL(pool, linear.NewSVM(36), Margin{}, resilience.Wrap(resNoisy), sn, records)
+	resumed, err := RestoreBatchWithWAL(pool, linear.NewSVM(36), Margin{},
+		resilience.BatchOf(resilience.Wrap(resNoisy)), sn, records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,8 +411,6 @@ var errSinkFull = errors.New("sink full")
 
 // failingSink accepts appends until its failAt-th, which fails.
 type failingSink struct{ failAt, appends int }
-
-func (f *failingSink) Append(int, int, bool) error { return f.AppendRecord(resilience.LabelRecord{}) }
 
 func (f *failingSink) AppendRecord(resilience.LabelRecord) error {
 	f.appends++

@@ -14,18 +14,11 @@ import (
 // run that can afford exactly its last answer is not stopped one short.
 const budgetEps = 1e-9
 
-// walAnswer is one label recovered from a WAL: the value the crashed run
-// paid for and, for priced oracles, what it paid.
-type walAnswer struct {
-	label bool
-	cost  float64
-}
-
-// CostLedger is a batch session's money and answer accounting. Spent is
-// the cumulative dollars billed across the run; Answers counts every
+// CostLedger is a session's money and answer accounting. Spent is the
+// cumulative dollars billed across the run; Answers counts every
 // acknowledged response (labels plus abstentions — it is also the WAL
-// sequence cursor for record-capable sinks); Labels and Abstains split
-// it by verdict. Per-pair failures are never billed and never counted.
+// sequence cursor); Labels and Abstains split it by verdict. Per-pair
+// failures are never billed and never counted.
 type CostLedger struct {
 	Spent    float64 `json:"spent"`
 	Answers  int     `json:"answers"`
@@ -35,57 +28,13 @@ type CostLedger struct {
 
 // trivial reports whether the ledger carries no information beyond the
 // labeled set itself (no money spent, no abstentions), in which case a
-// Snapshot omits it and Restore derives it — which keeps a free batch
-// session's snapshot bytes identical to a classic session's.
+// Snapshot omits it and Restore derives it, so a free session's
+// snapshot carries no ledger.
 func (l CostLedger) trivial() bool { return l.Spent == 0 && l.Abstains == 0 }
 
-// Ledger returns the session's cost accounting (zero for sessions
-// without a batch oracle).
+// Ledger returns the session's cost accounting. Every session keeps
+// one; a free oracle's answers are all unbilled labels.
 func (s *Session) Ledger() CostLedger { return s.ledger }
-
-// recordSink is the optional LabelSink extension batch sessions use to
-// journal abstentions and per-answer costs. resilience.LabelWAL
-// implements it.
-type recordSink interface {
-	AppendRecord(rec resilience.LabelRecord) error
-}
-
-// NewBatchSession is NewSession for costly batch labelers: labeling
-// rounds go through one BatchOracle.LabelBatch call each, answers may
-// abstain (requeued up to Config.AbstainCutoff, then retired from the
-// pool), every answer's cost is accumulated into the session's
-// CostLedger, and Config.MaxDollars bounds the total spend
-// (StopBudgetExhausted). When the oracle chain exposes
-// oracle.PairAdvancer or oracle.Stateful, the hooks are discovered here
-// so Snapshot+WAL resume realigns the oracle's randomness.
-func NewBatchSession(pool *Pool, learner Learner, sel Selector, bo oracle.BatchOracle, cfg Config) (*Session, error) {
-	if bo == nil {
-		return nil, fmt.Errorf("core: NewBatchSession requires a batch oracle")
-	}
-	s, err := NewFallibleSession(pool, learner, sel, nil, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.batcher = bo
-	s.abstains = map[int]int{}
-	if st, ok := resilience.StatefulOf(bo); ok {
-		s.stateful = st
-	}
-	for o := any(bo); o != nil; {
-		if pa, ok := o.(oracle.PairAdvancer); ok && s.pairAdv == nil {
-			s.pairAdv = pa
-		}
-		if pr, ok := o.(oracle.Priced); ok && s.maxCost == 0 {
-			s.maxCost = pr.MaxAnswerCost()
-		}
-		u, ok := o.(interface{ UnwrapOracle() any })
-		if !ok {
-			break
-		}
-		o = u.UnwrapOracle()
-	}
-	return s, nil
-}
 
 // SetWarmStart attaches a pre-trained learner for transfer warm-start:
 // the session skips the random seed bootstrap and lets the warm learner
@@ -141,30 +90,18 @@ func (s *Session) abstainCutoff() int {
 // another answer at the oracle's worst-case price. Free oracles
 // (MaxAnswerCost 0) never exhaust a budget.
 func (s *Session) budgetExhausted() bool {
-	return s.batcher != nil && s.cfg.MaxDollars > 0 && s.maxCost > 0 &&
+	return s.cfg.MaxDollars > 0 && s.maxCost > 0 &&
 		s.ledger.Spent+s.maxCost > s.cfg.MaxDollars+budgetEps
 }
 
-// journal durably records one acknowledged answer. A record-capable sink
-// (resilience.LabelWAL) gets the full record with the answer-sequence
-// cursor; a label-only sink gets the classic Append with the label
-// ordinal (and cannot represent abstentions, which are skipped). An
-// error is fatal to the run: an answer that cannot be made durable must
-// not be paid for twice.
+// journal durably records one acknowledged answer in the sink, if any.
+// An error is fatal to the run: an answer that cannot be made durable
+// must not be paid for twice.
 func (s *Session) journal(rec resilience.LabelRecord) error {
 	if s.sink == nil {
 		return nil
 	}
-	if rs, ok := s.sink.(recordSink); ok {
-		if err := rs.AppendRecord(rec); err != nil {
-			return fmt.Errorf("core: recording label in sink: %w", err)
-		}
-		return nil
-	}
-	if rec.Abstained() {
-		return nil
-	}
-	if err := s.sink.Append(s.ledger.Labels, rec.Index, rec.Label); err != nil {
+	if err := s.sink.AppendRecord(rec); err != nil {
 		return fmt.Errorf("core: recording label in sink: %w", err)
 	}
 	return nil
@@ -215,148 +152,129 @@ func (s *Session) advanceCached(i int) {
 	}
 }
 
-// labelBatchOracle is labelBatch for batch sessions: one LabelBatch call
-// answers the whole round, answers may abstain or fail per pair, and
-// every acknowledged answer is billed against the dollar budget.
+// labelBatch asks the labeler for each index in batch, in order, and
+// degrades gracefully under faults: granted labels move into the labeled
+// set, billed abstentions are requeued at the back of the unlabeled pool
+// (or retired at the abstain cutoff), failed indices are requeued too,
+// so the run trains on what it got and comes back to them later. Every
+// acknowledged answer is billed to the ledger and journaled in the sink
+// before the labeler is asked anything else.
 //
 // The walk is reservation-based: batch indices are admitted in order
-// while the budget can still cover one worst-case answer each
-// (unaffordable suffixes stay in the pool untouched — the next
-// selectPhase stops the run with StopBudgetExhausted). WAL-cached
-// answers from a crashed run are consumed instead of re-queried but
-// still count against the reservation and re-charge their recorded
-// costs, which keeps a resumed run's ledger identical to an
-// uninterrupted one's.
-func (s *Session) labelBatchOracle(ctx context.Context, batch []int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+// while the dollar budget can still cover one worst-case answer each
+// (an unaffordable suffix stays in the pool untouched — the next
+// selectPhase stops the run with StopBudgetExhausted). An index holding
+// WAL-cached answers from a crashed run consumes one of them, realigning
+// the oracle's randomness past it, instead of querying; the rest go to
+// LabelBatch in runs up to the next cached index, and LabelBatch answers
+// a non-empty prefix of each run, the unanswered remainder being
+// submitted again. So cached and live answers land in round order, and a
+// resumed run's ledger and noise draws equal an uninterrupted one's.
+//
+// A context error stops the round at once, leaving the applied prefix in
+// place and the unattempted remainder where it was. A LabelBatch error,
+// or an empty answer, turns the run's unanswered remainder into faults.
+// A round in which every query failed returns ErrLabelingStalled —
+// training on nothing new would loop forever against a dead labeler.
+func (s *Session) labelBatch(ctx context.Context, batch []int) error {
 	start := time.Now()
-
-	type pending struct {
-		idx    int
-		cached bool
-	}
-	limited := s.cfg.MaxDollars > 0 && s.maxCost > 0
-	spentAtStart := s.ledger.Spent
-	process := make([]pending, 0, len(batch))
-	var live []dataset.PairKey
-	for _, i := range batch {
-		cached := len(s.walAbstains[i]) > 0
-		if !cached {
-			_, cached = s.walLabels[i]
-		}
-		if limited && spentAtStart+s.maxCost*float64(len(process)+1) > s.cfg.MaxDollars+budgetEps {
-			continue
-		}
-		process = append(process, pending{idx: i, cached: cached})
-		if !cached {
-			live = append(live, s.pool.Pairs[i])
+	n := len(batch)
+	if s.cfg.MaxDollars > 0 && s.maxCost > 0 {
+		n = 0
+		for n < len(batch) && s.ledger.Spent+s.maxCost*float64(n+1) <= s.cfg.MaxDollars+budgetEps {
+			n++
 		}
 	}
-
-	var answers []oracle.Answer
-	var batchErr error
-	if len(live) > 0 {
-		answers, batchErr = s.batcher.LabelBatch(ctx, live)
+	process := batch[:n]
+	pairs := make([]dataset.PairKey, len(process))
+	for j, i := range process {
+		pairs[j] = s.pool.Pairs[i]
 	}
 
-	var (
-		drop, requeue []int
-		granted       int
-		abstained     int
-		retiredCount  int
-		failures      int
-		cachedUsed    int
-		roundCost     float64
-		cursor        int
-		fatal         error
-	)
-apply:
-	for _, p := range process {
-		i := p.idx
-		if p.cached {
-			cachedUsed++
-			s.advanceCached(i)
-			if costs := s.walAbstains[i]; len(costs) > 0 {
-				c := costs[0]
-				if len(costs) == 1 {
-					delete(s.walAbstains, i)
-				} else {
-					s.walAbstains[i] = costs[1:]
-				}
-				retired, err := s.applyAbstain(i, c)
-				if err != nil {
-					fatal = err
-					break apply
-				}
-				roundCost += c
-				abstained++
-				if retired {
-					drop = append(drop, i)
-					retiredCount++
-				} else {
-					requeue = append(requeue, i)
-				}
-				continue
-			}
-			a := s.walLabels[i]
-			delete(s.walLabels, i)
-			if err := s.applyGrant(i, a.label, a.cost); err != nil {
-				fatal = err
-				break apply
-			}
-			roundCost += a.cost
-			granted++
-			drop = append(drop, i)
-			continue
-		}
-		if cursor >= len(answers) {
-			// The batch call died before answering this pair: abort on
-			// cancellation (the acknowledged prefix stays applied),
-			// otherwise requeue the unanswered remainder as faults.
-			if batchErr != nil && ctx.Err() != nil {
-				fatal = ctx.Err()
-				break apply
-			}
-			err := batchErr
-			if err == nil {
-				err = fmt.Errorf("core: batch oracle answered %d of %d pairs", len(answers), len(live))
-			}
-			s.emit(OracleFault{Iteration: s.iter, Index: i, Pair: s.pool.Pairs[i], Err: err})
-			failures++
-			requeue = append(requeue, i)
-			continue
-		}
-		a := answers[cursor]
-		cursor++
+	ev := OracleBatchDone{Iteration: s.iter}
+	var drop, requeue []int
+	cached := 0
+	fault := func(i int, err error) {
+		s.emit(OracleFault{Iteration: s.iter, Index: i, Pair: s.pool.Pairs[i], Err: err})
+		ev.Failures++
+		requeue = append(requeue, i)
+	}
+	// apply books one answer for pool index i.
+	apply := func(i int, a oracle.Answer) error {
 		switch {
 		case a.Err != nil:
-			s.emit(OracleFault{Iteration: s.iter, Index: i, Pair: s.pool.Pairs[i], Err: a.Err})
-			failures++
-			requeue = append(requeue, i)
+			fault(i, a.Err)
+			return nil
 		case a.Verdict == oracle.VerdictAbstain:
 			retired, err := s.applyAbstain(i, a.Cost)
 			if err != nil {
-				fatal = err
-				break apply
+				return err
 			}
-			roundCost += a.Cost
-			abstained++
+			ev.Abstains++
 			if retired {
 				drop = append(drop, i)
-				retiredCount++
+				ev.Retired++
 			} else {
 				requeue = append(requeue, i)
 			}
 		default:
 			if err := s.applyGrant(i, a.Verdict == oracle.VerdictMatch, a.Cost); err != nil {
-				fatal = err
-				break apply
+				return err
 			}
-			roundCost += a.Cost
-			granted++
+			ev.Labels++
 			drop = append(drop, i)
+		}
+		ev.Cost += a.Cost
+		return nil
+	}
+
+	var fatal error
+walk:
+	for j := 0; j < len(process); {
+		if fatal = ctx.Err(); fatal != nil {
+			break
+		}
+		if ans := s.wal[process[j]]; len(ans) > 0 {
+			i := process[j]
+			if len(ans) == 1 {
+				delete(s.wal, i)
+			} else {
+				s.wal[i] = ans[1:]
+			}
+			s.advanceCached(i)
+			cached++
+			if fatal = apply(i, ans[0]); fatal != nil {
+				break
+			}
+			j++
+			continue
+		}
+		end := j + 1
+		for end < len(process) && len(s.wal[process[end]]) == 0 {
+			end++
+		}
+		answers, err := s.batcher.LabelBatch(ctx, pairs[j:end])
+		answers = answers[:min(len(answers), end-j)]
+		for _, a := range answers {
+			if fatal = apply(process[j], a); fatal != nil {
+				break walk
+			}
+			j++
+		}
+		if j == end || (err == nil && len(answers) > 0) {
+			continue
+		}
+		// The call died before answering the rest of the run: abort on
+		// cancellation, otherwise requeue the remainder as faults.
+		if err != nil && ctx.Err() != nil {
+			fatal = ctx.Err()
+			break
+		}
+		if err == nil {
+			err = fmt.Errorf("core: batch oracle answered 0 of %d pairs", end-j)
+		}
+		for ; j < end; j++ {
+			fault(process[j], err)
 		}
 	}
 
@@ -368,20 +286,13 @@ apply:
 	if fatal != nil {
 		return fatal
 	}
-	s.emit(OracleBatchDone{
-		Iteration: s.iter,
-		Pairs:     len(live),
-		Answers:   granted + abstained,
-		Labels:    granted,
-		Abstains:  abstained,
-		Failures:  failures,
-		Retired:   retiredCount,
-		Cost:      roundCost,
-		Spent:     s.ledger.Spent,
-		Elapsed:   time.Since(start),
-	})
-	if granted == 0 && abstained == 0 && cachedUsed == 0 && failures > 0 {
-		return fmt.Errorf("%w: %d of %d queries failed", ErrLabelingStalled, failures, len(batch))
+	ev.Pairs = len(process) - cached
+	ev.Answers = ev.Labels + ev.Abstains
+	ev.Spent = s.ledger.Spent
+	ev.Elapsed = time.Since(start)
+	s.emit(ev)
+	if ev.Answers == 0 && ev.Failures > 0 {
+		return fmt.Errorf("%w: %d of %d queries failed", ErrLabelingStalled, ev.Failures, len(batch))
 	}
 	return nil
 }

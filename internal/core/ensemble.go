@@ -57,16 +57,17 @@ func RunEnsemble(pool *Pool, o oracle.Oracle, cfg EnsembleConfig) *EnsembleResul
 // RunEnsembleContext is RunEnsemble with cancellation and the Session
 // event stream: the context is checked at every phase boundary, inside
 // parallel prediction and before every Oracle query; observers receive
-// the same IterationStart/TrainDone/EvalDone/BatchSelected/RunEnd events
-// a Session emits, plus CandidateAccepted when the §5.2 precision test
-// admits a classifier. On cancellation the partial result is returned
-// together with the context's error. (Checkpoint/resume is a base-Session
-// capability; ensembles do not snapshot.)
+// the same IterationStart, PhaseDone{train}, EvalDone, BatchSelected and
+// RunEnd events a Session emits, plus CandidateAccepted when the §5.2
+// precision test admits a classifier. On cancellation the partial result
+// is returned together with the context's error. (Checkpoint/resume is a
+// base-Session capability; ensembles do not snapshot.)
 //
-// The ensemble loop shares its phase primitives — seed bootstrap, pooled
-// prediction, point scoring, batch labeling — with the Session engine
-// rather than duplicating the orchestration, and draws from the RNG in
-// the same order as the pre-Session implementation.
+// The ensemble loop shares pooled prediction and point scoring with the
+// Session engine and draws from the RNG in the same order as the
+// pre-Session implementation. It labels through the per-pair
+// oracle.Oracle directly: it has no faults, WAL, ledger or snapshot to
+// route through the Session's labeling path.
 func RunEnsembleContext(ctx context.Context, pool *Pool, o oracle.Oracle, cfg EnsembleConfig, observers ...Observer) (*EnsembleResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -120,7 +121,10 @@ func RunEnsembleContext(ctx context.Context, pool *Pool, o oracle.Oracle, cfg En
 			candidate = nil
 		}
 		trainTime := time.Since(start)
-		emit(TrainDone{Iteration: iter, Labels: len(e.labeled), Elapsed: trainTime})
+		emit(PhaseDone{
+			Phase: "train", Iteration: iter, Elapsed: trainTime,
+			Labels: len(e.labeled), Workers: 1, PoolRemaining: len(e.unlabeled),
+		})
 		if err := ctx.Err(); err != nil {
 			return finish(StopCancelled, err)
 		}

@@ -13,8 +13,9 @@ import (
 // in diag, curve building in eval — without the observer having to poll
 // or wrap the learner.
 //
-// The concrete event types are IterationStart, TrainDone, EvalDone,
-// BatchSelected, CandidateAccepted and RunEnd.
+// The concrete event types are IterationStart, PhaseDone, EvalDone,
+// BatchSelected, OracleFault, OracleBatchDone, CandidateAccepted and
+// RunEnd.
 type Event interface{ isEvent() }
 
 // IterationStart marks the beginning of one train→evaluate→select→label
@@ -27,15 +28,6 @@ type IterationStart struct {
 	LabelsUsed int
 	// PoolRemaining is the number of still-unlabeled candidates.
 	PoolRemaining int
-}
-
-// TrainDone marks the end of the train phase.
-type TrainDone struct {
-	Iteration int
-	// Labels is the size of the cumulative training set.
-	Labels int
-	// Elapsed is the wall-clock training time.
-	Elapsed time.Duration
 }
 
 // EvalDone marks the end of the evaluate phase. Point carries the
@@ -87,9 +79,10 @@ type OracleFault struct {
 // events into an obs.Trace, which serializes to JSONL (`almatch
 // -trace`, `albench -trace`) and summarizes under `aldiag -trace`.
 //
-// PhaseDone complements rather than replaces the legacy phase events
-// (TrainDone, EvalDone, BatchSelected): those carry phase-specific
-// payloads, PhaseDone is the uniform timing record.
+// PhaseDone complements rather than replaces the phase events that
+// carry payloads of their own (EvalDone, BatchSelected): PhaseDone is
+// the uniform timing record, and PhaseDone{Phase: "train"} is the train
+// phase's only event, its Labels the size of the training set.
 type PhaseDone struct {
 	// Phase is "seed", "train", "evaluate", "select" or "label".
 	Phase string
@@ -113,10 +106,10 @@ type PhaseDone struct {
 	PoolRemaining int
 }
 
-// OracleBatchDone marks the end of one batched labeling round against a
-// BatchOracle: how many pairs were submitted, the answer mix that came
-// back, and the money it cost. Rounds driven by the classic per-pair
-// labeler path do not emit it.
+// OracleBatchDone marks the end of one labeling round (the seed
+// bootstrap's, or an iteration's): how many pairs were submitted to the
+// labeler, the answer mix that came back, and the money it cost. Every
+// round that completes emits it, free labelers' included.
 type OracleBatchDone struct {
 	// Iteration is the iteration the round ran in (the current value
 	// during the seed phase).
@@ -173,7 +166,6 @@ func (ExternalEvent) isEvent() {}
 
 func (IterationStart) isEvent()    {}
 func (PhaseDone) isEvent()         {}
-func (TrainDone) isEvent()         {}
 func (EvalDone) isEvent()          {}
 func (BatchSelected) isEvent()     {}
 func (OracleFault) isEvent()       {}

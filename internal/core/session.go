@@ -21,16 +21,18 @@ import (
 // engine from spinning on a dead Oracle forever.
 var ErrLabelingStalled = errors.New("core: labeling stalled, no query in the round succeeded")
 
-// LabelSink receives every granted label, in grant order, before the
-// engine considers the label applied. resilience.LabelWAL implements it;
-// wiring one in with SetLabelSink makes each paid-for label durable the
-// moment it is granted, which is what lets Snapshot + WAL replay resume
-// a killed run without re-paying (or re-randomizing) any label.
+// LabelSink receives every acknowledged answer, in answer order, before
+// the engine considers it applied. resilience.LabelWAL implements it;
+// wiring one in with SetLabelSink makes each paid-for answer durable the
+// moment it is granted, before the labeler is asked anything else, which
+// is what lets Snapshot + WAL replay resume a killed run without
+// re-paying (or re-randomizing) any answer.
 type LabelSink interface {
-	// Append durably records that the seq-th granted label (1-based) was
-	// for pool index with the given value. An error is fatal to the run:
-	// a label that cannot be made durable must not be trained on.
-	Append(seq, index int, label bool) error
+	// AppendRecord durably records one acknowledged answer: a label, or
+	// a billed abstention with its cost. rec.Seq is the answer's 1-based
+	// position in the run. An error is fatal to the run: an answer that
+	// cannot be made durable must not be trained on or paid for twice.
+	AppendRecord(rec resilience.LabelRecord) error
 }
 
 // Session is the active-learning loop of Fig. 1a decomposed into explicit
@@ -38,8 +40,8 @@ type LabelSink interface {
 // capabilities the monolithic core.Run never had:
 //
 //   - cancellation: Run and Step honor a context.Context, checked at every
-//     phase boundary, inside parallel prediction, before every Oracle
-//     query, and (via SelectContext.Ctx) inside the slow selectors, so a
+//     phase boundary, inside parallel prediction, before every labeler
+//     call, and (via SelectContext.Ctx) inside the slow selectors, so a
 //     run aborts within one iteration without losing its partial curve;
 //   - observation: a typed event stream (Observer) reports phase
 //     transitions with per-phase timings while the run is in flight;
@@ -58,37 +60,29 @@ type Session struct {
 	pool    *Pool
 	learner Learner
 	sel     Selector
-	labeler resilience.FallibleOracle
+	// batcher is the session's only labeler; a per-pair oracle comes in
+	// through resilience.BatchOf (see NewSession).
+	batcher oracle.BatchOracle
 	cfg     Config
 
-	// stateful is the oracle's RNG-state hook when the wrapped oracle
-	// implements oracle.Stateful (Noisy does), discovered once at
+	// stateful is the oracle's RNG-state hook when the labeler chain
+	// holds an oracle.Stateful (Noisy does), discovered once at
 	// construction; nil otherwise.
 	stateful oracle.Stateful
-	// sink, when set, durably records every granted label (see LabelSink).
-	sink LabelSink
-	// walLabels caches labels recovered from a WAL during RestoreWithWAL:
-	// pool index → granted label (and, for priced oracles, the cost the
-	// crashed run paid). labelOne and the batch path consume from here
-	// before querying the labeler, so a resumed run never re-pays for a
-	// label the crashed run already bought.
-	walLabels map[int]walAnswer
-	// walAbstains caches billed abstentions recovered from a WAL, pool
-	// index → recorded costs in answer order. The batch path consumes
-	// them FIFO on re-selection, re-charging the ledger exactly what the
-	// crashed run paid without re-querying the labeler.
-	walAbstains map[int][]float64
-
-	// batcher, when non-nil, replaces the per-pair labeler: labeling
-	// rounds go through one LabelBatch call and the costly-oracle
-	// machinery in costly.go (ledger, abstain requeue, dollar budget).
-	batcher oracle.BatchOracle
-	// maxCost is the batcher's per-answer cost ceiling (0 for free
+	// pairAdv is the chain's per-pair ordinal realignment hook, when it
+	// holds an oracle.PairAdvancer (the simulated LLM oracle does).
+	pairAdv oracle.PairAdvancer
+	// maxCost is the labeler's per-answer cost ceiling (0 for free
 	// oracles), the unit the dollar budget is checked against.
 	maxCost float64
-	// pairAdv is the batcher's per-pair ordinal realignment hook, when it
-	// implements oracle.PairAdvancer (the simulated LLM oracle does).
-	pairAdv oracle.PairAdvancer
+	// sink, when set, durably records every answer (see LabelSink).
+	sink LabelSink
+	// wal holds the answers a crashed run paid for after its last
+	// checkpoint, recovered by RestoreBatchWithWAL: pool index → answers
+	// in WAL order (billed abstentions first, then the final label).
+	// labelBatch consumes them in round order instead of querying the
+	// labeler, so a resumed run never re-pays for an answer.
+	wal map[int][]oracle.Answer
 	// ledger is the session's cost accounting; see CostLedger.
 	ledger CostLedger
 	// abstains counts billed abstentions per still-pending pool index;
@@ -128,20 +122,31 @@ type Session struct {
 	err    error
 }
 
-// NewSession validates the config and prepares a session. No Oracle
-// queries are issued until the first Run or Step call (the seed phase is
-// lazy), so construction is side-effect free.
+// NewSession is NewBatchSession for a classic per-pair Oracle, which
+// resilience.BatchOf asks one pair per LabelBatch call.
 func NewSession(pool *Pool, learner Learner, sel Selector, o oracle.Oracle, cfg Config) (*Session, error) {
-	return NewFallibleSession(pool, learner, sel, resilience.Wrap(o), cfg)
+	return NewBatchSession(pool, learner, sel, resilience.BatchOf(resilience.Wrap(o)), cfg)
 }
 
-// NewFallibleSession is NewSession for labelers that can fail: a
-// FallibleOracle (typically a resilience.Retrier over a remote or
-// fault-injected labeler). Failed label queries degrade gracefully — the
-// pair is requeued at the back of the unlabeled pool and surfaced as an
-// OracleFault event — and only a round in which every query fails stops
-// the run (StopOracleFailed).
-func NewFallibleSession(pool *Pool, learner Learner, sel Selector, fo resilience.FallibleOracle, cfg Config) (*Session, error) {
+// NewBatchSession validates the config and prepares a session that
+// labels through bo. No labels are bought until the first Run or Step
+// call (the seed phase is lazy), so construction is side-effect free.
+//
+// Every labeling round asks bo for the round's pairs, in order; answers
+// may abstain (billed, requeued up to Config.AbstainCutoff, then retired
+// from the pool) or fail per pair (requeued at the back of the pool and
+// surfaced as an OracleFault event), and only a round in which every
+// query fails stops the run (StopOracleFailed). Every answer's cost is
+// accumulated into the session's CostLedger, and Config.MaxDollars
+// bounds the total spend (StopBudgetExhausted). A per-pair fallible
+// labeler (typically a resilience.Retrier) comes in through
+// resilience.BatchOf. When the labeler chain exposes oracle.Stateful,
+// oracle.PairAdvancer or oracle.Priced, the hooks are discovered here so
+// Snapshot+WAL resume realigns the oracle's randomness.
+func NewBatchSession(pool *Pool, learner Learner, sel Selector, bo oracle.BatchOracle, cfg Config) (*Session, error) {
+	if bo == nil {
+		return nil, fmt.Errorf("core: NewBatchSession requires a batch oracle")
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -156,17 +161,31 @@ func NewFallibleSession(pool *Pool, learner Learner, sel Selector, fo resilience
 	cfg = cfg.withDefaults()
 	src := newCountingSource(cfg.Seed)
 	s := &Session{
-		pool:    pool,
-		learner: learner,
-		sel:     sel,
-		labeler: fo,
-		cfg:     cfg,
-		src:     src,
-		rng:     rand.New(src),
-		res:     &Result{},
+		pool:     pool,
+		learner:  learner,
+		sel:      sel,
+		batcher:  bo,
+		cfg:      cfg,
+		abstains: map[int]int{},
+		src:      src,
+		rng:      rand.New(src),
+		res:      &Result{},
 	}
-	if st, ok := resilience.StatefulOf(fo); ok {
+	if st, ok := resilience.StatefulOf(bo); ok {
 		s.stateful = st
+	}
+	for o := any(bo); o != nil; {
+		if pa, ok := o.(oracle.PairAdvancer); ok && s.pairAdv == nil {
+			s.pairAdv = pa
+		}
+		if pr, ok := o.(oracle.Priced); ok && s.maxCost == 0 {
+			s.maxCost = pr.MaxAnswerCost()
+		}
+		u, ok := o.(interface{ UnwrapOracle() any })
+		if !ok {
+			break
+		}
+		o = u.UnwrapOracle()
 	}
 	return s, nil
 }
@@ -251,7 +270,6 @@ func (s *Session) Step(ctx context.Context) (bool, error) {
 	}
 
 	trainTime := s.trainPhase()
-	s.emit(TrainDone{Iteration: s.iter, Labels: len(s.labeled), Elapsed: trainTime})
 	s.emit(PhaseDone{
 		Phase: "train", Iteration: s.iter, Elapsed: trainTime,
 		Labels: len(s.labeled), Workers: 1, PoolRemaining: len(s.unlabeled),
@@ -264,9 +282,7 @@ func (s *Session) Step(ctx context.Context) (bool, error) {
 	if err != nil {
 		return true, s.cancel(err)
 	}
-	if s.batcher != nil {
-		pt.Spent = s.ledger.Spent
-	}
+	pt.Spent = s.ledger.Spent
 
 	// Ground-truth-free stability stop: track prediction churn.
 	if s.cfg.StabilityWindow > 0 {
@@ -315,7 +331,7 @@ func (s *Session) Step(ctx context.Context) (bool, error) {
 
 	labStart := time.Now()
 	before := len(s.labeled)
-	if err := s.labelPhase(ctx, batch); err != nil {
+	if err := s.labelBatch(ctx, batch); err != nil {
 		return true, s.failLabeling(err)
 	}
 	s.emit(PhaseDone{
@@ -384,80 +400,12 @@ func (s *Session) seedPhase(ctx context.Context) error {
 	return nil
 }
 
-// labelFront labels the next k unlabeled examples in universe order,
-// checking the context before every Oracle query.
+// labelFront labels the next k unlabeled examples in universe order.
 func (s *Session) labelFront(ctx context.Context, k int) error {
 	if k > len(s.unlabeled) {
 		k = len(s.unlabeled)
 	}
 	return s.labelBatch(ctx, append([]int(nil), s.unlabeled[:k]...))
-}
-
-// labelOne resolves one pool index to a label: from the WAL cache when a
-// resumed run already paid for it (advancing a stateful oracle's RNG past
-// the draw the crashed run consumed), otherwise by querying the labeler.
-func (s *Session) labelOne(ctx context.Context, i int) (bool, error) {
-	if a, ok := s.walLabels[i]; ok {
-		delete(s.walLabels, i)
-		if s.stateful != nil {
-			s.stateful.Advance(1)
-		}
-		return a.label, nil
-	}
-	return s.labeler.Label(ctx, s.pool.Pairs[i])
-}
-
-// labelBatch queries the labeler for each index in batch, degrading
-// gracefully under faults: granted labels move into the labeled set (and
-// the sink, when one is attached); failed indices are requeued at the
-// back of the unlabeled pool so the run trains on what it got and comes
-// back to them later; a context error stops immediately, leaving the
-// unattempted remainder in place. A round in which every query failed
-// returns ErrLabelingStalled — training on nothing new would loop
-// forever against a dead labeler.
-func (s *Session) labelBatch(ctx context.Context, batch []int) error {
-	if s.batcher != nil {
-		return s.labelBatchOracle(ctx, batch)
-	}
-	granted := make([]int, 0, len(batch))
-	var failed []int
-	var fatal error
-	for _, i := range batch {
-		if fatal = ctx.Err(); fatal != nil {
-			break
-		}
-		lab, err := s.labelOne(ctx, i)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				fatal = cerr
-				break
-			}
-			s.emit(OracleFault{Iteration: s.iter, Index: i, Pair: s.pool.Pairs[i], Err: err})
-			failed = append(failed, i)
-			continue
-		}
-		s.labeled = append(s.labeled, i)
-		s.labels = append(s.labels, lab)
-		granted = append(granted, i)
-		if s.sink != nil {
-			if serr := s.sink.Append(len(s.labeled), i, lab); serr != nil {
-				fatal = fmt.Errorf("core: recording label in sink: %w", serr)
-				break
-			}
-		}
-	}
-	removeFromPool(&s.unlabeled, granted)
-	if len(failed) > 0 {
-		removeFromPool(&s.unlabeled, failed)
-		s.unlabeled = append(s.unlabeled, failed...)
-	}
-	if fatal != nil {
-		return fatal
-	}
-	if len(granted) == 0 && len(failed) > 0 {
-		return fmt.Errorf("%w: %d of %d queries failed", ErrLabelingStalled, len(failed), len(batch))
-	}
-	return nil
 }
 
 // trainPhase retrains the learner from scratch on the cumulative labeled
@@ -551,15 +499,6 @@ func (s *Session) selectPhase(ctx context.Context, pt *eval.Point) ([]int, StopR
 	pt.CommitteeCreateTime = sctx.CommitteeCreate
 	pt.ScoreTime = sctx.Score
 	return batch, reason
-}
-
-// labelPhase queries the Oracle for the batch and moves it into the
-// labeled set. The context is checked before every query; on
-// cancellation the already-labeled prefix stays consistent (removed from
-// the unlabeled pool) so the session remains snapshottable. Individual
-// query failures requeue the pair instead of aborting — see labelBatch.
-func (s *Session) labelPhase(ctx context.Context, batch []int) error {
-	return s.labelBatch(ctx, batch)
 }
 
 func (s *Session) finish(reason StopReason, err error) {

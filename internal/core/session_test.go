@@ -278,11 +278,11 @@ func TestSessionEventOrdering(t *testing.T) {
 	if iters == 0 {
 		t.Fatal("no iterations ran")
 	}
-	// The seed bootstrap emits one PhaseDone(-1). Then per iteration:
-	// IterationStart, TrainDone, PhaseDone(train), EvalDone,
-	// PhaseDone(evaluate), PhaseDone(select); every iteration but the last
-	// adds BatchSelected and PhaseDone(label). One RunEnd closes the
-	// stream.
+	// The seed bootstrap emits its round's OracleBatchDone, then one
+	// PhaseDone(-1). Then per iteration: IterationStart, PhaseDone(train),
+	// EvalDone, PhaseDone(evaluate), PhaseDone(select); every iteration
+	// but the last adds BatchSelected, the round's OracleBatchDone and
+	// PhaseDone(label). One RunEnd closes the stream.
 	want := 0
 	expectPhase := func(name string, iter int) {
 		t.Helper()
@@ -298,9 +298,22 @@ func TestSessionEventOrdering(t *testing.T) {
 		}
 		want++
 	}
+	expectRound := func(iter, pairs int) {
+		t.Helper()
+		if want >= len(events) {
+			t.Fatalf("stream ended early before OracleBatchDone of iteration %d", iter)
+		}
+		ob, ok := events[want].(OracleBatchDone)
+		if !ok || ob.Iteration != iter || ob.Pairs != pairs || ob.Labels != pairs || ob.Answers != pairs {
+			t.Fatalf("event %d is %T%+v, want OracleBatchDone of %d labels in iteration %d",
+				want, events[want], events[want], pairs, iter)
+		}
+		want++
+	}
+	expectRound(0, DefaultSeedLabels)
 	expectPhase("seed", -1)
 	for i := 0; i < iters; i++ {
-		for _, typ := range []string{"start", "train", "phase:train", "eval", "phase:evaluate", "phase:select"} {
+		for _, typ := range []string{"start", "phase:train", "eval", "phase:evaluate", "phase:select"} {
 			if want >= len(events) {
 				t.Fatalf("stream ended early at iteration %d (%s)", i, typ)
 			}
@@ -316,8 +329,6 @@ func TestSessionEventOrdering(t *testing.T) {
 				if ok && (ev.Iteration != i) {
 					t.Fatalf("IterationStart #%d has Iteration=%d", i, ev.Iteration)
 				}
-			case "train":
-				_, ok = events[want].(TrainDone)
 			case "eval":
 				_, ok = events[want].(EvalDone)
 			}
@@ -327,10 +338,12 @@ func TestSessionEventOrdering(t *testing.T) {
 			want++
 		}
 		if i < iters-1 {
-			if _, ok := events[want].(BatchSelected); !ok {
+			bs, ok := events[want].(BatchSelected)
+			if !ok {
 				t.Fatalf("event %d is %T, want BatchSelected", want, events[want])
 			}
 			want++
+			expectRound(i, len(bs.Batch))
 			expectPhase("label", i)
 		}
 	}
@@ -442,7 +455,7 @@ func TestRunEnsembleContextCancellation(t *testing.T) {
 	}, ObserverFunc(func(e Event) {
 		// Cancel during the second iteration's train phase: iteration 0
 		// completes and its point must survive.
-		if _, ok := e.(TrainDone); ok {
+		if pd, ok := e.(PhaseDone); ok && pd.Phase == "train" {
 			trains++
 			if trains == 2 {
 				cancel()

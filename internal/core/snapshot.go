@@ -28,9 +28,9 @@ import (
 // the already-paid Oracle labels are kept (they cost money; rolling them
 // back would discard them), so the resumed run continues from a labeled
 // set the uninterrupted run never had — a consistent but different
-// trajectory. RestoreWithWAL closes even that gap: with a label WAL
+// trajectory. RestoreBatchWithWAL closes even that gap: with a label WAL
 // attached, the resumed run re-selects the same batch deterministically
-// and consumes the paid-for labels from the WAL instead of re-querying,
+// and consumes the paid-for answers from the WAL instead of re-querying,
 // which puts it back on the uninterrupted trajectory exactly.
 //
 // The pool, learner, selector and Oracle are wiring, not state: Restore
@@ -66,10 +66,10 @@ type Snapshot struct {
 	StableIters int    `json:"stable_iters"`
 	// Curve is the partial learning curve.
 	Curve eval.Curve `json:"curve"`
-	// Ledger is a batch session's cost accounting, omitted when trivial
-	// (nothing spent, nothing abstained) so free batch sessions snapshot
-	// byte-identically to classic ones; Restore derives the trivial
-	// ledger from the labeled set.
+	// Ledger is the session's cost accounting, omitted when trivial
+	// (nothing spent, nothing abstained) so a free session's snapshot
+	// carries no ledger; Restore derives the trivial ledger from the
+	// labeled set.
 	Ledger *CostLedger `json:"ledger,omitempty"`
 	// AbstainCounts is the per-pending-pair billed-abstention tally the
 	// starvation cutoff is checked against.
@@ -85,7 +85,7 @@ func (s *Session) Snapshot() *Snapshot {
 		oracleDraws = s.stateful.Draws()
 	}
 	var ledger *CostLedger
-	if s.batcher != nil && !s.ledger.trivial() {
+	if !s.ledger.trivial() {
 		l := s.ledger
 		ledger = &l
 	}
@@ -144,49 +144,34 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 // every historical training on it (one per curve point, on the recorded
 // labeled prefix), which reproduces the learner's model and internal RNG
 // state exactly — see Snapshot for why the resumed curve is then
-// identical to an uninterrupted run.
+// identical to an uninterrupted run. It is RestoreBatchWithWAL over
+// resilience.BatchOf, without a WAL.
 func Restore(pool *Pool, learner Learner, sel Selector, o oracle.Oracle, sn *Snapshot) (*Session, error) {
-	return RestoreWithWAL(pool, learner, sel, resilience.Wrap(o), sn, nil)
+	return RestoreBatchWithWAL(pool, learner, sel, resilience.BatchOf(resilience.Wrap(o)), sn, nil)
 }
 
-// RestoreWithWAL rebuilds a Session from a snapshot plus the label WAL
-// the crashed run was writing through (see LabelSink). WAL records up to
-// the snapshot's labeled set are cross-checked against it; records past
-// it — labels the dead process paid for after its last checkpoint — are
-// cached, and the resumed run consumes them instead of re-querying the
-// labeler. Because selection is deterministic (the RNG position and
-// learner state are replayed exactly), the resumed run re-selects the
-// same pairs the dead one did and the cached labels land on the same
-// indices, making the resumed trajectory bit-identical to an
-// uninterrupted run — provided no pair exhausted its retry budget before
-// the checkpoint (see resilience.FaultyOracle).
+// RestoreBatchWithWAL rebuilds a Session from a snapshot plus the label
+// WAL the crashed run was writing through (see LabelSink). The cost
+// ledger and abstain tallies are restored alongside the labeled set. WAL
+// records up to the snapshot's answer cursor are cross-checked against
+// its labeled set; records past it — answers the dead process paid for
+// after its last checkpoint, billed abstentions included — are cached,
+// and the resumed run consumes them instead of re-querying the labeler,
+// re-charging exactly what the crashed run paid. Because selection is
+// deterministic (the RNG position and learner state are replayed
+// exactly), the resumed run re-selects the same pairs the dead one did
+// and the cached answers land on the same indices, making the resumed
+// trajectory bit-identical to an uninterrupted run — provided no pair
+// exhausted its retry budget, or failed, after the checkpoint while
+// still pending at the kill (see resilience.FaultyOracle).
 //
-// Attach the same WAL with SetLabelSink afterwards: its appends are
-// idempotent, so the replayed grants no-op and fresh grants extend it.
-func RestoreWithWAL(pool *Pool, learner Learner, sel Selector, fo resilience.FallibleOracle, sn *Snapshot, wal []resilience.LabelRecord) (*Session, error) {
-	if err := sn.validate(pool); err != nil {
-		return nil, err
-	}
-	s, err := NewFallibleSession(pool, learner, sel, fo, sn.Config)
-	if err != nil {
-		return nil, err
-	}
-	if err := restoreInto(s, pool, learner, sn, wal); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// RestoreBatchWithWAL is RestoreWithWAL for sessions built with
-// NewBatchSession: the cost ledger and abstain tallies are restored
-// alongside the labeled set, and WAL records past the checkpoint —
-// including billed abstentions — are cached for consumption, so the
-// resumed run re-charges exactly what the crashed one paid and never
-// pays for an answer twice. Pass the batch oracle freshly constructed
-// with its original seed; its per-pair attempt ordinals (when it
-// implements oracle.PairAdvancer) are realigned from the WAL. A
-// warm-start session additionally needs SetWarmStart re-attached before
-// Step.
+// Pass the labeler freshly constructed with its original seed; an
+// oracle.Stateful in its chain is advanced to the snapshot's position,
+// and an oracle.PairAdvancer's per-pair attempt ordinals are realigned
+// from the WAL. Attach the same WAL with SetLabelSink afterwards: its
+// appends are idempotent, so the replayed answers no-op and fresh ones
+// extend it. A warm-start session additionally needs SetWarmStart
+// re-attached before Step.
 func RestoreBatchWithWAL(pool *Pool, learner Learner, sel Selector, bo oracle.BatchOracle, sn *Snapshot, wal []resilience.LabelRecord) (*Session, error) {
 	if err := sn.validate(pool); err != nil {
 		return nil, err
@@ -195,27 +180,15 @@ func RestoreBatchWithWAL(pool *Pool, learner Learner, sel Selector, bo oracle.Ba
 	if err != nil {
 		return nil, err
 	}
-	if err := restoreInto(s, pool, learner, sn, wal); err != nil {
-		return nil, err
+	if sn.Ledger != nil {
+		s.ledger = *sn.Ledger
+	} else {
+		// A trivial ledger is omitted from snapshots; every labeled pair
+		// was one acknowledged, unbilled answer.
+		s.ledger = CostLedger{Answers: len(sn.Labeled), Labels: len(sn.Labeled)}
 	}
-	return s, nil
-}
-
-// restoreInto rebuilds a freshly constructed session's state from a
-// snapshot plus the crashed run's WAL — the shared tail of
-// RestoreWithWAL and RestoreBatchWithWAL.
-func restoreInto(s *Session, pool *Pool, learner Learner, sn *Snapshot, wal []resilience.LabelRecord) error {
-	if s.batcher != nil {
-		if sn.Ledger != nil {
-			s.ledger = *sn.Ledger
-		} else {
-			// A trivial ledger is omitted from snapshots; every labeled
-			// pair was one acknowledged, unbilled answer.
-			s.ledger = CostLedger{Answers: len(sn.Labeled), Labels: len(sn.Labeled)}
-		}
-		for i, n := range sn.AbstainCounts {
-			s.abstains[i] = n
-		}
+	for i, n := range sn.AbstainCounts {
+		s.abstains[i] = n
 	}
 	if len(wal) > 0 {
 		// Walk the WAL against the checkpoint's answer cursor: records at
@@ -224,36 +197,23 @@ func restoreInto(s *Session, pool *Pool, learner Learner, sn *Snapshot, wal []re
 		// per-pair-keyed oracle's attempt ordinals); records past it are
 		// answers the dead process paid for after its last checkpoint,
 		// cached here for consumption instead of re-querying.
-		answersAt := len(sn.Labeled)
-		if sn.Ledger != nil {
-			answersAt = sn.Ledger.Answers
-		}
-		s.walLabels = make(map[int]walAnswer)
-		s.walAbstains = make(map[int][]float64)
+		s.wal = make(map[int][]oracle.Answer)
 		labelOrd := 0
 		for _, rec := range wal {
-			if rec.Abstained() {
-				if rec.Seq <= answersAt {
-					if s.pairAdv != nil {
-						s.pairAdv.AdvancePair(pool.Pairs[rec.Index], 1)
-					}
-					continue
-				}
-				s.walAbstains[rec.Index] = append(s.walAbstains[rec.Index], rec.Cost)
+			if rec.Seq > s.ledger.Answers {
+				s.wal[rec.Index] = append(s.wal[rec.Index], walAnswer(rec))
 				continue
 			}
-			labelOrd++
-			if rec.Seq <= answersAt {
-				if sn.Labeled[labelOrd-1] != rec.Index || sn.Labels[labelOrd-1] != rec.Label {
-					return fmt.Errorf("core: label WAL record %d (index %d) disagrees with snapshot",
+			if !rec.Abstained() {
+				labelOrd++
+				if labelOrd > len(sn.Labeled) || sn.Labeled[labelOrd-1] != rec.Index || sn.Labels[labelOrd-1] != rec.Label {
+					return nil, fmt.Errorf("core: label WAL record %d (index %d) disagrees with snapshot",
 						rec.Seq, rec.Index)
 				}
-				if s.pairAdv != nil {
-					s.pairAdv.AdvancePair(pool.Pairs[rec.Index], 1)
-				}
-				continue
 			}
-			s.walLabels[rec.Index] = walAnswer{label: rec.Label, cost: rec.Cost}
+			if s.pairAdv != nil {
+				s.pairAdv.AdvancePair(pool.Pairs[rec.Index], 1)
+			}
 		}
 	}
 	s.src.replay(sn.Draws63, sn.Draws64)
@@ -286,7 +246,19 @@ func restoreInto(s *Session, pool *Pool, learner Learner, sn *Snapshot, wal []re
 		trainX, trainY := gatherTraining(pool, s.labeled, s.labels, pt.Labels)
 		learner.Train(trainX, trainY)
 	}
-	return nil
+	return s, nil
+}
+
+// walAnswer turns a WAL record back into the answer it journaled.
+func walAnswer(rec resilience.LabelRecord) oracle.Answer {
+	v := oracle.VerdictNonMatch
+	switch {
+	case rec.Abstained():
+		v = oracle.VerdictAbstain
+	case rec.Label:
+		v = oracle.VerdictMatch
+	}
+	return oracle.Answer{Verdict: v, Cost: rec.Cost}
 }
 
 // validate rejects snapshots that are internally inconsistent or do not

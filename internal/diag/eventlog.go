@@ -43,9 +43,6 @@ func (l *EventLog) Observe(e core.Event) {
 	case core.IterationStart:
 		fmt.Fprintf(l.w, "[%8s] iter %3d  start      labels=%d pool=%d\n",
 			elapsed, ev.Iteration, ev.LabelsUsed, ev.PoolRemaining)
-	case core.TrainDone:
-		fmt.Fprintf(l.w, "[%8s] iter %3d  train      n=%d in %s\n",
-			elapsed, ev.Iteration, ev.Labels, ev.Elapsed.Round(time.Microsecond))
 	case core.EvalDone:
 		fmt.Fprintf(l.w, "[%8s] iter %3d  eval       F1=%.4f P=%.4f R=%.4f in %s\n",
 			elapsed, ev.Iteration, ev.Point.F1, ev.Point.Precision, ev.Point.Recall,
@@ -68,8 +65,13 @@ func (l *EventLog) Observe(e core.Event) {
 		fmt.Fprintf(l.w, "[%8s] run end: %s after %d iterations, %d labels\n",
 			elapsed, ev.Reason, ev.Iterations, ev.LabelsUsed)
 	case core.PhaseDone:
-		// Timing spans duplicate what the phase-specific lines above
-		// already show; they are collected by trace observers, not logged.
+		// The train span is the train phase's only event. The other
+		// spans duplicate what the phase-specific lines show; they are
+		// collected by trace observers, not logged.
+		if ev.Phase == "train" {
+			fmt.Fprintf(l.w, "[%8s] iter %3d  train      n=%d in %s\n",
+				elapsed, ev.Iteration, ev.Labels, ev.Elapsed.Round(time.Microsecond))
+		}
 	default:
 		// Events from outside core (embedding core.ExternalEvent) supply
 		// their own one-line rendering; anything else falls back to %T.

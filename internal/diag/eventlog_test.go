@@ -20,7 +20,8 @@ func TestEventLogRendersStream(t *testing.T) {
 
 	clock = clock.Add(5 * time.Millisecond)
 	l.Observe(core.IterationStart{Iteration: 0, LabelsUsed: 30, PoolRemaining: 470})
-	l.Observe(core.TrainDone{Iteration: 0, Labels: 30, Elapsed: 2 * time.Millisecond})
+	l.Observe(core.PhaseDone{Phase: "train", Iteration: 0, Labels: 30, Elapsed: 2 * time.Millisecond})
+	l.Observe(core.PhaseDone{Phase: "evaluate", Iteration: 0, Labels: 30})
 	l.Observe(core.EvalDone{Iteration: 0, Point: eval.Point{Labels: 30, F1: 0.51, Precision: 0.6, Recall: 0.44}})
 	l.Observe(core.BatchSelected{Iteration: 0, Batch: []int{1, 2, 3}})
 	l.Observe(core.CandidateAccepted{Iteration: 0, Accepted: 1})
@@ -33,7 +34,7 @@ func TestEventLogRendersStream(t *testing.T) {
 	}
 	for _, want := range []string{
 		"iter   0  start      labels=30 pool=470",
-		"train      n=30",
+		"train      n=30 in 2ms",
 		"F1=0.5100",
 		"select     batch=3",
 		"accepted classifier #1",

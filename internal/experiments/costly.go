@@ -13,6 +13,7 @@ import (
 	"github.com/alem/alem/internal/core"
 	"github.com/alem/alem/internal/linear"
 	"github.com/alem/alem/internal/oracle"
+	"github.com/alem/alem/internal/resilience"
 )
 
 // costlyPrice is the simulated labeler's price list for both drivers:
@@ -76,10 +77,10 @@ func AblationCostly(opts Options) (*Report, error) {
 		})
 	}
 
-	// The paper's regime: free, perfect, per-pair — through the batch
-	// adapter so all three rows run the identical engine path.
+	// The paper's regime: free, perfect, per-pair, asked one pair per
+	// LabelBatch call.
 	freeRes, freeSes := runBatchApproach(opts, pool, svmFactory(opts.Seed), core.Margin{},
-		oracle.Batched(perfectOracle(d)), mkCfg(opts))
+		resilience.BatchOf(resilience.Wrap(perfectOracle(d))), mkCfg(opts))
 	addRow("perfect (free)", freeRes, freeSes)
 
 	uncappedCfg := mkCfg(opts)

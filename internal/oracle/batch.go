@@ -61,10 +61,14 @@ type Answer struct {
 // labeler charges), and every pair comes back as an Answer that may be a
 // match/non-match verdict, an abstention, or a per-pair failure.
 //
-// LabelBatch returns one Answer per submitted pair, in submission order.
-// On a batch-level error it may return a shorter prefix of answers — the
-// pairs acknowledged before the call died; the caller must treat the
-// prefix as paid-for and the remainder as never attempted.
+// LabelBatch answers a non-empty prefix of the pairs it is given, in
+// submission order — all of them, or (a per-pair adapter such as
+// resilience.BatchOf) just the first. The caller applies and journals
+// the prefix, then submits the unanswered remainder again. On an error
+// the returned prefix holds the pairs acknowledged before the call died;
+// the caller must treat it as paid-for and the remainder as never
+// attempted, and an empty answer without an error marks the remainder
+// failed. Answers beyond the pairs submitted are ignored.
 // Implementations are called sequentially from one goroutine.
 type BatchOracle interface {
 	LabelBatch(ctx context.Context, pairs []dataset.PairKey) ([]Answer, error)
@@ -298,47 +302,3 @@ func simDraw(seed int64, p dataset.PairKey, attempt, salt int) float64 {
 	}
 	return float64(h.Sum64()>>11) / float64(1<<53)
 }
-
-// BatchedOracle adapts a classic per-pair Oracle to the BatchOracle
-// contract: each pair is answered by one inner Label call, in submission
-// order, with zero cost and zero abstentions. It exists so the batched
-// engine path can be pinned bit-identical to the per-pair path — same
-// inner call order, same query counts, same (absent) randomness.
-type BatchedOracle struct {
-	inner Oracle
-}
-
-// Batched lifts a per-pair Oracle into the BatchOracle interface.
-func Batched(inner Oracle) *BatchedOracle { return &BatchedOracle{inner: inner} }
-
-// LabelBatch implements BatchOracle. The context is checked before every
-// inner query, mirroring the per-pair engine path; on cancellation the
-// answered prefix is returned with the context's error.
-func (b *BatchedOracle) LabelBatch(ctx context.Context, pairs []dataset.PairKey) ([]Answer, error) {
-	out := make([]Answer, 0, len(pairs))
-	b.batchMetric()
-	for _, p := range pairs {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		v := VerdictNonMatch
-		if b.inner.Label(p) {
-			v = VerdictMatch
-		}
-		costLabels.Add(1)
-		out = append(out, Answer{Verdict: v})
-	}
-	return out, nil
-}
-
-func (b *BatchedOracle) batchMetric() { costBatches.Add(1) }
-
-// Queries implements BatchOracle.
-func (b *BatchedOracle) Queries() int { return b.inner.Queries() }
-
-// MaxAnswerCost implements Priced: the wrapped oracle is free.
-func (b *BatchedOracle) MaxAnswerCost() float64 { return 0 }
-
-// UnwrapOracle exposes the wrapped oracle so resilience.StatefulOf can
-// find a Noisy oracle's RNG hook through the adapter.
-func (b *BatchedOracle) UnwrapOracle() any { return b.inner }

@@ -8,43 +8,42 @@ import (
 )
 
 // batchFallible adapts a per-pair FallibleOracle chain to the
-// oracle.BatchOracle contract: each pair is answered by one inner Label
-// call in submission order, a per-pair error becomes Answer.Err (the
-// engine requeues the pair), and a context error aborts the batch with
-// the acknowledged prefix. Answers carry zero cost — pricing belongs to
-// genuinely billed oracles, not the resilience plumbing.
+// oracle.BatchOracle contract by answering one pair per call: the
+// session applies and journals that answer before it submits the rest
+// of the round, so every label is durable before the next query and a
+// stateful labeler draws in pair order around WAL-cached answers. A
+// per-pair error becomes Answer.Err (the session requeues the pair) and
+// a context error aborts the call. Answers carry zero cost — pricing
+// belongs to genuinely billed oracles, not the resilience plumbing.
 type batchFallible struct {
 	inner FallibleOracle
 }
 
-// BatchOf lifts a FallibleOracle — typically a Retrier over a
-// FaultyOracle, the PR-3 fault chain — into the BatchOracle interface,
-// so the batched engine path rides the existing retry/fault/WAL
-// plumbing unchanged.
+// BatchOf lifts a FallibleOracle — a classic oracle under Wrap, or a
+// Retrier over a FaultyOracle — into the BatchOracle interface a
+// core.Session labels through.
 func BatchOf(fo FallibleOracle) oracle.BatchOracle { return &batchFallible{inner: fo} }
 
-// LabelBatch implements oracle.BatchOracle.
+// LabelBatch implements oracle.BatchOracle, answering pairs[0] only.
 func (b *batchFallible) LabelBatch(ctx context.Context, pairs []dataset.PairKey) ([]oracle.Answer, error) {
-	out := make([]oracle.Answer, 0, len(pairs))
-	for _, p := range pairs {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		lab, err := b.inner.Label(ctx, p)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return out, cerr
-			}
-			out = append(out, oracle.Answer{Err: err})
-			continue
-		}
-		v := oracle.VerdictNonMatch
-		if lab {
-			v = oracle.VerdictMatch
-		}
-		out = append(out, oracle.Answer{Verdict: v})
+	if len(pairs) == 0 {
+		return nil, nil
 	}
-	return out, nil
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	lab, err := b.inner.Label(ctx, pairs[0])
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+		return []oracle.Answer{{Err: err}}, nil
+	}
+	v := oracle.VerdictNonMatch
+	if lab {
+		v = oracle.VerdictMatch
+	}
+	return []oracle.Answer{{Verdict: v}}, nil
 }
 
 // Queries implements oracle.BatchOracle.

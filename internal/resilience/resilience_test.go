@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/alem/alem/internal/dataset"
+	"github.com/alem/alem/internal/oracle"
 )
 
 // stubOracle answers from a fixed map and counts queries.
@@ -270,16 +271,16 @@ func TestLabelWALAppendReopenReplay(t *testing.T) {
 		t.Fatalf("fresh WAL has %d records", len(records))
 	}
 	for i := 1; i <= 5; i++ {
-		if err := w.Append(i, 100+i, i%2 == 0); err != nil {
+		if err := w.AppendRecord(LabelRecord{Seq: i, Index: 100 + i, Label: i%2 == 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Idempotent replay: re-appending seq 3 is a no-op.
-	if err := w.Append(3, 999, true); err != nil {
+	if err := w.AppendRecord(LabelRecord{Seq: 3, Index: 999, Label: true}); err != nil {
 		t.Fatalf("idempotent re-append failed: %v", err)
 	}
 	// A gap is corruption, not replay.
-	if err := w.Append(8, 1, true); err == nil {
+	if err := w.AppendRecord(LabelRecord{Seq: 8, Index: 1, Label: true}); err == nil {
 		t.Fatal("out-of-sequence append accepted")
 	}
 	w.Close()
@@ -301,7 +302,7 @@ func TestLabelWALAppendReopenReplay(t *testing.T) {
 		t.Errorf("LastSeq = %d, want 5", w2.LastSeq())
 	}
 	// Appending continues the sequence.
-	if err := w2.Append(6, 200, true); err != nil {
+	if err := w2.AppendRecord(LabelRecord{Seq: 6, Index: 200, Label: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -313,7 +314,7 @@ func TestLabelWALRecoversTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := w.Append(i, i, true); err != nil {
+		if err := w.AppendRecord(LabelRecord{Seq: i, Index: i, Label: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,7 +338,7 @@ func TestLabelWALRecoversTornTail(t *testing.T) {
 	}
 	// The torn bytes are gone: the next append reuses seq 4 cleanly and
 	// a further reopen sees 4 intact records.
-	if err := w2.Append(4, 9, false); err != nil {
+	if err := w2.AppendRecord(LabelRecord{Seq: 4, Index: 9, Label: false}); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
@@ -363,7 +364,7 @@ func TestLabelWALTornTailMissingNewline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := w.Append(i, i, true); err != nil {
+		if err := w.AppendRecord(LabelRecord{Seq: i, Index: i, Label: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -391,7 +392,7 @@ func TestLabelWALTornTailMissingNewline(t *testing.T) {
 		t.Fatalf("file size %d after recovery, want %d (truncated, not extended)", fi.Size(), intact.Size())
 	}
 	// Appends land where the torn bytes were and survive reopen intact.
-	if err := w2.Append(4, 9, false); err != nil {
+	if err := w2.AppendRecord(LabelRecord{Seq: 4, Index: 9, Label: false}); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
@@ -512,3 +513,46 @@ type pairCounter struct{}
 
 func (pairCounter) Label(dataset.PairKey) bool { return true }
 func (pairCounter) Queries() int               { return 0 }
+
+// TestBatchOfAnswersOnePairPerCall pins the per-pair adapter's contract:
+// each LabelBatch call asks the chain about its first pair only, a
+// per-pair error becomes that answer's Err, and a cancelled context
+// aborts before the query.
+func TestBatchOfAnswersOnePairPerCall(t *testing.T) {
+	p, q := dataset.PairKey{L: 1, R: 2}, dataset.PairKey{L: 3, R: 4}
+	stub := &stubOracle{labels: map[dataset.PairKey]bool{p: true}}
+	bo := BatchOf(stub)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		pairs []dataset.PairKey
+		want  oracle.Verdict
+	}{
+		{[]dataset.PairKey{p, q}, oracle.VerdictMatch},
+		{[]dataset.PairKey{q, p}, oracle.VerdictNonMatch},
+	} {
+		answers, err := bo.LabelBatch(ctx, tc.pairs)
+		if err != nil || len(answers) != 1 || answers[0].Verdict != tc.want || answers[0].Err != nil {
+			t.Fatalf("LabelBatch(%v) = %+v, %v; want one %v answer", tc.pairs, answers, err, tc.want)
+		}
+	}
+	if answers, err := bo.LabelBatch(ctx, nil); len(answers) != 0 || err != nil {
+		t.Errorf("empty batch answered %+v, %v", answers, err)
+	}
+	if stub.Queries() != 2 || bo.Queries() != 2 {
+		t.Errorf("queries = %d (adapter %d), want one per call", stub.Queries(), bo.Queries())
+	}
+
+	answers, err := BatchOf(&flakyOracle{failures: 1}).LabelBatch(ctx, []dataset.PairKey{p, q})
+	if err != nil || len(answers) != 1 || answers[0].Err == nil {
+		t.Errorf("failing query gave %+v, %v; want one errored answer", answers, err)
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if answers, err := bo.LabelBatch(cancelled, []dataset.PairKey{p}); len(answers) != 0 || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled call gave %+v, %v", answers, err)
+	}
+	if stub.Queries() != 2 {
+		t.Errorf("a cancelled call reached the labeler")
+	}
+}

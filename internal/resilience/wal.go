@@ -16,11 +16,10 @@ import (
 // Snapshot + WAL replay together reconstruct a killed run's exact
 // labeled set — and, for priced batch oracles, its exact cost ledger.
 //
-// Verdict and Cost extend the record for batch oracles: Verdict is
-// "abstain" for a billed abstention (Label is meaningless then) and
-// empty for an ordinary label; Cost is the dollars billed for the
-// answer. Both are omitted when zero, so the records a classic per-pair
-// session writes are byte-identical to the pre-batch format.
+// Verdict is "abstain" for a billed abstention (Label is meaningless
+// then) and empty for an ordinary label; Cost is the dollars billed for
+// the answer. Both are omitted when zero, so a free label's record is
+// plain {seq, index, label}.
 type LabelRecord struct {
 	Seq     int     `json:"seq"`
 	Index   int     `json:"index"`
@@ -119,18 +118,11 @@ func scanWAL(f *os.File) ([]LabelRecord, int64, error) {
 	return records, validLen, nil
 }
 
-// Append durably logs one granted label. Records at or below the last
-// logged sequence are skipped (idempotent replay); the next record must
-// extend the sequence by exactly one. Each append is fsync'd before
-// returning, so a label the Session considers granted survives a crash.
-func (w *LabelWAL) Append(seq, index int, label bool) error {
-	return w.AppendRecord(LabelRecord{Seq: seq, Index: index, Label: label})
-}
-
-// AppendRecord is Append for full records — the entry point batch
-// sessions use to journal billed abstentions and per-answer costs
-// alongside ordinary labels. The idempotence and fsync discipline are
-// identical to Append's.
+// AppendRecord durably logs one acknowledged answer. Records at or
+// below the last logged sequence are skipped (idempotent replay); the
+// next record must extend the sequence by exactly one. Each append is
+// fsync'd before returning, so an answer the Session considers granted
+// survives a crash.
 func (w *LabelWAL) AppendRecord(rec LabelRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

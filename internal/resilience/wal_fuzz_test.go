@@ -33,7 +33,7 @@ func FuzzScanWAL(f *testing.F) {
 			t.Fatalf("fresh WAL replayed %d records", len(records))
 		}
 		for i := 1; i <= acked; i++ {
-			if err := w.Append(i, i*3, i%2 == 0); err != nil {
+			if err := w.AppendRecord(LabelRecord{Seq: i, Index: i * 3, Label: i%2 == 0}); err != nil {
 				t.Fatalf("append %d: %v", i, err)
 			}
 		}
