@@ -11,6 +11,7 @@ import (
 	"context"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/alem/alem/internal/dataset"
@@ -255,5 +256,40 @@ func TestChaosBatchAllFailTerminates(t *testing.T) {
 	}
 	if sim.Queries() != 0 {
 		t.Errorf("failed answers were billed: %d queries acknowledged", sim.Queries())
+	}
+}
+
+// TestRestoreRejectsForeignWAL feeds RestoreBatchWithWAL label WALs
+// that do not belong to the snapshot: one whose first record names
+// another pair, and one that journals labels where the checkpointed run
+// billed abstentions, so it holds more labels at or below the
+// snapshot's answer cursor than the snapshot does. Both must be refused
+// with an error, not replayed and not a panic.
+func TestRestoreRejectsForeignWAL(t *testing.T) {
+	pool := syntheticPool(300, 44)
+	simCfg := oracle.LLMSimConfig{AbstainRate: 0.5, Price: oracle.PriceTable{PerLabel: 0.002, PerAbstain: 0.001}}
+	s, err := NewBatchSession(pool, linear.NewSVM(44), Margin{}, simPoolOracle(pool, simCfg, 5), Config{Seed: 44, MaxLabels: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Snapshot()
+	if sn.Ledger == nil || sn.Ledger.Abstains == 0 {
+		t.Fatalf("snapshot ledger %+v, want billed abstentions", sn.Ledger)
+	}
+
+	wrongPair := []resilience.LabelRecord{{Seq: 1, Index: sn.Labeled[0] + 1, Label: sn.Labels[0]}}
+	var allLabels []resilience.LabelRecord
+	for seq := 1; seq <= sn.Ledger.Answers; seq++ {
+		j := min(seq, len(sn.Labeled)) - 1
+		allLabels = append(allLabels, resilience.LabelRecord{Seq: seq, Index: sn.Labeled[j], Label: sn.Labels[j]})
+	}
+	for name, wal := range map[string][]resilience.LabelRecord{"wrong pair": wrongPair, "labels for abstentions": allLabels} {
+		_, err := RestoreBatchWithWAL(pool, linear.NewSVM(44), Margin{}, simPoolOracle(pool, simCfg, 5), sn, wal)
+		if err == nil || !strings.Contains(err.Error(), "disagrees with snapshot") {
+			t.Errorf("%s: err = %v, want a WAL/snapshot disagreement", name, err)
+		}
 	}
 }

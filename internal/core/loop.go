@@ -80,11 +80,12 @@ type Config struct {
 	// StabilityEpsilon is the churn threshold, in (0, 1]. 0 means
 	// DefaultStabilityEpsilon (0.002).
 	StabilityEpsilon float64
-	// MaxDollars terminates the run once the priced batch oracle's cost
-	// ledger can no longer afford another answer (StopBudgetExhausted);
-	// 0 disables dollar budgeting. It only applies to sessions built
-	// with NewBatchSession over an oracle that reports a positive
-	// MaxAnswerCost — per-pair and free oracles never spend.
+	// MaxDollars terminates the run once the session's cost ledger can
+	// no longer afford another answer at the labeler's worst-case price
+	// (StopBudgetExhausted); 0 disables dollar budgeting. It only
+	// applies to labelers that report a positive MaxAnswerCost
+	// (oracle.Priced) — free oracles, per-pair ones included, never
+	// spend.
 	MaxDollars float64 `json:",omitempty"`
 	// AbstainCutoff is how many times a batch oracle may abstain on one
 	// pair before the engine retires the pair (removes it from the pool
