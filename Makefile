@@ -48,7 +48,8 @@ fuzz:
 # session's pool values, the bounded top-k pickers against the full
 # sorts they replaced, sessions whose selectors read evaluation's pool
 # values against the same sessions sweeping the pool, plus the
-# serial-vs-parallel pins and the batched-oracle-vs-per-pair pins
+# serial-vs-parallel pins, the batched-oracle-vs-per-pair pins and the
+# active-ensemble golden recorded from the pre-Session ensemble loop
 # (internal/core), the sorted-sweep tree split search against the frozen
 # rescan and the forest's DecisionValues against its votes
 # (internal/tree), the blocked neural-net Train and Margin against the
@@ -65,7 +66,7 @@ fuzz:
 # the dedicated target keeps the refactor contracts visible and quick to
 # re-run on their own.
 equiv:
-	$(GO) test -race -count=1 -run 'CompositionEquivalence|SerialParallelEquivalent|WorkerInvariant|BatchOracleEquivalence|PickersMatchLegacySort|PoolValues' ./internal/core/
+	$(GO) test -race -count=1 -run 'CompositionEquivalence|SerialParallelEquivalent|WorkerInvariant|BatchOracleEquivalence|EnsembleLoopEquivalence|PickersMatchLegacySort|PoolValues' ./internal/core/
 	$(GO) test -race -count=1 -run 'GrowMatchesLegacy|ForestDecisionValuesMatchVotes' ./internal/tree/
 	$(GO) test -race -count=1 -run 'TrainMatchesLegacy|NetDecisionValuesMatchMargin' ./internal/neural/
 	$(GO) test -race -count=1 -run 'SVMTrainMatchesLegacy|DecisionValuesMatchDecisionValue' ./internal/linear/
