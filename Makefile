@@ -8,11 +8,11 @@ GO ?= go
 
 # Coverage ratchet for the engine package. Raise after a PR that durably
 # lifts internal/core coverage; never lower it to absorb a regression.
-COVER_FLOOR_CORE ?= 88.3
+COVER_FLOOR_CORE ?= 91.5
 
-.PHONY: check fmt vet build test race cover fuzz bench bench-json bench-ratchet bench-e2e harness chaos serve-smoke equiv
+.PHONY: check fmt vet build test race cover fuzz bench bench-json bench-ratchet bench-e2e harness chaos serve-smoke resume-drill equiv
 
-check: fmt vet build race equiv bench-ratchet cover fuzz chaos serve-smoke harness
+check: fmt vet build race equiv bench-ratchet cover fuzz chaos serve-smoke resume-drill harness
 
 # Fails, listing them, when any Go file outside the benchmark's build
 # state (.bench_build/) is not formatted by the toolchain's own gofmt.
@@ -125,7 +125,8 @@ harness:
 	XDG_CONFIG_HOME="$$out/config" GOTOOLCHAIN=local GOPROXY=off GOWORK=off \
 	GOFLAGS=-mod=mod CGO_ENABLED=0 $(GO) -C e2ebench test -count=1 .
 
-# Seeded fault-injection suite: kill/resume bit-identity, oracle stall
+# Seeded fault-injection suite: kill/resume bit-identity (active-ensemble
+# runs included, resumed from every step boundary), oracle stall
 # termination, panic containment, breaker lifecycle, hot model swaps
 # under load, corrupt-artifact swap rejection, per-tenant admission
 # isolation — all deterministic (seeded faults, gated learners).
@@ -138,3 +139,10 @@ chaos:
 # asserting zero non-2xx, and asserts SIGTERM drains cleanly.
 serve-smoke:
 	GO="$(GO)" sh scripts/serve_smoke.sh
+
+# Ctrl-C resume drill: trains a cora model uninterrupted, trains it again
+# with -checkpoint and SIGINT at iteration 10 (mid-round under flaky
+# labeling), resumes with -resume and asserts the two saved models are
+# byte-identical (see scripts/resume_drill.sh). About 15 s.
+resume-drill:
+	GO="$(GO)" sh scripts/resume_drill.sh

@@ -281,19 +281,32 @@ func train(o trainOpts) error {
 	// stalled oracle (every query in a round failing) does the same.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	// Snapshot every step boundary, atomically: before the first Step and
+	// after each Step that returned no error. A cancelled or failed Step
+	// leaves the last boundary's checkpoint in place, and the WAL holds
+	// the answers its partial round paid for, so -resume replays them
+	// onto the uninterrupted trajectory.
+	checkpoint := func() error {
+		if o.checkpoint == "" {
+			return nil
+		}
+		if err := alem.WriteFileAtomic(o.checkpoint, session.Snapshot().Encode); err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
+		}
+		return nil
+	}
+	if err := checkpoint(); err != nil {
+		return err
+	}
 	var runErr error
 	for {
 		done, err := session.Step(ctx)
-		if o.checkpoint != "" {
-			// Snapshot every iteration boundary, atomically: a kill between
-			// writes loses no granted label thanks to the WAL.
-			if cerr := alem.WriteFileAtomic(o.checkpoint, session.Snapshot().Encode); cerr != nil {
-				return fmt.Errorf("checkpoint: %w", cerr)
-			}
-		}
 		if err != nil {
 			runErr = err
 			break
+		}
+		if err := checkpoint(); err != nil {
+			return err
 		}
 		if done {
 			break

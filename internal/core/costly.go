@@ -48,6 +48,9 @@ func (s *Session) SetWarmStart(l Learner) error {
 	if l == nil {
 		return fmt.Errorf("core: SetWarmStart requires a non-nil learner")
 	}
+	if s.ens != nil {
+		return fmt.Errorf("core: SetWarmStart does not apply to an ensemble session")
+	}
 	s.warm = l
 	if s.cfg.WarmStartModel == "" {
 		s.cfg.WarmStartModel = "inline"

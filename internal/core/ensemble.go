@@ -1,11 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"math/rand"
+	"fmt"
+	"slices"
 	"time"
 
+	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/oracle"
+	"github.com/alem/alem/internal/resilience"
 )
 
 // EnsembleConfig configures the §5.2 active-ensemble enhancement: an
@@ -55,264 +59,204 @@ func RunEnsemble(pool *Pool, o oracle.Oracle, cfg EnsembleConfig) *EnsembleResul
 }
 
 // RunEnsembleContext is RunEnsemble with cancellation and the Session
-// event stream: the context is checked at every phase boundary, inside
-// parallel prediction and before every Oracle query; observers receive
-// the same IterationStart, PhaseDone{train}, EvalDone, BatchSelected and
-// RunEnd events a Session emits, plus CandidateAccepted when the §5.2
-// precision test admits a classifier. On cancellation the partial result
-// is returned together with the context's error. (Checkpoint/resume is a
-// base-Session capability; ensembles do not snapshot.)
-//
-// The ensemble loop shares pooled prediction and point scoring with the
-// Session engine and draws from the RNG in the same order as the
-// pre-Session implementation. It labels through the per-pair
-// oracle.Oracle directly: it has no faults, WAL, ledger or snapshot to
-// route through the Session's labeling path.
+// event stream. It runs an ensemble session (NewEnsembleSession) over
+// resilience.BatchOf(resilience.Wrap(o)) to its end, so observers see
+// the events any Session emits, plus CandidateAccepted when the §5.2
+// precision test admits a classifier. On cancellation the partial
+// result is returned together with the context's error. For a WAL,
+// fault handling, a priced labeler or checkpoint/resume, build the
+// session with NewEnsembleSession instead.
 func RunEnsembleContext(ctx context.Context, pool *Pool, o oracle.Oracle, cfg EnsembleConfig, observers ...Observer) (*EnsembleResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := cfg.Config.Validate(); err != nil {
+	s, err := NewEnsembleSession(pool, resilience.BatchOf(resilience.Wrap(o)), cfg)
+	if err != nil {
 		return nil, err
 	}
-	cfg.Config = cfg.Config.withDefaults()
-	if cfg.Tau == 0 {
-		cfg.Tau = 0.85
-	}
-	if cfg.MinPositive == 0 {
-		cfg.MinPositive = 3
-	}
-	r := rand.New(rand.NewSource(cfg.Seed))
-	emit := func(e Event) {
-		for _, obs := range observers {
-			obs.Observe(e)
-		}
-	}
-
-	e := &ensembleRun{pool: pool, oracle: o, cfg: cfg, rng: r}
-	res := &EnsembleResult{}
-	finish := func(reason StopReason, err error) (*EnsembleResult, error) {
-		res.LabelsUsed = e.totalLabels
-		res.Reason = reason
-		emit(RunEnd{Iterations: len(res.Curve), LabelsUsed: e.totalLabels, Reason: reason, Err: err})
-		return res, err
-	}
-
-	if err := e.seed(ctx); err != nil {
-		return finish(StopCancelled, err)
-	}
-	res.TestSize = len(e.testIdx)
-
-	var accepted []Learner
-
-	for iter := 0; ; iter++ {
-		emit(IterationStart{Iteration: iter, LabelsUsed: e.totalLabels, PoolRemaining: len(e.unlabeled)})
-		if err := ctx.Err(); err != nil {
-			return finish(StopCancelled, err)
-		}
-
-		// Train the candidate on the uncovered labeled remainder.
-		trainX, trainY := gatherTraining(pool, e.labeled, e.labels, len(e.labeled))
-		candidate := cfg.Factory(r.Int63())
-		start := time.Now()
-		if len(trainX) > 0 && bothClasses(trainY) {
-			candidate.Train(trainX, trainY)
-		} else {
-			candidate = nil
-		}
-		trainTime := time.Since(start)
-		emit(PhaseDone{
-			Phase: "train", Iteration: iter, Elapsed: trainTime,
-			Labels: len(e.labeled), Workers: 1, PoolRemaining: len(e.unlabeled),
-		})
-		if err := ctx.Err(); err != nil {
-			return finish(StopCancelled, err)
-		}
-
-		// Evaluate the ensemble union on the test universe. The full
-		// slice expression keeps the append out of accepted's backing
-		// array.
-		members := accepted[:len(accepted):len(accepted)]
-		if candidate != nil {
-			members = append(members, candidate)
-		}
-		evalStart := time.Now()
-		pred, err := parallelPredict(ctx, pool, e.testIdx, cfg.Workers, members...)
-		if err != nil {
-			return finish(StopCancelled, err)
-		}
-		pt := evalPoint(pool, e.testIdx, pred, e.totalLabels, trainTime)
-		emit(EvalDone{Iteration: iter, Point: pt, Elapsed: time.Since(evalStart)})
-
-		var batch []int
-		reason := StopNone
-		switch {
-		case e.totalLabels >= e.maxLabels:
-			reason = StopBudget
-		case len(e.unlabeled) == 0:
-			reason = StopPoolExhausted
-		case cfg.TargetF1 > 0 && pt.F1 >= cfg.TargetF1:
-			reason = StopTargetF1
-		case candidate == nil:
-			reason = StopSelectorEmpty
-		default:
-			sctx := &SelectContext{
-				Ctx:     ctx,
-				Learner: candidate, Pool: pool,
-				LabeledIdx: e.labeled, Labels: e.labels,
-				Unlabeled: e.unlabeled, Rand: r,
-				Workers: cfg.Workers,
-			}
-			k := min(cfg.BatchSize, e.maxLabels-e.totalLabels)
-			batch = cfg.Selector.Select(sctx, k)
-			pt.CommitteeCreateTime = sctx.CommitteeCreate
-			pt.ScoreTime = sctx.Score
-			if err := ctx.Err(); err != nil {
-				return finish(StopCancelled, err)
-			}
-			if len(batch) == 0 {
-				reason = StopSelectorEmpty
-			}
-		}
-		if cfg.OnIteration != nil && candidate != nil {
-			cfg.OnIteration(candidate, &pt)
-		}
-		res.Curve = append(res.Curve, pt)
-		if reason != StopNone {
-			return finish(reason, nil)
-		}
-		emit(BatchSelected{Iteration: iter, Batch: batch,
-			CommitteeCreate: pt.CommitteeCreateTime, Score: pt.ScoreTime})
-
-		// Label the batch.
-		if err := e.labelBatch(ctx, batch); err != nil {
-			return finish(StopCancelled, err)
-		}
-
-		// Acceptance test (§5.2): precision of the candidate over the
-		// Oracle-labeled examples it predicts as matches.
-		predPos, truePos := 0, 0
-		for j, i := range e.labeled {
-			if candidate.Predict(pool.X[i]) {
-				predPos++
-				if e.labels[j] {
-					truePos++
-				}
-			}
-		}
-		if predPos >= cfg.MinPositive && float64(truePos)/float64(predPos) >= cfg.Tau {
-			accepted = append(accepted, candidate)
-			res.Accepted++
-			emit(CandidateAccepted{Iteration: iter, Accepted: res.Accepted})
-			// Remove the candidate's positive predictions from both
-			// labeled and unlabeled pools (Fig. 7); the next classifier
-			// is learned from the uncovered remainder.
-			keptLabeled := e.labeled[:0]
-			keptLabels := e.labels[:0]
-			for j, i := range e.labeled {
-				if candidate.Predict(pool.X[i]) {
-					continue
-				}
-				keptLabeled = append(keptLabeled, i)
-				keptLabels = append(keptLabels, e.labels[j])
-			}
-			e.labeled, e.labels = keptLabeled, keptLabels
-			keptUn := e.unlabeled[:0]
-			for _, i := range e.unlabeled {
-				if candidate.Predict(pool.X[i]) {
-					continue
-				}
-				keptUn = append(keptUn, i)
-			}
-			e.unlabeled = keptUn
-		}
-	}
+	s.AddObserver(observers...)
+	res, err := s.Run(ctx)
+	return &EnsembleResult{Result: *res, Accepted: len(s.ens.members)}, err
 }
 
-// ensembleRun is the labeled-set bookkeeping of one ensemble run. Unlike
-// the base Session, the cumulative label count is tracked separately from
-// the labeled list, which shrinks when an accepted classifier covers part
-// of it.
-type ensembleRun struct {
-	pool   *Pool
-	oracle oracle.Oracle
-	cfg    EnsembleConfig
-	rng    *rand.Rand
-
-	maxLabels   int
-	testIdx     []int
-	labeled     []int
-	labels      []bool
-	unlabeled   []int
-	totalLabels int
+// NewEnsembleSession prepares a Session that runs the §5.2 active
+// ensemble (Fig. 7) through the Fig. 1a loop, labeling through bo as
+// NewBatchSession does. Every iteration trains a fresh candidate,
+// cfg.Factory drawing its seed from the session's RNG, on the labeled
+// pairs no accepted member predicts a match (the uncovered pairs, which
+// are also the selector's labeled view); evaluates the union of the
+// accepted members and the candidate; and selects from the uncovered
+// unlabeled pool with the candidate. After the label phase, a candidate
+// whose precision over the uncovered pairs it predicts a match reaches
+// cfg.Tau, on at least cfg.MinPositive of them, joins the ensemble
+// (CandidateAccepted) and its predicted matches leave the unlabeled
+// pool. A run whose uncovered pairs cannot train a candidate stops with
+// StopSelectorEmpty. The labeled set keeps every label paid, so the
+// budget, curve points, WAL and ledger count labels as a plain
+// session's do; RestoreEnsembleWithWAL resumes its snapshots.
+func NewEnsembleSession(pool *Pool, bo oracle.BatchOracle, cfg EnsembleConfig) (*Session, error) {
+	if cfg.Factory == nil {
+		return nil, fmt.Errorf("core: NewEnsembleSession requires a Factory")
+	}
+	s, err := NewBatchSession(pool, nil, cfg.Selector, bo, cfg.Config)
+	if err != nil {
+		return nil, err
+	}
+	s.ens = &ensemble{factory: cfg.Factory, EnsembleState: EnsembleState{
+		Tau: cmp.Or(cfg.Tau, 0.85), MinPositive: cmp.Or(cfg.MinPositive, 3),
+	}}
+	return s, nil
 }
 
-// seed mirrors the Session seed phase: split the universe, draw the
-// initial sample, and keep drawing budget-clamped batches until both
-// classes are present.
-func (e *ensembleRun) seed(ctx context.Context) error {
-	all := e.rng.Perm(e.pool.Len())
-	var universe []int
-	switch e.cfg.Mode {
-	case HeldOut:
-		cut := int(float64(e.pool.Len()) * e.cfg.HoldoutFrac)
-		e.testIdx, universe = all[:cut], all[cut:]
-	default:
-		e.testIdx = make([]int, e.pool.Len())
-		for i := range e.testIdx {
-			e.testIdx[i] = i
-		}
-		universe = all
-	}
-	e.maxLabels = e.cfg.MaxLabels
-	if e.maxLabels <= 0 || e.maxLabels > len(universe) {
-		e.maxLabels = len(universe)
-	}
-	e.labeled = make([]int, 0, e.maxLabels)
-	e.labels = make([]bool, 0, e.maxLabels)
-	e.unlabeled = append([]int(nil), universe...)
-
-	if err := e.labelFront(ctx, min(e.cfg.SeedLabels, e.maxLabels)); err != nil {
-		return err
-	}
-	for !bothClasses(e.labels) && len(e.unlabeled) > 0 && e.totalLabels < e.maxLabels {
-		if err := e.labelFront(ctx, min(e.cfg.BatchSize, e.maxLabels-e.totalLabels)); err != nil {
-			return err
-		}
-	}
-	return nil
+// EnsembleState is an ensemble session's part of a Snapshot: the
+// acceptance test and the accepted members, in acceptance order.
+type EnsembleState struct {
+	Tau         float64          `json:"tau"`
+	MinPositive int              `json:"min_positive"`
+	Members     []EnsembleMember `json:"members,omitempty"`
 }
 
-func (e *ensembleRun) labelFront(ctx context.Context, k int) error {
-	if k > len(e.unlabeled) {
-		k = len(e.unlabeled)
-	}
-	for j := 0; j < k; j++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		i := e.unlabeled[0]
-		e.unlabeled = e.unlabeled[1:]
-		e.labeled = append(e.labeled, i)
-		e.labels = append(e.labels, e.oracle.Label(e.pool.Pairs[i]))
-		e.totalLabels++
-	}
-	return nil
+// EnsembleMember records one accepted classifier: the iteration whose
+// candidate it was and the Factory seed it was built from.
+type EnsembleMember struct {
+	Iteration int   `json:"iteration"`
+	Seed      int64 `json:"seed"`
 }
 
-func (e *ensembleRun) labelBatch(ctx context.Context, batch []int) error {
-	taken := 0
-	var err error
-	for _, i := range batch {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			break
+// ensemble is a Session's §5.2 policy. The session's learner is the
+// iteration's candidate, nil when the uncovered pairs cannot train one.
+type ensemble struct {
+	EnsembleState
+	factory Factory
+	// members are the accepted classifiers, parallel to Members.
+	members []Learner
+	// seed is the candidate's Factory seed.
+	seed int64
+	// labeled and labels are the uncovered pairs at the last train
+	// phase, in labeled order: the candidate's training set and the
+	// selector's labeled view.
+	labeled []int
+	labels  []bool
+}
+
+// covers reports whether some accepted member predicts x a match.
+func (e *ensemble) covers(x feature.Vector) bool {
+	for _, m := range e.members {
+		if m.Predict(x) {
+			return true
 		}
-		e.labeled = append(e.labeled, i)
-		e.labels = append(e.labels, e.oracle.Label(e.pool.Pairs[i]))
-		e.totalLabels++
-		taken++
 	}
-	removeFromPool(&e.unlabeled, batch[:taken])
-	return err
+	return false
+}
+
+// uncovered returns the pairs of the first n labeled that no accepted
+// member predicts a match, with their labels, in labeled order. A pair
+// labeled after an acceptance came from the unlabeled pool that
+// acceptance filtered, so the labeled set needs no coverage marks.
+func (e *ensemble) uncovered(pool *Pool, labeled []int, labels []bool, n int) ([]int, []bool) {
+	var idx []int
+	var labs []bool
+	for j, i := range labeled[:n] {
+		if !e.covers(pool.X[i]) {
+			idx = append(idx, i)
+			labs = append(labs, labels[j])
+		}
+	}
+	return idx, labs
+}
+
+// train draws the candidate's seed and trains Factory(seed) on the
+// uncovered pairs, returning the wall time and the training-set size.
+func (e *ensemble) train(s *Session) (time.Duration, int) {
+	e.labeled, e.labels = e.uncovered(s.pool, s.labeled, s.labels, len(s.labeled))
+	e.seed = s.rng.Int63()
+	s.learner = nil
+	if !bothClasses(e.labels) {
+		return 0, len(e.labeled)
+	}
+	c := e.factory(e.seed)
+	trainX, trainY := gatherTraining(s.pool, e.labeled, e.labels, len(e.labeled))
+	start := time.Now()
+	c.Train(trainX, trainY)
+	s.learner = c
+	return time.Since(start), len(e.labeled)
+}
+
+// union is what the evaluate phase predicts with: the accepted members
+// plus the candidate l, if any. The full slice expression keeps the
+// append out of members' backing array.
+func (e *ensemble) union(l Learner) []Learner {
+	u := e.members[:len(e.members):len(e.members)]
+	if l != nil {
+		u = append(u, l)
+	}
+	return u
+}
+
+// accept runs the §5.2 acceptance test after the label phase: the
+// candidate's precision over the uncovered labeled pairs, the batch just
+// labeled included, that it predicts a match.
+func (e *ensemble) accept(s *Session) {
+	c := s.learner
+	predPos, truePos := 0, 0
+	for j, i := range s.labeled {
+		if x := s.pool.X[i]; c.Predict(x) && !e.covers(x) {
+			predPos++
+			if s.labels[j] {
+				truePos++
+			}
+		}
+	}
+	if !(predPos >= e.MinPositive && float64(truePos)/float64(predPos) >= e.Tau) {
+		return
+	}
+	e.members = append(e.members, c)
+	e.Members = append(e.Members, EnsembleMember{Iteration: s.iter, Seed: e.seed})
+	s.emit(CandidateAccepted{Iteration: s.iter, Accepted: len(e.members)})
+	// The candidate's predicted matches leave the unlabeled pool (Fig.
+	// 7); the next candidate is learned on the uncovered remainder.
+	s.unlabeled = slices.DeleteFunc(s.unlabeled, func(i int) bool { return c.Predict(s.pool.X[i]) })
+}
+
+// snapshot copies the policy's serializable state; nil for a plain
+// session.
+func (e *ensemble) snapshot() *EnsembleState {
+	if e == nil {
+		return nil
+	}
+	st := e.EnsembleState
+	st.Members = append([]EnsembleMember(nil), e.Members...)
+	return &st
+}
+
+// RestoreEnsembleWithWAL is RestoreBatchWithWAL for a snapshot of an
+// ensemble session (NewEnsembleSession), with the Factory and Selector
+// the run was built with. It replays the accepted members only: member
+// k is factory(seed_k) trained on the pairs of its iteration's labeled
+// prefix that members 1..k−1 leave uncovered. Every other candidate
+// was discarded, and the next is drawn from the replayed RNG.
+func RestoreEnsembleWithWAL(pool *Pool, factory Factory, sel Selector, bo oracle.BatchOracle, sn *Snapshot, wal []resilience.LabelRecord) (*Session, error) {
+	if sn.Ensemble == nil {
+		return nil, fmt.Errorf("core: snapshot is of a plain session; restore it with RestoreBatchWithWAL")
+	}
+	s, err := NewEnsembleSession(pool, bo, EnsembleConfig{
+		Config: sn.Config, Tau: sn.Ensemble.Tau, MinPositive: sn.Ensemble.MinPositive,
+		Factory: factory, Selector: sel,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := s.restore(sn, wal); err != nil {
+		return nil, err
+	}
+	e := s.ens
+	for _, m := range sn.Ensemble.Members {
+		if m.Iteration < 0 || m.Iteration >= len(sn.Curve) {
+			return nil, fmt.Errorf("core: snapshot ensemble member of iteration %d outside its %d-point curve",
+				m.Iteration, len(sn.Curve))
+		}
+		labeled, labels := e.uncovered(pool, s.labeled, s.labels, sn.Curve[m.Iteration].Labels)
+		c := factory(m.Seed)
+		c.Train(gatherTraining(pool, labeled, labels, len(labeled)))
+		e.members = append(e.members, c)
+		e.Members = append(e.Members, m)
+	}
+	return s, nil
 }

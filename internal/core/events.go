@@ -82,7 +82,9 @@ type OracleFault struct {
 // PhaseDone complements rather than replaces the phase events that
 // carry payloads of their own (EvalDone, BatchSelected): PhaseDone is
 // the uniform timing record, and PhaseDone{Phase: "train"} is the train
-// phase's only event, its Labels the size of the training set.
+// phase's only event, its Labels the size of the training set. For an
+// ensemble session (NewEnsembleSession) that is the candidate's
+// training set, the labeled pairs no accepted member covers.
 type PhaseDone struct {
 	// Phase is "seed", "train", "evaluate", "select" or "label".
 	Phase string
@@ -91,7 +93,8 @@ type PhaseDone struct {
 	Iteration int
 	// Elapsed is the phase's wall-clock duration.
 	Elapsed time.Duration
-	// Labels is the cumulative Oracle-label count after the phase.
+	// Labels is the cumulative Oracle-label count after the phase (for
+	// train, the training-set size; see above).
 	Labels int
 	// LabelsDelta is how many labels the phase granted (seed and label
 	// phases; 0 elsewhere).
@@ -136,8 +139,9 @@ type OracleBatchDone struct {
 	Elapsed time.Duration
 }
 
-// CandidateAccepted is emitted by ensemble runs (§5.2) when a candidate
-// classifier passes the precision acceptance test.
+// CandidateAccepted is emitted by ensemble sessions (§5.2) when a
+// candidate classifier passes the precision acceptance test, after the
+// iteration's label phase and before the next IterationStart.
 type CandidateAccepted struct {
 	Iteration int
 	// Accepted is the ensemble size after this acceptance.

@@ -53,8 +53,9 @@ type LabelSink interface {
 // the engine draws from the same RNG in the same order, and core.Run is
 // now a thin wrapper over it.
 //
-// A Session is single-use: construct with NewSession (or Restore), drive
-// with Run or Step, then read Result. It is not safe for concurrent use;
+// A Session is single-use: construct with NewSession, NewBatchSession or
+// NewEnsembleSession (or restore one), drive with Run or Step, then read
+// Result. It is not safe for concurrent use;
 // run concurrent sessions instead (they share nothing).
 type Session struct {
 	pool    *Pool
@@ -92,6 +93,9 @@ type Session struct {
 	// drives evaluation and selection until the labeled set can train
 	// the session's own learner, and is itself never trained.
 	warm Learner
+	// ens is the §5.2 active-ensemble policy of a NewEnsembleSession;
+	// nil for a plain session.
+	ens *ensemble
 
 	src *countingSource
 	rng *rand.Rand
@@ -269,10 +273,10 @@ func (s *Session) Step(ctx context.Context) (bool, error) {
 		return true, s.cancel(err)
 	}
 
-	trainTime := s.trainPhase()
+	trainTime, trainRows := s.trainPhase()
 	s.emit(PhaseDone{
 		Phase: "train", Iteration: s.iter, Elapsed: trainTime,
-		Labels: len(s.labeled), Workers: 1, PoolRemaining: len(s.unlabeled),
+		Labels: trainRows, Workers: 1, PoolRemaining: len(s.unlabeled),
 	})
 	if err := ctx.Err(); err != nil {
 		return true, s.cancel(err)
@@ -314,7 +318,7 @@ func (s *Session) Step(ctx context.Context) (bool, error) {
 		Labels: len(s.labeled), Batch: len(batch),
 		Workers: workerCount(s.cfg.Workers), PoolRemaining: len(s.unlabeled),
 	})
-	if s.cfg.OnIteration != nil {
+	if s.cfg.OnIteration != nil && s.learner != nil {
 		s.cfg.OnIteration(s.learner, &pt)
 	}
 	s.res.Curve = append(s.res.Curve, pt)
@@ -339,6 +343,9 @@ func (s *Session) Step(ctx context.Context) (bool, error) {
 		Labels: len(s.labeled), LabelsDelta: len(s.labeled) - before,
 		Batch: len(batch), Workers: 1, PoolRemaining: len(s.unlabeled),
 	})
+	if s.ens != nil {
+		s.ens.accept(s)
+	}
 	s.iter++
 	return false, nil
 }
@@ -409,20 +416,24 @@ func (s *Session) labelFront(ctx context.Context, k int) error {
 }
 
 // trainPhase retrains the learner from scratch on the cumulative labeled
-// set (the benchmark's retrain protocol) and returns the wall time.
-// While a warm-start session's labeled set cannot train (empty or
-// single-class), the phase is skipped — the warm learner serves as the
-// model and is never trained, which keeps snapshot replay trivially
-// deterministic.
-func (s *Session) trainPhase() time.Duration {
+// set (the benchmark's retrain protocol) and returns the wall time and
+// the training-set size. While a warm-start session's labeled set cannot
+// train (empty or single-class), the phase is skipped — the warm learner
+// serves as the model and is never trained, which keeps snapshot replay
+// trivially deterministic. An ensemble session trains a fresh candidate
+// on the uncovered pairs instead (see ensemble.train).
+func (s *Session) trainPhase() (time.Duration, int) {
 	s.values = poolValues{}
+	if s.ens != nil {
+		return s.ens.train(s)
+	}
 	if s.useWarm() {
-		return 0
+		return 0, len(s.labeled)
 	}
 	trainX, trainY := gatherTraining(s.pool, s.labeled, s.labels, len(s.labeled))
 	start := time.Now()
 	s.learner.Train(trainX, trainY)
-	return time.Since(start)
+	return time.Since(start), len(s.labeled)
 }
 
 // evalPhase predicts over the test universe in parallel and scores the
@@ -431,17 +442,23 @@ func (s *Session) trainPhase() time.Duration {
 // keeps the value behind each prediction in s.values, so this step's
 // selector reads them instead of sweeping the pool again. The values
 // are tied to the learner by identity, so a learner whose type cannot
-// be compared (a value type holding a slice) is swept the old way.
+// be compared (a value type holding a slice) is swept the old way. An
+// ensemble session predicts the union of its members and candidate; it
+// keeps values only while the candidate is the one predictor.
 func (s *Session) evalPhase(ctx context.Context, trainTime time.Duration) (eval.Point, []bool, error) {
 	start := time.Now()
 	l := s.activeLearner()
+	learners := []Learner{l}
+	if s.ens != nil {
+		learners = s.ens.union(l)
+	}
 	var pred []bool
 	var err error
-	if dl, ok := l.(DecisionLearner); ok && wholePool(s.testIdx, s.pool.Len()) && reflect.TypeOf(l).Comparable() {
+	if dl, ok := l.(DecisionLearner); ok && len(learners) == 1 && wholePool(s.testIdx, s.pool.Len()) && reflect.TypeOf(l).Comparable() {
 		s.values.learner = l
 		s.values.vals, pred, err = parallelDecide(ctx, s.pool, s.testIdx, s.cfg.Workers, dl)
 	} else {
-		pred, err = parallelPredict(ctx, s.pool, s.testIdx, s.cfg.Workers, l)
+		pred, err = parallelPredict(ctx, s.pool, s.testIdx, s.cfg.Workers, learners...)
 	}
 	if err != nil {
 		return eval.Point{}, nil, err
@@ -460,6 +477,8 @@ func (s *Session) evalPhase(ctx context.Context, trainTime time.Duration) (eval.
 // selectPhase checks the stopping criteria and, if the run continues,
 // asks the selector for the next batch. It writes the selector's latency
 // breakdown into pt and returns the stop reason (StopNone to continue).
+// An ensemble session's selector sees the uncovered labeled pairs, and a
+// run with no candidate stops with StopSelectorEmpty.
 func (s *Session) selectPhase(ctx context.Context, pt *eval.Point) ([]int, StopReason) {
 	sctx := &SelectContext{
 		Ctx:     ctx,
@@ -468,6 +487,9 @@ func (s *Session) selectPhase(ctx context.Context, pt *eval.Point) ([]int, StopR
 		Unlabeled: s.unlabeled, Rand: s.rng,
 		Workers: s.cfg.Workers,
 		values:  s.values,
+	}
+	if s.ens != nil {
+		sctx.LabeledIdx, sctx.Labels = s.ens.labeled, s.ens.labels
 	}
 	var batch []int
 	reason := StopNone
@@ -482,6 +504,8 @@ func (s *Session) selectPhase(ctx context.Context, pt *eval.Point) ([]int, StopR
 		reason = StopTargetF1
 	case s.cfg.StabilityWindow > 0 && s.stableIters >= s.cfg.StabilityWindow:
 		reason = StopStability
+	case s.ens != nil && s.learner == nil:
+		reason = StopSelectorEmpty
 	default:
 		k := min(s.cfg.BatchSize, s.maxLabels-len(s.labeled))
 		batch = s.sel.Select(sctx, k)
@@ -520,7 +544,7 @@ func (s *Session) cancel(err error) error {
 	return err
 }
 
-// ---- shared phase helpers (used by Session and RunEnsemble) ----
+// ---- shared phase helpers (used by the phases and by restore) ----
 
 // gatherTraining copies the labeled set's vectors and labels into
 // training slices. n caps the prefix taken (Restore replays historical

@@ -24,6 +24,12 @@ import (
 //     its model state and its internal RNG position under the benchmark's
 //     retrain-from-scratch protocol.
 //
+// An ensemble session's snapshot is exact in the same way. Its Ensemble
+// field records each accepted member's iteration and factory seed, and
+// RestoreEnsembleWithWAL rebuilds every member on the uncovered part of
+// that iteration's labeled prefix. The next candidate is a fresh one,
+// seeded from the replayed RNG.
+//
 // The one exception is a run cancelled mid-way through labeling a batch:
 // the already-paid Oracle labels are kept (they cost money; rolling them
 // back would discard them), so the resumed run continues from a labeled
@@ -74,6 +80,9 @@ type Snapshot struct {
 	// AbstainCounts is the per-pending-pair billed-abstention tally the
 	// starvation cutoff is checked against.
 	AbstainCounts map[int]int `json:"abstain_counts,omitempty"`
+	// Ensemble is an ensemble session's acceptance test and accepted
+	// members (see RestoreEnsembleWithWAL); nil for a plain session.
+	Ensemble *EnsembleState `json:"ensemble,omitempty"`
 }
 
 // Snapshot captures the session's current state. Call between Step
@@ -113,6 +122,7 @@ func (s *Session) Snapshot() *Snapshot {
 		Curve:         append(eval.Curve(nil), s.res.Curve...),
 		Ledger:        ledger,
 		AbstainCounts: abstains,
+		Ensemble:      s.ens.snapshot(),
 	}
 }
 
@@ -173,12 +183,40 @@ func Restore(pool *Pool, learner Learner, sel Selector, o oracle.Oracle, sn *Sna
 // extend it. A warm-start session additionally needs SetWarmStart
 // re-attached before Step.
 func RestoreBatchWithWAL(pool *Pool, learner Learner, sel Selector, bo oracle.BatchOracle, sn *Snapshot, wal []resilience.LabelRecord) (*Session, error) {
-	if err := sn.validate(pool); err != nil {
-		return nil, err
+	if sn.Ensemble != nil {
+		return nil, fmt.Errorf("core: snapshot is of an ensemble session; restore it with RestoreEnsembleWithWAL")
 	}
 	s, err := NewBatchSession(pool, learner, sel, bo, sn.Config)
 	if err != nil {
 		return nil, err
+	}
+	if err := s.restore(sn, wal); err != nil {
+		return nil, err
+	}
+
+	// Replay historical trainings: iteration i trained on the first
+	// Curve[i].Labels draws of the labeled set (labels are cumulative and
+	// append-only, so the prefix is the exact historical training set).
+	// Warm-start iterations whose prefix could not train (empty or
+	// single-class — the warm learner served instead) are skipped, which
+	// reproduces the live run's training history exactly.
+	warmStart := sn.Config.WarmStartModel != ""
+	for _, pt := range sn.Curve {
+		if warmStart && !trainablePrefix(s.labels, pt.Labels) {
+			continue
+		}
+		trainX, trainY := gatherTraining(pool, s.labeled, s.labels, pt.Labels)
+		learner.Train(trainX, trainY)
+	}
+	return s, nil
+}
+
+// restore loads a snapshot's state, and the WAL's answers past it, into
+// a freshly constructed session; the learners are the caller's to
+// replay.
+func (s *Session) restore(sn *Snapshot, wal []resilience.LabelRecord) error {
+	if err := sn.validate(s.pool); err != nil {
+		return err
 	}
 	if sn.Ledger != nil {
 		s.ledger = *sn.Ledger
@@ -207,12 +245,12 @@ func RestoreBatchWithWAL(pool *Pool, learner Learner, sel Selector, bo oracle.Ba
 			if !rec.Abstained() {
 				labelOrd++
 				if labelOrd > len(sn.Labeled) || sn.Labeled[labelOrd-1] != rec.Index || sn.Labels[labelOrd-1] != rec.Label {
-					return nil, fmt.Errorf("core: label WAL record %d (index %d) disagrees with snapshot",
+					return fmt.Errorf("core: label WAL record %d (index %d) disagrees with snapshot",
 						rec.Seq, rec.Index)
 				}
 			}
 			if s.pairAdv != nil {
-				s.pairAdv.AdvancePair(pool.Pairs[rec.Index], 1)
+				s.pairAdv.AdvancePair(s.pool.Pairs[rec.Index], 1)
 			}
 		}
 	}
@@ -231,22 +269,7 @@ func RestoreBatchWithWAL(pool *Pool, learner Learner, sel Selector, bo oracle.Ba
 	s.stableIters = sn.StableIters
 	s.res.Curve = append(eval.Curve(nil), sn.Curve...)
 	s.res.TestSize = len(s.testIdx)
-
-	// Replay historical trainings: iteration i trained on the first
-	// Curve[i].Labels draws of the labeled set (labels are cumulative and
-	// append-only, so the prefix is the exact historical training set).
-	// Warm-start iterations whose prefix could not train (empty or
-	// single-class — the warm learner served instead) are skipped, which
-	// reproduces the live run's training history exactly.
-	warmStart := sn.Config.WarmStartModel != ""
-	for _, pt := range sn.Curve {
-		if warmStart && !trainablePrefix(s.labels, pt.Labels) {
-			continue
-		}
-		trainX, trainY := gatherTraining(pool, s.labeled, s.labels, pt.Labels)
-		learner.Train(trainX, trainY)
-	}
-	return s, nil
+	return nil
 }
 
 // walAnswer turns a WAL record back into the answer it journaled.
