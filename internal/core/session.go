@@ -55,8 +55,8 @@ type LabelSink interface {
 //
 // A Session is single-use: construct with NewSession, NewBatchSession or
 // NewEnsembleSession (or restore one), drive with Run or Step, then read
-// Result. It is not safe for concurrent use;
-// run concurrent sessions instead (they share nothing).
+// Result. It is not safe for concurrent use; run concurrent sessions
+// instead (they share nothing).
 type Session struct {
 	pool    *Pool
 	learner Learner

@@ -181,7 +181,8 @@ func Restore(pool *Pool, learner Learner, sel Selector, o oracle.Oracle, sn *Sna
 // from the WAL. Attach the same WAL with SetLabelSink afterwards: its
 // appends are idempotent, so the replayed answers no-op and fresh ones
 // extend it. A warm-start session additionally needs SetWarmStart
-// re-attached before Step.
+// re-attached before Step. An ensemble session's snapshot is rejected:
+// restore it with RestoreEnsembleWithWAL.
 func RestoreBatchWithWAL(pool *Pool, learner Learner, sel Selector, bo oracle.BatchOracle, sn *Snapshot, wal []resilience.LabelRecord) (*Session, error) {
 	if sn.Ensemble != nil {
 		return nil, fmt.Errorf("core: snapshot is of an ensemble session; restore it with RestoreEnsembleWithWAL")
