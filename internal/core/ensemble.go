@@ -211,8 +211,15 @@ func (e *ensemble) accept(s *Session) {
 	e.Members = append(e.Members, EnsembleMember{Iteration: s.iter, Seed: e.seed})
 	s.emit(CandidateAccepted{Iteration: s.iter, Accepted: len(e.members)})
 	// The candidate's predicted matches leave the unlabeled pool (Fig.
-	// 7); the next candidate is learned on the uncovered remainder.
-	s.unlabeled = slices.DeleteFunc(s.unlabeled, func(i int) bool { return c.Predict(s.pool.X[i]) })
+	// 7), and their abstain tallies with them; the next candidate is
+	// learned on the uncovered remainder.
+	s.unlabeled = slices.DeleteFunc(s.unlabeled, func(i int) bool {
+		if !c.Predict(s.pool.X[i]) {
+			return false
+		}
+		delete(s.abstains, i)
+		return true
+	})
 }
 
 // snapshot copies the policy's serializable state; nil for a plain

@@ -190,3 +190,30 @@ func TestRestoreRejectsTheOtherSessionKind(t *testing.T) {
 		t.Error("NewEnsembleSession without a Factory returned no error")
 	}
 }
+
+// TestEnsembleAcceptanceDropsAbstainCounts pins that a pair an accepted
+// member covers leaves the abstain tallies along with the pool, so a
+// priced ensemble's snapshot counts abstentions of pending pairs only.
+func TestEnsembleAcceptanceDropsAbstainCounts(t *testing.T) {
+	pool := ambiguousPool(400, 77)
+	llm := oracle.NewSimulatedLLM(poolDataset(pool), oracle.LLMSimConfig{
+		AbstainRate: 0.3, NoiseRate: 0.02, Price: oracle.PriceTable{PerLabel: 0.002, PerAbstain: 0.001},
+	}, 3)
+	s, err := NewEnsembleSession(pool, llm, EnsembleConfig{
+		Config: Config{Seed: 77, MaxLabels: 200, MaxDollars: 0.5}, Tau: 0.6, Factory: svmFactory, Selector: Margin{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.ens.members) == 0 || s.Ledger().Abstains == 0 {
+		t.Fatalf("%d accepted, %d abstentions; the pin needs both", len(s.ens.members), s.Ledger().Abstains)
+	}
+	for i := range s.Snapshot().AbstainCounts {
+		if !slices.Contains(s.unlabeled, i) {
+			t.Errorf("pair %d keeps an abstain count but is no longer in the pool", i)
+		}
+	}
+}
