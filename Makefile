@@ -37,9 +37,10 @@ cover:
 	GO="$(GO)" COVER_FLOOR_CORE="$(COVER_FLOOR_CORE)" sh scripts/cover.sh
 
 # 10s-per-target fuzz smoke over the artifact loader, WAL recovery, CSV
-# import, the similarity metrics' range and symmetry, and the fused
-# character kernels' bit-equality with each metric's Compare (see
-# scripts/fuzz_smoke.sh; FUZZTIME=1m for longer runs).
+# import, the similarity metrics' range and symmetry, the fused
+# character kernels' bit-equality with each metric's Compare, and the
+# /v1/match and /v1/score request bodies (see scripts/fuzz_smoke.sh;
+# FUZZTIME=1m for longer runs).
 fuzz:
 	GO="$(GO)" sh scripts/fuzz_smoke.sh
 
@@ -79,16 +80,17 @@ bench:
 # Zero-alloc hot-path ratchets, run under plain `go test` (they skip
 # under -race, so the `race` target alone never exercises them): the
 # per-metric Compare and extractor/scoring allocs/op budgets, the
-# string-vs-interned 30% reduction floor, the warmed Candidates budget
-# and the constant-allocs training fit — plus the bit-identity pins the
-# ratchets rely on, and a -benchtime=1x smoke over the paired scoring
-# benchmarks, the batched featurization benchmark, the forest, neural-net
-# and linear-SVM training benchmarks, the forest and SVM DecisionValues
-# and neural-net Margin sweeps, the QBC selection pair and candidate
-# enumeration (synthetic and dblp-scholar) so a broken benchmark fails
-# `make check` rather than the next BENCH run.
+# string-vs-interned 30% reduction floor, the warmed Candidates budget,
+# the constant-allocs training fit and the featurization retention
+# budget (nothing of an ExtractPairs call outlives it) — plus the
+# bit-identity pins the ratchets rely on, and a -benchtime=1x smoke over
+# the paired scoring benchmarks, the batched featurization benchmark,
+# the forest, neural-net and linear-SVM training benchmarks, the forest
+# and SVM DecisionValues and neural-net Margin sweeps, the QBC selection
+# pair and candidate enumeration (synthetic and dblp-scholar) so a
+# broken benchmark fails `make check` rather than the next BENCH run.
 bench-ratchet:
-	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|CharKernelsMatchCompare|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|KnownCacheAcrossAdds|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
+	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|RetainsNothing|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|CharKernelsMatchCompare|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|KnownCacheAcrossAdds|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
 		./internal/textsim/ ./internal/feature/ ./internal/match/ ./internal/blocking/ ./internal/neural/
 	$(GO) test -count=1 -run '^$$' -bench 'MatcherScoreAll' -benchtime=1x -benchmem ./internal/match/
 	$(GO) test -count=1 -run '^$$' -bench 'ExtractPairs' -benchtime=1x -benchmem ./internal/feature/

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/alem/alem/internal/dataset"
@@ -135,25 +136,52 @@ func TestExtractPairsCustomMetricSet(t *testing.T) {
 // budget. The historical per-pair string path paid ~25 map and slice
 // allocations per token-metric block per pair; the interned path
 // amortizes tokenization per record and scores with zero per-pair
-// allocations, leaving only the flat vector array, the TokenSet build
-// for touched rows, and fixed bookkeeping.
+// allocations, leaving only the flat vector array, the tokenization of
+// touched rows, the call's token-set slab and arena chunks, and fixed
+// bookkeeping.
 func TestExtractPairsAllocRatchet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation behaviour differs under the race detector")
 	}
 	d, pairs := equivDataset(t)
 	e := NewExtractor(d.Left.Schema)
-	e.ExtractPairsWorkers(d, pairs, 1) // warm pools
+	e.ExtractPairsWorkers(d, pairs, 1) // warm the dictionary and scratch pools
 	avg := testing.AllocsPerRun(20, func() {
 		e.ExtractPairsWorkers(d, pairs, 1)
 	})
 	perPair := avg / float64(len(pairs))
 	// Budget: ≤ 2 allocations per pair on average (tokenization of
-	// touched rows + pooled-set refills amortize across pairs; the old
+	// touched rows and the arena's chunks amortize across pairs; the old
 	// path measured >200/pair). Generous enough to be stable, tight
 	// enough that any per-pair map allocation regression trips it.
 	if perPair > 2.0 {
 		t.Fatalf("allocs per pair = %.2f (total %.0f over %d pairs), ratchet budget 2.0",
 			perPair, avg, len(pairs))
+	}
+}
+
+// TestExtractPairsRetainsNothing pins that a call's token sets die with
+// the call. After two ExtractPairs calls on a generated dblp-scholar
+// pool, one collection must free everything the calls left behind: a
+// second collection may find less than 1 MB more. Sets parked in a
+// sync.Pool fail it, because a pool's victim cache outlives one
+// collection.
+func TestExtractPairsRetainsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap behaviour differs under the race detector")
+	}
+	d, pairs := profilePool(t, "dblp-scholar", 0.1)
+	e := NewExtractor(d.Left.Schema)
+	for range 2 {
+		e.ExtractPairsWorkers(d, pairs, 2)
+	}
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	once := m.HeapAlloc
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	if kept := (float64(once) - float64(m.HeapAlloc)) / (1 << 20); kept >= 1 {
+		t.Fatalf("a second collection freed %.2f MB more than the first (%d pairs); budget 1 MB", kept, len(pairs))
 	}
 }

@@ -223,9 +223,10 @@ func (e *Extractor) ExtractDim(left, right dataset.Record, i int) float64 {
 // tokenizations per token metric), and, for the fused character
 // kernels, decoded to runes exactly once. All result vectors share one
 // flat float64 backing array (one allocation instead of one per pair),
-// and the TokenSets are pooled. Output is bit-identical to calling
-// Extract per pair — TestExtractPairsMatchesExtract pins it at worker
-// counts {1, 2, 8}.
+// and the TokenSets live in a per-call arena that is dropped on return,
+// so nothing of a call outlives it but the vectors and the extractor's
+// dictionary. Output is bit-identical to calling Extract per pair —
+// TestExtractPairsMatchesExtract pins it at worker counts {1, 2, 8}.
 func (e *Extractor) ExtractPairs(d *dataset.Dataset, pairs []dataset.PairKey) []Vector {
 	out, _ := e.extractPairs(context.Background(), d, pairs, runtime.GOMAXPROCS(0))
 	return out
@@ -265,14 +266,12 @@ func (e *Extractor) extractPairs(ctx context.Context, d *dataset.Dataset, pairs 
 	dim := e.Dim()
 	flat := make([]float64, n*dim)
 
-	var leftSets, rightSets [][]*textsim.TokenSet
+	var leftSets, rightSets [][]textsim.TokenSet
 	nt := len(e.tokenizers)
 	if nt > 0 {
 		leftRows, rightRows := leftRowsOf(pairs, len(d.Left.Rows)), rightRowsOf(pairs, len(d.Right.Rows))
 		leftSets = e.internRows(ctx, d.Left, leftRows, workers)
-		defer releaseRowSets(leftSets)
 		rightSets = e.internRows(ctx, d.Right, rightRows, workers)
-		defer releaseRowSets(rightSets)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -298,7 +297,7 @@ func (e *Extractor) extractPairs(ctx context.Context, d *dataset.Dataset, pairs 
 			row := flat[i*dim : (i+1)*dim : (i+1)*dim]
 			out[i] = row
 			left, right := d.Left.Rows[p.L], d.Right.Rows[p.R]
-			var lsets, rsets []*textsim.TokenSet
+			var lsets, rsets []textsim.TokenSet
 			if nt > 0 {
 				lsets, rsets = leftSets[p.L], rightSets[p.R]
 			}
@@ -323,9 +322,9 @@ func (e *Extractor) extractPairs(ctx context.Context, d *dataset.Dataset, pairs 
 					case cm.char >= 0:
 						row[k] = chars[cm.char]
 					case cm.mongeElkan:
-						row[k] = kern.MongeElkan(lsets[a*nt+cm.tokIdx], rsets[a*nt+cm.tokIdx], lr.toks, rr.toks)
+						row[k] = kern.MongeElkan(&lsets[a*nt+cm.tokIdx], &rsets[a*nt+cm.tokIdx], lr.toks, rr.toks)
 					case cm.tsm != nil:
-						row[k] = cm.tsm.CompareTokenSets(lsets[a*nt+cm.tokIdx], rsets[a*nt+cm.tokIdx])
+						row[k] = cm.tsm.CompareTokenSets(&lsets[a*nt+cm.tokIdx], &rsets[a*nt+cm.tokIdx])
 					default:
 						row[k] = cm.m.Compare(lv, rv)
 					}
@@ -354,7 +353,7 @@ type valueRunes struct {
 // array and every token slice header in another, so a side costs three
 // allocations whatever its size. Nothing outlives the ExtractPairs call:
 // the extractor keeps no rune buffers between calls.
-func (e *Extractor) decodeRows(t *dataset.Table, sets [][]*textsim.TokenSet) []valueRunes {
+func (e *Extractor) decodeRows(t *dataset.Table, sets [][]textsim.TokenSet) []valueRunes {
 	na, nt := len(e.schema), len(e.tokenizers)
 	nrunes, ntoks := 0, 0
 	for r, rs := range sets {
@@ -428,45 +427,39 @@ func distinctRows(pairs []dataset.PairKey, n int, side func(dataset.PairKey) int
 
 // internRows tokenizes and interns each needed row's attribute values
 // once per tokenizer, in parallel over the row list; sets[r] is indexed
-// [attr*len(tokenizers)+tokIdx]. Empty values get nil sets; the
-// extraction loop never consults them (null attributes short-circuit).
-// A cancelled ctx stops every worker within cancelCheckStride rows; the
-// caller checks ctx and discards the partial sets.
-func (e *Extractor) internRows(ctx context.Context, t *dataset.Table, rows []int, workers int) [][]*textsim.TokenSet {
-	sets := make([][]*textsim.TokenSet, len(t.Rows))
+// [attr*len(tokenizers)+tokIdx]. The sets of all rows share one exactly
+// sized slab, of which each worker fills its rows' disjoint ranges, and
+// their arrays live in the worker's own textsim.SetArena: the sets die
+// with the call. Empty values keep zero sets; the extraction loop never
+// consults them (null attributes short-circuit). A cancelled ctx stops
+// every worker within cancelCheckStride rows; the caller checks ctx and
+// discards the partial sets.
+func (e *Extractor) internRows(ctx context.Context, t *dataset.Table, rows []int, workers int) [][]textsim.TokenSet {
+	sets := make([][]textsim.TokenSet, len(t.Rows))
 	nt := len(e.tokenizers)
+	stride := len(e.schema) * nt
+	slab := make([]textsim.TokenSet, len(rows)*stride)
 	parDo(len(rows), workers, func(lo, hi int) {
+		var arena textsim.SetArena
 		for i := lo; i < hi; i++ {
 			if (i-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
 				return
 			}
 			r := rows[i]
-			rs := make([]*textsim.TokenSet, len(e.schema)*nt)
+			rs := slab[i*stride : (i+1)*stride : (i+1)*stride]
 			for a := range e.schema {
 				v := t.Rows[r].Values[a]
 				if v == "" {
 					continue
 				}
 				for ti, tok := range e.tokenizers {
-					ts := textsim.GetTokenSet()
-					e.dict.InternValue(tok, v, ts)
-					rs[a*nt+ti] = ts
+					arena.InternInto(e.dict, tok, v, &rs[a*nt+ti])
 				}
 			}
 			sets[r] = rs
 		}
 	})
 	return sets
-}
-
-func releaseRowSets(sets [][]*textsim.TokenSet) {
-	for _, rs := range sets {
-		for _, ts := range rs {
-			if ts != nil {
-				ts.Release()
-			}
-		}
-	}
 }
 
 // parDo runs body over [0, n) in at most workers contiguous chunks,

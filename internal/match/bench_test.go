@@ -182,7 +182,7 @@ func TestScoreAllAllocReduction(t *testing.T) {
 	e := feature.NewExtractor(d.Left.Schema)
 	l := &probeLearner{dim: e.Dim()}
 	ctx := context.Background()
-	// Warm the extractor's dictionary and the token-set pools.
+	// Warm the extractor's dictionary and the scratch pools.
 	if _, err := scoreAllInterned(ctx, e, l, d, pairs, 1); err != nil {
 		t.Fatal(err)
 	}

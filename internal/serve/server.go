@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -788,6 +789,17 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 			}
 			writeError(w, statusFor(res.err), "score failed: %v", res.err)
 			return
+		}
+		// Finite features can still overflow a learner's arithmetic
+		// (1e308 and -1e308 sum to NaN), and JSON has no encoding for a
+		// non-finite score: reject the vector rather than answer 200
+		// with an empty body.
+		for i, sc := range res.scores {
+			if math.IsNaN(sc) || math.IsInf(sc, 0) {
+				writeError(w, http.StatusBadRequest,
+					"vector %d has no finite score under model %q; features outside the model's range overflow it", i, e.id)
+				return
+			}
 		}
 		adm.record(nil)
 		resp := scoreResponse{Scores: res.scores, Matches: make([]bool, len(vecs))}

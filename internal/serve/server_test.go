@@ -30,8 +30,8 @@ var (
 	artVecs []feature.Vector
 )
 
-func beerArtifact(t *testing.T) (*model.Artifact, []feature.Vector) {
-	t.Helper()
+func beerArtifact(tb testing.TB) (*model.Artifact, []feature.Vector) {
+	tb.Helper()
 	artOnce.Do(func() {
 		d, err := dataset.Load("beer", 1.0, 21)
 		if err != nil {
@@ -164,6 +164,20 @@ func TestScoreMalformed(t *testing.T) {
 	}
 	if !bytes.Contains(raw, []byte(fmt.Sprintf("expects %d", art.Dim))) {
 		t.Errorf("wrong-dim error %s does not name the model dim", raw)
+	}
+
+	// Finite features whose weighted sum overflows to NaN: a score JSON
+	// cannot encode, once answered as a 200 with an empty body.
+	huge := make([]float64, art.Dim)
+	for i := range huge {
+		huge[i] = 1e308
+		if i%2 == 1 {
+			huge[i] = -1e308
+		}
+	}
+	resp, raw = postJSON(t, ts.URL+"/v1/score", scoreRequest{Vectors: [][]float64{make([]float64, art.Dim), huge}})
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(raw, []byte("vector 1 has no finite score")) {
+		t.Errorf("overflowing vector: status %d, body %s; want 400 naming vector 1", resp.StatusCode, raw)
 	}
 
 	// Wrong method on a POST route.

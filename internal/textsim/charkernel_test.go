@@ -19,9 +19,7 @@ func checkCharKernels(t *testing.T, k *CharKernel, dict *Dict, a, b string) {
 			t.Fatalf("%s(%q, %q): fused=%v Compare=%v", m.Name(), a, b, got[i], want)
 		}
 	}
-	sa, sb := GetTokenSet(), GetTokenSet()
-	defer sa.Release()
-	defer sb.Release()
+	sa, sb := new(TokenSet), new(TokenSet)
 	dict.InternValue(Whitespace{}, a, sa)
 	dict.InternValue(Whitespace{}, b, sb)
 	me := k.MongeElkan(sa, sb, tokenRunes(sa), tokenRunes(sb))

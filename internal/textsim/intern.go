@@ -82,8 +82,9 @@ func (d *Dict) internBytes(b []byte) int32 {
 // TokenSet is the interned form of one attribute value's token multiset:
 // everything a TokenSetMetric needs, computed once per record instead of
 // once per candidate pair. Build one with Dict.InternValue (or
-// InternTokens / InternQGrams directly); reuse via GetTokenSet/Release.
-// Two TokenSets are only comparable when interned against the same Dict.
+// InternTokens / InternQGrams directly), which reuses the set's arrays,
+// or store many in a SetArena. Two TokenSets are only comparable when
+// interned against the same Dict.
 type TokenSet struct {
 	// Toks holds the tokens in occurrence order (Monge-Elkan walks it,
 	// Identity compares it). The q-gram interning path leaves it empty —
@@ -103,27 +104,76 @@ type TokenSet struct {
 	IDs    []int32
 	Counts []int32
 
-	n     int     // total token count (with duplicates)
-	idseq []int32 // per-token ids in occurrence order (Identity walks it)
-	taken []bool  // scratch: per-distinct first-seen marks
+	n int // total token count (with duplicates)
+	// idseq holds the per-token ids in occurrence order, for word sets
+	// only: Identity and Monge-Elkan walk it, and the q-gram path empties
+	// it once the multiset is built.
+	idseq []int32
 }
 
 // Len returns the total token count (with duplicates), matching
 // len(tokens) on the string path.
 func (ts *TokenSet) Len() int { return ts.n }
 
-var tokenSetPool = sync.Pool{New: func() any { return new(TokenSet) }}
+// SetArena stores the TokenSets of one batch. InternInto interns a value
+// into a reused scratch set and copies the result's arrays into chunks
+// the arena owns, so a batch pays a few chunk allocations instead of
+// several arrays per set, and every array is dropped with the arena
+// rather than kept for reuse. Chunks start small and double up to a cap,
+// so a small batch stays small. A SetArena is not safe for concurrent
+// use: each worker owns one.
+type SetArena struct {
+	scratch TokenSet
+	ints    []int32
+	strs    []string
+}
 
-// GetTokenSet borrows a TokenSet from the package pool.
-func GetTokenSet() *TokenSet { return tokenSetPool.Get().(*TokenSet) }
+// Chunk sizes in elements: the first chunk of each kind, and the size
+// at which doubling stops.
+const (
+	arenaFirstChunk = 256
+	arenaMaxChunk   = 1 << 16
+)
 
-// Release returns ts to the pool. The caller must not touch ts (or any
-// slice read from it) afterwards; the next borrower overwrites it.
-func (ts *TokenSet) Release() { tokenSetPool.Put(ts) }
+// InternInto interns s with tok, as Dict.InternValue does, and stores
+// the result in dst, whose arrays then live in the arena's chunks. dst
+// shares no memory with any other set.
+func (a *SetArena) InternInto(d *Dict, tok Tokenizer, s string, dst *TokenSet) {
+	src := &a.scratch
+	d.InternValue(tok, s, src)
+	*dst = TokenSet{
+		Toks:           carve(&a.strs, src.Toks),
+		Distinct:       carve(&a.strs, src.Distinct),
+		DistinctIDs:    carve(&a.ints, src.DistinctIDs),
+		DistinctCounts: carve(&a.ints, src.DistinctCounts),
+		IDs:            carve(&a.ints, src.IDs),
+		Counts:         carve(&a.ints, src.Counts),
+		n:              src.n,
+		idseq:          carve(&a.ints, src.idseq),
+	}
+}
+
+// carve copies src into the free tail of *chunk and returns the copy,
+// capped so an append to it cannot reach a neighbour. When the tail is
+// too short, carve starts a new chunk of twice the last one's size,
+// clamped to [arenaFirstChunk, arenaMaxChunk] and at least len(src).
+func carve[T any](chunk *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	c := *chunk
+	if cap(c)-len(c) < len(src) {
+		c = make([]T, 0, max(min(2*cap(c), arenaMaxChunk), arenaFirstChunk, len(src)))
+	}
+	start := len(c)
+	c = append(c, src...)
+	*chunk = c
+	return c[start:len(c):len(c)]
+}
 
 // InternTokens fills ts from a token slice produced by the Whitespace
 // tokenizer (or any tokenizer — the ids are dictionary-relative). It
-// reuses ts's backing arrays, so a pooled TokenSet reaches zero
+// reuses ts's backing arrays, so a reused TokenSet reaches zero
 // steady-state allocations.
 func (d *Dict) InternTokens(toks []string, ts *TokenSet) {
 	ts.Toks = append(ts.Toks[:0], toks...)
@@ -135,24 +185,23 @@ func (d *Dict) InternTokens(toks []string, ts *TokenSet) {
 	ts.finishMultiset()
 	// Distinct tokens in first-seen order: mark each id's slot in the
 	// sorted IDs the first time its token appears.
-	w := len(ts.IDs)
-	if cap(ts.taken) < w {
-		ts.taken = make([]bool, w)
-	}
-	ts.taken = ts.taken[:w]
-	clear(ts.taken)
+	sc := getScratch()
+	taken := grow(sc.ba, len(ts.IDs))
+	clear(taken)
 	ts.Distinct = ts.Distinct[:0]
 	ts.DistinctIDs = ts.DistinctIDs[:0]
 	ts.DistinctCounts = ts.DistinctCounts[:0]
 	for i, t := range ts.Toks {
 		slot := searchInt32(ts.IDs, ts.idseq[i])
-		if !ts.taken[slot] {
-			ts.taken[slot] = true
+		if !taken[slot] {
+			taken[slot] = true
 			ts.Distinct = append(ts.Distinct, t)
 			ts.DistinctIDs = append(ts.DistinctIDs, ts.IDs[slot])
 			ts.DistinctCounts = append(ts.DistinctCounts, ts.Counts[slot])
 		}
 	}
+	sc.ba = taken
+	putScratch(sc)
 }
 
 // finishMultiset sorts a copy of the interned id sequence and run-length
@@ -181,9 +230,9 @@ func (ts *TokenSet) finishMultiset() {
 // conversion on map reads), so only a gram's first-ever sighting across
 // the dictionary's lifetime allocates its key. The gram multiset is
 // exactly QGramTokenizer{Q: q, Pad: pad}.Tokens(s) —
-// TestInternQGramsMatchesTokens pins the representation — but ts.Toks
-// and ts.Distinct are left empty: the gram metrics (QGram, SimonWhite)
-// consume only the id/count multiset.
+// TestInternQGramsMatchesTokens pins the representation — but ts.Toks,
+// ts.Distinct and the occurrence-order ids are left empty: the gram
+// metrics (QGram, SimonWhite) consume only the id/count multiset.
 func (d *Dict) InternQGrams(s string, q int, pad bool, ts *TokenSet) {
 	if q <= 0 {
 		q = 3
@@ -235,14 +284,14 @@ func (d *Dict) InternQGrams(s string, q int, pad bool, ts *TokenSet) {
 		// Shorter than one gram: the whole string is the single token.
 		ts.idseq = append(ts.idseq, d.internBytes(bs))
 		ts.n = 1
-		ts.finishMultiset()
-		return
+	} else {
+		for i := 0; i+q <= runes; i++ {
+			ts.idseq = append(ts.idseq, d.internBytes(bs[offs[i]:offs[i+q]]))
+		}
+		ts.n = runes - q + 1
 	}
-	for i := 0; i+q <= runes; i++ {
-		ts.idseq = append(ts.idseq, d.internBytes(bs[offs[i]:offs[i+q]]))
-	}
-	ts.n = runes - q + 1
 	ts.finishMultiset()
+	ts.idseq = ts.idseq[:0]
 }
 
 // InternValue tokenizes s with tok and interns the result into ts,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -47,7 +48,7 @@ func randomTokenDoc(rng *rand.Rand, maxLen int) string {
 func checkTokenSetEquivalence(t *testing.T, dict *Dict, m TokenSetMetric, a, b string) {
 	t.Helper()
 	tok := m.InternTokenizer()
-	sa, sb := GetTokenSet(), GetTokenSet()
+	sa, sb := new(TokenSet), new(TokenSet)
 	dict.InternValue(tok, a, sa)
 	dict.InternValue(tok, b, sb)
 	got := m.CompareTokenSets(sa, sb)
@@ -61,8 +62,6 @@ func checkTokenSetEquivalence(t *testing.T, dict *Dict, m TokenSetMetric, a, b s
 			t.Fatalf("%s(%q, %q): CompareTokenSets=%v CompareTokens=%v", m.Name(), a, b, got, wantTokens)
 		}
 	}
-	sa.Release()
-	sb.Release()
 }
 
 // TestTokenSetMetricEquivalence pins CompareTokenSets bit-identical to
@@ -168,8 +167,7 @@ func TestTokenSetMetricCoverage(t *testing.T) {
 // sum to the token count, and Distinct in first-seen order.
 func TestInternTokensRepresentation(t *testing.T) {
 	dict := NewDict()
-	ts := GetTokenSet()
-	defer ts.Release()
+	ts := new(TokenSet)
 	toks := []string{"b", "a", "b", "c", "a", "b"}
 	dict.InternTokens(toks, ts)
 	if ts.Len() != 6 {
@@ -197,7 +195,7 @@ func TestInternTokensRepresentation(t *testing.T) {
 			t.Fatalf("Distinct = %v, want %v (first-seen order)", ts.Distinct, want)
 		}
 	}
-	// Re-interning different content into the same pooled set must fully
+	// Re-interning different content into the same set must fully
 	// overwrite it.
 	dict.InternTokens([]string{"z"}, ts)
 	if ts.Len() != 1 || len(ts.IDs) != 1 || len(ts.Distinct) != 1 || ts.Distinct[0] != "z" {
@@ -339,7 +337,7 @@ func TestCompareAllocRatchet(t *testing.T) {
 	dict := NewDict()
 	for _, m := range tokenSetMetrics() {
 		m := m
-		sa, sb := GetTokenSet(), GetTokenSet()
+		sa, sb := new(TokenSet), new(TokenSet)
 		dict.InternValue(m.InternTokenizer(), a, sa)
 		dict.InternValue(m.InternTokenizer(), b, sb)
 		budget := 0.5
@@ -360,7 +358,7 @@ func TestCompareAllocRatchet(t *testing.T) {
 	{
 		k := GetCharKernel()
 		ra, rb := []rune(a), []rune(b)
-		sa, sb := GetTokenSet(), GetTokenSet()
+		sa, sb := new(TokenSet), new(TokenSet)
 		dict.InternValue(Whitespace{}, a, sa)
 		dict.InternValue(Whitespace{}, b, sb)
 		ta, tb := tokenRunes(sa), tokenRunes(sb)
@@ -378,7 +376,7 @@ func TestCompareAllocRatchet(t *testing.T) {
 	// The q-gram interning path itself must be allocation-free once the
 	// dictionary has seen the grams (steady-state record ingestion).
 	{
-		ts := GetTokenSet()
+		ts := new(TokenSet)
 		dict.InternQGrams(b, 3, true, ts) // warm the dictionary and buffers
 		cases = append(cases, struct {
 			name   string
@@ -410,7 +408,7 @@ func TestInternQGramsMatchesTokens(t *testing.T) {
 			dict := NewDict()
 			tok := QGramTokenizer{Q: q, Pad: pad}
 			for _, s := range inputs {
-				want, got := GetTokenSet(), GetTokenSet()
+				want, got := new(TokenSet), new(TokenSet)
 				dict.InternTokens(tok.Tokens(s), want)
 				dict.InternQGrams(s, q, pad, got)
 				if got.Len() != want.Len() {
@@ -425,8 +423,46 @@ func TestInternQGramsMatchesTokens(t *testing.T) {
 							q, pad, s, i, got.IDs[i], got.Counts[i], want.IDs[i], want.Counts[i])
 					}
 				}
-				want.Release()
-				got.Release()
+			}
+		}
+	}
+}
+
+// TestSetArenaMatchesInternValue pins arena-stored sets to sets interned
+// on their own: after enough values to span many chunks, every stored
+// set still equals a fresh InternValue of its value (so no later carve
+// overwrote it), and every carved array is capped at its length (so an
+// append cannot reach a neighbour).
+func TestSetArenaMatchesInternValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dict := NewDict()
+	toks := []Tokenizer{Whitespace{}, QGramTokenizer{Q: 3, Pad: true}, QGramTokenizer{Q: 2}, soundexTokenizer{}}
+	docs := []string{"", "the the the", "世界 世 世界"}
+	for len(docs) < 2000 {
+		docs = append(docs, randomTokenDoc(rng, 12))
+	}
+	var arena SetArena
+	sets := make([]TokenSet, len(docs)*len(toks))
+	for i, s := range docs {
+		for j, tok := range toks {
+			arena.InternInto(dict, tok, s, &sets[i*len(toks)+j])
+		}
+	}
+	for i, s := range docs {
+		for j, tok := range toks {
+			got, want := &sets[i*len(toks)+j], new(TokenSet)
+			dict.InternValue(tok, s, want)
+			if got.Len() != want.Len() ||
+				!slices.Equal(got.Toks, want.Toks) || !slices.Equal(got.Distinct, want.Distinct) ||
+				!slices.Equal(got.DistinctIDs, want.DistinctIDs) || !slices.Equal(got.DistinctCounts, want.DistinctCounts) ||
+				!slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Counts, want.Counts) ||
+				!slices.Equal(got.idseq, want.idseq) {
+				t.Fatalf("%T %q: arena set %+v, want %+v", tok, s, *got, *want)
+			}
+			if cap(got.Toks) != len(got.Toks) || cap(got.Distinct) != len(got.Distinct) ||
+				cap(got.DistinctIDs) != len(got.DistinctIDs) || cap(got.DistinctCounts) != len(got.DistinctCounts) ||
+				cap(got.IDs) != len(got.IDs) || cap(got.Counts) != len(got.Counts) || cap(got.idseq) != len(got.idseq) {
+				t.Fatalf("%T %q: arena set has an uncapped array: %+v", tok, s, *got)
 			}
 		}
 	}

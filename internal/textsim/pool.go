@@ -24,7 +24,7 @@ type scratch struct {
 	ia, ib []int     // integer DP rows (Levenshtein, LCS, Needleman-Wunsch)
 	ic     []int     // third integer row (Damerau transposition window)
 	fa, fb []float64 // float DP rows (Smith-Waterman)
-	ba, bb []bool    // match flags (Jaro)
+	ba, bb []bool    // match flags (Jaro), first-seen marks (token interning)
 	bs     []byte    // byte workspace (q-gram interning)
 }
 

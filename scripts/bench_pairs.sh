@@ -26,6 +26,15 @@
 # that change as a multiple of BASE's IQR, and the pairs in which HEAD
 # was better. Metric names and directions come from BENCHMARK.json. It
 # exits non-zero as soon as a run fails or reports a failed output.
+#
+# It also writes the set as JSON to summary.json in the runs directory:
+# the BASE and HEAD commits, the workload, the seed and N; per run its
+# pair, side, order within the pair (1 or 2), digest, e2ebench host
+# object (commit, source_sha256, cpu_steal_frac, gomaxprocs, ...),
+# failed and attempted counts and end-to-end metrics; per metric its
+# direction, each side's median, Q1 and Q3, change_frac ((head median -
+# base median) / base median), gap_base_iqrs, head_wins and ties; and
+# digests_agree.
 
 set -euo pipefail
 
@@ -117,25 +126,28 @@ metrics=$(awk '
 echo
 echo "bench_pairs: $WORKLOAD seed $SEED, $N pairs, base $base_sha, head $head_sha"
 echo "bench_pairs: runs kept in $runs"
+# One tab-separated RUN line per run (side, pair, order, steal, digest,
+# host object, result line), then one METRIC line per metric.
 {
     for i in $(seq 1 "$N"); do
         for side in base head; do
             first=base
             [ $((i % 2)) -eq 0 ] && first=head
-            printf 'RUN %s %d %s ' "$side" "$i" "$([ "$side" = "$first" ] && echo 1st || echo 2nd)"
             host=$(tail -n 2 "$runs/$side-$i.out" | head -n 1)
             steal=$(printf '%s' "$host" | grep -o '"cpu_steal_frac":[^,}]*' | cut -d: -f2 || true)
-            printf 'steal=%s ' "${steal:-?}"
             digest=$(grep -o 'first-round digests .*' "$runs/$side-$i.out" | head -n 1 || true)
             if [ -n "$digest" ]; then
                 digest=$(printf '%s' "$digest" | cksum | cut -d' ' -f1)
             fi
-            printf 'digest=%s ' "${digest:-none}"
-            tail -n 1 "$runs/$side-$i.out"
+            host=${host#'{"host":'}
+            printf 'RUN\t%s\t%d\t%s\t%s\t%s\t%s\t%s\n' "$side" "$i" \
+                "$([ "$side" = "$first" ] && echo 1 || echo 2)" "${steal:-nan}" "${digest:-none}" \
+                "${host%'}'}" "$(tail -n 1 "$runs/$side-$i.out")"
         done
     done
-    printf '%s\n' "$metrics" | sed 's/^/METRIC /'
-} | awk -v npairs="$N" '
+    printf '%s\n' "$metrics" | sed 's/^/METRIC /' | tr ' ' '\t'
+} | awk -F'\t' -v npairs="$N" -v summary="$runs/summary.json" \
+    -v base_sha="$base_sha" -v head_sha="$head_sha" -v workload="$WORKLOAD" -v seed="$SEED" '
 function q(arr, n, p,    h, lo) {
     h = (n - 1) * p
     lo = int(h)
@@ -146,17 +158,12 @@ function sortn(arr, n,    i, j, t) {
     for (i = 1; i < n; i++)
         for (j = i; j > 0 && arr[j - 1] > arr[j]; j--) { t = arr[j]; arr[j] = arr[j - 1]; arr[j - 1] = t }
 }
+function num(v) { return (v == "nan" || v == "") ? "null" : sprintf("%.10g", v) }
 $1 == "RUN" {
-    side = $2; pair = $3
-    st = $5
-    sub(/^steal=/, "", st)
-    line = sprintf("pair %2d %s (%s) steal=%.3f", pair, side, $4, st)
-    rest = ""
-    for (k = 7; k <= NF; k++) rest = rest (k > 7 ? " " : "") $k
-    res[side, pair] = rest
-    sub(/^digest=/, "", $6)
+    nl++
+    side[nl] = $2; pair[nl] = $3; order[nl] = $4; steal[nl] = $5; digest[nl] = $6
+    host[nl] = $7; res[nl] = $8
     digests[$6] = 1
-    lines[++nl] = line
     next
 }
 $1 == "METRIC" { names[++nm] = $2; better[$2] = $3 }
@@ -164,17 +171,20 @@ END {
     nd = 0
     for (d in digests) nd++
     for (l = 1; l <= nl; l++) {
-        split(lines[l], f, " ")
-        side = f[3]; pair = f[2]
-        out = lines[l]
+        out = sprintf("pair %2d %s (%s) steal=%.3f", pair[l], side[l], order[l] == 1 ? "1st" : "2nd", steal[l])
+        mj = ""
         for (m = 1; m <= nm; m++) {
-            v = value(res[side, pair], names[m])
-            val[side, pair, names[m]] = v
+            v = value(res[l], names[m])
+            val[side[l], pair[l], names[m]] = v
             out = out sprintf(" %s=%.6g", names[m], v)
+            mj = mj sprintf("%s\"%s\": %s", m > 1 ? ", " : "", names[m], num(v))
         }
         print out
+        runs_json = runs_json sprintf("%s\n    {\"pair\": %d, \"side\": \"%s\", \"order\": %d, \"digest\": \"%s\", \"host\": %s, \"failed\": %s, \"attempted\": %s, \"metrics\": {%s}}",
+            l > 1 ? "," : "", pair[l], side[l], order[l], digest[l], host[l], field(res[l], "failed"), field(res[l], "attempted"), mj)
     }
     print ""
+    agree = (nd == 1) ? "true" : "false"
     if (("none" in digests) && nd == 1) print "first-round curve digests: none (not an AL workload)"
     else if (nd == 1) print "first-round curve digests: all " nl " runs agree"
     else print "first-round curve digests: DIFFER (" nd " distinct values over " nl " runs)"
@@ -190,18 +200,35 @@ END {
         }
         sortn(b, npairs); sortn(h, npairs)
         bm = q(b, npairs, 0.5); hm = q(h, npairs, 0.5)
-        biqr = q(b, npairs, 0.75) - q(b, npairs, 0.25)
+        bq1 = q(b, npairs, 0.25); bq3 = q(b, npairs, 0.75)
+        hq1 = q(h, npairs, 0.25); hq3 = q(h, npairs, 0.75)
+        biqr = bq3 - bq1
         change = (bm != 0) ? sprintf("%+.1f%%", 100 * (hm - bm) / bm) : "n/a"
         gap = (biqr > 0) ? sprintf("%.1fx", (hm > bm ? hm - bm : bm - hm) / biqr) : "n/a"
         printf "%-18s %-6s %-34s %-34s %8s %8s %d/%d (ties %d)\n", name, better[name],
-            sprintf("%.6g [%.6g, %.6g]", bm, q(b, npairs, 0.25), q(b, npairs, 0.75)),
-            sprintf("%.6g [%.6g, %.6g]", hm, q(h, npairs, 0.25), q(h, npairs, 0.75)),
+            sprintf("%.6g [%.6g, %.6g]", bm, bq1, bq3),
+            sprintf("%.6g [%.6g, %.6g]", hm, hq1, hq3),
             change, gap, wins, npairs, ties
+        metrics_json = metrics_json sprintf("%s\n    {\"name\": \"%s\", \"better\": \"%s\", \"base\": {\"median\": %s, \"q1\": %s, \"q3\": %s}, \"head\": {\"median\": %s, \"q1\": %s, \"q3\": %s}, \"change_frac\": %s, \"gap_base_iqrs\": %s, \"head_wins\": %d, \"ties\": %d}",
+            m > 1 ? "," : "", name, better[name], num(bm), num(bq1), num(bq3), num(hm), num(hq1), num(hq3),
+            (bm != 0) ? num((hm - bm) / bm) : "null",
+            (biqr > 0) ? num((hm > bm ? hm - bm : bm - hm) / biqr) : "null", wins, ties)
     }
+    printf "{\n  \"base\": \"%s\",\n  \"head\": \"%s\",\n  \"workload\": \"%s\",\n  \"seed\": %d,\n  \"pairs\": %d,\n  \"digests_agree\": %s,\n  \"runs\": [%s\n  ],\n  \"metrics\": [%s\n  ]\n}\n",
+        base_sha, head_sha, workload, seed, npairs, agree, runs_json, metrics_json > summary
+    close(summary)
+    print ""
+    print "bench_pairs: summary written to " summary
 }
 function value(line, name,    s) {
     if (!match(line, "\"" name "\":\\{\"value\":[^,}]*")) return "nan"
     s = substr(line, RSTART, RLENGTH)
     sub(/.*"value":/, "", s)
+    return s
+}
+function field(line, name,    s) {
+    if (!match(line, "\"" name "\":[0-9]+")) return "null"
+    s = substr(line, RSTART, RLENGTH)
+    sub(/.*:/, "", s)
     return s
 }'

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Fuzz smoke: run every fuzz target for a short budget so `make check`
 # exercises the corpora AND gives the mutator a brief shot at each
-# parser, at the similarity metrics and at the fused character kernels.
+# parser, at the similarity metrics, at the fused character kernels and
+# at the serving routes' request bodies.
 # Go's fuzzer accepts one target per invocation, so targets run
 # sequentially; any crash fails the script with the reproducer path the
 # fuzzer prints.
@@ -22,5 +23,7 @@ run_target ./internal/resilience FuzzScanWAL
 run_target ./internal/dataset FuzzReadCSV
 run_target ./internal/textsim FuzzMetrics
 run_target ./internal/textsim FuzzCharKernels
+run_target ./internal/serve FuzzMatchRequest
+run_target ./internal/serve FuzzScoreRequest
 
 echo "fuzz smoke passed"
