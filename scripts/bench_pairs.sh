@@ -34,7 +34,7 @@
 # failed and attempted counts and end-to-end metrics; per metric its
 # direction, each side's median, Q1 and Q3, change_frac ((head median -
 # base median) / base median), gap_base_iqrs, head_wins and ties; and
-# digests_agree.
+# digests_agree (null when the workload reports no curve digests).
 
 set -euo pipefail
 
@@ -184,7 +184,7 @@ END {
             l > 1 ? "," : "", pair[l], side[l], order[l], digest[l], host[l], field(res[l], "failed"), field(res[l], "attempted"), mj)
     }
     print ""
-    agree = (nd == 1) ? "true" : "false"
+    agree = (nd == 1) ? (("none" in digests) ? "null" : "true") : "false"
     if (("none" in digests) && nd == 1) print "first-round curve digests: none (not an AL workload)"
     else if (nd == 1) print "first-round curve digests: all " nl " runs agree"
     else print "first-round curve digests: DIFFER (" nd " distinct values over " nl " runs)"
