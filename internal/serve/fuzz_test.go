@@ -109,14 +109,7 @@ func FuzzScoreRequest(f *testing.F) {
 	f.Add(vecs(make([]float64, art.Dim), make([]float64, art.Dim)))
 	f.Add(vecs(X[0], X[1][:art.Dim-1]))
 	f.Add(vecs(append(append([]float64{}, X[0]...), 1)))
-	huge := make([]float64, art.Dim)
-	for i := range huge {
-		huge[i] = 1e308
-		if i%2 == 1 {
-			huge[i] = -1e308
-		}
-	}
-	f.Add(vecs(huge))
+	f.Add(vecs(overflowVector(art.Dim)))
 	f.Add([]byte(`{"vectors":[]}`))
 	f.Add([]byte(`{"vectors":[[]]}`))
 	f.Add([]byte(`{"vectors":[["\ud800"]]}`))

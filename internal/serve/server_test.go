@@ -166,16 +166,10 @@ func TestScoreMalformed(t *testing.T) {
 		t.Errorf("wrong-dim error %s does not name the model dim", raw)
 	}
 
-	// Finite features whose weighted sum overflows to NaN: a score JSON
-	// cannot encode, once answered as a 200 with an empty body.
-	huge := make([]float64, art.Dim)
-	for i := range huge {
-		huge[i] = 1e308
-		if i%2 == 1 {
-			huge[i] = -1e308
-		}
-	}
-	resp, raw = postJSON(t, ts.URL+"/v1/score", scoreRequest{Vectors: [][]float64{make([]float64, art.Dim), huge}})
+	// Finite features whose weighted sum overflows to NaN: JSON cannot
+	// encode the score, so the answer is a 400, not a 200 with an empty
+	// body.
+	resp, raw = postJSON(t, ts.URL+"/v1/score", scoreRequest{Vectors: [][]float64{make([]float64, art.Dim), overflowVector(art.Dim)}})
 	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(raw, []byte("vector 1 has no finite score")) {
 		t.Errorf("overflowing vector: status %d, body %s; want 400 naming vector 1", resp.StatusCode, raw)
 	}
@@ -189,6 +183,19 @@ func TestScoreMalformed(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/score status %d, want 405", resp.StatusCode)
 	}
+}
+
+// overflowVector returns dim finite features, alternately 1e308 and
+// -1e308, whose weighted sum overflows a linear learner to NaN.
+func overflowVector(dim int) []float64 {
+	v := make([]float64, dim)
+	for i := range v {
+		v[i] = 1e308
+		if i%2 == 1 {
+			v[i] = -1e308
+		}
+	}
+	return v
 }
 
 func tableToJSON(tbl *dataset.Table) tableJSON {
