@@ -37,10 +37,11 @@ cover:
 	GO="$(GO)" COVER_FLOOR_CORE="$(COVER_FLOOR_CORE)" sh scripts/cover.sh
 
 # 10s-per-target fuzz smoke over the artifact loader, WAL recovery, CSV
-# import, the similarity metrics' range and symmetry, the fused
-# character kernels' bit-equality with each metric's Compare, and the
-# /v1/match and /v1/score request bodies (see scripts/fuzz_smoke.sh;
-# FUZZTIME=1m for longer runs).
+# import, the similarity metrics' range and symmetry, the tokenizers
+# (FuzzTokenizers) and Soundex codes (FuzzSoundex), the fused character
+# kernels' bit-equality with each metric's Compare, and the /v1/match
+# and /v1/score request bodies (see scripts/fuzz_smoke.sh; FUZZTIME=1m
+# for longer runs).
 fuzz:
 	GO="$(GO)" sh scripts/fuzz_smoke.sh
 
@@ -63,7 +64,8 @@ fuzz:
 # shard-count sweeps (internal/blocking), and the fused character kernels
 # against each metric's Compare plus batched featurization against
 # per-pair Extract on generated pools (internal/textsim,
-# internal/feature). `race` already covers these;
+# internal/feature), and the fan-out's own chunk, block and poll
+# contract (internal/par). `race` already covers these;
 # the dedicated target keeps the refactor contracts visible and quick to
 # re-run on their own.
 equiv:
@@ -73,6 +75,7 @@ equiv:
 	$(GO) test -race -count=1 -run 'SVMTrainMatchesLegacy|DecisionValuesMatchDecisionValue' ./internal/linear/
 	$(GO) test -race -count=1 -run 'IndexEquivalence|BruteForce|HotTokenRecall|ThresholdBoundary|RebuildOverChangedTable' ./internal/blocking/
 	$(GO) test -race -count=1 -run 'CharKernelsMatchCompare|ExtractPairsMatchesExtract' ./internal/textsim/ ./internal/feature/
+	$(GO) test -race -count=1 ./internal/par/
 
 bench:
 	$(GO) test -bench . -benchtime 1x .

@@ -13,7 +13,7 @@ import (
 )
 
 // countdownCtx reports Canceled after its budget of Err() polls is
-// spent. Build and Candidates poll on cancelCheckStride, so varying the
+// spent. Build and Candidates poll every par.Stride items, so varying the
 // budget lands the cancellation in different pipeline stages
 // deterministically — no timing races.
 type countdownCtx struct {

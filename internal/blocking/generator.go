@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 
 	"github.com/alem/alem/internal/dataset"
+	"github.com/alem/alem/internal/par"
 	"github.com/alem/alem/internal/textsim"
 )
 
@@ -23,9 +23,10 @@ import (
 // share no token and are never candidates; thresholds must be positive,
 // so any other token-disjoint pair is below threshold anyway.)
 //
-// Build, Add and Candidates honour context cancellation on the package's
-// cancelCheckStride; a cancelled call returns the context's error and
-// leaves any previously built index intact.
+// Build, Add and Candidates honour context cancellation: every worker
+// polls the context at least every par.Stride records or pairs, and a
+// cancelled call returns the context's error and leaves any previously
+// built index intact.
 type CandidateGenerator interface {
 	// Build (re)constructs the generator's index over the dataset it was
 	// created for. It must be called before Add or Candidates.
@@ -95,46 +96,6 @@ func Generate(ctx context.Context, gen CandidateGenerator) (*Result, error) {
 	return gen.Candidates(ctx)
 }
 
-// cancelCheckStride bounds how many work items (records scanned, pairs
-// verified) a worker processes between context checks, mirroring the
-// core package's stride so cancellation latency is uniform across the
-// stack.
-const cancelCheckStride = 64
-
-// parChunks runs body over [0, n) split into at most workers contiguous
-// chunks. body must poll ctx itself on cancelCheckStride (the chunk
-// bounds let it keep per-worker state such as candidate stamp arrays);
-// parChunks reports the context error after all workers return. With one
-// worker, or n below the chunk floor, body runs on the calling
-// goroutine.
-func parChunks(ctx context.Context, n, workers int, body func(lo, hi int)) error {
-	if n == 0 {
-		return ctx.Err()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		body(0, n)
-		return ctx.Err()
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, n)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
 // recordText is the blocking view of a record: the concatenation of its
 // attribute values, exactly as the pre-index implementation joined them.
 func recordText(r dataset.Record) string {
@@ -145,11 +106,8 @@ func recordText(r dataset.Record) string {
 func tokenizeTable(ctx context.Context, t *dataset.Table, workers int) ([][]string, error) {
 	tok := textsim.Whitespace{}
 	out := make([][]string, len(t.Rows))
-	err := parChunks(ctx, len(t.Rows), workers, func(lo, hi int) {
+	err := par.Blocks(ctx, len(t.Rows), workers, 2, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if (i-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
-				return
-			}
 			out[i] = tok.Tokens(recordText(t.Rows[i]))
 		}
 	})

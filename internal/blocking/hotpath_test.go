@@ -110,7 +110,7 @@ func TestCandidatesAllocSteadyState(t *testing.T) {
 		}
 	})
 	// Budget: one right-sized pairs slice per productive left record,
-	// the perLeft table, the result assembly and parChunks machinery.
+	// the perLeft table, the result assembly and par.Chunks machinery.
 	// The pre-cache path added a stamps array plus a known-ids mapping
 	// and sort per left record per call, and grew every pairs slice by
 	// repeated append.

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"github.com/alem/alem/internal/dataset"
+	"github.com/alem/alem/internal/par"
 	"github.com/alem/alem/internal/textsim"
 )
 
@@ -114,16 +115,9 @@ func NewCandidateIndex(d *dataset.Dataset, opts IndexOptions) *CandidateIndex {
 	return &CandidateIndex{
 		d:         d,
 		threshold: threshold,
-		workers:   resolveWorkers(opts.Workers),
+		workers:   par.Workers(opts.Workers),
 		nShards:   nShards,
 	}
-}
-
-func resolveWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // strHash is FNV-1a over the token bytes; it only routes tokens to
@@ -239,11 +233,8 @@ func (x *CandidateIndex) leftKnownLocked(ctx context.Context) ([][]int32, error)
 	}
 	nL := len(x.leftDistinct)
 	known := make([][]int32, nL)
-	err := parChunks(ctx, nL, x.workers, func(lo, hi int) {
+	err := par.Blocks(ctx, nL, x.workers, 2, func(lo, hi int) {
 		for li := lo; li < hi; li++ {
-			if (li-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
-				return
-			}
 			toks := x.leftDistinct[li]
 			if len(toks) == 0 {
 				continue
@@ -269,7 +260,7 @@ func (x *CandidateIndex) leftKnownLocked(ctx context.Context) ([][]int32, error)
 
 // Build constructs the index over the dataset's current right table and
 // caches the left-side tokenization. It runs in parallel over the
-// configured worker count, polls ctx on cancelCheckStride throughout,
+// configured worker count, polls ctx every par.Stride items throughout,
 // and on cancellation leaves the index in its previous state (the new
 // structures are committed only at the end).
 func (x *CandidateIndex) Build(ctx context.Context) error {
@@ -304,12 +295,12 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 	nR := len(rightDistinct)
 	S := x.nShards
 	shards := make([]indexShard, S)
-	err = parChunks(ctx, S, x.workers, func(lo, hi int) {
+	err = par.Chunks(ctx, S, x.workers, 2, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			sh := &shards[s]
 			sh.ids = make(map[string]int32)
 			for ri, toks := range rightDistinct {
-				if ri%cancelCheckStride == 0 && ctx.Err() != nil {
+				if ri%par.Stride == 0 && ctx.Err() != nil {
 					return
 				}
 				for j, t := range toks {
@@ -333,11 +324,8 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 
 	// Stage 3: per-record sorted id sets.
 	rightSets := make([][]int32, nR)
-	err = parChunks(ctx, nR, x.workers, func(lo, hi int) {
+	err = par.Blocks(ctx, nR, x.workers, 2, func(lo, hi int) {
 		for ri := lo; ri < hi; ri++ {
-			if (ri-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
-				return
-			}
 			toks := rightDistinct[ri]
 			set := make([]int32, len(toks))
 			for j, t := range toks {
@@ -356,11 +344,8 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 	// need−1 tokens stay unposted.
 	prefixes := make([][]int32, nR)
 	unposted := make([]int32, nR)
-	err = parChunks(ctx, nR, x.workers, func(lo, hi int) {
+	err = par.Blocks(ctx, nR, x.workers, 2, func(lo, hi int) {
 		for ri := lo; ri < hi; ri++ {
-			if (ri-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
-				return
-			}
 			prefixes[ri] = x.prefixOf(shards, rightSets[ri])
 			unposted[ri] = int32(len(rightSets[ri]) - len(prefixes[ri]))
 		}
@@ -371,12 +356,12 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 
 	// Stage 5: posting lists, again one worker per shard over the
 	// precomputed prefixes; record ids are appended in ascending order.
-	err = parChunks(ctx, S, x.workers, func(lo, hi int) {
+	err = par.Chunks(ctx, S, x.workers, 2, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			sh := &shards[s]
 			sh.post = make(map[int32][]int32)
 			for ri, pre := range prefixes {
-				if ri%cancelCheckStride == 0 && ctx.Err() != nil {
+				if ri%par.Stride == 0 && ctx.Err() != nil {
 					return
 				}
 				for _, g := range pre {
@@ -516,7 +501,7 @@ func (x *CandidateIndex) Candidates(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 
-	err = parChunks(ctx, nL, x.workers, func(lo, hi int) {
+	err = par.Chunks(ctx, nL, x.workers, 2, func(lo, hi int) {
 		// Worker-local probe state: a pooled stamp array dedups and counts
 		// posting hits without clearing between left records or between
 		// calls, and one pairs buffer serves every left record.
@@ -538,7 +523,7 @@ func (x *CandidateIndex) Candidates(ctx context.Context) (*Result, error) {
 			totalKept.Add(kept)
 		}()
 		for li := lo; li < hi; li++ {
-			if (li-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
+			if (li-lo)%par.Stride == 0 && ctx.Err() != nil {
 				return
 			}
 			nx := len(x.leftDistinct[li])
@@ -654,11 +639,8 @@ func (x *CandidateIndex) Stats() IndexStats {
 func distinctTokens(ctx context.Context, tokens [][]string, workers int) ([][]string, [][]uint32, error) {
 	distinct := make([][]string, len(tokens))
 	hashes := make([][]uint32, len(tokens))
-	err := parChunks(ctx, len(tokens), workers, func(lo, hi int) {
+	err := par.Blocks(ctx, len(tokens), workers, 2, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if (i-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
-				return
-			}
 			toks := tokens[i]
 			seen := make(map[string]struct{}, len(toks))
 			ds := make([]string, 0, len(toks))

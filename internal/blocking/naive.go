@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"github.com/alem/alem/internal/dataset"
+	"github.com/alem/alem/internal/par"
 	"github.com/alem/alem/internal/textsim"
 )
 
@@ -35,7 +36,7 @@ func NewNaive(d *dataset.Dataset, threshold float64) *Naive {
 	if threshold <= 0 {
 		threshold = d.BlockThreshold
 	}
-	return &Naive{d: d, threshold: threshold, workers: resolveWorkers(0)}
+	return &Naive{d: d, threshold: threshold, workers: par.Workers(0)}
 }
 
 // Build tokenizes both tables.
@@ -90,7 +91,7 @@ func (n *Naive) Candidates(ctx context.Context) (*Result, error) {
 	}
 	threshold := n.threshold
 	perLeft := make([][]dataset.PairKey, len(n.left))
-	err := parChunks(ctx, len(n.left), n.workers, func(lo, hi int) {
+	err := par.Chunks(ctx, len(n.left), n.workers, 2, func(lo, hi int) {
 		var verified, kept int64
 		defer func() {
 			n.verified.Add(verified)
@@ -106,7 +107,7 @@ func (n *Naive) Candidates(ctx context.Context) (*Result, error) {
 			}
 			var pairs []dataset.PairKey
 			for ri, rt := range n.right {
-				if ri%cancelCheckStride == 0 && ctx.Err() != nil {
+				if ri%par.Stride == 0 && ctx.Err() != nil {
 					return
 				}
 				if len(rt) == 0 {

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"github.com/alem/alem/internal/feature"
+	"github.com/alem/alem/internal/par"
 )
 
 // Learner is the base "learner" of the framework (Fig. 2): anything that
@@ -67,7 +68,7 @@ func countPositive(l Learner, X []feature.Vector, rows []int, pos []int) {
 		}
 		return
 	}
-	vals := blockScratch.Get().(*[cancelCheckStride]float64)
+	vals := blockScratch.Get().(*[par.Stride]float64)
 	defer blockScratch.Put(vals)
 	dl.DecisionValues(X, rows, vals[:len(rows)])
 	th := dl.DecisionThreshold()
@@ -89,7 +90,7 @@ func absMargins(ml MarginLearner, X []feature.Vector, rows []int, out []float64)
 		}
 		return
 	}
-	vals := blockScratch.Get().(*[cancelCheckStride]float64)
+	vals := blockScratch.Get().(*[par.Stride]float64)
 	defer blockScratch.Put(vals)
 	dl.DecisionValues(X, rows, vals[:len(rows)])
 	for k, v := range vals[:len(rows)] {
@@ -100,7 +101,7 @@ func absMargins(ml MarginLearner, X []feature.Vector, rows []int, out []float64)
 // blockScratch recycles the buffer a sweep block's DecisionValues call
 // writes into. The buffer escapes through the interface call, so a
 // stack array would cost one heap allocation per block.
-var blockScratch = sync.Pool{New: func() any { return new([cancelCheckStride]float64) }}
+var blockScratch = sync.Pool{New: func() any { return new([par.Stride]float64) }}
 
 // VoteLearner is a learner that *is* a committee in a learner-aware way:
 // random forests, whose trees vote (§4.1.1). Learner-aware QBC requires

@@ -10,6 +10,7 @@ import (
 
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/interp"
+	"github.com/alem/alem/internal/par"
 	"github.com/alem/alem/internal/rules"
 	"github.com/alem/alem/internal/tree"
 )
@@ -363,7 +364,7 @@ func (iw legacyIWAL) Select(ctx *SelectContext, k int) []int {
 		if len(out) == k {
 			break
 		}
-		if n%cancelCheckStride == 0 && ctx.Cancelled() {
+		if n%par.Stride == 0 && ctx.Cancelled() {
 			return nil
 		}
 		ambiguity := 1 - margins[j]/maxM
@@ -445,7 +446,7 @@ func legacySelectLFPLFN(m *rules.Model, X []feature.Vector, unlabeled []int, k i
 	}
 	var lfps, lfns []legacyScored
 	for n, i := range unlabeled {
-		if cancelled != nil && n%cancelCheckStride == 0 && cancelled() {
+		if cancelled != nil && n%par.Stride == 0 && cancelled() {
 			return nil
 		}
 		x := X[i]
@@ -481,7 +482,7 @@ func legacySelectLFPLFN(m *rules.Model, X []feature.Vector, unlabeled []int, k i
 // same batch, same counted-RNG position — at worker counts {0,1,2,8}
 // and pool sizes on both sides of the parallel cutoff. The unlabeled
 // counts 131 and 545 are multiples of neither four (the SVM's row
-// group) nor cancelCheckStride (the sweep block), so the last block and
+// group) nor par.Stride (the sweep block), so the last block and
 // its last row group are partial. Each selector that reads a session's
 // pool values runs twice, with the learner's values of every pool row
 // in its context and without, against the same legacy batch.

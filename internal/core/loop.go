@@ -6,6 +6,7 @@ import (
 
 	"github.com/alem/alem/internal/eval"
 	"github.com/alem/alem/internal/oracle"
+	"github.com/alem/alem/internal/par"
 )
 
 // EvalMode selects the train/test protocol (§6 "Train-Test Splits").
@@ -203,7 +204,7 @@ func Run(pool *Pool, learner Learner, sel Selector, o oracle.Oracle, cfg Config)
 func parallelPredict(ctx context.Context, pool *Pool, idx []int, workers int, learners ...Learner) ([]bool, error) {
 	pred := make([]bool, len(idx))
 	if err := parallelForRows(ctx, pool.Len(), idx, workers, func(slots, rows []int) {
-		var pos [cancelCheckStride]int
+		var pos [par.Stride]int
 		for _, l := range learners {
 			countPositive(l, pool.X, rows, pos[:])
 		}
@@ -227,7 +228,7 @@ func parallelDecide(ctx context.Context, pool *Pool, idx []int, workers int, dl 
 	vals := make([]float64, len(idx))
 	pred := make([]bool, len(idx))
 	th := dl.DecisionThreshold()
-	if err := forBlocks(ctx, len(idx), workers, parallelCutoff, func(lo, hi int) {
+	if err := par.Blocks(ctx, len(idx), workers, parallelCutoff, func(lo, hi int) {
 		dl.DecisionValues(pool.X, idx[lo:hi], vals[lo:hi])
 		for j := lo; j < hi; j++ {
 			pred[j] = vals[j] > th

@@ -7,38 +7,18 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/alem/alem/internal/eval"
 	"github.com/alem/alem/internal/linear"
+	"github.com/alem/alem/internal/par"
 	"github.com/alem/alem/internal/tree"
 )
-
-// ---- the fan-out substrate itself ----
-
-func TestParallelForMatchesSerial(t *testing.T) {
-	for _, n := range []int{0, 1, parallelCutoff - 1, parallelCutoff, 3*parallelCutoff + 17} {
-		for _, workers := range []int{0, 1, 2, 7} {
-			out := make([]int, n)
-			if err := parallelFor(context.Background(), n, workers, parallelCutoff, func(j int) {
-				out[j] = j * j
-			}); err != nil {
-				t.Fatal(err)
-			}
-			for j := range out {
-				if out[j] != j*j {
-					t.Fatalf("n=%d workers=%d: out[%d] = %d", n, workers, j, out[j])
-				}
-			}
-		}
-	}
-}
 
 // TestParallelForRows pins parallelForRows' contract, for shuffled
 // candidates (counting sort) and ascending ones (swept as they are):
 // every candidate slot lands in exactly one block, duplicate rows
-// included; a block holds at most cancelCheckStride slots with rows[k] =
+// included; a block holds at most par.Stride slots with rows[k] =
 // cands[slots[k]]; and a serial sweep visits the slots in ascending pool
 // row, ties in ascending slot, in full blocks but the last.
 func TestParallelForRows(t *testing.T) {
@@ -69,7 +49,7 @@ func TestParallelForRows(t *testing.T) {
 			if err := parallelForRows(context.Background(), poolLen, cands, workers, func(slots, rows []int) {
 				mu.Lock()
 				defer mu.Unlock()
-				if len(slots) == 0 || len(slots) > cancelCheckStride || len(rows) != len(slots) {
+				if len(slots) == 0 || len(slots) > par.Stride || len(rows) != len(slots) {
 					t.Errorf("%s workers=%d: block of %d slots and %d rows", name, workers, len(slots), len(rows))
 				}
 				for k, j := range slots {
@@ -98,25 +78,11 @@ func TestParallelForRows(t *testing.T) {
 				}
 			}
 			for i, n := range blockLens[:max(len(blockLens)-1, 0)] {
-				if n != cancelCheckStride {
-					t.Fatalf("%s: serial block %d holds %d slots, want %d", name, i, n, cancelCheckStride)
+				if n != par.Stride {
+					t.Fatalf("%s: serial block %d holds %d slots, want %d", name, i, n, par.Stride)
 				}
 			}
 		}
-	}
-}
-
-func TestParallelForCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	err := parallelFor(ctx, 10*parallelCutoff, 4, parallelCutoff, func(j int) { ran.Add(1) })
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// Every worker stops within one cancellation stride.
-	if got := ran.Load(); got > 4*cancelCheckStride {
-		t.Errorf("%d items ran after cancellation, want <= %d", got, 4*cancelCheckStride)
 	}
 }
 

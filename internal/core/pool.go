@@ -60,18 +60,8 @@ func NewPoolContext(ctx context.Context, d *dataset.Dataset) (*Pool, error) {
 // 0/1 float vectors.
 func NewBoolPool(d *dataset.Dataset) *Pool {
 	res := mustBlock(d)
-	ext := feature.NewBoolExtractor(d.Left.Schema)
-	bits := ext.ExtractPairs(d, res.Pairs)
-	X := make([]feature.Vector, len(bits))
-	for i, row := range bits {
-		v := make(feature.Vector, len(row))
-		for j, b := range row {
-			if b {
-				v[j] = 1
-			}
-		}
-		X[i] = v
-	}
+	// An uncancellable context: featurization cannot fail.
+	X, _ := feature.NewBoolExtractor(d.Left.Schema).VectorsContext(context.Background(), d, res.Pairs)
 	return poolFrom(d, res.Pairs, X)
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/interp"
+	"github.com/alem/alem/internal/par"
 	"github.com/alem/alem/internal/rules"
 	"github.com/alem/alem/internal/tree"
 )
@@ -77,7 +78,7 @@ func (q QBCScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 	// positive votes per slot.
 	variance := make([]float64, len(ctx.Unlabeled))
 	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(slots, rows []int) {
-		var pos [cancelCheckStride]int
+		var pos [par.Stride]int
 		for _, m := range committee {
 			countPositive(m, ctx.Pool.X, rows, pos[:])
 		}
@@ -142,7 +143,7 @@ func unlabeledAbsMargins(ctx *SelectContext, ml MarginLearner) ([]float64, error
 		return margins, nil
 	}
 	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(slots, rows []int) {
-		var block [cancelCheckStride]float64
+		var block [par.Stride]float64
 		absMargins(ml, ctx.Pool.X, rows, block[:])
 		for k, j := range slots {
 			margins[j] = block[k]

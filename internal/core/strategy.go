@@ -34,9 +34,10 @@ type ScoredSet struct {
 
 // Scorer is the informativeness half of a selection strategy: it maps
 // the unlabeled pool to per-candidate scores. Scorers run on the
-// deterministic parallelFor substrate — all shared randomness must be
-// drawn from ctx.Rand serially before any fan-out, so results and RNG
-// draw positions are bit-identical at every Workers count.
+// deterministic par fan-out (parallelFor, parallelForRows) — all shared
+// randomness must be drawn from ctx.Rand serially before any fan-out, so
+// results and RNG draw positions are bit-identical at every Workers
+// count.
 //
 // k is the batch size the composition will ultimately pick; most scorers
 // ignore it, but pruning scorers use it to decide whether a pruned

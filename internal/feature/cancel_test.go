@@ -6,10 +6,12 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+
+	"github.com/alem/alem/internal/par"
 )
 
 // countdownCtx reports Canceled after its budget of Err() polls is
-// spent. ExtractPairsContext polls on cancelCheckStride, so varying the
+// spent. ExtractPairsContext polls every par.Stride items, so varying the
 // budget lands the cancellation in every stage — interning either side,
 // or any stride of the extraction loop — deterministically.
 type countdownCtx struct {
@@ -45,9 +47,9 @@ func TestExtractPairsContextCancelled(t *testing.T) {
 			t.Fatal(err)
 		}
 		polls := math.MaxInt32 - count.left.Load()
-		if polls < int64(len(pairs)/cancelCheckStride) {
+		if polls < int64(len(pairs)/par.Stride) {
 			t.Fatalf("workers=%d: %d polls for %d pairs, want one per %d pairs at least",
-				workers, polls, len(pairs), cancelCheckStride)
+				workers, polls, len(pairs), par.Stride)
 		}
 		for budget := int64(0); budget < polls; budget++ {
 			X, err := e.extractPairs(newCountdownCtx(budget), d, pairs, workers)
@@ -72,5 +74,43 @@ func TestExtractPairsContextCancelled(t *testing.T) {
 	cancel()
 	if _, err := e.ExtractPairsContext(ctx, d, pairs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ExtractPairsContext on a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestBoolVectorsContextCancelled cancels Boolean featurization at every
+// poll of a run and checks that the call returns the context's error and
+// no vectors; an uncancelled run must equal ExtractPairs' bits as 0/1
+// for every pair.
+func TestBoolVectorsContextCancelled(t *testing.T) {
+	d, pairs := equivDataset(t)
+	e := NewBoolExtractor(d.Left.Schema)
+	count := newCountdownCtx(math.MaxInt32)
+	got, err := e.VectorsContext(count, d, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := e.ExtractPairs(d, pairs)
+	if len(got) != len(bits) {
+		t.Fatalf("%d vectors, want %d", len(got), len(bits))
+	}
+	for i, row := range bits {
+		if len(got[i]) != len(row) {
+			t.Fatalf("pair %d: %d dims, want %d", i, len(got[i]), len(row))
+		}
+		for j, b := range row {
+			if want := map[bool]float64{false: 0, true: 1}[b]; got[i][j] != want {
+				t.Fatalf("pair %d dim %d = %v, want %v", i, j, got[i][j], want)
+			}
+		}
+	}
+	polls := math.MaxInt32 - count.left.Load()
+	if polls < int64(len(pairs)/par.Stride) {
+		t.Fatalf("%d polls for %d pairs, want one per %d pairs at least", polls, len(pairs), par.Stride)
+	}
+	for budget := int64(0); budget < polls; budget++ {
+		X, err := e.VectorsContext(newCountdownCtx(budget), d, pairs)
+		if !errors.Is(err, context.Canceled) || X != nil {
+			t.Fatalf("budget %d/%d: err = %v (%d vectors), want context.Canceled", budget, polls, err, len(X))
+		}
 	}
 }

@@ -18,13 +18,12 @@ package feature
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"github.com/alem/alem/internal/dataset"
+	"github.com/alem/alem/internal/par"
 	"github.com/alem/alem/internal/textsim"
 )
 
@@ -228,15 +227,16 @@ func (e *Extractor) ExtractDim(left, right dataset.Record, i int) float64 {
 // dictionary. Output is bit-identical to calling Extract per pair —
 // TestExtractPairsMatchesExtract pins it at worker counts {1, 2, 8}.
 func (e *Extractor) ExtractPairs(d *dataset.Dataset, pairs []dataset.PairKey) []Vector {
-	out, _ := e.extractPairs(context.Background(), d, pairs, runtime.GOMAXPROCS(0))
+	out, _ := e.extractPairs(context.Background(), d, pairs, 0)
 	return out
 }
 
-// ExtractPairsContext is ExtractPairs under ctx: every worker polls ctx
-// each cancelCheckStride rows or pairs, and a cancelled call returns
-// the context's error instead of vectors.
+// ExtractPairsContext is ExtractPairs under ctx: interning and
+// extraction run on par.Chunks, every worker polls ctx each par.Stride
+// rows or pairs, and a cancelled call returns the context's error
+// instead of vectors.
 func (e *Extractor) ExtractPairsContext(ctx context.Context, d *dataset.Dataset, pairs []dataset.PairKey) ([]Vector, error) {
-	return e.extractPairs(ctx, d, pairs, runtime.GOMAXPROCS(0))
+	return e.extractPairs(ctx, d, pairs, 0)
 }
 
 // ExtractPairsWorkers is ExtractPairs with an explicit worker bound
@@ -245,11 +245,6 @@ func (e *Extractor) ExtractPairsWorkers(d *dataset.Dataset, pairs []dataset.Pair
 	out, _ := e.extractPairs(context.Background(), d, pairs, workers)
 	return out
 }
-
-// cancelCheckStride bounds how many rows or pairs a worker processes
-// between context checks, the stride the core and blocking packages
-// use.
-const cancelCheckStride = 64
 
 func (e *Extractor) extractPairs(ctx context.Context, d *dataset.Dataset, pairs []dataset.PairKey, workers int) ([]Vector, error) {
 	if err := ctx.Err(); err != nil {
@@ -260,9 +255,6 @@ func (e *Extractor) extractPairs(ctx context.Context, d *dataset.Dataset, pairs 
 	if n == 0 {
 		return out, nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	dim := e.Dim()
 	flat := make([]float64, n*dim)
 
@@ -270,9 +262,11 @@ func (e *Extractor) extractPairs(ctx context.Context, d *dataset.Dataset, pairs 
 	nt := len(e.tokenizers)
 	if nt > 0 {
 		leftRows, rightRows := leftRowsOf(pairs, len(d.Left.Rows)), rightRowsOf(pairs, len(d.Right.Rows))
-		leftSets = e.internRows(ctx, d.Left, leftRows, workers)
-		rightSets = e.internRows(ctx, d.Right, rightRows, workers)
-		if err := ctx.Err(); err != nil {
+		var err error
+		if leftSets, err = e.internRows(ctx, d.Left, leftRows, workers); err != nil {
+			return nil, err
+		}
+		if rightSets, err = e.internRows(ctx, d.Right, rightRows, workers); err != nil {
 			return nil, err
 		}
 	}
@@ -283,14 +277,14 @@ func (e *Extractor) extractPairs(ctx context.Context, d *dataset.Dataset, pairs 
 	}
 
 	na := len(e.schema)
-	parDo(n, workers, func(lo, hi int) {
+	err := par.Chunks(ctx, n, workers, 2, func(lo, hi int) {
 		var kern *textsim.CharKernel
 		if e.fused {
 			kern = textsim.GetCharKernel()
 			defer kern.Release()
 		}
 		for i := lo; i < hi; i++ {
-			if (i-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
+			if (i-lo)%par.Stride == 0 && ctx.Err() != nil {
 				return
 			}
 			p := pairs[i]
@@ -333,7 +327,7 @@ func (e *Extractor) extractPairs(ctx context.Context, d *dataset.Dataset, pairs 
 			}
 		}
 	})
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -432,17 +426,16 @@ func distinctRows(pairs []dataset.PairKey, n int, side func(dataset.PairKey) int
 // their arrays live in the worker's own textsim.SetArena: the sets die
 // with the call. Empty values keep zero sets; the extraction loop never
 // consults them (null attributes short-circuit). A cancelled ctx stops
-// every worker within cancelCheckStride rows; the caller checks ctx and
-// discards the partial sets.
-func (e *Extractor) internRows(ctx context.Context, t *dataset.Table, rows []int, workers int) [][]textsim.TokenSet {
+// every worker within par.Stride rows and returns the context's error.
+func (e *Extractor) internRows(ctx context.Context, t *dataset.Table, rows []int, workers int) ([][]textsim.TokenSet, error) {
 	sets := make([][]textsim.TokenSet, len(t.Rows))
 	nt := len(e.tokenizers)
 	stride := len(e.schema) * nt
 	slab := make([]textsim.TokenSet, len(rows)*stride)
-	parDo(len(rows), workers, func(lo, hi int) {
+	err := par.Chunks(ctx, len(rows), workers, 2, func(lo, hi int) {
 		var arena textsim.SetArena
 		for i := lo; i < hi; i++ {
-			if (i-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
+			if (i-lo)%par.Stride == 0 && ctx.Err() != nil {
 				return
 			}
 			r := rows[i]
@@ -459,36 +452,10 @@ func (e *Extractor) internRows(ctx context.Context, t *dataset.Table, rows []int
 			sets[r] = rs
 		}
 	})
-	return sets
-}
-
-// parDo runs body over [0, n) in at most workers contiguous chunks,
-// mirroring the chunking the blocking and core packages use.
-func parDo(n, workers int, body func(lo, hi int)) {
-	if n == 0 {
-		return
+	if err != nil {
+		return nil, err
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, n)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	return sets, nil
 }
 
 // Atom is one Boolean rule predicate: Metric(Attr) ≥ Threshold (§3, §6.3).
@@ -559,11 +526,39 @@ func (e *BoolExtractor) Extract(left, right dataset.Record) []bool {
 // parallel, preserving order.
 func (e *BoolExtractor) ExtractPairs(d *dataset.Dataset, pairs []dataset.PairKey) [][]bool {
 	out := make([][]bool, len(pairs))
-	parDo(len(pairs), runtime.GOMAXPROCS(0), func(lo, hi int) {
+	// An uncancellable context: the sweep cannot fail.
+	_ = par.Blocks(context.Background(), len(pairs), 0, 2, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p := pairs[i]
 			out[i] = e.Extract(d.Left.Rows[p.L], d.Right.Rows[p.R])
 		}
 	})
 	return out
+}
+
+// VectorsContext featurizes candidate pairs in parallel, preserving
+// order, into the Boolean vectors ExtractPairs computes encoded as 0/1
+// float vectors, the form the rule learner's pools and a rules model's
+// matcher score. It runs on par.Blocks, so every worker polls ctx each
+// par.Stride pairs, and a cancelled call returns the context's error
+// instead of vectors.
+func (e *BoolExtractor) VectorsContext(ctx context.Context, d *dataset.Dataset, pairs []dataset.PairKey) ([]Vector, error) {
+	out := make([]Vector, len(pairs))
+	err := par.Blocks(ctx, len(pairs), 0, 2, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p := pairs[i]
+			bits := e.Extract(d.Left.Rows[p.L], d.Right.Rows[p.R])
+			v := make(Vector, len(bits))
+			for j, b := range bits {
+				if b {
+					v[j] = 1
+				}
+			}
+			out[i] = v
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

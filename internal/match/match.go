@@ -163,21 +163,11 @@ func (m *Matcher) Match(ctx context.Context, left, right *dataset.Table) ([]Pair
 
 	var X []feature.Vector
 	if m.Features == BoolFeatures {
-		bits := boolExt.ExtractPairs(d, res.Pairs)
-		X = make([]feature.Vector, len(bits))
-		for i, row := range bits {
-			v := make(feature.Vector, len(row))
-			for j, b := range row {
-				if b {
-					v[j] = 1
-				}
-			}
-			X[i] = v
-		}
-	} else if X, err = ext.ExtractPairsContext(ctx, d, res.Pairs); err != nil {
-		return nil, 0, err
+		X, err = boolExt.VectorsContext(ctx, d, res.Pairs)
+	} else {
+		X, err = ext.ExtractPairsContext(ctx, d, res.Pairs)
 	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, 0, err
 	}
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"github.com/alem/alem/internal/linear"
 	"github.com/alem/alem/internal/match"
 	"github.com/alem/alem/internal/model"
+	"github.com/alem/alem/internal/neural"
 )
 
 // beerArtifact trains an SVM on the beer dataset once and shares the
@@ -231,6 +233,75 @@ func TestMatchHandler(t *testing.T) {
 		}
 	}
 	_ = art
+}
+
+// TestMatchHugeWeightsFiniteConfidences serves an SVM and a neural-net
+// artifact whose weights (the net's output layer) are finite but
+// ±1e308, so their decision values overflow. /v1/match emits a confidence only for a predicted
+// match, whose decision value is above 0 (its sigmoid is finite), so
+// every answer must be a 200 with valid JSON and confidences in [0, 1].
+func TestMatchHugeWeightsFiniteConfidences(t *testing.T) {
+	art, X := beerArtifact(t)
+	net := neural.NewNet(4, 1)
+	net.Epochs = 2
+	y := make([]bool, 40)
+	for i := range y {
+		y[i] = i%2 == 0
+	}
+	net.Train(X[:40], y)
+	fresh, err := dataset.Load("beer", 1.0, 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := matchRequest{Left: tableToJSON(fresh.Left), Right: tableToJSON(fresh.Right)}
+	for name, tc := range map[string]struct {
+		learner core.Learner
+		weights string
+	}{
+		"svm": {art.Learner, "weights"},
+		"nn":  {net, "w2"},
+	} {
+		var buf bytes.Buffer
+		if err := model.Save(&buf, tc.learner, art.Meta); err != nil {
+			t.Fatal(err)
+		}
+		// Every number of the weight array becomes 1e308 or -1e308 in
+		// turn; the key's own digit (w2) is left alone.
+		sign := 1.0
+		num := regexp.MustCompile(`-?[0-9][0-9.eE+-]*`)
+		raw := regexp.MustCompile(`"`+tc.weights+`":\s*\[[^"]*\]`).ReplaceAllFunc(buf.Bytes(), func(field []byte) []byte {
+			key, arr, _ := bytes.Cut(field, []byte(":"))
+			out := append(append([]byte{}, key...), ':')
+			return append(out, num.ReplaceAllFunc(arr, func([]byte) []byte {
+				sign = -sign
+				return []byte(fmt.Sprint(-sign * 1e308))
+			})...)
+		})
+		huge, err := model.Load(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s := New(huge, Config{})
+		ts := httptest.NewServer(s.Handler())
+		resp, body := postJSON(t, ts.URL+"/v1/match", req)
+		ts.Close()
+		s.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
+		}
+		var out matchResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatalf("%s: body %q is not JSON: %v", name, body, err)
+		}
+		for _, p := range out.Pairs {
+			if !(p.Confidence >= 0 && p.Confidence <= 1) {
+				t.Fatalf("%s: pair %+v has confidence outside [0, 1]", name, p)
+			}
+		}
+		if len(out.Pairs) == 0 {
+			t.Fatalf("%s: no candidate of %d matched, so no confidence was checked", name, out.Candidates)
+		}
+	}
 }
 
 func TestMatchSchemaMismatch(t *testing.T) {
