@@ -82,9 +82,6 @@ func TestSweepMatchesSerial(t *testing.T) {
 						}
 					}
 					chunks := wantChunks(n, workers, cut)
-					if len(chunks) > Workers(workers) {
-						t.Fatalf("n=%d workers=%d: %d chunks, want at most %d", n, workers, len(chunks), Workers(workers))
-					}
 					want := chunks
 					if sw.name == "Blocks" {
 						want = nil
@@ -97,6 +94,9 @@ func TestSweepMatchesSerial(t *testing.T) {
 					slices.SortFunc(calls, func(a, b [2]int) int { return a[0] - b[0] })
 					if !slices.Equal(calls, want) {
 						t.Fatalf("%s cutoff=%d n=%d workers=%d: body called over %v, want %v", sw.name, cut, n, workers, calls, want)
+					}
+					if len(chunks) > Workers(workers) {
+						t.Fatalf("n=%d workers=%d: %d chunks, want at most %d", n, workers, len(chunks), Workers(workers))
 					}
 					wantPolls := int64(1) // the final ctx.Err()
 					if sw.name == "Blocks" {
