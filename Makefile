@@ -39,9 +39,10 @@ cover:
 # 10s-per-target fuzz smoke over the artifact loader, WAL recovery, CSV
 # import, the similarity metrics' range and symmetry, the tokenizers
 # (FuzzTokenizers) and Soundex codes (FuzzSoundex), the fused character
-# kernels' bit-equality with each metric's Compare, and the /v1/match
-# and /v1/score request bodies (see scripts/fuzz_smoke.sh; FUZZTIME=1m
-# for longer runs).
+# kernels' and the interned token-set metrics' (FuzzTokenSetMetrics)
+# bit-equality with each metric's Compare, and the /v1/match and
+# /v1/score request bodies (see scripts/fuzz_smoke.sh; FUZZTIME=1m for
+# longer runs).
 fuzz:
 	GO="$(GO)" sh scripts/fuzz_smoke.sh
 
@@ -62,8 +63,8 @@ fuzz:
 # indexed candidate generator against the
 # brute-force blocking reference, including incremental Add and
 # shard-count sweeps (internal/blocking), and the fused character kernels
-# against each metric's Compare plus batched featurization against
-# per-pair Extract on generated pools (internal/textsim,
+# against each metric's Compare plus batched featurization, float and
+# Boolean, against per-pair Extract on generated pools (internal/textsim,
 # internal/feature), and the fan-out's own chunk, block and poll
 # contract (internal/par). `race` already covers these;
 # the dedicated target keeps the refactor contracts visible and quick to

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/alem/alem/internal/blocking"
 	"github.com/alem/alem/internal/dataset"
@@ -19,33 +18,17 @@ type Pool struct {
 	Truth []bool
 }
 
-// blockCandidates runs the dataset through the indexed candidate
-// generator under ctx.
-func blockCandidates(ctx context.Context, d *dataset.Dataset) (*blocking.Result, error) {
-	return blocking.Generate(ctx, blocking.NewCandidateIndex(d, blocking.IndexOptions{}))
-}
-
-// mustBlock is blockCandidates for the non-context constructors: under
-// the background context generation cannot fail, so an error is a bug.
-func mustBlock(d *dataset.Dataset) *blocking.Result {
-	res, err := blockCandidates(context.Background(), d)
-	if err != nil {
-		panic(fmt.Sprintf("core: uncancellable blocking failed: %v", err))
-	}
-	return res
-}
-
 // NewPool blocks the dataset and featurizes the surviving candidate pairs
 // with the standard 21-metric extractor.
 func NewPool(d *dataset.Dataset) *Pool {
-	res := mustBlock(d)
+	res := blocking.Block(d)
 	return poolFrom(d, res.Pairs, feature.NewExtractor(d.Left.Schema).ExtractPairs(d, res.Pairs))
 }
 
 // NewPoolContext is NewPool with cancellable candidate generation and
 // featurization; it returns the context's error if either is cut short.
 func NewPoolContext(ctx context.Context, d *dataset.Dataset) (*Pool, error) {
-	res, err := blockCandidates(ctx, d)
+	res, err := blocking.Generate(ctx, blocking.NewCandidateIndex(d, blocking.IndexOptions{}))
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +42,7 @@ func NewPoolContext(ctx context.Context, d *dataset.Dataset) (*Pool, error) {
 // NewBoolPool is NewPool for the rule learner: Boolean atoms encoded as
 // 0/1 float vectors.
 func NewBoolPool(d *dataset.Dataset) *Pool {
-	res := mustBlock(d)
+	res := blocking.Block(d)
 	// An uncancellable context: featurization cannot fail.
 	X, _ := feature.NewBoolExtractor(d.Left.Schema).VectorsContext(context.Background(), d, res.Pairs)
 	return poolFrom(d, res.Pairs, X)
@@ -69,7 +52,7 @@ func NewBoolPool(d *dataset.Dataset) *Pool {
 // (standard 21 plus TF-IDF cosine, SoftTFIDF, numeric similarity and
 // generalized Jaccard, weighted over the dataset's own corpus).
 func NewExtendedPool(d *dataset.Dataset) *Pool {
-	res := mustBlock(d)
+	res := blocking.Block(d)
 	ext := feature.NewExtendedExtractor(d.Left.Schema, feature.CorpusOf(d))
 	return poolFrom(d, res.Pairs, ext.ExtractPairs(d, res.Pairs))
 }

@@ -79,8 +79,8 @@ func TestExtractPairsContextCancelled(t *testing.T) {
 
 // TestBoolVectorsContextCancelled cancels Boolean featurization at every
 // poll of a run and checks that the call returns the context's error and
-// no vectors; an uncancelled run must equal ExtractPairs' bits as 0/1
-// for every pair.
+// no vectors; an uncancelled run must equal Extract's bits as 0/1 for
+// every pair.
 func TestBoolVectorsContextCancelled(t *testing.T) {
 	d, pairs := equivDataset(t)
 	e := NewBoolExtractor(d.Left.Schema)
@@ -89,11 +89,11 @@ func TestBoolVectorsContextCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits := e.ExtractPairs(d, pairs)
-	if len(got) != len(bits) {
-		t.Fatalf("%d vectors, want %d", len(got), len(bits))
+	if len(got) != len(pairs) {
+		t.Fatalf("%d vectors, want %d", len(got), len(pairs))
 	}
-	for i, row := range bits {
+	for i, p := range pairs {
+		row := e.Extract(d.Left.Rows[p.L], d.Right.Rows[p.R])
 		if len(got[i]) != len(row) {
 			t.Fatalf("pair %d: %d dims, want %d", i, len(got[i]), len(row))
 		}

@@ -33,13 +33,12 @@ type Vector []float64
 // compiledMetric caches the interface assertions of one metric so the
 // per-pair loop never type-switches: tsm is non-nil for metrics with the
 // interned TokenSet fast path (tokIdx then indexes the extractor's
-// tokenizer list), tm for the token-slice fast path. When the extractor
-// runs the fused character kernels, char is the metric's
-// textsim.CharScores slot (-1 otherwise) and mongeElkan marks
-// Monge-Elkan, which scores from pre-decoded token runes.
+// tokenizer list). When the extractor runs the fused character kernels,
+// char is the metric's textsim.CharScores slot (-1 otherwise) and
+// mongeElkan marks Monge-Elkan, which scores from pre-decoded token
+// runes.
 type compiledMetric struct {
 	m          textsim.Metric
-	tm         textsim.TokenMetric
 	tsm        textsim.TokenSetMetric
 	tokIdx     int
 	char       int
@@ -75,9 +74,6 @@ func newExtractor(schema []string, metrics []textsim.Metric) *Extractor {
 	tokIdx := map[textsim.Tokenizer]int{}
 	for i, m := range metrics {
 		cm := compiledMetric{m: m}
-		if tm, ok := m.(textsim.TokenMetric); ok {
-			cm.tm = tm
-		}
 		if tsm, ok := m.(textsim.TokenSetMetric); ok {
 			cm.tsm = tsm
 			tk := tsm.InternTokenizer()
@@ -168,40 +164,19 @@ func (e *Extractor) DimName(i int) string {
 	return fmt.Sprintf("%s(%s)", e.metrics[m].Name(), e.schema[a])
 }
 
-// Extract computes the feature vector of one record pair. Word tokens
-// are computed once per attribute value and shared across every metric
-// that supports the textsim.TokenMetric fast path.
+// Extract computes the feature vector of one record pair, every
+// dimension from its metric's string Compare. It is the reference the
+// interned ExtractPairs is pinned to bit for bit.
 func (e *Extractor) Extract(left, right dataset.Record) Vector {
-	v := make(Vector, 0, e.Dim())
-	tok := textsim.Whitespace{}
-	for a := range e.schema {
-		lv, rv := left.Values[a], right.Values[a]
-		if lv == "" || rv == "" {
-			for range e.metrics {
-				v = append(v, 0)
-			}
-			continue
-		}
-		var lt, rt []string
-		tokenized := false
-		for _, m := range e.metrics {
-			if tm, ok := m.(textsim.TokenMetric); ok {
-				if !tokenized {
-					lt, rt = tok.Tokens(lv), tok.Tokens(rv)
-					tokenized = true
-				}
-				v = append(v, tm.CompareTokens(lt, rt))
-				continue
-			}
-			v = append(v, m.Compare(lv, rv))
-		}
+	v := make(Vector, e.Dim())
+	for i := range v {
+		v[i] = e.ExtractDim(left, right, i)
 	}
 	return v
 }
 
-// ExtractDim computes only dimension i of the pair's feature vector; the
-// §5.1 blocking optimization uses it to probe blocking dimensions without
-// building the full vector.
+// ExtractDim computes only dimension i of the pair's feature vector from
+// its metric's string Compare; Extract builds every dimension with it.
 func (e *Extractor) ExtractDim(left, right dataset.Record, i int) float64 {
 	a := i / len(e.metrics)
 	m := i % len(e.metrics)
@@ -471,10 +446,11 @@ func (a Atom) String() string {
 	return fmt.Sprintf("%s(%s) >= %.1f", a.Metric, a.Attr, a.Threshold)
 }
 
-// BoolExtractor computes Boolean atom vectors for the rule learner.
+// BoolExtractor computes Boolean atom vectors for the rule learner by
+// thresholding the scores of an Extractor over textsim.ForRules(), so
+// its atoms come from the same interned pass as the float features.
 type BoolExtractor struct {
-	schema     []string
-	metrics    []textsim.Metric
+	ext        *Extractor
 	thresholds []float64
 }
 
@@ -485,80 +461,76 @@ func NewBoolExtractor(schema []string) *BoolExtractor {
 	for t := 1; t <= 10; t++ {
 		ths = append(ths, float64(t)/10)
 	}
-	return &BoolExtractor{schema: schema, metrics: textsim.ForRules(), thresholds: ths}
+	return &BoolExtractor{ext: newExtractor(schema, textsim.ForRules()), thresholds: ths}
 }
 
 // Dim returns #attrs × #metrics × #thresholds.
 func (e *BoolExtractor) Dim() int {
-	return len(e.schema) * len(e.metrics) * len(e.thresholds)
+	return e.ext.Dim() * len(e.thresholds)
 }
 
-// Atom describes Boolean dimension i.
+// Atom describes Boolean dimension i: score i/#thresholds of the
+// underlying extractor against threshold i%#thresholds.
 func (e *BoolExtractor) Atom(i int) Atom {
-	perAttr := len(e.metrics) * len(e.thresholds)
-	a := i / perAttr
-	rest := i % perAttr
-	m := rest / len(e.thresholds)
-	t := rest % len(e.thresholds)
-	return Atom{Attr: e.schema[a], Metric: e.metrics[m].Name(), Threshold: e.thresholds[t]}
+	nt, nm := len(e.thresholds), len(e.ext.metrics)
+	k := i / nt
+	return Atom{Attr: e.ext.schema[k/nm], Metric: e.ext.metrics[k%nm].Name(), Threshold: e.thresholds[i%nt]}
 }
 
-// Extract computes the Boolean atom vector of one record pair. Atoms over
-// null attributes are false (similarity 0 never reaches a threshold).
+// Extract computes the Boolean atom vector of one record pair from the
+// string reference, Extractor.Extract. Atoms over null attributes are
+// false (similarity 0 never reaches a threshold).
 func (e *BoolExtractor) Extract(left, right dataset.Record) []bool {
-	out := make([]bool, 0, e.Dim())
-	for a := range e.schema {
-		lv, rv := left.Values[a], right.Values[a]
-		for _, m := range e.metrics {
-			sim := 0.0
-			if lv != "" && rv != "" {
-				sim = m.Compare(lv, rv)
-			}
-			for _, th := range e.thresholds {
-				out = append(out, sim >= th)
-			}
-		}
-	}
-	return out
+	return atoms(e.ext.Extract(left, right), e.thresholds, true)
 }
 
-// ExtractPairs featurizes candidate pairs into Boolean vectors in
-// parallel, preserving order.
+// ExtractPairs featurizes candidate pairs into Boolean vectors,
+// preserving order, from the same interned pass as VectorsContext.
 func (e *BoolExtractor) ExtractPairs(d *dataset.Dataset, pairs []dataset.PairKey) [][]bool {
-	out := make([][]bool, len(pairs))
-	// An uncancellable context: the sweep cannot fail.
-	_ = par.Blocks(context.Background(), len(pairs), 0, 2, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := pairs[i]
-			out[i] = e.Extract(d.Left.Rows[p.L], d.Right.Rows[p.R])
-		}
-	})
+	// An uncancellable context: the pass cannot fail.
+	scores, _ := e.ext.extractPairs(context.Background(), d, pairs, 0)
+	out := make([][]bool, len(scores))
+	for i, s := range scores {
+		out[i] = atoms(s, e.thresholds, true)
+	}
 	return out
 }
 
 // VectorsContext featurizes candidate pairs in parallel, preserving
 // order, into the Boolean vectors ExtractPairs computes encoded as 0/1
 // float vectors, the form the rule learner's pools and a rules model's
-// matcher score. It runs on par.Blocks, so every worker polls ctx each
-// par.Stride pairs, and a cancelled call returns the context's error
-// instead of vectors.
+// matcher score. The scores come from Extractor.ExtractPairsContext's
+// pass, so every worker polls ctx each par.Stride rows or pairs, and a
+// cancelled call returns the context's error instead of vectors.
 func (e *BoolExtractor) VectorsContext(ctx context.Context, d *dataset.Dataset, pairs []dataset.PairKey) ([]Vector, error) {
-	out := make([]Vector, len(pairs))
-	err := par.Blocks(ctx, len(pairs), 0, 2, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := pairs[i]
-			bits := e.Extract(d.Left.Rows[p.L], d.Right.Rows[p.R])
-			v := make(Vector, len(bits))
-			for j, b := range bits {
-				if b {
-					v[j] = 1
-				}
-			}
-			out[i] = v
-		}
-	})
+	return e.vectors(ctx, d, pairs, 0)
+}
+
+// vectors is VectorsContext with an explicit worker bound (zero or
+// negative means GOMAXPROCS, one forces the serial path).
+func (e *BoolExtractor) vectors(ctx context.Context, d *dataset.Dataset, pairs []dataset.PairKey, workers int) ([]Vector, error) {
+	scores, err := e.ext.extractPairs(ctx, d, pairs, workers)
 	if err != nil {
 		return nil, err
 	}
+	out := make([]Vector, len(scores))
+	for i, s := range scores {
+		out[i] = atoms(s, e.thresholds, 1.0)
+	}
 	return out, nil
+}
+
+// atoms encodes one pair's scores s as its atoms in Atom order, one per
+// (score, threshold): yes where the score reaches the threshold, the
+// zero value elsewhere.
+func atoms[T bool | float64](s Vector, thresholds []float64, yes T) []T {
+	out := make([]T, len(s)*len(thresholds))
+	for k, x := range s {
+		for t, th := range thresholds {
+			if x >= th {
+				out[k*len(thresholds)+t] = yes
+			}
+		}
+	}
+	return out
 }

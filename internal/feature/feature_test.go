@@ -194,24 +194,3 @@ func TestBoolExtractPairs(t *testing.T) {
 		}
 	}
 }
-
-func TestExtractFastPathMatchesSlowPath(t *testing.T) {
-	// The Extract fast path (shared tokens) must produce identical
-	// vectors to calling every metric's string Compare directly.
-	d, err := dataset.Load("abt-buy", 0.02, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewExtractor(d.Left.Schema)
-	for li := 0; li < 10 && li < len(d.Left.Rows); li++ {
-		for ri := 0; ri < 5 && ri < len(d.Right.Rows); ri++ {
-			got := e.Extract(d.Left.Rows[li], d.Right.Rows[ri])
-			for i := range got {
-				if want := e.ExtractDim(d.Left.Rows[li], d.Right.Rows[ri], i); got[i] != want {
-					t.Fatalf("pair (%d,%d) dim %d (%s): fast %v != slow %v",
-						li, ri, i, e.DimName(i), got[i], want)
-				}
-			}
-		}
-	}
-}

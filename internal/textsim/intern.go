@@ -1,6 +1,7 @@
 package textsim
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"unicode"
@@ -574,7 +575,7 @@ func (Cosine) CompareTokenSets(a, b *TokenSet) float64 {
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	return dot / (sqrt(na) * sqrt(nb))
+	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
 // CompareTokenSets implements TokenSetMetric.
@@ -630,11 +631,11 @@ func (Euclidean) CompareTokenSets(a, b *TokenSet) float64 {
 		dd += float64(y * y)
 		nb += float64(y * y)
 	}
-	denom := sqrt(na) + sqrt(nb)
+	denom := math.Sqrt(na) + math.Sqrt(nb)
 	if denom == 0 {
 		return 1
 	}
-	return 1 - sqrt(dd)/denom
+	return 1 - math.Sqrt(dd)/denom
 }
 
 // CompareTokenSets implements TokenSetMetric. Monge-Elkan consumes the

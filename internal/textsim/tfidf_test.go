@@ -131,37 +131,3 @@ func TestExtendedMetricsSatisfyInvariants(t *testing.T) {
 		}
 	}
 }
-
-// TestTokenMetricEquivalence pins the fast token path to the string path
-// for every TokenMetric implementation.
-func TestTokenMetricEquivalence(t *testing.T) {
-	pairs := [][2]string{
-		{"sonixx wireless speaker", "sonix wireless speaker portable"},
-		{"a b c", "c b a"},
-		{"one", "two"},
-		{"", ""},
-		{"x", ""},
-		{"a a b", "a b b"},
-		{"The, Quick. Brown!", "quick brown fox"},
-	}
-	tok := Whitespace{}
-	count := 0
-	for _, m := range append(All(), GeneralizedJaccard{}) {
-		tm, ok := m.(TokenMetric)
-		if !ok {
-			continue
-		}
-		count++
-		for _, p := range pairs {
-			want := m.Compare(p[0], p[1])
-			got := tm.CompareTokens(tok.Tokens(p[0]), tok.Tokens(p[1]))
-			if math.Abs(got-want) > 1e-12 {
-				t.Errorf("%s: CompareTokens(%q,%q) = %v, Compare = %v",
-					m.Name(), p[0], p[1], got, want)
-			}
-		}
-	}
-	if count < 8 {
-		t.Errorf("only %d TokenMetric implementations, want >= 8", count)
-	}
-}

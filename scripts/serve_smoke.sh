@@ -29,6 +29,9 @@ echo "serve-smoke: training two small beer models"
 
 # -shed-watermark 0 turns overload shedding off: this smoke asserts the
 # hot swap itself loses nothing, so a slow CI box must not inject 429s.
+# The log exists before almserve starts: the poll below may read it
+# before the backgrounded redirection has opened it.
+: >"$tmp/serve.log"
 "$tmp/almserve" -model "$tmp/model.json" -addr 127.0.0.1:0 -admin \
     -shed-watermark 0 -log 2>"$tmp/serve.log" &
 srv_pid=$!
