@@ -59,7 +59,11 @@ fuzz:
 # frozen per-unit trainer and Margin, and DecisionValues against Margin
 # (internal/neural), the fused linear-SVM Train and the four-row
 # DecisionValues against the frozen trainer and DecisionValue
-# (internal/linear), and the
+# (internal/linear), the rule model's and naive Bayes' DecisionValues
+# against Predict and frozen copies of their per-row Predict and Margin
+# (internal/rules, internal/bayes), ScoreAll, Decide and Matcher.Match
+# against frozen copies of the per-row Score and Predict-then-Score loop
+# they replaced (internal/match), and the
 # indexed candidate generator against the
 # brute-force blocking reference, including incremental Add and
 # shard-count sweeps (internal/blocking), and the fused character kernels
@@ -74,6 +78,8 @@ equiv:
 	$(GO) test -race -count=1 -run 'GrowMatchesLegacy|ForestDecisionValuesMatchVotes' ./internal/tree/
 	$(GO) test -race -count=1 -run 'TrainMatchesLegacy|NetDecisionValuesMatchMargin' ./internal/neural/
 	$(GO) test -race -count=1 -run 'SVMTrainMatchesLegacy|DecisionValuesMatchDecisionValue' ./internal/linear/
+	$(GO) test -race -count=1 -run 'ModelDecisionValuesMatchPredict|NaiveBayesDecisionValuesMatchPredict' ./internal/rules/ ./internal/bayes/
+	$(GO) test -race -count=1 -run 'DecideMatchesLegacyScore|MatchMatchesLegacyLoop' ./internal/match/
 	$(GO) test -race -count=1 -run 'IndexEquivalence|BruteForce|HotTokenRecall|ThresholdBoundary|RebuildOverChangedTable' ./internal/blocking/
 	$(GO) test -race -count=1 -run 'CharKernelsMatchCompare|ExtractPairsMatchesExtract' ./internal/textsim/ ./internal/feature/
 	$(GO) test -race -count=1 ./internal/par/

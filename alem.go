@@ -193,6 +193,9 @@ type (
 	Learner = core.Learner
 	// MarginLearner exposes a confidence margin (SVMs, neural nets).
 	MarginLearner = core.MarginLearner
+	// DecisionLearner predicts from one value per row (every built-in
+	// learner).
+	DecisionLearner = core.DecisionLearner
 	// VoteLearner is a learner-aware committee (random forests).
 	VoteLearner = core.VoteLearner
 	// Factory creates fresh learners for QBC committees.

@@ -168,8 +168,10 @@ func TestFacadePersistenceAndMatcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := loaded.PredictAll(pool.X); len(got) != len(pool.X) {
-		t.Fatalf("legacy forest predicted %d of %d", len(got), len(pool.X))
+	for i, x := range pool.X {
+		if loaded.Predict(x) != forest.Predict(x) {
+			t.Fatalf("legacy forest round trip changed the prediction of pair %d", i)
+		}
 	}
 }
 

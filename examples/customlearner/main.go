@@ -56,14 +56,6 @@ func (t *thresholdLearner) Predict(x alem.FeatureVector) bool {
 	return t.trained && mean(x) > t.threshold
 }
 
-func (t *thresholdLearner) PredictAll(X []alem.FeatureVector) []bool {
-	out := make([]bool, len(X))
-	for i, x := range X {
-		out[i] = t.Predict(x)
-	}
-	return out
-}
-
 // Margin makes the learner compatible with margin-based selection: the
 // distance of the mean similarity from the threshold.
 func (t *thresholdLearner) Margin(x alem.FeatureVector) float64 {

@@ -3,7 +3,7 @@
 // other classic QBC committee member in the EM literature (Sarawagi &
 // Bhamidipaty, KDD 2002 — cited in the paper's §1), and the framework's
 // plug-and-play claim is best demonstrated by plugging in a learner the
-// paper did NOT evaluate: NaiveBayes satisfies core.Learner and
+// paper did NOT evaluate: NaiveBayes satisfies core.DecisionLearner and
 // core.MarginLearner and composes with QBC, margin and the active
 // ensemble without framework changes.
 package bayes
@@ -102,28 +102,31 @@ func (nb *NaiveBayes) logLikelihood(x feature.Vector, c int) float64 {
 	return ll
 }
 
-// Margin returns |log P(match|x) − log P(non-match|x)|, a confidence
-// margin compatible with margin-based selection.
-func (nb *NaiveBayes) Margin(x feature.Vector) float64 {
+// value is log P(match|x) − log P(non-match|x), or 0 untrained.
+func (nb *NaiveBayes) value(x feature.Vector) float64 {
 	if !nb.trained {
 		return 0
 	}
-	return math.Abs(nb.logLikelihood(x, 1) - nb.logLikelihood(x, 0))
+	return nb.logLikelihood(x, 1) - nb.logLikelihood(x, 0)
 }
+
+// Margin returns |log P(match|x) − log P(non-match|x)|, a confidence
+// margin compatible with margin-based selection.
+func (nb *NaiveBayes) Margin(x feature.Vector) float64 { return math.Abs(nb.value(x)) }
 
 // Predict labels x as matching when the match posterior dominates.
-func (nb *NaiveBayes) Predict(x feature.Vector) bool {
-	if !nb.trained {
-		return false
+func (nb *NaiveBayes) Predict(x feature.Vector) bool { return nb.value(x) > 0 }
+
+// DecisionValues writes log P(match|x) − log P(non-match|x) of
+// x = X[rows[k]] into out[k], 0 when untrained: the value Predict
+// compares with DecisionThreshold, and whose magnitude is Margin. out
+// must have room for len(rows) values.
+func (nb *NaiveBayes) DecisionValues(X []feature.Vector, rows []int, out []float64) {
+	for k, row := range rows {
+		out[k] = nb.value(X[row])
 	}
-	return nb.logLikelihood(x, 1) > nb.logLikelihood(x, 0)
 }
 
-// PredictAll classifies a batch.
-func (nb *NaiveBayes) PredictAll(X []feature.Vector) []bool {
-	out := make([]bool, len(X))
-	for i, x := range X {
-		out[i] = nb.Predict(x)
-	}
-	return out
-}
+// DecisionThreshold returns 0, the log-odds Predict requires a match to
+// exceed.
+func (nb *NaiveBayes) DecisionThreshold() float64 { return 0 }

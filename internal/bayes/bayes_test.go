@@ -115,14 +115,78 @@ func TestNaiveBayesPriorEffect(t *testing.T) {
 	}
 }
 
-func TestNaiveBayesPredictAll(t *testing.T) {
+// legacyPredict and legacyMargin are frozen copies of Predict and Margin
+// before the decision value: the two log-likelihoods compared, and the
+// magnitude of their difference.
+func legacyPredict(nb *NaiveBayes, x feature.Vector) bool {
+	if !nb.trained {
+		return false
+	}
+	return nb.logLikelihood(x, 1) > nb.logLikelihood(x, 0)
+}
+
+func legacyMargin(nb *NaiveBayes, x feature.Vector) float64 {
+	if !nb.trained {
+		return 0
+	}
+	return math.Abs(nb.logLikelihood(x, 1) - nb.logLikelihood(x, 0))
+}
+
+// TestNaiveBayesDecisionValuesMatchPredict pins DecisionValues over row
+// lists of length 0–9 and 65 with a duplicated row: value >
+// DecisionThreshold must be Predict and the frozen comparison of the two
+// log-likelihoods, |value| must be Margin and the frozen margin bit for
+// bit, and out past len(rows) must stay untouched. It covers an
+// untrained model, one trained on a single class (a prior of −Inf) and
+// features whose squared distance overflows a log-likelihood to −Inf or
+// NaN.
+func TestNaiveBayesDecisionValuesMatchPredict(t *testing.T) {
 	X, y := gaussianData(100, 4)
-	nb := New()
-	nb.Train(X, y)
-	all := nb.PredictAll(X)
-	for i, x := range X {
-		if all[i] != nb.Predict(x) {
-			t.Fatalf("PredictAll[%d] mismatch", i)
+	pool := append([]feature.Vector(nil), X[:40]...)
+	for _, v := range []float64{1e200, -1e200, math.Inf(1), math.Inf(-1), math.NaN()} {
+		pool = append(pool, feature.Vector{v, 0.5}, feature.Vector{0.8, v}, feature.Vector{v, v})
+	}
+	trained, oneClass := New(), New()
+	trained.Train(X, y)
+	oneClass.Train(X[:1], y[:1])
+	r := rand.New(rand.NewSource(5))
+	nonFinite := 0
+	for name, nb := range map[string]*NaiveBayes{"trained": trained, "one-class": oneClass, "untrained": New()} {
+		for _, size := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 65} {
+			rows := make([]int, size)
+			for k := range rows {
+				rows[k] = r.Intn(len(pool))
+			}
+			if size > 2 {
+				rows[size-1] = rows[0]
+			}
+			out := make([]float64, size+3)
+			for k := range out {
+				out[k] = -7
+			}
+			nb.DecisionValues(pool, rows, out)
+			for k, row := range rows {
+				x := pool[row]
+				v := out[k]
+				if got := v > nb.DecisionThreshold(); got != nb.Predict(x) || got != legacyPredict(nb, x) {
+					t.Fatalf("%s: row %d value %v > threshold is %v, Predict %v, frozen %v", name, row, v, got, nb.Predict(x), legacyPredict(nb, x))
+				}
+				abs := math.Float64bits(math.Abs(v))
+				if abs != math.Float64bits(nb.Margin(x)) || abs != math.Float64bits(legacyMargin(nb, x)) {
+					t.Fatalf("%s: row %d |value| %v, Margin %v, frozen %v", name, row, math.Abs(v), nb.Margin(x), legacyMargin(nb, x))
+				}
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					nonFinite++
+				}
+			}
+			for k := size; k < len(out); k++ {
+				if out[k] != -7 {
+					t.Fatalf("%s n=%d: out[%d] past len(rows) overwritten", name, size, k)
+				}
+			}
 		}
+	}
+	if nonFinite == 0 {
+		t.Fatal("no value was non-finite; the overflow rows go untested")
 	}
 }

@@ -196,17 +196,21 @@ func Run(pool *Pool, learner Learner, sel Selector, o oracle.Oracle, cfg Config)
 // learners predicts it a match: the session's one learner, or an
 // ensemble's accepted classifiers plus its candidate. It sweeps idx in
 // pool-row blocks with up to workers goroutines (<= 0 means one per CPU),
-// each learner scoring a whole block in turn (see countPositive); the
-// output stays in idx order. Learner prediction only reads model state,
-// so concurrent evaluation is safe. Cancelling ctx makes every worker
-// stop within one block; the partial output is discarded and ctx's error
-// returned.
+// each learner (through Decider) scoring a whole block in turn (see
+// countPositive); the output stays in idx order. Learner prediction only
+// reads model state, so concurrent evaluation is safe. Cancelling ctx
+// makes every worker stop within one block; the partial output is
+// discarded and ctx's error returned.
 func parallelPredict(ctx context.Context, pool *Pool, idx []int, workers int, learners ...Learner) ([]bool, error) {
+	dls := make([]DecisionLearner, len(learners))
+	for i, l := range learners {
+		dls[i] = Decider(l)
+	}
 	pred := make([]bool, len(idx))
 	if err := parallelForRows(ctx, pool.Len(), idx, workers, func(slots, rows []int) {
 		var pos [par.Stride]int
-		for _, l := range learners {
-			countPositive(l, pool.X, rows, pos[:])
+		for _, dl := range dls {
+			countPositive(dl, pool.X, rows, pos[:])
 		}
 		for k, j := range slots {
 			pred[j] = pos[k] > 0

@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
+	"github.com/alem/alem/internal/bayes"
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/linear"
 	"github.com/alem/alem/internal/neural"
+	"github.com/alem/alem/internal/rules"
 	"github.com/alem/alem/internal/tree"
 )
 
@@ -22,6 +25,8 @@ var (
 	_ DecisionLearner = (*linear.SVM)(nil)
 	_ DecisionLearner = (*neural.Net)(nil)
 	_ DecisionLearner = (*tree.Forest)(nil)
+	_ DecisionLearner = (*rules.Model)(nil)
+	_ DecisionLearner = (*bayes.NaiveBayes)(nil)
 )
 
 // valuesProbe wraps a selector and counts the Select calls whose
@@ -77,8 +82,9 @@ func runProbed(t *testing.T, pool *Pool, l Learner, probe *valuesProbe, cfg Conf
 // TestPoolValuesEvaluationMatchesPredict pins both evaluation sweeps:
 // parallelDecide's and parallelPredict's prediction of every pool row
 // must be the learner's own Predict, at one, two and eight workers, for
-// the SVM, the net and ten-tree forests, whose vote fractions land
-// exactly on the threshold at VoteThreshold 0 (0.5) and 0.3.
+// the SVM, the net, naive Bayes, the rule model, the Predict adapter
+// over an outside learner, and ten-tree forests, whose vote fractions
+// land exactly on the threshold at VoteThreshold 0 (0.5) and 0.3.
 func TestPoolValuesEvaluationMatchesPredict(t *testing.T) {
 	pool := syntheticPool(2*parallelCutoff+45, 67)
 	labeled := make([]int, 80)
@@ -93,9 +99,14 @@ func TestPoolValuesEvaluationMatchesPredict(t *testing.T) {
 		f.Train(X, y)
 		return f
 	}
-	svm, net := linear.NewSVM(69), neural.NewNet(8, 70)
+	svm, net, nb := linear.NewSVM(69), neural.NewNet(8, 70), bayes.New()
 	svm.Train(X, y)
 	net.Train(X, y)
+	nb.Train(X, y)
+	dnf := rules.NewModel(feature.NewBoolExtractor([]string{"a"}))
+	dnf.Train(X, y)
+	outside := &meanThreshold{}
+	outside.Train(X, y)
 	all := make([]int, pool.Len())
 	for i := range all {
 		all[i] = i
@@ -107,6 +118,9 @@ func TestPoolValuesEvaluationMatchesPredict(t *testing.T) {
 	}{
 		{"svm", svm, false},
 		{"nn", net, false},
+		{"bayes", nb, false},
+		{"rules", dnf, true},
+		{"outside", Decider(outside), true},
 		{"forest", forestAt(0), true},
 		{"forest-th0.3", forestAt(0.3), true},
 	} {
@@ -206,14 +220,7 @@ type fixedLine struct{ w []float64 }
 func (fixedLine) Name() string                    { return "fixed-line" }
 func (fixedLine) Train([]feature.Vector, []bool)  {}
 func (l fixedLine) Predict(x feature.Vector) bool { return l.Margin(x) > 0 }
-func (l fixedLine) PredictAll(X []feature.Vector) []bool {
-	out := make([]bool, len(X))
-	for i, x := range X {
-		out[i] = l.Predict(x)
-	}
-	return out
-}
-func (fixedLine) DecisionThreshold() float64 { return 0 }
+func (fixedLine) DecisionThreshold() float64      { return 0 }
 func (l fixedLine) Margin(x feature.Vector) float64 {
 	m := -0.5
 	for j, wj := range l.w {
@@ -238,5 +245,88 @@ func TestPoolValuesSkipIncomparableLearner(t *testing.T) {
 	runProbed(t, pool, l, probe, Config{Seed: 66, MaxLabels: 70})
 	if probe.calls == 0 || probe.withValues != 0 {
 		t.Fatalf("selector got pool values on %d of %d calls, want none", probe.withValues, probe.calls)
+	}
+}
+
+// meanThreshold is examples/customlearner's thresholdLearner: a learner
+// from outside the repo with Predict and Margin but no DecisionValues.
+type meanThreshold struct {
+	threshold float64
+	trained   bool
+}
+
+func (*meanThreshold) Name() string { return "mean-threshold" }
+
+func meanOf(x feature.Vector) float64 {
+	var s float64
+	for _, v := range x {
+		s += v
+	}
+	return s / float64(len(x))
+}
+
+func (t *meanThreshold) Train(X []feature.Vector, y []bool) {
+	var posSum, negSum float64
+	var pos, neg int
+	for i, x := range X {
+		if y[i] {
+			posSum += meanOf(x)
+			pos++
+		} else {
+			negSum += meanOf(x)
+			neg++
+		}
+	}
+	if pos == 0 || neg == 0 {
+		t.trained = false
+		return
+	}
+	t.threshold = (posSum/float64(pos) + negSum/float64(neg)) / 2
+	t.trained = true
+}
+
+func (t *meanThreshold) Predict(x feature.Vector) bool {
+	return t.trained && meanOf(x) > t.threshold
+}
+
+func (t *meanThreshold) Margin(x feature.Vector) float64 {
+	if !t.trained {
+		return 0
+	}
+	return math.Abs(meanOf(x) - t.threshold)
+}
+
+// TestPoolValuesAbsentForOutsideLearner runs Progressive margin and IWAL
+// sessions over meanThreshold, at one and two workers. Evaluation sweeps
+// it through Decider's adapter, whose 0/1 values must never reach the
+// selector in place of its Margin: no call may carry values, and each
+// run must equal the same run behind a values-dropping wrapper.
+func TestPoolValuesAbsentForOutsideLearner(t *testing.T) {
+	pool := syntheticPool(3*parallelCutoff+17, 61)
+	for _, tc := range []struct {
+		name string
+		sel  Selector
+	}{
+		{"margin", Margin{}},
+		{"iwal", IWAL{}},
+	} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				cfg := Config{Seed: 62, MaxLabels: 110, Workers: workers}
+				probe := &valuesProbe{Selector: tc.sel}
+				swept := &valuesProbe{Selector: tc.sel, drop: true}
+				got := runProbed(t, pool, &meanThreshold{}, probe, cfg)
+				want := runProbed(t, pool, &meanThreshold{}, swept, cfg)
+				if len(got.batches) < 5 {
+					t.Fatalf("run selected %d batches, want at least 5", len(got.batches))
+				}
+				if probe.calls == 0 || probe.withValues != 0 {
+					t.Fatalf("selector got pool values on %d of %d calls, want none", probe.withValues, probe.calls)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("run differs from the values-dropping run:\n got %v\nwant %v", got, want)
+				}
+			})
+		}
 	}
 }

@@ -57,7 +57,7 @@ func (q QBCScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 		resamples[b] = draws
 		seeds[b] = ctx.Rand.Int63()
 	}
-	committee := make([]Learner, q.B)
+	committee := make([]DecisionLearner, q.B)
 	if err := parallelFor(ctx.Ctx, q.B, ctx.Workers, 2, func(b int) {
 		X := make([]feature.Vector, 0, n)
 		y := make([]bool, 0, n)
@@ -67,7 +67,7 @@ func (q QBCScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 		}
 		m := q.Factory(seeds[b])
 		m.Train(X, y)
-		committee[b] = m
+		committee[b] = Decider(m)
 	}); err != nil {
 		ctx.CommitteeCreate = time.Since(start)
 		return nil, err
@@ -128,30 +128,46 @@ func marginScores(ctx *SelectContext, ml MarginLearner) (*ScoredSet, error) {
 }
 
 // unlabeledAbsMargins returns |Margin| of every unlabeled candidate,
-// aligned with ctx.Unlabeled: read from this step's pool values when
-// they are ml's, and otherwise swept in pool-row blocks (see
-// absMargins). Both paths fan out on the standard substrate and poll
-// cancellation once per block.
+// aligned with ctx.Unlabeled: |value| for a DecisionLearner (see
+// candidateValues), and Margin swept row by row in pool-row blocks for
+// any other learner.
 func unlabeledAbsMargins(ctx *SelectContext, ml MarginLearner) ([]float64, error) {
+	if dl, ok := ml.(DecisionLearner); ok {
+		margins, err := candidateValues(ctx, dl, ctx.Unlabeled)
+		for j, v := range margins {
+			margins[j] = math.Abs(v)
+		}
+		return margins, err
+	}
 	margins := make([]float64, len(ctx.Unlabeled))
-	if vals := ctx.valuesOf(ml); vals != nil {
-		if err := parallelFor(ctx.Ctx, len(ctx.Unlabeled), ctx.Workers, parallelCutoff, func(j int) {
-			margins[j] = math.Abs(vals[ctx.Unlabeled[j]])
-		}); err != nil {
-			return nil, err
-		}
-		return margins, nil
-	}
-	if err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(slots, rows []int) {
-		var block [par.Stride]float64
-		absMargins(ml, ctx.Pool.X, rows, block[:])
+	err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), ctx.Unlabeled, ctx.Workers, func(slots, rows []int) {
 		for k, j := range slots {
-			margins[j] = block[k]
+			margins[j] = math.Abs(ml.Margin(ctx.Pool.X[rows[k]]))
 		}
-	}); err != nil {
-		return nil, err
+	})
+	return margins, err
+}
+
+// candidateValues returns dl's decision value of every candidate,
+// aligned with candidates: read from this step's pool values when they
+// are dl's, and otherwise swept in pool-row blocks. Both paths fan out
+// on the standard substrate and poll cancellation once per block.
+func candidateValues(ctx *SelectContext, dl DecisionLearner, candidates []int) ([]float64, error) {
+	out := make([]float64, len(candidates))
+	if vals := ctx.valuesOf(dl); vals != nil {
+		err := parallelFor(ctx.Ctx, len(candidates), ctx.Workers, parallelCutoff, func(j int) {
+			out[j] = vals[candidates[j]]
+		})
+		return out, err
 	}
-	return margins, nil
+	err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), candidates, ctx.Workers, func(slots, rows []int) {
+		block := blockValues(dl, ctx.Pool.X, rows)
+		for k, j := range slots {
+			out[j] = block[k]
+		}
+		blockScratch.Put(block)
+	})
+	return out, err
 }
 
 // BlockedMarginScorer is MarginScorer with the §5.1 blocking-dimension
@@ -316,28 +332,13 @@ func (bf BlockedVoteScorer) Score(ctx *SelectContext, k int) (*ScoredSet, error)
 }
 
 // voteVariance computes the (P/C)(1−P/C) disagreement of a vote committee
-// over the candidate examples, fanning out across ctx.Workers. When this
-// step's pool values are vl's, each is its vote fraction P/C (see
-// DecisionLearner) and is read instead of polling the trees again.
+// over the candidate examples, fanning out across ctx.Workers. Each P/C
+// is vl's decision value (see VoteLearner and candidateValues).
 func voteVariance(ctx *SelectContext, vl VoteLearner, candidates []int) ([]float64, error) {
-	variance := make([]float64, len(candidates))
-	if vals := ctx.valuesOf(vl); vals != nil {
-		err := parallelFor(ctx.Ctx, len(candidates), ctx.Workers, parallelCutoff, func(j int) {
-			p := vals[candidates[j]]
-			variance[j] = p * (1 - p)
-		})
-		return variance, err
+	variance, err := candidateValues(ctx, vl, candidates)
+	for j, p := range variance {
+		variance[j] = p * (1 - p)
 	}
-	err := parallelForRows(ctx.Ctx, ctx.Pool.Len(), candidates, ctx.Workers, func(slots, rows []int) {
-		for k, j := range slots {
-			pos, total := vl.Votes(ctx.Pool.X[rows[k]])
-			if total == 0 {
-				continue
-			}
-			p := float64(pos) / float64(total)
-			variance[j] = p * (1 - p)
-		}
-	})
 	return variance, err
 }
 

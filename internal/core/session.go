@@ -439,13 +439,16 @@ func (s *Session) trainPhase() (time.Duration, int) {
 
 // evalPhase predicts over the test universe in parallel and scores the
 // confusion matrix. When the test universe is every pool row in row
-// order (Progressive) and the active learner is a DecisionLearner, it
-// keeps the value behind each prediction in s.values, so this step's
-// selector reads them instead of sweeping the pool again. The values
-// are tied to the learner by identity, so a learner whose type cannot
-// be compared (a value type holding a slice) is swept the old way. An
-// ensemble session predicts the union of its members and candidate; it
-// keeps values only while the candidate is the one predictor.
+// order (Progressive) and the active learner is itself a
+// DecisionLearner, it keeps the value behind each prediction in
+// s.values, so this step's selector reads them instead of sweeping the
+// pool again. Any other learner is swept through Decider's adapter,
+// whose 0/1 values are never kept: a margin selector would read them in
+// place of the learner's own Margin. The values are tied to the learner
+// by identity, so a learner whose type cannot be compared (a value type
+// holding a slice) is swept the old way. An ensemble session predicts
+// the union of its members and candidate; it keeps values only while the
+// candidate is the one predictor.
 func (s *Session) evalPhase(ctx context.Context, trainTime time.Duration) (eval.Point, []bool, error) {
 	start := time.Now()
 	l := s.activeLearner()

@@ -236,6 +236,56 @@ func TestSnapshotRejectsCorruptState(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsNegativeCurveLabels checks that a curve point with
+// a negative label count is an error from Restore, not a panic while
+// gathering its training prefix.
+func TestSnapshotRejectsNegativeCurveLabels(t *testing.T) {
+	pool := syntheticPool(100, 24)
+	s := mustSession(t, pool, linear.NewSVM(24), Margin{}, Config{Seed: 24, MaxLabels: 40})
+	if _, err := s.Step(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := *s.Snapshot()
+	corrupt.Curve = append(eval.Curve(nil), corrupt.Curve...)
+	corrupt.Curve[0].Labels = -1
+	if _, err := Restore(pool, linear.NewSVM(24), Margin{}, poolOracle(pool), &corrupt); err == nil {
+		t.Error("Restore accepted a curve point trained on -1 labels")
+	}
+}
+
+// TestSnapshotRejectsDoublyListedPair checks that Restore refuses a pair
+// listed twice across the labeled and unlabeled sets, where the resumed
+// run would train on it twice or pay for it again.
+func TestSnapshotRejectsDoublyListedPair(t *testing.T) {
+	pool := syntheticPool(100, 25)
+	s := mustSession(t, pool, linear.NewSVM(25), Margin{}, Config{Seed: 25, MaxLabels: 40})
+	if _, err := s.Step(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	base := s.Snapshot()
+	for name, corrupt := range map[string]func(sn *Snapshot){
+		"labeled and unlabeled": func(sn *Snapshot) {
+			sn.Unlabeled = append([]int{sn.Labeled[0]}, sn.Unlabeled...)
+		},
+		"labeled twice": func(sn *Snapshot) {
+			sn.Labeled = append(append([]int(nil), sn.Labeled...), sn.Labeled[0])
+			sn.Labels = append(append([]bool(nil), sn.Labels...), sn.Labels[0])
+		},
+		"unlabeled twice": func(sn *Snapshot) {
+			sn.Unlabeled = append(append([]int(nil), sn.Unlabeled...), sn.Unlabeled[0])
+		},
+	} {
+		sn := *base
+		corrupt(&sn)
+		if _, err := Restore(pool, linear.NewSVM(25), Margin{}, poolOracle(pool), &sn); err == nil {
+			t.Errorf("%s: Restore accepted a pair listed twice", name)
+		}
+	}
+	if _, err := Restore(pool, linear.NewSVM(25), Margin{}, poolOracle(pool), base); err != nil {
+		t.Fatalf("Restore refused the intact snapshot: %v", err)
+	}
+}
+
 // TestSeedBootstrapRespectsBudget is the regression test for the seed
 // overshoot: with a single-class pool the bootstrap keeps retrying for a
 // second class, and each retry must be clamped to the remaining budget.

@@ -299,9 +299,19 @@ func (sn *Snapshot) validate(pool *Pool) error {
 			}
 		}
 	}
+	// A pair listed twice would be trained on twice, or paid for again.
+	listed := make([]bool, pool.Len())
+	for _, idx := range [][]int{sn.Labeled, sn.Unlabeled} {
+		for _, i := range idx {
+			if listed[i] {
+				return fmt.Errorf("core: snapshot lists pair %d twice across its labeled and unlabeled sets", i)
+			}
+			listed[i] = true
+		}
+	}
 	for _, pt := range sn.Curve {
-		if pt.Labels > len(sn.Labeled) {
-			return fmt.Errorf("core: snapshot curve point trained on %d labels but only %d are recorded",
+		if pt.Labels < 0 || pt.Labels > len(sn.Labeled) {
+			return fmt.Errorf("core: snapshot curve point trained on %d labels but %d are recorded",
 				pt.Labels, len(sn.Labeled))
 		}
 	}

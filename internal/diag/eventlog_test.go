@@ -58,13 +58,6 @@ type stubLearner struct{}
 func (stubLearner) Name() string                       { return "stub" }
 func (stubLearner) Train(X []feature.Vector, y []bool) {}
 func (stubLearner) Predict(x feature.Vector) bool      { return x[0] > 0.5 }
-func (s stubLearner) PredictAll(X []feature.Vector) []bool {
-	out := make([]bool, len(X))
-	for i, x := range X {
-		out[i] = s.Predict(x)
-	}
-	return out
-}
 
 type stubOracle struct{ pool *core.Pool }
 

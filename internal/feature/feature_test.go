@@ -66,18 +66,6 @@ func TestExtractRange(t *testing.T) {
 	}
 }
 
-func TestExtractDimMatchesFullVector(t *testing.T) {
-	e := NewExtractor([]string{"name", "price"})
-	l := dataset.Record{Values: []string{"sonixx wireless speaker", "31.00"}}
-	r := dataset.Record{Values: []string{"sonix wireless speakers", "29.99"}}
-	full := e.Extract(l, r)
-	for i := range full {
-		if got := e.ExtractDim(l, r, i); got != full[i] {
-			t.Errorf("ExtractDim(%d) = %v, want %v", i, got, full[i])
-		}
-	}
-}
-
 func TestDimName(t *testing.T) {
 	e := NewExtractor([]string{"name", "price"})
 	if got := e.DimName(0); got != "identity(name)" {

@@ -204,15 +204,6 @@ func (s *SVM) Margin(x feature.Vector) float64 { return math.Abs(s.DecisionValue
 // Predict classifies one vector.
 func (s *SVM) Predict(x feature.Vector) bool { return s.DecisionValue(x) > 0 }
 
-// PredictAll classifies a batch.
-func (s *SVM) PredictAll(X []feature.Vector) []bool {
-	out := make([]bool, len(X))
-	for i, x := range X {
-		out[i] = s.Predict(x)
-	}
-	return out
-}
-
 // Weights returns the learned weight vector (not a copy). The §5.1
 // blocking optimization reads it to find the top-K |weight| dimensions.
 func (s *SVM) Weights() []float64 { return s.w }

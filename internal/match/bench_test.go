@@ -63,17 +63,9 @@ func (p *probeLearner) Name() string { return "probe" }
 
 func (p *probeLearner) Train([]feature.Vector, []bool) {}
 
-func (p *probeLearner) Predict(x feature.Vector) bool { return p.Prob(x) >= 0.5 }
+func (p *probeLearner) Predict(x feature.Vector) bool { return p.value(x) > 0 }
 
-func (p *probeLearner) PredictAll(X []feature.Vector) []bool {
-	out := make([]bool, len(X))
-	for i, x := range X {
-		out[i] = p.Predict(x)
-	}
-	return out
-}
-
-func (p *probeLearner) Prob(x feature.Vector) float64 {
+func (p *probeLearner) value(x feature.Vector) float64 {
 	s := 0.0
 	for i, v := range x {
 		if i%2 == 0 {
@@ -82,24 +74,32 @@ func (p *probeLearner) Prob(x feature.Vector) float64 {
 			s -= 0.5 * v
 		}
 	}
-	return 1 / (1 + math.Exp(-s/float64(len(x)+1)))
+	return s / float64(len(x)+1)
 }
+
+func (p *probeLearner) DecisionValues(X []feature.Vector, rows []int, out []float64) {
+	for k, row := range rows {
+		out[k] = p.value(X[row])
+	}
+}
+
+func (p *probeLearner) DecisionThreshold() float64 { return 0 }
 
 // scoreAllString is the frozen pre-interning scoring path: featurize each
 // candidate pair independently with the per-pair string extractor, then
 // score. The benchmarks and the allocation-reduction ratchet hold the
 // interned path against it.
 func scoreAllString(ctx context.Context, e *feature.Extractor, l *probeLearner, d *dataset.Dataset, pairs []dataset.PairKey) ([]float64, error) {
-	out := make([]float64, len(pairs))
+	X := make([]feature.Vector, len(pairs))
 	for i, p := range pairs {
 		if i%ctxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		out[i] = Score(l, e.Extract(d.Left.Rows[p.L], d.Right.Rows[p.R]))
+		X[i] = e.Extract(d.Left.Rows[p.L], d.Right.Rows[p.R])
 	}
-	return out, nil
+	return ScoreAll(ctx, l, X)
 }
 
 func scoreAllInterned(ctx context.Context, e *feature.Extractor, l *probeLearner, d *dataset.Dataset, pairs []dataset.PairKey, workers int) ([]float64, error) {

@@ -22,6 +22,7 @@ import (
 	"github.com/alem/alem/internal/core"
 	"github.com/alem/alem/internal/dataset"
 	"github.com/alem/alem/internal/feature"
+	"github.com/alem/alem/internal/rules"
 	"github.com/alem/alem/internal/textsim"
 )
 
@@ -76,7 +77,7 @@ func ParseFeaturization(s string) (Featurization, error) {
 type Pair struct {
 	LeftID  string
 	RightID string
-	// Confidence is Score for the pair's feature vector: a [0, 1]
+	// Confidence is the pair's score (see Decide): a [0, 1]
 	// probability-like estimate that the pair is a match. Learners
 	// without a graded surface (the DNF rule model) report 1.
 	Confidence float64
@@ -118,14 +119,15 @@ func (m *Matcher) ExtractorReuse() (hits, misses uint64) {
 	return m.hits.Load(), m.misses.Load()
 }
 
-// ctxCheckEvery is how many candidate pairs are scored between context
-// cancellation checks in the Match scoring loop.
+// ctxCheckEvery is how many rows Decide scores between context
+// cancellation checks.
 const ctxCheckEvery = 512
 
 // Match blocks left × right, featurizes the candidates, and returns the
 // pairs the learner predicts as matches (with per-pair confidence), plus
 // the number of candidates scored. It honours ctx cancellation between
-// pipeline stages and periodically within the scoring loop.
+// pipeline stages and periodically within the scoring sweep. A candidate
+// whose score is not finite fails the whole call (see FirstNonFinite).
 func (m *Matcher) Match(ctx context.Context, left, right *dataset.Table) ([]Pair, int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -171,18 +173,22 @@ func (m *Matcher) Match(ctx context.Context, left, right *dataset.Table) ([]Pair
 		return nil, 0, err
 	}
 
+	scores, matches, err := Decide(ctx, m.Learner, X)
+	if err != nil {
+		return nil, 0, err
+	}
+	if i := FirstNonFinite(scores); i >= 0 {
+		p := res.Pairs[i]
+		return nil, 0, fmt.Errorf("match: candidate %d (%s, %s) has no finite score; features outside the model's range overflow it",
+			i, left.Rows[p.L].ID, right.Rows[p.R].ID)
+	}
 	var out []Pair
 	for i, p := range res.Pairs {
-		if i%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, err
-			}
-		}
-		if m.Learner.Predict(X[i]) {
+		if matches[i] {
 			out = append(out, Pair{
 				LeftID:     left.Rows[p.L].ID,
 				RightID:    right.Rows[p.R].ID,
-				Confidence: Score(m.Learner, X[i]),
+				Confidence: scores[i],
 			})
 		}
 	}
@@ -242,56 +248,64 @@ func ValidateDim(l core.Learner, dim int) error {
 	return nil
 }
 
-// Score returns a [0, 1] probability-like match confidence for one
-// feature vector, using the most informative surface the learner
-// exposes: a calibrated probability (neural net), a squashed decision
-// value (SVM), the committee vote fraction (forest), a squashed margin,
-// or — for learners with none of these, like the DNF rule model — the
-// hard 0/1 prediction.
-func Score(l core.Learner, x feature.Vector) float64 {
-	switch v := l.(type) {
-	case interface{ Prob(feature.Vector) float64 }:
-		return v.Prob(x)
-	case interface{ DecisionValue(feature.Vector) float64 }:
-		return sigmoid(v.DecisionValue(x))
-	case core.VoteLearner:
-		pos, total := v.Votes(x)
-		if total == 0 {
-			return boolScore(l.Predict(x))
-		}
-		return float64(pos) / float64(total)
-	case core.MarginLearner:
-		// Margin magnitude plus the predicted side: some implementations
-		// report |margin| only.
-		mag := math.Abs(v.Margin(x))
-		if l.Predict(x) {
-			return sigmoid(mag)
-		}
-		return sigmoid(-mag)
+// Decide sweeps X through l's decision values (see core.Decider) once,
+// serially, checking ctx every ctxCheckEvery rows. For each row it
+// returns whether l predicts a match (value > threshold, which is
+// Predict bit for bit) and a [0, 1] probability-like match confidence:
+// the value through one link picked per call. The link is the identity
+// where the value already is a confidence (a forest's vote fraction, the
+// rule model's and the Predict adapter's 0/1) and the sigmoid for every
+// other DecisionLearner (SVM and net margins, naive Bayes log-odds).
+func Decide(ctx context.Context, l core.Learner, X []feature.Vector) (scores []float64, matches []bool, err error) {
+	link := identity
+	switch l.(type) {
+	case core.VoteLearner, *rules.Model:
+	case core.DecisionLearner:
+		link = sigmoid
 	}
-	return boolScore(l.Predict(x))
+	dl := core.Decider(l)
+	scores = make([]float64, len(X))
+	rows := make([]int, min(len(X), ctxCheckEvery))
+	for k := range rows {
+		rows[k] = k
+	}
+	for lo := 0; lo < len(X); lo += ctxCheckEvery {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		hi := min(lo+ctxCheckEvery, len(X))
+		dl.DecisionValues(X[lo:hi], rows[:hi-lo], scores[lo:hi])
+	}
+	matches = make([]bool, len(X))
+	th := dl.DecisionThreshold()
+	for i, v := range scores {
+		matches[i] = v > th
+		scores[i] = link(v)
+	}
+	return scores, matches, nil
 }
 
-// ScoreAll scores a batch of vectors, checking ctx periodically. The
-// serving layer's /v1/score path runs merged request batches through it.
+// ScoreAll is Decide's confidences alone. The serving layer's /v1/score
+// path runs merged request batches through Decide.
 func ScoreAll(ctx context.Context, l core.Learner, X []feature.Vector) ([]float64, error) {
-	out := make([]float64, len(X))
-	for i, x := range X {
-		if i%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	scores, _, err := Decide(ctx, l, X)
+	return scores, err
+}
+
+// FirstNonFinite returns the index of the first score that is NaN or
+// ±Inf, or -1 when every score is finite. Finite features can still
+// overflow a learner's arithmetic (1e308 and -1e308 sum to NaN), and
+// JSON has no encoding for a non-finite score, so /v1/match and
+// /v1/score both refuse a row it names.
+func FirstNonFinite(scores []float64) int {
+	for i, sc := range scores {
+		if math.IsNaN(sc) || math.IsInf(sc, 0) {
+			return i
 		}
-		out[i] = Score(l, x)
 	}
-	return out, nil
+	return -1
 }
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
-func boolScore(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
+func identity(v float64) float64 { return v }

@@ -264,8 +264,11 @@ func TestScoreSurfaces(t *testing.T) {
 	f.Train(X, y)
 
 	for _, l := range []core.Learner{svm, f} {
-		sPos := Score(l, feature.Vector{1, 0})
-		sNeg := Score(l, feature.Vector{0, 1})
+		s, err := ScoreAll(context.Background(), l, []feature.Vector{{1, 0}, {0, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sPos, sNeg := s[0], s[1]
 		if sPos < 0 || sPos > 1 || sNeg < 0 || sNeg > 1 {
 			t.Errorf("%s: scores %f/%f outside [0,1]", l.Name(), sPos, sNeg)
 		}

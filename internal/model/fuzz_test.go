@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"regexp"
 	"testing"
@@ -84,7 +85,9 @@ func FuzzLoadModel(f *testing.F) {
 		if len(art.Meta.Schema) == 0 {
 			t.Fatal("Load succeeded with an empty schema")
 		}
-		match.Score(art.Learner, make(feature.Vector, art.Dim))
+		if _, err := match.ScoreAll(context.Background(), art.Learner, []feature.Vector{make(feature.Vector, art.Dim)}); err != nil {
+			t.Fatal(err)
+		}
 		// A loaded SVM must also retrain: a positive lambda (the step is
 		// 1/lambda) and at least one epoch.
 		if s, ok := art.Learner.(*linear.SVM); ok && (!(s.Lambda > 0) || s.Epochs < 1) {

@@ -93,11 +93,9 @@ func roundTrip(t *testing.T, l core.Learner, meta Meta, wantKind Kind, X []featu
 	if len(a.Meta.Schema) != len(meta.Schema) {
 		t.Errorf("schema = %v, want %v", a.Meta.Schema, meta.Schema)
 	}
-	want := l.PredictAll(X)
-	got := a.Learner.PredictAll(X)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("prediction %d diverged after round trip: %v vs %v", i, want[i], got[i])
+	for i, x := range X {
+		if want, got := l.Predict(x), a.Learner.Predict(x); want != got {
+			t.Fatalf("prediction %d diverged after round trip: %v vs %v", i, want, got)
 		}
 	}
 	return a

@@ -419,25 +419,14 @@ func (n *Net) DecisionValues(X []feature.Vector, rows []int, out []float64) {
 // exceed.
 func (n *Net) DecisionThreshold() float64 { return 0 }
 
-// Prob returns the sigmoid match probability of x.
-func (n *Net) Prob(x feature.Vector) float64 { return sigmoid(n.Margin(x)) }
-
 // Dim returns the feature dimensionality the network was trained on, or
 // 0 for an untrained network. Deployment-time schema validation uses it
 // to reject extractors that do not reproduce the training feature space.
 func (n *Net) Dim() int { return n.dim }
 
-// Predict labels x as matching when Prob(x) > 0.5.
+// Predict labels x as matching when its margin is positive, that is when
+// the sigmoid match probability exceeds 0.5.
 func (n *Net) Predict(x feature.Vector) bool { return n.Margin(x) > 0 }
-
-// PredictAll classifies a batch.
-func (n *Net) PredictAll(X []feature.Vector) []bool {
-	out := make([]bool, len(X))
-	for i, x := range X {
-		out[i] = n.Predict(x)
-	}
-	return out
-}
 
 // Clone returns an untrained copy with the same hyper-parameters and a
 // fresh RNG; QBC committees use it.

@@ -70,18 +70,16 @@ func TestNetLearnsLinear(t *testing.T) {
 }
 
 func TestNetMarginSigmoidConsistency(t *testing.T) {
-	// §4.2.2: prob > 0.5 iff margin > 0; |margin| small iff prob near 0.5.
+	// §4.2.2: Predict holds iff the margin's sigmoid probability is above
+	// 0.5, which is iff the margin is positive.
 	X, y := xorData(200, 3)
 	n := NewNet(8, 3)
 	n.Train(X, y)
 	for _, x := range X[:50] {
 		m := n.Margin(x)
-		p := n.Prob(x)
-		if (m > 0) != (p > 0.5) {
-			t.Fatalf("margin %v and prob %v disagree on the label", m, p)
-		}
-		if diff := math.Abs(p - sigmoid(m)); diff > 1e-12 {
-			t.Fatalf("Prob != sigmoid(Margin): diff %v", diff)
+		p := sigmoid(m)
+		if (m > 0) != (p > 0.5) || n.Predict(x) != (p > 0.5) {
+			t.Fatalf("margin %v, prob %v and Predict %v disagree on the label", m, p, n.Predict(x))
 		}
 	}
 }
@@ -108,18 +106,6 @@ func TestNetDeterministicGivenSeed(t *testing.T) {
 	probe := feature.Vector{0.3, 0.7}
 	if a.Margin(probe) != b.Margin(probe) {
 		t.Error("same-seed training produced different networks")
-	}
-}
-
-func TestNetPredictAll(t *testing.T) {
-	X, y := xorData(60, 5)
-	n := NewNet(8, 5)
-	n.Train(X, y)
-	all := n.PredictAll(X)
-	for i, x := range X {
-		if all[i] != n.Predict(x) {
-			t.Fatalf("PredictAll[%d] != Predict", i)
-		}
 	}
 }
 
@@ -162,7 +148,7 @@ func TestNetTrainingReducesLoss(t *testing.T) {
 			if y[i] {
 				target = 1
 			}
-			d := n.Prob(x) - target
+			d := sigmoid(n.Margin(x)) - target
 			l += d * d
 		}
 		return l / float64(len(X))

@@ -226,14 +226,20 @@ func (m *Model) Predict(x feature.Vector) bool {
 	return false
 }
 
-// PredictAll classifies a batch.
-func (m *Model) PredictAll(X []feature.Vector) []bool {
-	out := make([]bool, len(X))
-	for i, x := range X {
-		out[i] = m.Predict(x)
+// DecisionValues writes 1 into out[k] when a rule covers X[rows[k]] and
+// 0 otherwise: the value Predict compares with DecisionThreshold. out
+// must have room for len(rows) values.
+func (m *Model) DecisionValues(X []feature.Vector, rows []int, out []float64) {
+	for k, row := range rows {
+		out[k] = 0
+		if m.Predict(X[row]) {
+			out[k] = 1
+		}
 	}
-	return out
 }
+
+// DecisionThreshold returns 0: a row matches when some rule covers it.
+func (m *Model) DecisionThreshold() float64 { return 0 }
 
 // simScore is the fraction of true atoms in x — the feature-similarity
 // heuristic LFP/LFN ranks candidates by: a predicted match with few true

@@ -342,3 +342,56 @@ func TestSelectLFPLFNCancelAbortsScoring(t *testing.T) {
 		t.Fatalf("cancelled selection returned %v, want nil", sel)
 	}
 }
+
+// TestModelDecisionValuesMatchPredict pins DecisionValues over row lists
+// of length 0–9 and 65 with a duplicated row: each value is 1 exactly
+// when a rule covers the row (the frozen Predict) and 0 otherwise, value
+// > DecisionThreshold is Predict, and out past len(rows) stays
+// untouched. An empty DNF writes 0 everywhere.
+func TestModelDecisionValuesMatchPredict(t *testing.T) {
+	X, y := singleAtomData()
+	trained := NewModel(testExtractor())
+	trained.Train(X, y)
+	if len(trained.Rules()) == 0 {
+		t.Fatal("no rule learned; the covered rows go untested")
+	}
+	covered := func(m *Model, x feature.Vector) bool {
+		for _, r := range m.rules {
+			if r.Covers(x) {
+				return true
+			}
+		}
+		return false
+	}
+	r := rand.New(rand.NewSource(6))
+	for name, m := range map[string]*Model{"trained": trained, "untrained": NewModel(testExtractor())} {
+		for _, size := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 65} {
+			rows := make([]int, size)
+			for k := range rows {
+				rows[k] = r.Intn(len(X))
+			}
+			if size > 2 {
+				rows[size-1] = rows[0]
+			}
+			out := make([]float64, size+3)
+			for k := range out {
+				out[k] = -7
+			}
+			m.DecisionValues(X, rows, out)
+			for k, row := range rows {
+				want := 0.0
+				if covered(m, X[row]) {
+					want = 1
+				}
+				if out[k] != want || (out[k] > m.DecisionThreshold()) != m.Predict(X[row]) {
+					t.Fatalf("%s: row %d value %v, want %v, Predict %v", name, row, out[k], want, m.Predict(X[row]))
+				}
+			}
+			for k := size; k < len(out); k++ {
+				if out[k] != -7 {
+					t.Fatalf("%s n=%d: out[%d] past len(rows) overwritten", name, size, k)
+				}
+			}
+		}
+	}
+}

@@ -25,8 +25,9 @@ type scoreJob struct {
 }
 
 type scoreResult struct {
-	scores []float64
-	err    error
+	scores  []float64
+	matches []bool
+	err     error
 }
 
 // scorePool is a bounded worker pool with request batching: concurrent
@@ -189,29 +190,31 @@ func (p *scorePool) worker() {
 			merged = append(merged, j.vecs...)
 		}
 		p.vectorsTotal.Add(int64(len(merged)))
-		scores, err := p.scoreBatch(merged)
+		scores, matches, err := p.scoreBatch(merged)
 		off := 0
 		for _, j := range live {
 			if err != nil {
 				j.out <- scoreResult{err: err}
 				continue
 			}
-			j.out <- scoreResult{scores: scores[off : off+len(j.vecs) : off+len(j.vecs)]}
-			off += len(j.vecs)
+			end := off + len(j.vecs)
+			j.out <- scoreResult{scores: scores[off:end:end], matches: matches[off:end:end]}
+			off = end
 		}
 	}
 }
 
-// scoreBatch runs the learner over one merged batch, containing panics:
-// a learner that blows up on some input must fail that batch's jobs with
-// 500s, not take the whole worker (and with it the process) down.
-func (p *scorePool) scoreBatch(merged []feature.Vector) (scores []float64, err error) {
+// scoreBatch runs the learner over one merged batch (see match.Decide),
+// containing panics: a learner that blows up on some input must fail
+// that batch's jobs with 500s, not take the whole worker (and with it
+// the process) down.
+func (p *scorePool) scoreBatch(merged []feature.Vector) (scores []float64, matches []bool, err error) {
 	defer func() {
 		if rv := recover(); rv != nil {
-			scores, err = nil, fmt.Errorf("serve: learner panic while scoring: %v", rv)
+			scores, matches, err = nil, nil, fmt.Errorf("serve: learner panic while scoring: %v", rv)
 		}
 	}()
-	return match.ScoreAll(context.Background(), p.learner, merged)
+	return match.Decide(context.Background(), p.learner, merged)
 }
 
 func totalVecs(jobs []*scoreJob) int {

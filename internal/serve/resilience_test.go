@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/alem/alem/internal/core"
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/model"
 	"github.com/alem/alem/internal/resilience"
@@ -32,34 +33,9 @@ type panicLearner struct{ dim int }
 func (p panicLearner) Name() string                   { return "panic" }
 func (p panicLearner) Train([]feature.Vector, []bool) {}
 func (p panicLearner) Predict(feature.Vector) bool    { panic("model exploded") }
-func (p panicLearner) PredictAll(X []feature.Vector) []bool {
-	panic("model exploded")
-}
-func (p panicLearner) Dim() int { return p.dim }
+func (p panicLearner) Dim() int                       { return p.dim }
 
-// probPanicLearner scores cleanly but panics in Predict: scoring happens
-// in the pool worker, the panic fires in the handler goroutine while
-// assembling the response — exercising the recover middleware rather
-// than the worker's containment.
-type probPanicLearner struct{ dim int }
-
-func (p probPanicLearner) Name() string                   { return "prob-panic" }
-func (p probPanicLearner) Train([]feature.Vector, []bool) {}
-func (p probPanicLearner) Predict(feature.Vector) bool    { panic("predict exploded") }
-func (p probPanicLearner) PredictAll(X []feature.Vector) []bool {
-	out := make([]bool, len(X))
-	return out
-}
-func (p probPanicLearner) Prob(feature.Vector) float64 { return 0.5 }
-func (p probPanicLearner) Dim() int                    { return p.dim }
-
-func artifactFor(l interface {
-	Name() string
-	Train([]feature.Vector, []bool)
-	Predict(feature.Vector) bool
-	PredictAll([]feature.Vector) []bool
-	Dim() int
-}) *model.Artifact {
+func artifactFor(l core.Learner) *model.Artifact {
 	return &model.Artifact{
 		Kind:    model.Kind(l.Name()),
 		Learner: l,
@@ -103,15 +79,19 @@ func TestChaosWorkerPanicContained(t *testing.T) {
 
 // TestChaosHandlerPanicRecovered pins the recover middleware: a panic in
 // the handler goroutine itself turns into a 500 with the panic counter
-// and breaker fed, not a torn connection.
+// and breaker fed, not a torn connection. /v1/match runs Matcher.Match
+// in the handler goroutine, so the learner's panic fires there rather
+// than in a score worker. The learner reports width 0, so the matcher's
+// dimension check lets it through to scoring.
 func TestChaosHandlerPanicRecovered(t *testing.T) {
-	s := New(artifactFor(probPanicLearner{dim: 3}), Config{Linger: -1})
+	s := New(artifactFor(panicLearner{}), Config{Linger: -1})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
 	})
-	resp, raw := scoreOnce(t, ts.URL)
+	tbl := tableJSON{Schema: []string{"a"}, Rows: []rowJSON{{ID: "r0", Values: []string{"acme widget"}}}}
+	resp, raw := postJSON(t, ts.URL+"/v1/match", matchRequest{Left: tbl, Right: tbl})
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500: %s", resp.StatusCode, raw)
 	}

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -45,6 +44,7 @@ import (
 	"github.com/alem/alem/internal/core"
 	"github.com/alem/alem/internal/dataset"
 	"github.com/alem/alem/internal/feature"
+	"github.com/alem/alem/internal/match"
 	"github.com/alem/alem/internal/model"
 	"github.com/alem/alem/internal/resilience"
 )
@@ -790,23 +790,15 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 			writeError(w, statusFor(res.err), "score failed: %v", res.err)
 			return
 		}
-		// Finite features can still overflow a learner's arithmetic
-		// (1e308 and -1e308 sum to NaN), and JSON has no encoding for a
-		// non-finite score: reject the vector rather than answer 200
-		// with an empty body.
-		for i, sc := range res.scores {
-			if math.IsNaN(sc) || math.IsInf(sc, 0) {
-				writeError(w, http.StatusBadRequest,
-					"vector %d has no finite score under model %q; features outside the model's range overflow it", i, e.id)
-				return
-			}
+		// Only this request's own rows are checked, so one overflowing
+		// request cannot fail the requests batched with it.
+		if i := match.FirstNonFinite(res.scores); i >= 0 {
+			writeError(w, http.StatusBadRequest,
+				"vector %d has no finite score under model %q; features outside the model's range overflow it", i, e.id)
+			return
 		}
 		adm.record(nil)
-		resp := scoreResponse{Scores: res.scores, Matches: make([]bool, len(vecs))}
-		for i, v := range vecs {
-			resp.Matches[i] = e.art.Learner.Predict(v)
-		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, scoreResponse{Scores: res.scores, Matches: res.matches})
 	case <-r.Context().Done():
 		s.met.timeouts.Add(1)
 		writeError(w, statusFor(r.Context().Err()), "score aborted: %v", r.Context().Err())

@@ -131,10 +131,13 @@ func TestScoreHandler(t *testing.T) {
 	if len(out.Scores) != 3 || len(out.Matches) != 3 {
 		t.Fatalf("score response %+v", out)
 	}
+	want, err := match.ScoreAll(context.Background(), art.Learner, X[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
-		want := match.Score(art.Learner, X[i])
-		if diff := out.Scores[i] - want; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("score %d = %v, want %v", i, out.Scores[i], want)
+		if diff := out.Scores[i] - want[i]; diff > 1e-12 || diff < -1e-12 {
+			t.Errorf("score %d = %v, want %v", i, out.Scores[i], want[i])
 		}
 		if out.Matches[i] != art.Learner.Predict(X[i]) {
 			t.Errorf("match %d = %v, want %v", i, out.Matches[i], art.Learner.Predict(X[i]))
@@ -187,6 +190,54 @@ func TestScoreMalformed(t *testing.T) {
 	}
 }
 
+// TestScoreOverflowFailsOnlyItsRequest sends a clean and an overflowing
+// request into one merged batch: the overflowing one gets its 400, and
+// the clean one its 200 with the scores the learner gives it alone.
+func TestScoreOverflowFailsOnlyItsRequest(t *testing.T) {
+	art, X := beerArtifact(t)
+	// The batch closes at two vectors; the long window waits for both.
+	s, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 2, Linger: 10 * time.Second})
+	type answer struct {
+		status int
+		body   []byte
+	}
+	answers := make([]chan answer, 2)
+	for i, v := range [][]float64{X[0], overflowVector(art.Dim)} {
+		answers[i] = make(chan answer, 1)
+		go func() {
+			raw, _ := json.Marshal(scoreRequest{Vectors: [][]float64{v}})
+			resp, err := http.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				answers[i] <- answer{body: []byte(err.Error())}
+				return
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			answers[i] <- answer{resp.StatusCode, body}
+		}()
+	}
+	clean, bad := <-answers[0], <-answers[1]
+	want, err := match.ScoreAll(context.Background(), art.Learner, X[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out scoreResponse
+	if clean.status != http.StatusOK || json.Unmarshal(clean.body, &out) != nil || len(out.Scores) != 1 || out.Scores[0] != want[0] {
+		t.Fatalf("clean request: status %d, body %s; want 200 with score %v", clean.status, clean.body, want[0])
+	}
+	if bad.status != http.StatusBadRequest || !bytes.Contains(bad.body, []byte("vector 0 has no finite score")) {
+		t.Fatalf("overflowing request: status %d, body %s; want 400 naming vector 0", bad.status, bad.body)
+	}
+	e, release, err := s.models.acquire("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if jobs, batches, _ := e.pool.totals(); jobs != 2 || batches != 1 {
+		t.Fatalf("%d jobs ran in %d batches, want 2 in 1", jobs, batches)
+	}
+}
+
 // overflowVector returns dim finite features, alternately 1e308 and
 // -1e308, whose weighted sum overflows a linear learner to NaN.
 func overflowVector(dim int) []float64 {
@@ -235,11 +286,13 @@ func TestMatchHandler(t *testing.T) {
 	_ = art
 }
 
-// TestMatchHugeWeightsFiniteConfidences serves an SVM and a neural-net
-// artifact whose weights (the net's output layer) are finite but
-// ±1e308, so their decision values overflow. /v1/match emits a confidence only for a predicted
-// match, whose decision value is above 0 (its sigmoid is finite), so
-// every answer must be a 200 with valid JSON and confidences in [0, 1].
+// TestMatchHugeWeightsFiniteConfidences serves an SVM and two neural-net
+// artifacts whose weights (the net's output or hidden layer) are finite
+// but ±1e308, so their decision values overflow. The SVM's values reach
+// only ±Inf, whose sigmoid is finite: its answer must be a 200 with
+// valid JSON and confidences in [0, 1]. Both nets' overflows reach NaN
+// on some candidates, and /v1/match refuses those with a 400 naming the
+// first of them, as /v1/score does for a vector.
 func TestMatchHugeWeightsFiniteConfidences(t *testing.T) {
 	art, X := beerArtifact(t)
 	net := neural.NewNet(4, 1)
@@ -257,16 +310,18 @@ func TestMatchHugeWeightsFiniteConfidences(t *testing.T) {
 	for name, tc := range map[string]struct {
 		learner core.Learner
 		weights string
+		status  int
 	}{
-		"svm": {art.Learner, "weights"},
-		"nn":  {net, "w2"},
+		"svm":   {art.Learner, "weights", http.StatusOK},
+		"nn":    {net, "w2", http.StatusBadRequest},
+		"nn-w1": {net, "w1", http.StatusBadRequest},
 	} {
 		var buf bytes.Buffer
 		if err := model.Save(&buf, tc.learner, art.Meta); err != nil {
 			t.Fatal(err)
 		}
 		// Every number of the weight array becomes 1e308 or -1e308 in
-		// turn; the key's own digit (w2) is left alone.
+		// turn; the key's own digit (w1, w2) is left alone.
 		sign := 1.0
 		num := regexp.MustCompile(`-?[0-9][0-9.eE+-]*`)
 		raw := regexp.MustCompile(`"`+tc.weights+`":\s*\[[^"]*\]`).ReplaceAllFunc(buf.Bytes(), func(field []byte) []byte {
@@ -286,8 +341,15 @@ func TestMatchHugeWeightsFiniteConfidences(t *testing.T) {
 		resp, body := postJSON(t, ts.URL+"/v1/match", req)
 		ts.Close()
 		s.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d, want %d: %s", name, resp.StatusCode, tc.status, body)
+		}
+		if tc.status != http.StatusOK {
+			var e errorResponse
+			if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "candidate") || !strings.Contains(e.Error, "no finite score") {
+				t.Fatalf("%s: body %q does not name a candidate without a finite score", name, body)
+			}
+			continue
 		}
 		var out matchResponse
 		if err := json.Unmarshal(body, &out); err != nil {
@@ -336,13 +398,6 @@ func (s slowLearner) Predict(x feature.Vector) bool {
 	time.Sleep(s.delay)
 	return true
 }
-func (s slowLearner) PredictAll(X []feature.Vector) []bool {
-	out := make([]bool, len(X))
-	for i := range X {
-		out[i] = s.Predict(X[i])
-	}
-	return out
-}
 func (s slowLearner) Dim() int { return s.dim }
 
 func slowArtifact(delay time.Duration) *model.Artifact {
@@ -376,7 +431,11 @@ func TestScoreDeadlineExceeded(t *testing.T) {
 func TestConcurrentScore(t *testing.T) {
 	art, X := beerArtifact(t)
 	_, ts := newTestServer(t, Config{Workers: 4, MaxBatch: 32, Linger: time.Millisecond})
-	want := match.Score(art.Learner, X[0])
+	scores, err := match.ScoreAll(context.Background(), art.Learner, X[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scores[0]
 
 	const clients = 64
 	errs := make(chan error, clients)
@@ -444,13 +503,6 @@ func (g gatedLearner) Predict(x feature.Vector) bool {
 	g.once.Do(func() { close(g.started) })
 	<-g.release
 	return true
-}
-func (g gatedLearner) PredictAll(X []feature.Vector) []bool {
-	out := make([]bool, len(X))
-	for i := range X {
-		out[i] = g.Predict(X[i])
-	}
-	return out
 }
 func (g gatedLearner) Dim() int { return g.dim }
 

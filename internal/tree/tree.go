@@ -255,12 +255,15 @@ func (f *Forest) Train(X []feature.Vector, y []bool) {
 
 // Predict labels x as matching when the positive vote fraction exceeds
 // DecisionThreshold (majority by default).
-func (f *Forest) Predict(x feature.Vector) bool {
+func (f *Forest) Predict(x feature.Vector) bool { return f.value(x) > f.DecisionThreshold() }
+
+// value is the positive vote fraction of x, or 0 untrained.
+func (f *Forest) value(x feature.Vector) float64 {
 	pos, total := f.Votes(x)
 	if total == 0 {
-		return false
+		return 0
 	}
-	return float64(pos)/float64(total) > f.DecisionThreshold()
+	return float64(pos) / float64(total)
 }
 
 // DecisionThreshold returns the positive vote fraction a row must exceed
@@ -279,24 +282,9 @@ func (f *Forest) DecisionThreshold() float64 {
 // variance, bit for bit. An untrained forest writes 0. out must have
 // room for len(rows) values.
 func (f *Forest) DecisionValues(X []feature.Vector, rows []int, out []float64) {
-	out = out[:len(rows)]
-	if len(f.trees) == 0 {
-		clear(out)
-		return
-	}
 	for k, row := range rows {
-		pos, total := f.Votes(X[row])
-		out[k] = float64(pos) / float64(total)
+		out[k] = f.value(X[row])
 	}
-}
-
-// PredictAll classifies a batch.
-func (f *Forest) PredictAll(X []feature.Vector) []bool {
-	out := make([]bool, len(X))
-	for i, x := range X {
-		out[i] = f.Predict(x)
-	}
-	return out
 }
 
 // Votes returns how many trees label x as matching, out of how many. The
