@@ -40,9 +40,10 @@ cover:
 # import, the similarity metrics' range and symmetry, the tokenizers
 # (FuzzTokenizers) and Soundex codes (FuzzSoundex), the fused character
 # kernels' and the interned token-set metrics' (FuzzTokenSetMetrics)
-# bit-equality with each metric's Compare, and the /v1/match and
-# /v1/score request bodies (see scripts/fuzz_smoke.sh; FUZZTIME=1m for
-# longer runs).
+# bit-equality with each metric's Compare, the candidate index, built
+# and then extended with Add, against the Cartesian reference
+# (FuzzCandidateIndex), and the /v1/match and /v1/score request bodies
+# (see scripts/fuzz_smoke.sh; FUZZTIME=1m for longer runs).
 fuzz:
 	GO="$(GO)" sh scripts/fuzz_smoke.sh
 
@@ -66,7 +67,7 @@ fuzz:
 # they replaced (internal/match), and the
 # indexed candidate generator against the
 # brute-force blocking reference, including incremental Add and
-# shard-count sweeps (internal/blocking), and the fused character kernels
+# worker-count sweeps (internal/blocking), and the fused character kernels
 # against each metric's Compare plus batched featurization, float and
 # Boolean, against per-pair Extract on generated pools (internal/textsim,
 # internal/feature), and the fan-out's own chunk, block and poll

@@ -69,12 +69,12 @@ type (
 	// index over the right table, stream further records in with Add, and
 	// enumerate candidate pairs under a context.
 	CandidateGenerator = blocking.CandidateGenerator
-	// CandidateIndex is the indexed generator: sharded inverted posting
-	// lists with prefix and count filters, built in parallel and
+	// CandidateIndex is the indexed generator: inverted posting lists
+	// over one token dictionary, with prefix and count filters,
 	// incrementally extendable.
 	CandidateIndex = blocking.CandidateIndex
-	// CandidateIndexOptions sizes a CandidateIndex (threshold, shards,
-	// workers); the zero value takes the dataset's defaults.
+	// CandidateIndexOptions sizes a CandidateIndex (threshold, workers);
+	// the zero value takes the dataset's defaults.
 	CandidateIndexOptions = blocking.IndexOptions
 	// CandidateIndexStats reports index shape and the probe → size/count
 	// filter → verify → keep funnel.

@@ -118,7 +118,7 @@ func TestRebuildOverChangedTable(t *testing.T) {
 	left := wordyTable(r, 80, 6, 14, "L")
 	right := wordyTable(r, 80, 10, 18, "R")
 	d := dataset.NewDataset("rebuild", left, right, nil, threshold)
-	idx := NewCandidateIndex(d, IndexOptions{Threshold: threshold, Shards: 2})
+	idx := NewCandidateIndex(d, IndexOptions{Threshold: threshold})
 	if err := idx.Build(context.Background()); err != nil {
 		t.Fatal(err)
 	}

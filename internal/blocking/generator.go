@@ -49,17 +49,13 @@ type CandidateGenerator interface {
 var ErrNotBuilt = errors.New("blocking: index not built (call Build first)")
 
 // IndexOptions sizes a CandidateIndex. The zero value is the right
-// default everywhere: the dataset's own threshold, one shard per CPU and
-// one worker per CPU.
+// default everywhere: the dataset's own threshold and one worker per CPU.
 type IndexOptions struct {
 	// Threshold overrides the dataset's BlockThreshold when positive.
 	Threshold float64
-	// Shards is the posting-list shard count; zero or negative means
-	// GOMAXPROCS. Shard count changes the internal token-id layout but
-	// never the candidate set.
-	Shards int
 	// Workers bounds build and enumeration parallelism; zero or negative
-	// means GOMAXPROCS, one forces the serial path.
+	// means GOMAXPROCS, one forces the serial path. The worker count never
+	// changes the index or its candidates.
 	Workers int
 }
 
@@ -74,9 +70,8 @@ type IndexStats struct {
 	// Builds and Adds count full Build passes and incremental Add calls.
 	Builds, Adds int64
 	// RightRecords is the number of indexed right-side records, Tokens the
-	// distinct-token dictionary size, Postings the total posting entries
-	// across Shards shards.
-	RightRecords, Tokens, Postings, Shards int
+	// distinct-token dictionary size, Postings the total posting entries.
+	RightRecords, Tokens, Postings int
 	// Probed counts distinct (left, right) candidates surfaced by posting
 	// lists. Each is skipped before exact verification when a bound on
 	// its overlap caps Jaccard below the threshold: SizeSkipped counts the

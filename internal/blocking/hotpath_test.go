@@ -22,7 +22,7 @@ func TestCandidatesKnownCacheAcrossAdds(t *testing.T) {
 	left := hotVocabTable(r, 30, "L")
 	right := hotVocabTable(r, 35, "R")
 	d := dataset.NewDataset("cache", left, right, nil, threshold)
-	idx := NewCandidateIndex(d, IndexOptions{Threshold: threshold, Shards: 2})
+	idx := NewCandidateIndex(d, IndexOptions{Threshold: threshold})
 	if err := idx.Build(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCandidatesKnownCacheAcrossAdds(t *testing.T) {
 	// a stale cache would get wrong.
 	left.Rows = append(left.Rows, dataset.Record{ID: "Lnew", Values: []string{"kappa lambda"}})
 	d2 := dataset.NewDataset("cache2", left, right, nil, threshold)
-	idx2 := NewCandidateIndex(d2, IndexOptions{Threshold: threshold, Shards: 2})
+	idx2 := NewCandidateIndex(d2, IndexOptions{Threshold: threshold})
 	if err := idx2.Build(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCandidatesAllocSteadyState(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	threshold := 0.34
 	d := dataset.NewDataset("alloc", hotVocabTable(r, 40, "L"), hotVocabTable(r, 40, "R"), nil, threshold)
-	idx := NewCandidateIndex(d, IndexOptions{Threshold: threshold, Shards: 2, Workers: 1})
+	idx := NewCandidateIndex(d, IndexOptions{Threshold: threshold, Workers: 1})
 	if err := idx.Build(context.Background()); err != nil {
 		t.Fatal(err)
 	}

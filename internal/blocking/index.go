@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,20 +13,19 @@ import (
 	"github.com/alem/alem/internal/textsim"
 )
 
-// CandidateIndex is the indexed CandidateGenerator: sharded inverted
-// posting lists over the right table's tokens, with a prefix filter that
-// bounds which postings a record appears in and a count filter applied
-// before exact Jaccard verification.
+// CandidateIndex is the indexed CandidateGenerator: inverted posting
+// lists over the right table's tokens, with a prefix filter that bounds
+// which postings a record appears in and a count filter applied before
+// exact Jaccard verification.
 //
-// Index layout. Tokens are interned to dense int32 ids, partitioned into
-// S shards by a string hash; shard s owns every token with id ≡ s (mod
-// S), so the dictionary, document-frequency table and posting lists of
-// the shards are disjoint and Build populates them with one worker per
-// shard and no locks. A right record of n distinct tokens is posted only
-// under its *prefix*: its tokens ordered by ascending document frequency
-// (rarest first), truncated to n − need + 1 entries, where need is the
-// smallest intersection size that could put a pair with this record at
-// or above the threshold. Any qualifying pair shares at least need
+// Index layout. One dictionary interns tokens to dense int32 ids in the
+// order they are first seen over the right table (record order, then
+// token order), and keeps each id's document frequency and posting list
+// in slices indexed by id. A right record of n distinct tokens is posted
+// only under its *prefix*: its tokens ordered by ascending document
+// frequency (rarest first, ties by id), truncated to n − need + 1
+// entries, where need is the smallest intersection size that could put a
+// pair with this record at or above the threshold. Any qualifying pair shares at least need
 // tokens, and only need − 1 tokens are left out of the prefix, so by
 // pigeonhole at least one shared token is posted — the same argument the
 // pre-index stop-token repair used, now applied at build time instead of
@@ -55,20 +53,18 @@ type CandidateIndex struct {
 	d         *dataset.Dataset
 	threshold float64
 	workers   int
-	nShards   int
 
 	mu    sync.RWMutex
 	built bool
 
-	shards    []indexShard
+	dict      tokenDict
 	rightSets [][]int32 // per right record: sorted distinct token ids
 	unposted  []int32   // per right record: distinct tokens its prefix leaves unposted
-	postings  int       // posting entries across all shards
+	postings  int       // posting entries across all tokens
 
 	// Left-side tokenization is fixed at construction, so Build caches the
-	// distinct token strings and their shard hashes once.
+	// distinct token strings once.
 	leftDistinct [][]string
-	leftHash     [][]uint32
 
 	// Candidates also caches each left record's sorted known-token-id
 	// list. Token ids are append-only — an interned token never changes
@@ -86,13 +82,35 @@ type CandidateIndex struct {
 	c funnelCounters
 }
 
-// indexShard owns the tokens whose global id is ≡ its index (mod shard
-// count): their dictionary entries, document frequencies and posting
-// lists. Global id g lives in shard g % S at local slot g / S.
-type indexShard struct {
-	ids  map[string]int32  // token -> local id
-	df   []int32           // local id -> right-corpus document frequency
-	post map[int32][]int32 // global id -> right record ids, ascending
+// tokenDict is the index's token dictionary: dense ids in first-seen
+// order, and per id the right-corpus document frequency and posting list.
+type tokenDict struct {
+	ids  map[string]int32 // token -> id
+	df   []int32          // id -> right-corpus document frequency
+	post [][]int32        // id -> right record ids, ascending
+}
+
+// intern returns the sorted distinct id set of one right record's
+// tokens, giving new tokens the next ids in first-seen order and counting
+// the record once in each of its tokens' document frequencies.
+func (dc *tokenDict) intern(toks []string) []int32 {
+	set := make([]int32, 0, len(toks))
+	for _, t := range toks {
+		id, ok := dc.ids[t]
+		if !ok {
+			id = int32(len(dc.df))
+			dc.ids[t] = id
+			dc.df = append(dc.df, 0)
+			dc.post = append(dc.post, nil)
+		}
+		set = append(set, id)
+	}
+	slices.Sort(set)
+	set = slices.Compact(set)
+	for _, id := range set {
+		dc.df[id]++
+	}
+	return set
 }
 
 type funnelCounters struct {
@@ -101,34 +119,18 @@ type funnelCounters struct {
 }
 
 // NewCandidateIndex returns an unbuilt index over d. The zero options
-// take the dataset's own blocking threshold and one shard and worker per
-// CPU; call Build before Add or Candidates.
+// take the dataset's own blocking threshold and one worker per CPU; call
+// Build before Add or Candidates.
 func NewCandidateIndex(d *dataset.Dataset, opts IndexOptions) *CandidateIndex {
 	threshold := opts.Threshold
 	if threshold <= 0 {
 		threshold = d.BlockThreshold
 	}
-	nShards := opts.Shards
-	if nShards <= 0 {
-		nShards = runtime.GOMAXPROCS(0)
-	}
 	return &CandidateIndex{
 		d:         d,
 		threshold: threshold,
 		workers:   par.Workers(opts.Workers),
-		nShards:   nShards,
 	}
-}
-
-// strHash is FNV-1a over the token bytes; it only routes tokens to
-// shards, so it needs speed and spread, not cryptographic strength.
-func strHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // minOverlap returns the smallest intersection size i (1 ≤ i ≤ n) for
@@ -165,17 +167,6 @@ func prefixLen(threshold float64, n int) int {
 		return 0
 	}
 	return n - need + 1
-}
-
-// globalID composes a shard-local id with its shard index.
-func globalID(local int32, shard, nShards int) int32 {
-	return local*int32(nShards) + int32(shard)
-}
-
-// dfOf reads the document frequency of a global token id.
-func (x *CandidateIndex) dfOfLocked(shards []indexShard, g int32) int32 {
-	s := int(g) % x.nShards
-	return shards[s].df[int(g)/x.nShards]
 }
 
 // stampSet is a reusable stamp-dedup array: slot ri is "seen" iff it
@@ -221,11 +212,7 @@ func (st *stampSet) mark() int32 {
 // stable); cacheMu serialises rebuilds between concurrent Candidates
 // calls. A cancelled rebuild commits nothing.
 func (x *CandidateIndex) leftKnownLocked(ctx context.Context) ([][]int32, error) {
-	S := x.nShards
-	dictTokens := 0
-	for i := range x.shards {
-		dictTokens += len(x.shards[i].df)
-	}
+	dictTokens := len(x.dict.df)
 	x.cacheMu.Lock()
 	defer x.cacheMu.Unlock()
 	if x.leftKnown != nil && x.cacheTokens == dictTokens {
@@ -240,10 +227,9 @@ func (x *CandidateIndex) leftKnownLocked(ctx context.Context) ([][]int32, error)
 				continue
 			}
 			ids := make([]int32, 0, len(toks))
-			for j, t := range toks {
-				s := int(x.leftHash[li][j]) % S
-				if local, ok := x.shards[s].ids[t]; ok {
-					ids = append(ids, globalID(local, s, S))
+			for _, t := range toks {
+				if id, ok := x.dict.ids[t]; ok {
+					ids = append(ids, id)
 				}
 			}
 			slices.Sort(ids)
@@ -259,10 +245,12 @@ func (x *CandidateIndex) leftKnownLocked(ctx context.Context) ([][]int32, error)
 }
 
 // Build constructs the index over the dataset's current right table and
-// caches the left-side tokenization. It runs in parallel over the
-// configured worker count, polls ctx every par.Stride items throughout,
-// and on cancellation leaves the index in its previous state (the new
-// structures are committed only at the end).
+// caches the left-side tokenization. Tokenizing and the prefix sweep run
+// in parallel over the configured worker count; the dictionary and the
+// posting lists are filled by serial passes in record order, so token ids
+// and posting order never depend on it. Every stage polls ctx every
+// par.Stride records, and on cancellation the index keeps its previous
+// state (the new structures are committed only at the end).
 func (x *CandidateIndex) Build(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -270,12 +258,8 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 
-	// Stage 1: tokenize both tables and dedup per record.
+	// Stage 1: tokenize both tables; dedup each left record.
 	rightTokens, err := tokenizeTable(ctx, x.d.Right, x.workers)
-	if err != nil {
-		return err
-	}
-	rightDistinct, rightHash, err := distinctTokens(ctx, rightTokens, x.workers)
 	if err != nil {
 		return err
 	}
@@ -283,70 +267,30 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	leftDistinct, leftHash, err := distinctTokens(ctx, leftTokens, x.workers)
+	leftDistinct, err := distinctTokens(ctx, leftTokens, x.workers)
 	if err != nil {
 		return err
 	}
 
-	// Stage 2: per-shard dictionaries and document frequencies. Each
-	// worker owns one shard and scans every record, claiming only the
-	// tokens that hash into its shard, so id assignment is lock-free and
-	// deterministic for a given shard count.
-	nR := len(rightDistinct)
-	S := x.nShards
-	shards := make([]indexShard, S)
-	err = par.Chunks(ctx, S, x.workers, 2, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			sh := &shards[s]
-			sh.ids = make(map[string]int32)
-			for ri, toks := range rightDistinct {
-				if ri%par.Stride == 0 && ctx.Err() != nil {
-					return
-				}
-				for j, t := range toks {
-					if int(rightHash[ri][j])%S != s {
-						continue
-					}
-					local, ok := sh.ids[t]
-					if !ok {
-						local = int32(len(sh.df))
-						sh.ids[t] = local
-						sh.df = append(sh.df, 0)
-					}
-					sh.df[local]++
-				}
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-
-	// Stage 3: per-record sorted id sets.
+	// Stage 2: the dictionary, document frequencies and per-record sorted
+	// id sets, in one serial pass over the right table.
+	nR := len(rightTokens)
+	dict := tokenDict{ids: make(map[string]int32)}
 	rightSets := make([][]int32, nR)
-	err = par.Blocks(ctx, nR, x.workers, 2, func(lo, hi int) {
-		for ri := lo; ri < hi; ri++ {
-			toks := rightDistinct[ri]
-			set := make([]int32, len(toks))
-			for j, t := range toks {
-				s := int(rightHash[ri][j]) % S
-				set[j] = globalID(shards[s].ids[t], s, S)
-			}
-			slices.Sort(set)
-			rightSets[ri] = set
+	for ri, toks := range rightTokens {
+		if ri%par.Stride == 0 && ctx.Err() != nil {
+			return ctx.Err()
 		}
-	})
-	if err != nil {
-		return err
+		rightSets[ri] = dict.intern(toks)
 	}
 
-	// Stage 4: per-record prefixes — rarest-first order, truncated so only
+	// Stage 3: per-record prefixes — rarest-first order, truncated so only
 	// need−1 tokens stay unposted.
 	prefixes := make([][]int32, nR)
 	unposted := make([]int32, nR)
 	err = par.Blocks(ctx, nR, x.workers, 2, func(lo, hi int) {
 		for ri := lo; ri < hi; ri++ {
-			prefixes[ri] = x.prefixOf(shards, rightSets[ri])
+			prefixes[ri] = prefixOf(x.threshold, dict.df, rightSets[ri])
 			unposted[ri] = int32(len(rightSets[ri]) - len(prefixes[ri]))
 		}
 	})
@@ -354,41 +298,26 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 		return err
 	}
 
-	// Stage 5: posting lists, again one worker per shard over the
-	// precomputed prefixes; record ids are appended in ascending order.
-	err = par.Chunks(ctx, S, x.workers, 2, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			sh := &shards[s]
-			sh.post = make(map[int32][]int32)
-			for ri, pre := range prefixes {
-				if ri%par.Stride == 0 && ctx.Err() != nil {
-					return
-				}
-				for _, g := range pre {
-					if int(g)%S == s {
-						sh.post[g] = append(sh.post[g], int32(ri))
-					}
-				}
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-
+	// Stage 4: posting lists, in a second serial pass, so each list holds
+	// its record ids in ascending order.
 	postings := 0
-	for _, pre := range prefixes {
+	for ri, pre := range prefixes {
+		if ri%par.Stride == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		for _, id := range pre {
+			dict.post[id] = append(dict.post[id], int32(ri))
+		}
 		postings += len(pre)
 	}
 
 	// Commit: a cancelled build above never reaches this point, so the
 	// previously built index (if any) stays intact and usable.
-	x.shards = shards
+	x.dict = dict
 	x.rightSets = rightSets
 	x.unposted = unposted
 	x.postings = postings
 	x.leftDistinct = leftDistinct
-	x.leftHash = leftHash
 	x.cacheMu.Lock()
 	x.leftKnown = nil // rebuilt lazily against the new dictionary
 	x.cacheTokens = 0
@@ -400,17 +329,16 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 	return nil
 }
 
-// prefixOf orders a record's token ids rarest-first (ties by id) and
-// truncates to the posted prefix.
-func (x *CandidateIndex) prefixOf(shards []indexShard, set []int32) []int32 {
-	p := prefixLen(x.threshold, len(set))
+// prefixOf orders a record's token ids rarest-first under df (ties by id)
+// and truncates to the posted prefix.
+func prefixOf(threshold float64, df, set []int32) []int32 {
+	p := prefixLen(threshold, len(set))
 	if p == 0 {
 		return nil
 	}
-	ordered := make([]int32, len(set))
-	copy(ordered, set)
+	ordered := slices.Clone(set)
 	slices.SortFunc(ordered, func(a, b int32) int {
-		if c := cmp.Compare(x.dfOfLocked(shards, a), x.dfOfLocked(shards, b)); c != 0 {
+		if c := cmp.Compare(df[a], df[b]); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
@@ -437,34 +365,13 @@ func (x *CandidateIndex) Add(ctx context.Context, rec dataset.Record) (int, erro
 	if !x.built {
 		return 0, ErrNotBuilt
 	}
-	S := x.nShards
-	toks := textsim.Whitespace{}.Tokens(recordText(rec))
-	seen := make(map[string]struct{}, len(toks))
-	set := make([]int32, 0, len(toks))
-	for _, t := range toks {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		s := int(strHash(t)) % S
-		sh := &x.shards[s]
-		local, ok := sh.ids[t]
-		if !ok {
-			local = int32(len(sh.df))
-			sh.ids[t] = local
-			sh.df = append(sh.df, 0)
-		}
-		sh.df[local]++
-		set = append(set, globalID(local, s, S))
-	}
-	slices.Sort(set)
+	set := x.dict.intern(textsim.Whitespace{}.Tokens(recordText(rec)))
 	ri := len(x.rightSets)
 	x.rightSets = append(x.rightSets, set)
-	pre := x.prefixOf(x.shards, set)
+	pre := prefixOf(x.threshold, x.dict.df, set)
 	x.unposted = append(x.unposted, int32(len(set)-len(pre)))
-	for _, g := range pre {
-		sh := &x.shards[int(g)%S]
-		sh.post[g] = append(sh.post[g], int32(ri))
+	for _, id := range pre {
+		x.dict.post[id] = append(x.dict.post[id], int32(ri))
 	}
 	x.postings += len(pre)
 	x.c.adds.Add(1)
@@ -488,7 +395,6 @@ func (x *CandidateIndex) Candidates(ctx context.Context) (*Result, error) {
 	if !x.built {
 		return nil, ErrNotBuilt
 	}
-	S := x.nShards
 	nL := len(x.leftDistinct)
 	nR := len(x.rightSets)
 	threshold := x.threshold
@@ -537,8 +443,8 @@ func (x *CandidateIndex) Candidates(ctx context.Context) (*Result, error) {
 			// posted part of the pair's intersection.
 			cand = cand[:0]
 			mark := st.mark()
-			for _, g := range known {
-				for _, ri := range x.shards[int(g)%S].post[g] {
+			for _, id := range known {
+				for _, ri := range x.dict.post[id] {
 					if st.v[ri] != mark {
 						st.v[ri] = mark
 						st.hits[ri] = 1
@@ -614,18 +520,13 @@ func (x *CandidateIndex) Candidates(ctx context.Context) (*Result, error) {
 func (x *CandidateIndex) Stats() IndexStats {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	tokens := 0
-	for i := range x.shards {
-		tokens += len(x.shards[i].df)
-	}
 	return IndexStats{
 		Built:        x.built,
 		Builds:       x.c.builds.Load(),
 		Adds:         x.c.adds.Load(),
 		RightRecords: len(x.rightSets),
-		Tokens:       tokens,
+		Tokens:       len(x.dict.df),
 		Postings:     x.postings,
-		Shards:       x.nShards,
 		Probed:       x.c.probed.Load(),
 		SizeSkipped:  x.c.sizeSkipped.Load(),
 		CountSkipped: x.c.countSkipped.Load(),
@@ -634,33 +535,28 @@ func (x *CandidateIndex) Stats() IndexStats {
 	}
 }
 
-// distinctTokens dedups each record's tokens (first-seen order) and
-// pre-computes their shard hashes.
-func distinctTokens(ctx context.Context, tokens [][]string, workers int) ([][]string, [][]uint32, error) {
+// distinctTokens dedups each record's tokens (first-seen order).
+func distinctTokens(ctx context.Context, tokens [][]string, workers int) ([][]string, error) {
 	distinct := make([][]string, len(tokens))
-	hashes := make([][]uint32, len(tokens))
 	err := par.Blocks(ctx, len(tokens), workers, 2, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			toks := tokens[i]
 			seen := make(map[string]struct{}, len(toks))
 			ds := make([]string, 0, len(toks))
-			hs := make([]uint32, 0, len(toks))
 			for _, t := range toks {
 				if _, dup := seen[t]; dup {
 					continue
 				}
 				seen[t] = struct{}{}
 				ds = append(ds, t)
-				hs = append(hs, strHash(t))
 			}
 			distinct[i] = ds
-			hashes[i] = hs
 		}
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return distinct, hashes, nil
+	return distinct, nil
 }
 
 // intersectSorted returns |a ∩ b| for ascending-sorted id slices.

@@ -149,9 +149,10 @@ func TestBlockSkewOnNoMatches(t *testing.T) {
 // TestIndexEquivalenceRandomVocab is the core equivalence property:
 // randomized hot-token vocabularies (nearly every record shares a stop
 // word, the adversarial regime for any pruning index), blocked by the
-// indexed generator at shard counts {1, 2, 8} and by the naive
+// indexed generator at worker counts {1, 2, 8} and by the naive
 // generator, must all reproduce exactly the frozen brute-force pair
-// sequence — set and order.
+// sequence — set and order. The index's shape and funnel counters must
+// not depend on the worker count either.
 func TestIndexEquivalenceRandomVocab(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		for _, threshold := range []float64{0.15, 0.34, 0.5} {
@@ -165,16 +166,19 @@ func TestIndexEquivalenceRandomVocab(t *testing.T) {
 			}
 			assertPairsEqual(t, fmt.Sprintf("naive seed=%d θ=%.2f", seed, threshold), naive.Pairs, want)
 
-			for _, shards := range []int{1, 2, 8} {
-				for _, workers := range []int{1, 0} {
-					idx := NewCandidateIndex(d, IndexOptions{Threshold: threshold, Shards: shards, Workers: workers})
-					got, err := Generate(context.Background(), idx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertPairsEqual(t,
-						fmt.Sprintf("index seed=%d θ=%.2f shards=%d workers=%d", seed, threshold, shards, workers),
-						got.Pairs, want)
+			var serial IndexStats
+			for _, workers := range []int{1, 2, 8} {
+				idx := NewCandidateIndex(d, IndexOptions{Threshold: threshold, Workers: workers})
+				got, err := Generate(context.Background(), idx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("index seed=%d θ=%.2f workers=%d", seed, threshold, workers)
+				assertPairsEqual(t, label, got.Pairs, want)
+				if workers == 1 {
+					serial = idx.Stats()
+				} else if st := idx.Stats(); st != serial {
+					t.Fatalf("%s: stats %+v, want the serial index's %+v", label, st, serial)
 				}
 			}
 		}
@@ -199,11 +203,11 @@ func TestIndexEquivalenceIncrementalAdd(t *testing.T) {
 			dFull := dataset.NewDataset("full", left, rightFull, nil, threshold)
 			want := bruteForceOrdered(dFull, threshold)
 
-			for _, shards := range []int{1, 2, 8} {
+			for _, workers := range []int{1, 2, 8} {
 				rightPrefix := &dataset.Table{Name: rightFull.Name, Schema: rightFull.Schema,
 					Rows: rightFull.Rows[:cut]}
 				dPrefix := dataset.NewDataset("prefix", left, rightPrefix, nil, threshold)
-				idx := NewCandidateIndex(dPrefix, IndexOptions{Threshold: threshold, Shards: shards})
+				idx := NewCandidateIndex(dPrefix, IndexOptions{Threshold: threshold, Workers: workers})
 				if err := idx.Build(context.Background()); err != nil {
 					t.Fatal(err)
 				}
@@ -221,7 +225,7 @@ func TestIndexEquivalenceIncrementalAdd(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertPairsEqual(t,
-					fmt.Sprintf("incremental seed=%d θ=%.2f shards=%d", seed, threshold, shards),
+					fmt.Sprintf("incremental seed=%d θ=%.2f workers=%d", seed, threshold, workers),
 					got.Pairs, want)
 
 				st := idx.Stats()
@@ -294,12 +298,12 @@ func TestIndexThresholdBoundaryExact(t *testing.T) {
 	if len(want) != 1 {
 		t.Fatalf("fixture broken: brute force found %d pairs, want 1", len(want))
 	}
-	for _, shards := range []int{1, 2, 8} {
-		res, err := Generate(context.Background(), NewCandidateIndex(d, IndexOptions{Shards: shards}))
+	for _, workers := range []int{1, 2, 8} {
+		res, err := Generate(context.Background(), NewCandidateIndex(d, IndexOptions{Workers: workers}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertPairsEqual(t, fmt.Sprintf("boundary shards=%d", shards), res.Pairs, want)
+		assertPairsEqual(t, fmt.Sprintf("boundary workers=%d", workers), res.Pairs, want)
 	}
 }
 
@@ -341,7 +345,7 @@ func TestIndexStatsFunnel(t *testing.T) {
 	if st.RightRecords != len(d.Right.Rows) {
 		t.Errorf("RightRecords = %d, want %d", st.RightRecords, len(d.Right.Rows))
 	}
-	if st.Tokens <= 0 || st.Postings <= 0 || st.Shards <= 0 {
+	if st.Tokens <= 0 || st.Postings <= 0 {
 		t.Errorf("degenerate index shape: %+v", st)
 	}
 	if st.Postings > st.Tokens*len(d.Right.Rows) {

@@ -261,10 +261,11 @@ func TestChaosBatchAllFailTerminates(t *testing.T) {
 
 // TestRestoreRejectsForeignWAL feeds RestoreBatchWithWAL label WALs
 // that do not belong to the snapshot: one whose first record names
-// another pair, and one that journals labels where the checkpointed run
+// another pair, one that journals labels where the checkpointed run
 // billed abstentions, so it holds more labels at or below the
-// snapshot's answer cursor than the snapshot does. Both must be refused
-// with an error, not replayed and not a panic.
+// snapshot's answer cursor than the snapshot does, and two whose billed
+// abstention names a pair outside the pool. Each must be refused with
+// an error naming what is wrong, not replayed and not a panic.
 func TestRestoreRejectsForeignWAL(t *testing.T) {
 	pool := syntheticPool(300, 44)
 	simCfg := oracle.LLMSimConfig{AbstainRate: 0.5, Price: oracle.PriceTable{PerLabel: 0.002, PerAbstain: 0.001}}
@@ -286,10 +287,23 @@ func TestRestoreRejectsForeignWAL(t *testing.T) {
 		j := min(seq, len(sn.Labeled)) - 1
 		allLabels = append(allLabels, resilience.LabelRecord{Seq: seq, Index: sn.Labeled[j], Label: sn.Labels[j]})
 	}
-	for name, wal := range map[string][]resilience.LabelRecord{"wrong pair": wrongPair, "labels for abstentions": allLabels} {
-		_, err := RestoreBatchWithWAL(pool, linear.NewSVM(44), Margin{}, simPoolOracle(pool, simCfg, 5), sn, wal)
-		if err == nil || !strings.Contains(err.Error(), "disagrees with snapshot") {
-			t.Errorf("%s: err = %v, want a WAL/snapshot disagreement", name, err)
+	// A billed abstention at or below the answer cursor realigns the
+	// simulated LLM's per-pair attempts, so its index must name a pool pair.
+	abstainAt := func(index int) []resilience.LabelRecord {
+		return []resilience.LabelRecord{{Seq: 1, Index: index, Verdict: "abstain", Cost: simCfg.Price.PerAbstain}}
+	}
+	for name, tc := range map[string]struct {
+		wal  []resilience.LabelRecord
+		want string
+	}{
+		"wrong pair":             {wrongPair, "disagrees with snapshot"},
+		"labels for abstentions": {allLabels, "disagrees with snapshot"},
+		"abstention past pool":   {abstainAt(pool.Len()), "WAL record 1 names pair 300 outside the pool"},
+		"abstention below pool":  {abstainAt(-1), "WAL record 1 names pair -1 outside the pool"},
+	} {
+		_, err := RestoreBatchWithWAL(pool, linear.NewSVM(44), Margin{}, simPoolOracle(pool, simCfg, 5), sn, tc.wal)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", name, err, tc.want)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"github.com/alem/alem/internal/bayes"
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/linear"
@@ -16,7 +18,7 @@ type Combo struct {
 	LearnerFamily string
 	SelectorName  string
 	Compatible    bool
-	// Reason explains an incompatibility ("margin needs a MarginLearner").
+	// Reason explains an incompatibility ("needs a MarginLearner …").
 	Reason string
 	// PaperEvaluated marks combinations the paper's §6 actually ran.
 	PaperEvaluated bool
@@ -41,74 +43,56 @@ func allLearnerProbes() []learnerProbe {
 	}
 }
 
-// selectorProbe pairs a selector with its compatibility check.
+// selectorProbe pairs a Fig. 1b selector column with the selector whose
+// ValidateSelection decides its cells.
 type selectorProbe struct {
-	name       string
-	compatible func(l Learner) (bool, string)
-	evaluated  func(family string) bool
+	name      string
+	sel       Selector
+	evaluated func(family string) bool
 }
 
 func allSelectorProbes() []selectorProbe {
-	isMargin := func(l Learner) (bool, string) {
-		if _, ok := l.(MarginLearner); ok {
-			return true, ""
-		}
-		return false, "margin selection needs a MarginLearner (|w·x+b| or affine output)"
-	}
-	isVote := func(l Learner) (bool, string) {
-		if _, ok := l.(VoteLearner); ok {
-			return true, ""
-		}
-		return false, "learner-aware QBC needs a VoteLearner (a committee grown during training)"
-	}
-	isRules := func(l Learner) (bool, string) {
-		if _, ok := l.(*rules.Model); ok {
-			return true, ""
-		}
-		return false, "LFP/LFN is devised only for the rule-based learner (§4.3)"
-	}
-	always := func(Learner) (bool, string) { return true, "" }
 	return []selectorProbe{
-		{"QBC (learner-agnostic)", always, func(f string) bool {
+		{"QBC (learner-agnostic)", QBC{}, func(f string) bool {
 			return f != "naive Bayes (extension)"
 		}},
-		{"margin", isMargin, func(f string) bool {
+		{"margin", Margin{}, func(f string) bool {
 			return f == "linear (SVM)" || f == "non-convex non-linear (NN)"
 		}},
-		{"margin+blocking (§5.1)", func(l Learner) (bool, string) {
-			if _, ok := l.(WeightedLinear); ok {
-				return true, ""
-			}
-			return false, "blocking dimensions need an exposed weight vector (WeightedLinear)"
-		}, func(f string) bool { return f == "linear (SVM)" }},
-		{"learner-aware QBC", isVote, func(f string) bool {
+		{"margin+blocking (§5.1)", BlockedMargin{}, func(f string) bool { return f == "linear (SVM)" }},
+		{"learner-aware QBC", ForestQBC{}, func(f string) bool {
 			return f == "tree-based (random forest)"
 		}},
-		{"LFP/LFN", isRules, func(f string) bool {
+		{"LFP/LFN", LFPLFN{}, func(f string) bool {
 			return f == "rule-based (monotone DNF)"
 		}},
-		{"random (supervised)", always, func(f string) bool {
+		{"random (supervised)", Random{}, func(f string) bool {
 			return f == "tree-based (random forest)"
 		}},
-		{"IWAL (extension)", isMargin, func(string) bool { return false }},
+		{"IWAL (extension)", IWAL{}, func(string) bool { return false }},
 	}
 }
 
 // Combinations enumerates the full learner × selector grid with
-// compatibility determined by the actual interface assertions the
-// framework runs on — the programmatic Fig. 1b/Fig. 2.
+// compatibility decided by ValidateSelection, the check session
+// construction runs — the programmatic Fig. 1b/Fig. 2.
 func Combinations() []Combo {
 	var out []Combo
 	for _, lp := range allLearnerProbes() {
 		l := lp.mk()
 		for _, sp := range allSelectorProbes() {
-			ok, reason := sp.compatible(l)
+			err := ValidateSelection(l, sp.sel)
+			reason := ""
+			var ie *IncompatibleError
+			if errors.As(err, &ie) {
+				reason = "needs " + ie.Needs
+			}
 			out = append(out, Combo{
 				LearnerFamily:  lp.family,
 				SelectorName:   sp.name,
-				Compatible:     ok,
+				Compatible:     err == nil,
 				Reason:         reason,
-				PaperEvaluated: ok && sp.evaluated(lp.family),
+				PaperEvaluated: err == nil && sp.evaluated(lp.family),
 			})
 		}
 	}

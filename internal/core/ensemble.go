@@ -95,10 +95,13 @@ func NewEnsembleSession(pool *Pool, bo oracle.BatchOracle, cfg EnsembleConfig) (
 	if cfg.Factory == nil {
 		return nil, fmt.Errorf("core: NewEnsembleSession requires a Factory")
 	}
-	s, err := NewBatchSession(pool, nil, cfg.Selector, bo, cfg.Config)
+	// The session has no learner until its first train phase, so the
+	// selector is checked against one the Factory builds.
+	s, err := NewBatchSession(pool, cfg.Factory(cfg.Seed), cfg.Selector, bo, cfg.Config)
 	if err != nil {
 		return nil, err
 	}
+	s.learner = nil
 	s.ens = &ensemble{factory: cfg.Factory, EnsembleState: EnsembleState{
 		Tau: cmp.Or(cfg.Tau, 0.85), MinPositive: cmp.Or(cfg.MinPositive, 3),
 	}}

@@ -96,6 +96,13 @@ func (q QBCScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 	return &ScoredSet{Candidates: ctx.Unlabeled, Scores: variance}, nil
 }
 
+// What the margin and vote scorers need of a learner, as their
+// CompatibleWith errors say it.
+const (
+	needsMargin = "a MarginLearner (|w·x+b| or affine output)"
+	needsVote   = "a VoteLearner (a committee grown during training)"
+)
+
 // MarginScorer is learner-aware ambiguity for margin classifiers (§4.2):
 // score is the NEGATED |margin|, so the smallest-margin (most ambiguous)
 // candidates score highest under the uniform higher-is-better contract.
@@ -104,6 +111,12 @@ type MarginScorer struct{}
 
 // Name implements Scorer.
 func (MarginScorer) Name() string { return "margin" }
+
+// CompatibleWith implements LearnerChecker with Score's assertion.
+func (sc MarginScorer) CompatibleWith(l Learner) error {
+	_, ok := l.(MarginLearner)
+	return requireLearner(ok, sc, l, needsMargin)
+}
 
 // Score implements Scorer.
 func (MarginScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
@@ -183,6 +196,12 @@ type BlockedMarginScorer struct {
 
 // Name implements Scorer.
 func (BlockedMarginScorer) Name() string { return "margin-blocked" }
+
+// CompatibleWith implements LearnerChecker with Score's assertion.
+func (bm BlockedMarginScorer) CompatibleWith(l Learner) error {
+	_, ok := l.(WeightedLinear)
+	return requireLearner(ok, bm, l, "an exposed weight vector (WeightedLinear) to find its blocking dimensions")
+}
 
 // Score implements Scorer.
 func (bm BlockedMarginScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
@@ -266,6 +285,12 @@ type VoteScorer struct{}
 // Name implements Scorer.
 func (VoteScorer) Name() string { return "vote-variance" }
 
+// CompatibleWith implements LearnerChecker with Score's assertion.
+func (sc VoteScorer) CompatibleWith(l Learner) error {
+	_, ok := l.(VoteLearner)
+	return requireLearner(ok, sc, l, needsVote)
+}
+
 // Score implements Scorer.
 func (VoteScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 	vl, ok := ctx.Learner.(VoteLearner)
@@ -293,6 +318,12 @@ type BlockedVoteScorer struct {
 
 // Name implements Scorer.
 func (BlockedVoteScorer) Name() string { return "vote-variance-blocked" }
+
+// CompatibleWith implements LearnerChecker with Score's assertion.
+func (bf BlockedVoteScorer) CompatibleWith(l Learner) error {
+	_, ok := l.(VoteLearner)
+	return requireLearner(ok, bf, l, needsVote)
+}
 
 // Score implements Scorer.
 func (bf BlockedVoteScorer) Score(ctx *SelectContext, k int) (*ScoredSet, error) {
@@ -354,6 +385,14 @@ type LFPLFNScorer struct{}
 // Name implements Scorer.
 func (LFPLFNScorer) Name() string { return "lfp-lfn" }
 
+// CompatibleWith implements LearnerChecker with Score's assertion: LFP/LFN
+// works only with the rule learner, whose DNF it relaxes to mine likely
+// false negatives.
+func (sc LFPLFNScorer) CompatibleWith(l Learner) error {
+	_, ok := l.(*rules.Model)
+	return requireLearner(ok, sc, l, "the DNF rule learner (rules.Model, §4.3), whose Rule-Minus relaxation mines likely false negatives")
+}
+
 // Score implements Scorer. Scoring polls the run's cancellation signal
 // on the standard stride, so rule-learner runs respond to
 // SIGINT/deadlines like every other selector.
@@ -389,6 +428,12 @@ type AmbiguityScorer struct{}
 
 // Name implements Scorer.
 func (AmbiguityScorer) Name() string { return "ambiguity" }
+
+// CompatibleWith implements LearnerChecker with Score's assertion.
+func (sc AmbiguityScorer) CompatibleWith(l Learner) error {
+	_, ok := l.(MarginLearner)
+	return requireLearner(ok, sc, l, needsMargin)
+}
 
 // Score implements Scorer.
 func (AmbiguityScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"time"
-
-	"github.com/alem/alem/internal/rules"
 )
 
 // SelectContext is everything a selector may consult: the trained model,
@@ -218,9 +216,9 @@ func (f ForestQBC) Select(ctx *SelectContext, k int) []int {
 // heuristic (§4.3) to the Selector interface. It is compatible only with
 // rules.Model — the framework's way of recording that this selector has
 // no other children in the Fig. 2 hierarchy. Composing it with any other
-// learner is a configuration error: CompatibleWith reports it as a typed
-// *IncompatibleError, and session construction rejects it before the
-// seed phase spends any label budget.
+// learner is a configuration error: its scorer's CompatibleWith reports
+// it as a typed *IncompatibleError, and session construction rejects it
+// before the seed phase spends any label budget.
 type LFPLFN struct{}
 
 // Name implements Selector.
@@ -239,21 +237,4 @@ func (l LFPLFN) Composition() ComposedSelector {
 // SIGINT/deadlines like every other selector.
 func (l LFPLFN) Select(ctx *SelectContext, k int) []int {
 	return l.Composition().Select(ctx, k)
-}
-
-// CompatibleWith implements LearnerChecker: LFP/LFN works only with the
-// rule learner, whose DNF it relaxes to mine likely false negatives.
-func (l LFPLFN) CompatibleWith(lr Learner) error {
-	if _, ok := lr.(*rules.Model); ok {
-		return nil
-	}
-	name := "<nil>"
-	if lr != nil {
-		name = lr.Name()
-	}
-	return &IncompatibleError{
-		Selector: l.Name(),
-		Learner:  name,
-		Needs:    "the DNF rule learner (rules.Model), whose Rule-Minus relaxation mines likely false negatives",
-	}
 }

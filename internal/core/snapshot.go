@@ -239,6 +239,10 @@ func (s *Session) restore(sn *Snapshot, wal []resilience.LabelRecord) error {
 		s.wal = make(map[int][]oracle.Answer)
 		labelOrd := 0
 		for _, rec := range wal {
+			if rec.Index < 0 || rec.Index >= s.pool.Len() {
+				return fmt.Errorf("core: WAL record %d names pair %d outside the pool of %d pairs",
+					rec.Seq, rec.Index, s.pool.Len())
+			}
 			if rec.Seq > s.ledger.Answers {
 				s.wal[rec.Index] = append(s.wal[rec.Index], walAnswer(rec))
 				continue

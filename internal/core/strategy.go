@@ -86,6 +86,22 @@ func (c ComposedSelector) Name() string {
 	return c.Scorer.Name() + "×" + c.Picker.Name()
 }
 
+// CompatibleWith implements LearnerChecker: it asks the scorer, when
+// the scorer declares a learner requirement, and names the composition
+// in the error.
+func (c ComposedSelector) CompatibleWith(l Learner) error {
+	lc, ok := c.Scorer.(LearnerChecker)
+	if !ok {
+		return nil
+	}
+	err := lc.CompatibleWith(l)
+	var ie *IncompatibleError
+	if errors.As(err, &ie) {
+		return &IncompatibleError{Selector: c.Name(), Learner: ie.Learner, Needs: ie.Needs}
+	}
+	return err
+}
+
 // Select implements Selector: score, then pick. Timing mirrors the
 // concrete selectors — ctx.CommitteeCreate is set by scorers that train
 // committees, ctx.Score covers everything else (scoring sweep plus
@@ -156,23 +172,44 @@ func (e *IncompatibleError) Error() string {
 // Unwrap makes errors.Is(err, ErrIncompatibleSelector) hold.
 func (e *IncompatibleError) Unwrap() error { return ErrIncompatibleSelector }
 
-// LearnerChecker is implemented by selectors that can verify, up front,
-// whether a learner satisfies their requirements. NewSession and
-// NewBatchSession consult it right after Config.Validate, so
+// LearnerChecker is implemented by selectors and scorers that can
+// verify, up front, whether a learner satisfies their requirements.
+// Every built-in scorer that type-asserts a learner interface checks
+// that same assertion, and ComposedSelector asks its scorer. NewSession
+// and NewBatchSession consult it right after Config.Validate, so
 // incompatibilities fail before the seed phase spends any label budget.
 type LearnerChecker interface {
-	// CompatibleWith returns nil when l satisfies the selector's
-	// requirements, or an *IncompatibleError describing the mismatch.
+	// CompatibleWith returns nil when l satisfies the requirements, or
+	// an *IncompatibleError describing the mismatch.
 	CompatibleWith(l Learner) error
 }
 
 // ValidateSelection checks a (learner, selector) pair the same way
-// session construction does: selectors implementing LearnerChecker are
-// asked; everything else is accepted (the run-time contract — an
-// unserved selector returns an empty batch — still applies).
+// session construction does: a selector implementing LearnerChecker is
+// asked, and a selector exposing Composition() is checked through its
+// composition's scorer; everything else is accepted (the run-time
+// contract — an unserved selector returns an empty batch — still
+// applies).
 func ValidateSelection(l Learner, s Selector) error {
 	if c, ok := s.(LearnerChecker); ok {
 		return c.CompatibleWith(l)
 	}
+	if c, ok := s.(interface{ Composition() ComposedSelector }); ok {
+		return c.Composition().CompatibleWith(l)
+	}
 	return nil
+}
+
+// requireLearner is a scorer's CompatibleWith verdict: nil when its
+// learner assertion held, else an *IncompatibleError saying what the
+// scorer needs. A ComposedSelector renames the error after itself.
+func requireLearner(ok bool, sc Scorer, l Learner, needs string) error {
+	if ok {
+		return nil
+	}
+	name := "<nil>"
+	if l != nil {
+		name = l.Name()
+	}
+	return &IncompatibleError{Selector: sc.Name(), Learner: name, Needs: needs}
 }

@@ -85,7 +85,8 @@ func TestRegistryCoversExportedPieces(t *testing.T) {
 // TestRegistryEntriesRunOneIteration constructs every registered
 // strategy, pairs it with a learner satisfying its Needs declaration,
 // and drives one full session iteration (seed → train → evaluate →
-// select → label). A registry entry that validates but cannot complete a
+// select → label); a learner lacking a declared Need must be refused at
+// construction. A registry entry that validates but cannot complete a
 // step — or whose Needs string no longer matches reality — fails here.
 func TestRegistryEntriesRunOneIteration(t *testing.T) {
 	const seed = 29
@@ -95,17 +96,23 @@ func TestRegistryEntriesRunOneIteration(t *testing.T) {
 			var (
 				pool    *Pool
 				learner Learner
+				lacking Learner // nil when the entry needs nothing
 			)
 			switch spec.Needs {
 			case "VoteLearner":
 				pool = syntheticPool(300, seed)
 				learner = tree.NewForest(5, seed)
+				lacking = linear.NewSVM(seed)
 			case "rules.Model":
 				X, truth := boolVectors(300, seed)
 				pool = NewPoolFromVectors(X, truth)
 				learner = rules.NewModel(feature.NewBoolExtractor([]string{"a", "b", "c"}))
+				lacking = linear.NewSVM(seed)
+			case "MarginLearner", "WeightedLinear":
+				pool = syntheticPool(300, seed)
+				learner = linear.NewSVM(seed)
+				lacking = tree.NewForest(5, seed)
 			default:
-				// "", MarginLearner, WeightedLinear: the SVM serves all three.
 				pool = syntheticPool(300, seed)
 				learner = linear.NewSVM(seed)
 			}
@@ -115,6 +122,12 @@ func TestRegistryEntriesRunOneIteration(t *testing.T) {
 			}
 			if err := ValidateSelection(learner, sel); err != nil {
 				t.Fatalf("registry's own Needs pairing rejected: %v", err)
+			}
+			if lacking != nil {
+				_, err := NewSession(pool, lacking, sel, poolOracle(pool), Config{Seed: seed, MaxLabels: 60})
+				if !errors.Is(err, ErrIncompatibleSelector) {
+					t.Errorf("%s lacks %s, yet construction returned %v", lacking.Name(), spec.Needs, err)
+				}
 			}
 			s := mustSession(t, pool, learner, sel, Config{Seed: seed, MaxLabels: 60})
 			if _, err := s.Step(context.Background()); err != nil {
@@ -141,25 +154,39 @@ func TestNewSelectorUnknownName(t *testing.T) {
 	}
 }
 
-// TestSessionRejectsIncompatiblePair pins satellite behavior: composing
-// LFP/LFN with a non-rule learner fails at session construction with the
-// typed error — before the seed phase spends any label budget — and the
-// compatible pairing passes the same gate.
+// TestSessionRejectsIncompatiblePair pins construction-time checking:
+// composing a selector with a learner its scorer cannot serve (LFP/LFN
+// over an SVM, margin or blocked margin over a forest, learner-aware
+// QBC over an SVM) fails at session construction with the typed error
+// naming the selector — before the seed phase spends any label budget —
+// and the compatible pairing passes the same gate.
 func TestSessionRejectsIncompatiblePair(t *testing.T) {
 	pool := syntheticPool(200, 9)
-	_, err := NewSession(pool, linear.NewSVM(9), LFPLFN{}, poolOracle(pool), Config{Seed: 9, MaxLabels: 40})
-	if err == nil {
-		t.Fatal("session constructed with LFP/LFN over an SVM")
-	}
-	if !errors.Is(err, ErrIncompatibleSelector) {
-		t.Errorf("err = %v, want errors.Is(ErrIncompatibleSelector)", err)
-	}
-	var ie *IncompatibleError
-	if !errors.As(err, &ie) {
-		t.Fatalf("err = %T, want *IncompatibleError", err)
-	}
-	if ie.Selector != "lfp-lfn" || ie.Learner == "" || ie.Needs == "" {
-		t.Errorf("error details incomplete: %+v", ie)
+	for _, tc := range []struct {
+		learner Learner
+		sel     Selector
+	}{
+		{linear.NewSVM(9), LFPLFN{}},
+		{tree.NewForest(5, 9), Margin{}},
+		{linear.NewSVM(9), ForestQBC{}},
+		{tree.NewForest(5, 9), BlockedMargin{}},
+	} {
+		label := tc.learner.Name() + " × " + tc.sel.Name()
+		_, err := NewSession(pool, tc.learner, tc.sel, poolOracle(pool), Config{Seed: 9, MaxLabels: 40})
+		if err == nil {
+			t.Errorf("%s: session constructed", label)
+			continue
+		}
+		if !errors.Is(err, ErrIncompatibleSelector) {
+			t.Errorf("%s: err = %v, want errors.Is(ErrIncompatibleSelector)", label, err)
+		}
+		var ie *IncompatibleError
+		if !errors.As(err, &ie) {
+			t.Fatalf("%s: err = %T, want *IncompatibleError", label, err)
+		}
+		if ie.Selector != tc.sel.Name() || ie.Learner != tc.learner.Name() || ie.Needs == "" {
+			t.Errorf("%s: error details incomplete: %+v", label, ie)
+		}
 	}
 	if err := ValidateSelection(rules.NewModel(feature.NewBoolExtractor([]string{"a"})), LFPLFN{}); err != nil {
 		t.Errorf("rule learner rejected by its own selector: %v", err)

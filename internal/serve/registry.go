@@ -91,16 +91,35 @@ type Registry struct {
 	swapErr  error // last rejected swap; nil after a successful one
 	closed   bool
 
-	// Monotonic counters behind /metrics. Retired pool totals are folded
-	// into the retired* accumulators when a version is removed so the
-	// scrape-time sums never go backwards.
-	swaps          atomic.Int64
-	swapFailures   atomic.Int64
-	retiredJobs    atomic.Int64
-	retiredBatches atomic.Int64
-	retiredVectors atomic.Int64
-	retiredOpens   atomic.Int64
-	drains         sync.WaitGroup
+	// Monotonic counters behind /metrics. A removed version stays in
+	// draining, and so in the scrape-time sums, until its drain folds its
+	// final totals into retired under mu, so no sum ever goes backwards.
+	draining     map[*modelEntry]struct{}
+	retired      entryTotals
+	swaps        atomic.Int64
+	swapFailures atomic.Int64
+	drains       sync.WaitGroup
+}
+
+// entryTotals is one version's share of the summed /metrics counters.
+type entryTotals struct {
+	jobs, batches, vectors, opens, hits, misses int64
+}
+
+// totals reads e's counters as they stand.
+func (e *modelEntry) totals() entryTotals {
+	jobs, batches, vectors := e.pool.totals()
+	hits, misses := e.matcher.ExtractorReuse()
+	return entryTotals{jobs, batches, vectors, e.breaker.Opens(), int64(hits), int64(misses)}
+}
+
+func (t *entryTotals) add(u entryTotals) {
+	t.jobs += u.jobs
+	t.batches += u.batches
+	t.vectors += u.vectors
+	t.opens += u.opens
+	t.hits += u.hits
+	t.misses += u.misses
 }
 
 // newRegistry builds an empty registry serving with cfg's pool and
@@ -114,6 +133,7 @@ func newRegistry(cfg Config, emit func(core.Event)) *Registry {
 		cfg:      cfg.withDefaults(),
 		emit:     emit,
 		versions: make(map[string]*modelEntry),
+		draining: make(map[*modelEntry]struct{}),
 	}
 }
 
@@ -246,6 +266,7 @@ func (reg *Registry) Remove(id string) error {
 		return fmt.Errorf("serve: version %q is active; activate a replacement before removing it", id)
 	}
 	delete(reg.versions, id)
+	reg.draining[e] = struct{}{}
 	reg.drains.Add(1)
 	reg.mu.Unlock()
 
@@ -257,11 +278,10 @@ func (reg *Registry) Remove(id string) error {
 			time.Sleep(time.Millisecond)
 		}
 		e.pool.close()
-		jobs, batches, vecs := e.pool.totals()
-		reg.retiredJobs.Add(jobs)
-		reg.retiredBatches.Add(batches)
-		reg.retiredVectors.Add(vecs)
-		reg.retiredOpens.Add(e.breaker.Opens())
+		reg.mu.Lock()
+		reg.retired.add(e.totals())
+		delete(reg.draining, e)
+		reg.mu.Unlock()
 	}()
 	return nil
 }
@@ -412,40 +432,18 @@ func (reg *Registry) activeBreaker() *resilience.Breaker {
 	return nil
 }
 
-// poolTotals sums the batching-pool counters across live versions plus
-// everything already folded in from retired ones — the monotone series
-// /metrics scrapes.
-func (reg *Registry) poolTotals() (jobs, batches, vectors int64) {
-	jobs, batches, vectors = reg.retiredJobs.Load(), reg.retiredBatches.Load(), reg.retiredVectors.Load()
+// counterTotals sums the /metrics counters across live and draining
+// versions plus the final totals of drained ones. It reads under the
+// lock the drain folds under, so every sum is monotone.
+func (reg *Registry) counterTotals() entryTotals {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
+	t := reg.retired
 	for _, e := range reg.versions {
-		j, b, v := e.pool.totals()
-		jobs, batches, vectors = jobs+j, batches+b, vectors+v
+		t.add(e.totals())
 	}
-	return jobs, batches, vectors
-}
-
-// breakerOpens sums breaker trips across live and retired versions.
-func (reg *Registry) breakerOpens() int64 {
-	total := reg.retiredOpens.Load()
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	for _, e := range reg.versions {
-		total += e.breaker.Opens()
+	for e := range reg.draining {
+		t.add(e.totals())
 	}
-	return total
-}
-
-// extractorReuse sums matcher extractor-cache hits and misses across
-// live versions.
-func (reg *Registry) extractorReuse() (hits, misses int64) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	for _, e := range reg.versions {
-		h, m := e.matcher.ExtractorReuse()
-		hits += int64(h)
-		misses += int64(m)
-	}
-	return hits, misses
+	return t
 }

@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"github.com/alem/alem/internal/core"
+	"github.com/alem/alem/internal/dataset"
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/model"
 )
@@ -206,6 +208,104 @@ func TestRegistryRemoveWaitsForInFlight(t *testing.T) {
 		probe := &scoreJob{ctx: context.Background(), vecs: []feature.Vector{{1, 2, 3}}, out: make(chan scoreResult, 1)}
 		return errors.Is(e.pool.submit(probe), ErrDraining)
 	}, "removed version's pool drain")
+}
+
+// TestRegistryCountersMonotoneAcrossRemove scrapes /metrics before a
+// version is removed, while a holder still pins it (as an in-flight
+// request does), and after its drain: no _total series may fall. The
+// removed version served /v1/match and /v1/score traffic, so its pool,
+// breaker and extractor-reuse counts must stay in the sums throughout.
+func TestRegistryCountersMonotoneAcrossRemove(t *testing.T) {
+	art, X := beerArtifact(t)
+	s := NewMulti(Config{Linger: -1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	reg := s.Models()
+	if err := reg.Publish("v1", art); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Activate("v1"); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := dataset.Load("beer", 1.0, 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := matchRequest{Left: tableToJSON(fresh.Left), Right: tableToJSON(fresh.Right)}
+	for i := 0; i < 3; i++ {
+		if resp, body := postJSON(t, ts.URL+"/v1/match", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("match %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		if resp, body := postJSON(t, ts.URL+"/v1/score", scoreRequest{Vectors: [][]float64{X[i]}}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("score %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	if err := reg.Publish("v2", art); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Activate("v2"); err != nil {
+		t.Fatal(err)
+	}
+
+	before := totalSeries(t, ts.URL)
+	for _, name := range []string{
+		"alem_matcher_extractor_reuse_hits_total", "alem_matcher_extractor_reuse_misses_total",
+		"alem_score_requests_total", "alem_score_batches_total", "alem_score_vectors_total",
+	} {
+		if before[name] == 0 {
+			t.Fatalf("%s reads 0 before the remove; the fixture sent no traffic it counts", name)
+		}
+	}
+	_, release, err := reg.acquire("v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Remove("v1"); err != nil {
+		t.Fatal(err)
+	}
+	draining := totalSeries(t, ts.URL)
+	release()
+	reg.drains.Wait()
+	after := totalSeries(t, ts.URL)
+
+	for _, step := range []struct {
+		name     string
+		from, to map[string]float64
+	}{{"while draining", before, draining}, {"after the drain", draining, after}} {
+		for series, v := range step.from {
+			if got, ok := step.to[series]; !ok || got < v {
+				t.Errorf("%s: %s went from %v to %v", step.name, series, v, got)
+			}
+		}
+	}
+}
+
+// totalSeries scrapes /metrics and returns every _total series' value,
+// keyed by its name and labels.
+func totalSeries(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	_, text := metricsText(t, url)
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if strings.HasPrefix(line, "#") || i < 0 {
+			continue
+		}
+		key := line[:i]
+		name, _, _ := strings.Cut(key, "{")
+		if !strings.HasSuffix(name, "_total") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[key] = v
+	}
+	return out
 }
 
 func TestRegistryLoadDir(t *testing.T) {

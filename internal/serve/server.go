@@ -207,9 +207,10 @@ func NewMulti(cfg Config, observers ...core.Observer) *Server {
 	}
 	// Registry, pool and matcher statistics live in their own components;
 	// they join the scrape as registry callbacks so /metrics stays one
-	// rendering pass over one registry. Pool and breaker series are
-	// summed across model versions (plus retired accumulators) so the
-	// counters survive swaps monotonically.
+	// rendering pass over one registry. Pool, breaker and extractor
+	// series are summed across model versions, removed ones included
+	// (see Registry.counterTotals), so the counters survive swaps
+	// monotonically.
 	reg := s.met.reg
 	reg.GaugeFunc("alem_breaker_state",
 		"Active model's circuit-breaker position (0 closed, 1 open, 2 half-open).",
@@ -220,7 +221,8 @@ func NewMulti(cfg Config, observers ...core.Observer) *Server {
 			return 0
 		})
 	reg.CounterFunc("alem_breaker_opens_total",
-		"Times any model version's circuit breaker has tripped.", s.models.breakerOpens)
+		"Times any model version's circuit breaker has tripped.",
+		func() int64 { return s.models.counterTotals().opens })
 	reg.GaugeFunc("alem_models_loaded",
 		"Model versions currently held by the registry.",
 		func() float64 { return float64(s.models.Len()) })
@@ -230,28 +232,28 @@ func NewMulti(cfg Config, observers ...core.Observer) *Server {
 		"Model publishes rejected by validation.", s.models.swapFailures.Load)
 	reg.CounterFunc("alem_score_requests_total",
 		"Score jobs accepted by the batching pools.",
-		func() int64 { j, _, _ := s.models.poolTotals(); return j })
+		func() int64 { return s.models.counterTotals().jobs })
 	reg.CounterFunc("alem_score_batches_total",
 		"Merged batches executed by the worker pools.",
-		func() int64 { _, b, _ := s.models.poolTotals(); return b })
+		func() int64 { return s.models.counterTotals().batches })
 	reg.CounterFunc("alem_score_vectors_total",
 		"Feature vectors scored.",
-		func() int64 { _, _, v := s.models.poolTotals(); return v })
+		func() int64 { return s.models.counterTotals().vectors })
 	reg.GaugeFunc("alem_score_batch_reuse_rate",
 		"Fraction of score jobs that coalesced into an already-open batch.",
 		func() float64 {
-			jobs, batches, _ := s.models.poolTotals()
-			if jobs == 0 {
+			t := s.models.counterTotals()
+			if t.jobs == 0 {
 				return 0
 			}
-			return 1 - float64(batches)/float64(jobs)
+			return 1 - float64(t.batches)/float64(t.jobs)
 		})
 	reg.CounterFunc("alem_matcher_extractor_reuse_hits_total",
 		"Match calls that reused a cached extractor.",
-		func() int64 { hits, _ := s.models.extractorReuse(); return hits })
+		func() int64 { return s.models.counterTotals().hits })
 	reg.CounterFunc("alem_matcher_extractor_reuse_misses_total",
 		"Match calls that built a fresh extractor.",
-		func() int64 { _, misses := s.models.extractorReuse(); return misses })
+		func() int64 { return s.models.counterTotals().misses })
 	return s
 }
 
@@ -706,7 +708,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, statusFor(ctxErr), "match aborted: %v", ctxErr)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "match: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	adm.record(nil)

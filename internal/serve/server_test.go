@@ -346,8 +346,8 @@ func TestMatchHugeWeightsFiniteConfidences(t *testing.T) {
 		}
 		if tc.status != http.StatusOK {
 			var e errorResponse
-			if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "candidate") || !strings.Contains(e.Error, "no finite score") {
-				t.Fatalf("%s: body %q does not name a candidate without a finite score", name, body)
+			if err := json.Unmarshal(body, &e); err != nil || !strings.HasPrefix(e.Error, "match: candidate ") || !strings.Contains(e.Error, "no finite score") {
+				t.Fatalf("%s: body %q does not name, under one match: prefix, a candidate without a finite score", name, body)
 			}
 			continue
 		}

@@ -2,8 +2,9 @@
 # Fuzz smoke: run every fuzz target for a short budget so `make check`
 # exercises the corpora AND gives the mutator a brief shot at each
 # parser, at the similarity metrics, the tokenizers and Soundex, at the
-# fused character kernels and the interned token-set metrics, and at
-# the serving routes' request bodies.
+# fused character kernels and the interned token-set metrics, at the
+# candidate index against its Cartesian reference, and at the serving
+# routes' request bodies.
 # Go's fuzzer accepts one target per invocation, so targets run
 # sequentially; any crash fails the script with the reproducer path the
 # fuzzer prints.
@@ -27,6 +28,7 @@ run_target ./internal/textsim FuzzTokenizers
 run_target ./internal/textsim FuzzSoundex
 run_target ./internal/textsim FuzzCharKernels
 run_target ./internal/textsim FuzzTokenSetMetrics
+run_target ./internal/blocking FuzzCandidateIndex
 run_target ./internal/serve FuzzMatchRequest
 run_target ./internal/serve FuzzScoreRequest
 
