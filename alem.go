@@ -347,15 +347,9 @@ type (
 	ObserverFunc = core.ObserverFunc
 	// Event is one notification from the stream; concrete types follow.
 	Event = core.Event
-	// IterationStart opens one train→evaluate→select→label iteration.
-	IterationStart = core.IterationStart
-	// EvalDone closes the evaluate phase and carries the curve point.
-	EvalDone = core.EvalDone
-	// BatchSelected closes the select phase.
-	BatchSelected = core.BatchSelected
-	// PhaseDone is the uniform per-phase timing span (seed, train,
-	// evaluate, select, label) behind run manifests; the train span is
-	// the train phase's only event.
+	// PhaseDone closes one phase (seed, train, evaluate, select, label)
+	// with its timing and label counts; evaluate and select carry the
+	// iteration's curve point. It is every phase's only event.
 	PhaseDone = core.PhaseDone
 	// CandidateAccepted reports an ensemble acceptance (§5.2).
 	CandidateAccepted = core.CandidateAccepted
@@ -364,8 +358,6 @@ type (
 	OracleFault = core.OracleFault
 	// RunEnd closes the run with its StopReason.
 	RunEnd = core.RunEnd
-	// CurveBuilder accumulates curve points incrementally.
-	CurveBuilder = eval.CurveBuilder
 	// EventLog renders the event stream as a timestamped trace.
 	EventLog = diag.EventLog
 )
@@ -412,9 +404,6 @@ func RestoreSession(pool *Pool, l Learner, s Selector, o Oracle, sn *SessionSnap
 func ReadSessionSnapshot(r io.Reader) (*SessionSnapshot, error) {
 	return core.ReadSnapshot(r)
 }
-
-// NewCurveObserver adapts a CurveBuilder to the event stream.
-func NewCurveObserver(b *CurveBuilder) Observer { return core.NewCurveObserver(b) }
 
 // NewEventLog returns an EventLog writing to w.
 func NewEventLog(w io.Writer) *EventLog { return diag.NewEventLog(w) }
@@ -736,6 +725,9 @@ var (
 	// ErrLabelingStalled reports a labeling round in which every query
 	// failed; the Session stops with StopOracleFailed.
 	ErrLabelingStalled = core.ErrLabelingStalled
+	// ErrInvalidSnapshot is wrapped by every error that rejects a
+	// snapshot's or label WAL's content when a session is restored.
+	ErrInvalidSnapshot = core.ErrInvalidSnapshot
 )
 
 // WrapOracle adapts an infallible Oracle to the FallibleOracle

@@ -85,9 +85,11 @@ func main() {
 	if *progress {
 		observers = append(observers, alem.ObserverFunc(func(e alem.Event) {
 			switch ev := e.(type) {
-			case alem.EvalDone:
-				fmt.Fprintf(os.Stderr, "  iter %3d: labels=%d F1=%.3f\n",
-					ev.Iteration, ev.Point.Labels, ev.Point.F1)
+			case alem.PhaseDone:
+				if ev.Phase == "evaluate" {
+					fmt.Fprintf(os.Stderr, "  iter %3d: labels=%d F1=%.3f\n",
+						ev.Iteration, ev.Point.Labels, ev.Point.F1)
+				}
 			case alem.RunEnd:
 				fmt.Fprintf(os.Stderr, "  run end: %s (%d labels)\n", ev.Reason, ev.LabelsUsed)
 			}

@@ -262,9 +262,11 @@ func train(o trainOpts) error {
 	if o.progress {
 		session.AddObserver(alem.ObserverFunc(func(e alem.Event) {
 			switch ev := e.(type) {
-			case alem.EvalDone:
-				fmt.Fprintf(os.Stderr, "iter %3d: labels=%d F1=%.3f\n",
-					ev.Iteration, ev.Point.Labels, ev.Point.F1)
+			case alem.PhaseDone:
+				if ev.Phase == "evaluate" {
+					fmt.Fprintf(os.Stderr, "iter %3d: labels=%d F1=%.3f\n",
+						ev.Iteration, ev.Point.Labels, ev.Point.F1)
+				}
 			case alem.OracleFault:
 				fmt.Fprintf(os.Stderr, "iter %3d: pair (%d,%d) failed, requeued: %v\n",
 					ev.Iteration, ev.Pair.L, ev.Pair.R, ev.Err)

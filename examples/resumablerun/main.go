@@ -53,8 +53,8 @@ func main() {
 	}
 	session.SetLabelSink(wal)
 	session.AddObserver(alem.ObserverFunc(func(e alem.Event) {
-		if ed, ok := e.(alem.EvalDone); ok {
-			fmt.Printf("  iter %d: labels=%d F1=%.3f\n", ed.Iteration, ed.Point.Labels, ed.Point.F1)
+		if pd, ok := e.(alem.PhaseDone); ok && pd.Phase == "evaluate" {
+			fmt.Printf("  iter %d: labels=%d F1=%.3f\n", pd.Iteration, pd.Point.Labels, pd.Point.F1)
 		}
 	}))
 	fmt.Println("first process: snapshot at iteration 3, killed after iteration 5")

@@ -9,6 +9,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"path/filepath"
 	"strings"
@@ -302,8 +303,8 @@ func TestRestoreRejectsForeignWAL(t *testing.T) {
 		"abstention below pool":  {abstainAt(-1), "WAL record 1 names pair -1 outside the pool"},
 	} {
 		_, err := RestoreBatchWithWAL(pool, linear.NewSVM(44), Margin{}, simPoolOracle(pool, simCfg, 5), sn, tc.wal)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want one containing %q", name, err, tc.want)
+		if !errors.Is(err, ErrInvalidSnapshot) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ErrInvalidSnapshot containing %q", name, err, tc.want)
 		}
 	}
 }

@@ -526,8 +526,8 @@ func TestReadSnapshotRejectsTruncated(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s snapshot accepted", tc.name)
 		}
-		if !strings.Contains(err.Error(), "truncated") {
-			t.Errorf("%s snapshot error %q does not say truncated", tc.name, err)
+		if !strings.Contains(err.Error(), "truncated") || !errors.Is(err, ErrInvalidSnapshot) {
+			t.Errorf("%s snapshot error %q does not say truncated or does not wrap ErrInvalidSnapshot", tc.name, err)
 		}
 	}
 

@@ -259,8 +259,8 @@ func RestoreEnsembleWithWAL(pool *Pool, factory Factory, sel Selector, bo oracle
 	e := s.ens
 	for _, m := range sn.Ensemble.Members {
 		if m.Iteration < 0 || m.Iteration >= len(sn.Curve) {
-			return nil, fmt.Errorf("core: snapshot ensemble member of iteration %d outside its %d-point curve",
-				m.Iteration, len(sn.Curve))
+			return nil, fmt.Errorf("%w: ensemble member of iteration %d outside its %d-point curve",
+				ErrInvalidSnapshot, m.Iteration, len(sn.Curve))
 		}
 		labeled, labels := e.uncovered(pool, s.labeled, s.labels, sn.Curve[m.Iteration].Labels)
 		c := factory(m.Seed)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"slices"
 	"strings"
@@ -23,17 +24,32 @@ func (m *memorySink) AppendRecord(rec resilience.LabelRecord) error {
 
 // ensembleTrail is what an ensemble run did, for comparing a resumed run
 // with the uninterrupted one: its batches and its acceptances, each with
-// its iteration.
+// its iteration. It wraps the run's selector to see each batch, and
+// stamps the batch with its iteration at the select phase's event.
 type ensembleTrail struct {
-	batches  []BatchSelected
+	Selector
+	last     []int
+	batches  []trailBatch
 	accepted []CandidateAccepted
+}
+
+// trailBatch is one batch sent on to labeling.
+type trailBatch struct {
+	Iteration int
+	Batch     []int
+}
+
+func (tr *ensembleTrail) Select(sctx *SelectContext, k int) []int {
+	tr.last = tr.Selector.Select(sctx, k)
+	return tr.last
 }
 
 func (tr *ensembleTrail) Observe(e Event) {
 	switch e := e.(type) {
-	case BatchSelected:
-		e.CommitteeCreate, e.Score = 0, 0
-		tr.batches = append(tr.batches, e)
+	case PhaseDone:
+		if e.Phase == "select" && e.Batch > 0 {
+			tr.batches = append(tr.batches, trailBatch{e.Iteration, append([]int(nil), tr.last...)})
+		}
 	case CandidateAccepted:
 		tr.accepted = append(tr.accepted, e)
 	}
@@ -79,11 +95,13 @@ func TestChaosEnsembleResume(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			refOracle, refNoisy := newOracle()
-			ref, err := NewEnsembleSession(pool, resilience.BatchOf(resilience.Wrap(refOracle)), cfg)
+			refSink, refTrail := &memorySink{}, &ensembleTrail{Selector: cfg.Selector}
+			refCfg := cfg
+			refCfg.Selector = refTrail
+			ref, err := NewEnsembleSession(pool, resilience.BatchOf(resilience.Wrap(refOracle)), refCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refSink, refTrail := &memorySink{}, &ensembleTrail{}
 			ref.SetLabelSink(refSink)
 			ref.AddObserver(refTrail)
 			var snaps [][]byte
@@ -117,11 +135,11 @@ func TestChaosEnsembleResume(t *testing.T) {
 				at := len(sn.Labeled)
 				for _, cut := range []int{at, min(at+4, total)} {
 					o, noisy := newOracle()
-					s, err := RestoreEnsembleWithWAL(pool, svmFactory, Margin{}, resilience.BatchOf(resilience.Wrap(o)), sn, refSink.recs[:cut])
+					sink, trail := &memorySink{}, &ensembleTrail{Selector: Margin{}}
+					s, err := RestoreEnsembleWithWAL(pool, svmFactory, trail, resilience.BatchOf(resilience.Wrap(o)), sn, refSink.recs[:cut])
 					if err != nil {
 						t.Fatalf("boundary %d, WAL cut at %d: %v", b, cut, err)
 					}
-					sink, trail := &memorySink{}, &ensembleTrail{}
 					s.SetLabelSink(sink)
 					s.AddObserver(trail)
 					res, err := s.Run(context.Background())
@@ -133,9 +151,9 @@ func TestChaosEnsembleResume(t *testing.T) {
 						t.Errorf("boundary %d, cut %d: %d accepted, %v; uninterrupted %d, %v",
 							b, cut, len(s.ens.members), s.Reason(), len(ref.ens.members), ref.Reason())
 					}
-					if want := refTrail.since(sn.Iteration); !reflect.DeepEqual(*trail, want) {
+					if got, want := trail.since(sn.Iteration), refTrail.since(sn.Iteration); !reflect.DeepEqual(got, want) {
 						t.Errorf("boundary %d, cut %d: resumed batches and acceptances are not the uninterrupted run's tail:\ngot  %+v\nwant %+v",
-							b, cut, *trail, want)
+							b, cut, got, want)
 					}
 					if !slices.Equal(sink.recs, refSink.recs[at:]) {
 						t.Errorf("boundary %d, cut %d: resumed answers differ from the uninterrupted run's", b, cut)
@@ -170,18 +188,20 @@ func TestRestoreRejectsTheOtherSessionKind(t *testing.T) {
 		}
 	}
 	bo := resilience.BatchOf(resilience.Wrap(poolOracle(pool)))
+	// Restoring with the other constructor is a wiring mistake, not an
+	// invalid snapshot.
 	if _, err := RestoreEnsembleWithWAL(pool, svmFactory, Margin{}, bo, plain.Snapshot(), nil); err == nil ||
-		!strings.Contains(err.Error(), "RestoreBatchWithWAL") {
+		!strings.Contains(err.Error(), "RestoreBatchWithWAL") || errors.Is(err, ErrInvalidSnapshot) {
 		t.Errorf("ensemble restore of a plain snapshot: err = %v", err)
 	}
 	if _, err := RestoreBatchWithWAL(pool, linear.NewSVM(78), Margin{}, bo, ens.Snapshot(), nil); err == nil ||
-		!strings.Contains(err.Error(), "RestoreEnsembleWithWAL") {
+		!strings.Contains(err.Error(), "RestoreEnsembleWithWAL") || errors.Is(err, ErrInvalidSnapshot) {
 		t.Errorf("plain restore of an ensemble snapshot: err = %v", err)
 	}
 	sn := ens.Snapshot()
 	sn.Ensemble.Members = append(sn.Ensemble.Members, EnsembleMember{Iteration: 5, Seed: 1})
-	if _, err := RestoreEnsembleWithWAL(pool, svmFactory, Margin{}, bo, sn, nil); err == nil {
-		t.Error("ensemble restore accepted a member from outside the curve")
+	if _, err := RestoreEnsembleWithWAL(pool, svmFactory, Margin{}, bo, sn, nil); !errors.Is(err, ErrInvalidSnapshot) {
+		t.Errorf("ensemble restore of a member from outside the curve: err = %v, want ErrInvalidSnapshot", err)
 	}
 	if err := ens.SetWarmStart(linear.NewSVM(1)); err == nil {
 		t.Error("SetWarmStart on an ensemble session returned no error")

@@ -5,12 +5,12 @@ package core
 // over. For sixteen scenarios it holds what that loop exposed: a digest
 // and count of the oracle's query sequence; for every Select call, k and
 // digests of the labeled, label and unlabeled views; per iteration the
-// IterationStart counts, the evaluated point's label count and exact F1,
-// precision and recall, the selected batch and the ensemble size after
-// an acceptance; and at the end the stop reason, the label count, the
-// accepted count and a Noisy oracle's draws. The file is never
-// regenerated: a diff means the ensemble no longer runs the loop it
-// replaced. Run with `make equiv`.
+// label count and unlabeled-pool size entering it, the evaluated point's
+// label count and exact F1, precision and recall, the selected batch and
+// the ensemble size after an acceptance; and at the end the stop reason,
+// the label count, the accepted count and a Noisy oracle's draws. The
+// file is never regenerated: a diff means the ensemble no longer runs
+// the loop it replaced. Run with `make equiv`.
 
 import (
 	"context"
@@ -82,11 +82,13 @@ func (q *queryRecorder) Label(p dataset.PairKey) bool {
 
 func (q *queryRecorder) Queries() int { return q.inner.Queries() }
 
-// selectRecorder is a Selector that logs each call's views.
+// selectRecorder is a Selector that logs each call's views and keeps
+// the batch it returned last.
 type selectRecorder struct {
 	t     *testing.T
 	inner Selector
 	calls []ensembleSelect
+	last  []int
 }
 
 func (r *selectRecorder) Name() string { return r.inner.Name() }
@@ -98,7 +100,8 @@ func (r *selectRecorder) Select(sctx *SelectContext, k int) []int {
 		Labels:    jsonDigest(r.t, sctx.Labels),
 		Unlabeled: jsonDigest(r.t, sctx.Unlabeled),
 	})
-	return r.inner.Select(sctx, k)
+	r.last = r.inner.Select(sctx, k)
+	return r.last
 }
 
 // ensembleScenario is one pinned run: a pool, its labeler and a config
@@ -187,15 +190,23 @@ func runEnsembleScenario(t *testing.T, sc ensembleScenario) ensembleRecord {
 	cur := func() *ensembleIter { return &rec.Iterations[len(rec.Iterations)-1] }
 	res, err := RunEnsembleContext(context.Background(), pool, o, cfg, ObserverFunc(func(e Event) {
 		switch e := e.(type) {
-		case IterationStart:
-			rec.Iterations = append(rec.Iterations, ensembleIter{
-				Iteration: e.Iteration, LabelsUsed: e.LabelsUsed, PoolRemaining: e.PoolRemaining,
-			})
-		case EvalDone:
-			it := cur()
-			it.Labels, it.F1, it.Precision, it.Recall = e.Point.Labels, e.Point.F1, e.Point.Precision, e.Point.Recall
-		case BatchSelected:
-			cur().Batch = append([]int(nil), e.Batch...)
+		case PhaseDone:
+			// An iteration opens at its train phase; an ensemble's train
+			// Labels is the candidate's training set, so the labels
+			// entering the iteration come from evaluate. A batch that goes
+			// on to labeling is the selector's last.
+			switch e.Phase {
+			case "train":
+				rec.Iterations = append(rec.Iterations, ensembleIter{Iteration: e.Iteration, PoolRemaining: e.PoolRemaining})
+			case "evaluate":
+				it := cur()
+				it.LabelsUsed = e.Labels
+				it.Labels, it.F1, it.Precision, it.Recall = e.Point.Labels, e.Point.F1, e.Point.Precision, e.Point.Recall
+			case "select":
+				if e.Batch > 0 {
+					cur().Batch = append([]int(nil), sel.last...)
+				}
+			}
 		case CandidateAccepted:
 			cur().Accepted = e.Accepted
 		case RunEnd:

@@ -10,48 +10,12 @@ import (
 // Event is one typed notification from a Session's event stream. The
 // engine emits events at every phase boundary of the Fig. 1a loop, so a
 // run can be observed in flight — live progress in the CLIs, event logs
-// in diag, curve building in eval — without the observer having to poll
-// or wrap the learner.
+// in diag, phase traces in obs — without the observer having to poll or
+// wrap the learner.
 //
-// The concrete event types are IterationStart, PhaseDone, EvalDone,
-// BatchSelected, OracleFault, OracleBatchDone, CandidateAccepted and
-// RunEnd.
+// The concrete event types are PhaseDone, OracleFault, OracleBatchDone,
+// CandidateAccepted and RunEnd.
 type Event interface{ isEvent() }
-
-// IterationStart marks the beginning of one train→evaluate→select→label
-// iteration.
-type IterationStart struct {
-	// Iteration is the zero-based iteration index.
-	Iteration int
-	// LabelsUsed is the cumulative Oracle-label count entering the
-	// iteration (the seed bootstrap included).
-	LabelsUsed int
-	// PoolRemaining is the number of still-unlabeled candidates.
-	PoolRemaining int
-}
-
-// EvalDone marks the end of the evaluate phase. Point carries the
-// iteration's quality metrics and training time; the selector's latency
-// breakdown is not known yet and arrives with BatchSelected.
-type EvalDone struct {
-	Iteration int
-	Point     eval.Point
-	// Elapsed is the wall-clock evaluation (prediction) time, which the
-	// recorded curve point does not carry.
-	Elapsed time.Duration
-}
-
-// BatchSelected marks the end of the select phase. It is not emitted on
-// the final iteration (a finished run selects nothing).
-type BatchSelected struct {
-	Iteration int
-	// Batch holds the pool indices about to be sent to the Oracle.
-	Batch []int
-	// CommitteeCreate and Score are the selector's latency breakdown,
-	// matching the §3 latency metric.
-	CommitteeCreate time.Duration
-	Score           time.Duration
-}
 
 // OracleFault reports one failed label query: the labeler (after any
 // retry policy wrapped around it) gave up on the pair, which has been
@@ -71,20 +35,19 @@ type OracleFault struct {
 	Err error
 }
 
-// PhaseDone is the engine's span event: one per completed phase of the
+// PhaseDone is the engine's phase event: one per completed phase of the
 // Fig. 1a loop — seed once, then train/evaluate/select every iteration
 // and label on every iteration that queried the Oracle — carrying the
-// phase's wall time, label accounting and parallelism. It is the raw
-// material of a run manifest: core.NewTraceObserver collects PhaseDone
-// events into an obs.Trace, which serializes to JSONL (`almatch
-// -trace`, `albench -trace`) and summarizes under `aldiag -trace`.
+// phase's wall time, label accounting and parallelism, and for evaluate
+// and select the iteration's curve point. It is every phase's only
+// event, and the raw material of a run manifest: core.NewTraceObserver
+// collects PhaseDone events into an obs.Trace, which serializes to JSONL
+// (`almatch -trace`, `albench -trace`) and summarizes under `aldiag
+// -trace`.
 //
-// PhaseDone complements rather than replaces the phase events that
-// carry payloads of their own (EvalDone, BatchSelected): PhaseDone is
-// the uniform timing record, and PhaseDone{Phase: "train"} is the train
-// phase's only event, its Labels the size of the training set. For an
-// ensemble session (NewEnsembleSession) that is the candidate's
-// training set, the labeled pairs no accepted member covers.
+// On train, Labels is the size of the training set. For an ensemble
+// session (NewEnsembleSession) that is the candidate's training set, the
+// labeled pairs no accepted member covers.
 type PhaseDone struct {
 	// Phase is "seed", "train", "evaluate", "select" or "label".
 	Phase string
@@ -100,13 +63,19 @@ type PhaseDone struct {
 	// phases; 0 elsewhere).
 	LabelsDelta int
 	// Batch is the number of examples handled: the selected batch size
-	// for select, the attempted batch for label, 0 elsewhere.
+	// for select (0 when the run stops there), the attempted batch for
+	// label, 0 elsewhere.
 	Batch int
 	// Workers is the resolved parallel worker count available to the
 	// phase (Config.Workers with 0 resolved to GOMAXPROCS).
 	Workers int
 	// PoolRemaining is the unlabeled-pool size after the phase.
 	PoolRemaining int
+	// Point is the iteration's curve point: as evaluated (quality and
+	// training time) on evaluate, and on select the point Result().Curve
+	// records, the selector's committee and scoring times included. It is
+	// zero on seed, train and label.
+	Point eval.Point
 }
 
 // OracleBatchDone marks the end of one labeling round (the seed
@@ -141,7 +110,7 @@ type OracleBatchDone struct {
 
 // CandidateAccepted is emitted by ensemble sessions (§5.2) when a
 // candidate classifier passes the precision acceptance test, after the
-// iteration's label phase and before the next IterationStart.
+// iteration's label phase and before the next iteration's train phase.
 type CandidateAccepted struct {
 	Iteration int
 	// Accepted is the ensemble size after this acceptance.
@@ -168,10 +137,7 @@ type ExternalEvent struct{}
 
 func (ExternalEvent) isEvent() {}
 
-func (IterationStart) isEvent()    {}
 func (PhaseDone) isEvent()         {}
-func (EvalDone) isEvent()          {}
-func (BatchSelected) isEvent()     {}
 func (OracleFault) isEvent()       {}
 func (OracleBatchDone) isEvent()   {}
 func (CandidateAccepted) isEvent() {}
@@ -247,16 +213,3 @@ type ObserverFunc func(Event)
 
 // Observe implements Observer.
 func (f ObserverFunc) Observe(e Event) { f(e) }
-
-// NewCurveObserver adapts an eval.CurveBuilder to the event stream: every
-// EvalDone point is appended to the builder, giving consumers a live
-// quality curve while the run is still in flight. (The builder's points
-// carry training time but not selector latencies, which are only known
-// after BatchSelected; the Session's Result curve has both.)
-func NewCurveObserver(b *eval.CurveBuilder) Observer {
-	return ObserverFunc(func(e Event) {
-		if ed, ok := e.(EvalDone); ok {
-			b.Add(ed.Point)
-		}
-	})
-}

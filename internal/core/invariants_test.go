@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/alem/alem/internal/eval"
-
 	"github.com/alem/alem/internal/bayes"
 	"github.com/alem/alem/internal/dataset"
 	"github.com/alem/alem/internal/feature"
@@ -240,26 +238,6 @@ func TestRunTinyLabelBudget(t *testing.T) {
 	}
 	if len(res.Curve) == 0 {
 		t.Error("no curve points recorded")
-	}
-}
-
-func TestRunOnIterationCalledPerPoint(t *testing.T) {
-	pool := syntheticPool(200, 31)
-	calls := 0
-	res := Run(pool, linear.NewSVM(31), Margin{}, poolOracle(pool), Config{
-		Seed: 31, MaxLabels: 60,
-		OnIteration: func(l Learner, pt *eval.Point) {
-			calls++
-			pt.Depth = 7 // enrichment must land in the recorded point
-		},
-	})
-	if calls != len(res.Curve) {
-		t.Errorf("OnIteration called %d times for %d points", calls, len(res.Curve))
-	}
-	for _, p := range res.Curve {
-		if p.Depth != 7 {
-			t.Fatal("OnIteration enrichment lost")
-		}
 	}
 }
 

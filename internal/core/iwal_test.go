@@ -184,41 +184,3 @@ func TestCombinationsGrid(t *testing.T) {
 		}
 	}
 }
-
-// TestQBCEntropyEquivalentToVariance pins the §4.1 substitution: for a
-// binary committee, entropy and variance are monotone transforms of the
-// vote fraction, so QBC selects the same examples either way.
-func TestQBCEntropyEquivalentToVariance(t *testing.T) {
-	pool := syntheticPool(400, 47)
-	labeled := seqInts(60)
-	mkCtx := func() *SelectContext {
-		return &SelectContext{
-			Learner: linear.NewSVM(47), Pool: pool,
-			LabeledIdx: labeled, Labels: pool.Truth[:60],
-			Unlabeled: seqInts(400)[60:],
-			Rand:      rand.New(rand.NewSource(5)), // identical RNG stream
-		}
-	}
-	varSel := QBC{B: 7, Factory: svmFactory}.Select(mkCtx(), 10)
-	entSel := QBC{B: 7, Factory: svmFactory, UseEntropy: true}.Select(mkCtx(), 10)
-	if len(varSel) != len(entSel) {
-		t.Fatalf("selection sizes differ: %d vs %d", len(varSel), len(entSel))
-	}
-	for i := range varSel {
-		if varSel[i] != entSel[i] {
-			t.Fatalf("selection %d differs: variance %d vs entropy %d", i, varSel[i], entSel[i])
-		}
-	}
-}
-
-func TestBinaryEntropy(t *testing.T) {
-	if binaryEntropy(0) != 0 || binaryEntropy(1) != 0 {
-		t.Error("entropy at pure votes should be 0")
-	}
-	if e := binaryEntropy(0.5); e < 0.999 || e > 1.001 {
-		t.Errorf("entropy(0.5) = %v, want 1 bit", e)
-	}
-	if binaryEntropy(0.3) >= binaryEntropy(0.5) {
-		t.Error("entropy should peak at 0.5")
-	}
-}

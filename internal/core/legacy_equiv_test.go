@@ -51,9 +51,8 @@ func (legacyRandom) Select(ctx *SelectContext, k int) []int {
 
 // legacyQBC is the pre-refactor QBC.Select.
 type legacyQBC struct {
-	B          int
-	Factory    Factory
-	UseEntropy bool
+	B       int
+	Factory Factory
 }
 
 func (legacyQBC) Name() string { return "legacy-qbc" }
@@ -105,11 +104,7 @@ func (q legacyQBC) Select(ctx *SelectContext, k int) []int {
 			}
 		}
 		p := float64(pos) / float64(q.B)
-		if q.UseEntropy {
-			variance[j] = legacyBinaryEntropy(p)
-		} else {
-			variance[j] = p * (1 - p)
-		}
+		variance[j] = p * (1 - p)
 	}); err != nil {
 		ctx.Score = time.Since(start)
 		return nil
@@ -117,13 +112,6 @@ func (q legacyQBC) Select(ctx *SelectContext, k int) []int {
 	picked := legacyVariancePick(ctx.Rand, ctx.Unlabeled, variance, k)
 	ctx.Score = time.Since(start)
 	return picked
-}
-
-func legacyBinaryEntropy(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return 0
-	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }
 
 func legacyVariancePick(r *rand.Rand, unlabeled []int, variance []float64, k int) []int {
@@ -500,8 +488,6 @@ func TestCompositionEquivalence(t *testing.T) {
 			{"random", Random{}, legacyRandom{}, st.svm, poolValues{}},
 			{"qbc", QBC{B: 7, Factory: svmFactory}, legacyQBC{B: 7, Factory: svmFactory}, st.svm, poolValues{}},
 			{"qbc-b10", QBC{B: 10, Factory: svmFactory}, legacyQBC{B: 10, Factory: svmFactory}, st.svm, poolValues{}},
-			{"qbc-entropy", QBC{B: 5, Factory: svmFactory, UseEntropy: true},
-				legacyQBC{B: 5, Factory: svmFactory, UseEntropy: true}, st.svm, poolValues{}},
 			{"margin", Margin{}, legacyMargin{}, st.svm, svmValues},
 			{"margin-blocked", BlockedMargin{TopK: 3}, legacyBlockedMargin{TopK: 3}, st.svm, svmValues},
 			{"margin-blocked-alldims", BlockedMargin{}, legacyBlockedMargin{}, st.svm, svmValues},

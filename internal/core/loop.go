@@ -66,11 +66,6 @@ type Config struct {
 	HoldoutFrac float64
 	// Seed makes the run deterministic.
 	Seed int64
-	// OnIteration, if set, can enrich each recorded point (the
-	// interpretability experiments attach #DNF atoms and tree depth).
-	// New code should prefer a Session Observer, which subsumes it.
-	// It is not serialized into Snapshots.
-	OnIteration func(learner Learner, pt *eval.Point) `json:"-"`
 	// StabilityWindow enables a ground-truth-free stopping criterion the
 	// paper's §6.2 motivates ("the sweet spot in terms of when to
 	// terminate active learning ... may differ across datasets"): stop

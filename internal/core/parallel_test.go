@@ -177,7 +177,6 @@ func TestSelectorsSerialParallelEquivalent(t *testing.T) {
 			learner Learner
 		}{
 			{"qbc", QBC{B: 7, Factory: svmFactory}, st.svm},
-			{"qbc-entropy", QBC{B: 5, Factory: svmFactory, UseEntropy: true}, st.svm},
 			{"margin", Margin{}, st.svm},
 			{"margin-blocked", BlockedMargin{TopK: 3}, st.svm},
 			{"forest-qbc", ForestQBC{}, st.forest},
@@ -345,11 +344,25 @@ func TestSessionCancelledMidSelectReportsStopCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var phases []string
+	s.AddObserver(ObserverFunc(func(e Event) {
+		if pd, ok := e.(PhaseDone); ok {
+			phases = append(phases, pd.Phase)
+		}
+	}))
 	if _, err := s.Run(ctx); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if s.Reason() != StopCancelled {
 		t.Fatalf("reason = %v, want StopCancelled", s.Reason())
+	}
+	// The iteration cancelled inside select reports its evaluation but
+	// neither a select phase nor a curve point.
+	if want := []string{"seed", "train", "evaluate"}; !slices.Equal(phases, want) {
+		t.Errorf("phases %v, want %v", phases, want)
+	}
+	if n := len(s.Result().Curve); n != 0 {
+		t.Errorf("curve has %d points, want none", n)
 	}
 }
 

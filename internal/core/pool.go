@@ -57,13 +57,6 @@ func NewExtendedPool(d *dataset.Dataset) *Pool {
 	return poolFrom(d, res.Pairs, ext.ExtractPairs(d, res.Pairs))
 }
 
-// NewPoolFromPairs featurizes an explicit pair list (used when one
-// blocking pass feeds several pools, or in tests).
-func NewPoolFromPairs(d *dataset.Dataset, pairs []dataset.PairKey) *Pool {
-	ext := feature.NewExtractor(d.Left.Schema)
-	return poolFrom(d, pairs, ext.ExtractPairs(d, pairs))
-}
-
 func poolFrom(d *dataset.Dataset, pairs []dataset.PairKey, X []feature.Vector) *Pool {
 	truth := make([]bool, len(pairs))
 	for i, p := range pairs {

@@ -29,13 +29,15 @@ var (
 	_ DecisionLearner = (*bayes.NaiveBayes)(nil)
 )
 
-// valuesProbe wraps a selector and counts the Select calls whose
-// context carried pool values. With drop set it removes them before the
-// wrapped selector runs, which then sweeps the pool itself.
+// valuesProbe wraps a selector, counts the Select calls whose context
+// carried pool values and keeps every batch sent on to labeling. With
+// drop set it removes the values before the wrapped selector runs, which
+// then sweeps the pool itself.
 type valuesProbe struct {
 	Selector
 	drop              bool
 	calls, withValues int
+	batches           [][]int
 }
 
 func (p *valuesProbe) Select(ctx *SelectContext, k int) []int {
@@ -46,7 +48,11 @@ func (p *valuesProbe) Select(ctx *SelectContext, k int) []int {
 	if p.drop {
 		ctx.values = poolValues{}
 	}
-	return p.Selector.Select(ctx, k)
+	batch := p.Selector.Select(ctx, k)
+	if len(batch) > 0 {
+		p.batches = append(p.batches, append([]int(nil), batch...))
+	}
+	return batch
 }
 
 // probedRun is what a session run leaves behind that the pool values
@@ -61,16 +67,11 @@ type probedRun struct {
 func runProbed(t *testing.T, pool *Pool, l Learner, probe *valuesProbe, cfg Config) probedRun {
 	t.Helper()
 	s := mustSession(t, pool, l, probe, cfg)
-	var r probedRun
-	s.AddObserver(ObserverFunc(func(e Event) {
-		if b, ok := e.(BatchSelected); ok {
-			r.batches = append(r.batches, append([]int(nil), b.Batch...))
-		}
-	}))
 	res, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := probedRun{batches: probe.batches}
 	for _, pt := range res.Curve {
 		r.curve = append(r.curve, fmt.Sprintf("%d %x %x %x", pt.Labels, pt.F1, pt.Precision, pt.Recall))
 	}

@@ -22,14 +22,13 @@ import (
 // QBCScorer is learner-agnostic query-by-committee disagreement (§4.1):
 // B bootstrap resamples of the labeled data train B committee members via
 // the factory; a candidate's score is the variance (P/C)(1−P/C) of its
-// positive votes (or vote entropy — same ranking for binary committees).
-// All bootstrap draws and factory seeds come out of ctx.Rand serially
+// positive votes, which the paper uses in lieu of vote entropy. All
+// bootstrap draws and factory seeds come out of ctx.Rand serially
 // before the committee fan-out, in the exact order the serial loop
 // consumed them.
 type QBCScorer struct {
-	B          int
-	Factory    Factory
-	UseEntropy bool
+	B       int
+	Factory Factory
 }
 
 // Name implements Scorer.
@@ -84,11 +83,7 @@ func (q QBCScorer) Score(ctx *SelectContext, _ int) (*ScoredSet, error) {
 		}
 		for k, j := range slots {
 			p := float64(pos[k]) / float64(q.B)
-			if q.UseEntropy {
-				variance[j] = binaryEntropy(p)
-			} else {
-				variance[j] = p * (1 - p)
-			}
+			variance[j] = p * (1 - p)
 		}
 	}); err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"time"
 )
@@ -113,13 +112,6 @@ func (r Random) Select(ctx *SelectContext, k int) []int {
 type QBC struct {
 	B       int
 	Factory Factory
-	// UseEntropy scores disagreement with vote entropy instead of the
-	// variance the paper substitutes for it (§4.1: "in lieu of entropy,
-	// we use variance"). For binary committees both are symmetric and
-	// peak at an even split, so they induce the SAME ranking —
-	// TestQBCEntropyEquivalentToVariance pins that equivalence, which is
-	// why the substitution is harmless.
-	UseEntropy bool
 }
 
 // Name implements Selector.
@@ -129,7 +121,7 @@ func (q QBC) Name() string { return "qbc" }
 func (q QBC) Composition() ComposedSelector {
 	return ComposedSelector{
 		ID:     q.Name(),
-		Scorer: QBCScorer{B: q.B, Factory: q.Factory, UseEntropy: q.UseEntropy},
+		Scorer: QBCScorer{B: q.B, Factory: q.Factory},
 		Picker: ShuffledTopPicker{},
 	}
 }
@@ -137,14 +129,6 @@ func (q QBC) Composition() ComposedSelector {
 // Select implements Selector.
 func (q QBC) Select(ctx *SelectContext, k int) []int {
 	return q.Composition().Select(ctx, k)
-}
-
-// binaryEntropy is -p log p - (1-p) log(1-p), 0 at p ∈ {0, 1}.
-func binaryEntropy(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return 0
-	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }
 
 // Margin is learner-aware margin-based selection (§4.2): the unlabeled

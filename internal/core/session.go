@@ -265,11 +265,6 @@ func (s *Session) Step(ctx context.Context) (bool, error) {
 		})
 	}
 
-	s.emit(IterationStart{
-		Iteration:     s.iter,
-		LabelsUsed:    len(s.labeled),
-		PoolRemaining: len(s.unlabeled),
-	})
 	if err := ctx.Err(); err != nil {
 		return true, s.cancel(err)
 	}
@@ -318,21 +313,13 @@ func (s *Session) Step(ctx context.Context) (bool, error) {
 		Phase: "select", Iteration: s.iter, Elapsed: time.Since(selStart),
 		Labels: len(s.labeled), Batch: len(batch),
 		Workers: par.Workers(s.cfg.Workers), PoolRemaining: len(s.unlabeled),
+		Point: pt,
 	})
-	if s.cfg.OnIteration != nil && s.learner != nil {
-		s.cfg.OnIteration(s.learner, &pt)
-	}
 	s.res.Curve = append(s.res.Curve, pt)
 	if reason != StopNone {
 		s.finish(reason, nil)
 		return true, nil
 	}
-	s.emit(BatchSelected{
-		Iteration:       s.iter,
-		Batch:           batch,
-		CommitteeCreate: pt.CommitteeCreateTime,
-		Score:           pt.ScoreTime,
-	})
 
 	labStart := time.Now()
 	before := len(s.labeled)
@@ -468,12 +455,10 @@ func (s *Session) evalPhase(ctx context.Context, trainTime time.Duration) (eval.
 		return eval.Point{}, nil, err
 	}
 	pt := evalPoint(s.pool, s.testIdx, pred, len(s.labeled), trainTime)
-	elapsed := time.Since(start)
-	s.emit(EvalDone{Iteration: s.iter, Point: pt, Elapsed: elapsed})
 	s.emit(PhaseDone{
-		Phase: "evaluate", Iteration: s.iter, Elapsed: elapsed,
+		Phase: "evaluate", Iteration: s.iter, Elapsed: time.Since(start),
 		Labels: len(s.labeled), Workers: par.Workers(s.cfg.Workers),
-		PoolRemaining: len(s.unlabeled),
+		PoolRemaining: len(s.unlabeled), Point: pt,
 	})
 	return pt, pred, nil
 }

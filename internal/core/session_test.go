@@ -3,15 +3,17 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"github.com/alem/alem/internal/eval"
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/linear"
+	"github.com/alem/alem/internal/resilience"
 )
 
 // curvesEqual compares the deterministic fields of two curves (the
@@ -66,10 +68,11 @@ func TestSessionCancelledMidRunReturnsPartialCurve(t *testing.T) {
 	var endEvent *RunEnd
 	s.AddObserver(ObserverFunc(func(e Event) {
 		switch ev := e.(type) {
-		case EvalDone:
-			evals++
-			if evals == cancelAfter {
-				cancel()
+		case PhaseDone:
+			if ev.Phase == "evaluate" {
+				if evals++; evals == cancelAfter {
+					cancel()
+				}
 			}
 		case RunEnd:
 			endEvent = &ev
@@ -217,22 +220,22 @@ func TestSnapshotRejectsCorruptState(t *testing.T) {
 
 	corrupt := *base
 	corrupt.Labels = corrupt.Labels[:len(corrupt.Labels)-1]
-	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, poolOracle(pool), &corrupt); err == nil {
-		t.Error("Restore accepted mismatched labeled/labels lengths")
+	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, poolOracle(pool), &corrupt); !errors.Is(err, ErrInvalidSnapshot) {
+		t.Errorf("Restore of mismatched labeled/labels lengths: err = %v, want ErrInvalidSnapshot", err)
 	}
 
 	corrupt = *base
 	corrupt.Labeled = append([]int(nil), corrupt.Labeled...)
 	corrupt.Labeled[0] = pool.Len() + 5
-	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, poolOracle(pool), &corrupt); err == nil {
-		t.Error("Restore accepted an out-of-range pool index")
+	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, poolOracle(pool), &corrupt); !errors.Is(err, ErrInvalidSnapshot) {
+		t.Errorf("Restore of an out-of-range pool index: err = %v, want ErrInvalidSnapshot", err)
 	}
 
 	corrupt = *base
 	corrupt.Curve = append(eval.Curve(nil), corrupt.Curve...)
 	corrupt.Curve[0].Labels = len(corrupt.Labeled) + 1
-	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, poolOracle(pool), &corrupt); err == nil {
-		t.Error("Restore accepted a curve point trained on more labels than recorded")
+	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, poolOracle(pool), &corrupt); !errors.Is(err, ErrInvalidSnapshot) {
+		t.Errorf("Restore of a curve point trained on more labels than recorded: err = %v, want ErrInvalidSnapshot", err)
 	}
 }
 
@@ -248,8 +251,8 @@ func TestSnapshotRejectsNegativeCurveLabels(t *testing.T) {
 	corrupt := *s.Snapshot()
 	corrupt.Curve = append(eval.Curve(nil), corrupt.Curve...)
 	corrupt.Curve[0].Labels = -1
-	if _, err := Restore(pool, linear.NewSVM(24), Margin{}, poolOracle(pool), &corrupt); err == nil {
-		t.Error("Restore accepted a curve point trained on -1 labels")
+	if _, err := Restore(pool, linear.NewSVM(24), Margin{}, poolOracle(pool), &corrupt); !errors.Is(err, ErrInvalidSnapshot) {
+		t.Errorf("Restore of a curve point trained on -1 labels: err = %v, want ErrInvalidSnapshot", err)
 	}
 }
 
@@ -277,8 +280,8 @@ func TestSnapshotRejectsDoublyListedPair(t *testing.T) {
 	} {
 		sn := *base
 		corrupt(&sn)
-		if _, err := Restore(pool, linear.NewSVM(25), Margin{}, poolOracle(pool), &sn); err == nil {
-			t.Errorf("%s: Restore accepted a pair listed twice", name)
+		if _, err := Restore(pool, linear.NewSVM(25), Margin{}, poolOracle(pool), &sn); !errors.Is(err, ErrInvalidSnapshot) {
+			t.Errorf("%s: Restore of a pair listed twice: err = %v, want ErrInvalidSnapshot", name, err)
 		}
 	}
 	if _, err := Restore(pool, linear.NewSVM(25), Margin{}, poolOracle(pool), base); err != nil {
@@ -315,114 +318,134 @@ func TestSeedBootstrapRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestSessionEventOrdering pins the event stream of a plain, a held-out,
+// a warm-start and an ensemble session, and the curve point each
+// iteration's evaluate and select phases carry.
 func TestSessionEventOrdering(t *testing.T) {
 	pool := syntheticPool(300, 24)
-	s := mustSession(t, pool, linear.NewSVM(24), Margin{}, Config{Seed: 24, MaxLabels: 60})
-	var events []Event
-	s.AddObserver(ObserverFunc(func(e Event) { events = append(events, e) }))
-	if _, err := s.Run(context.Background()); err != nil {
-		t.Fatal(err)
+	cfg := Config{Seed: 24, MaxLabels: 60}
+	for _, tc := range []struct {
+		name string
+		// seedRound is the size of the bootstrap's labeling round; a
+		// warm-start session buys none.
+		seedRound int
+		session   func(t *testing.T) *Session
+	}{
+		{"progressive", DefaultSeedLabels, func(t *testing.T) *Session {
+			return mustSession(t, pool, linear.NewSVM(24), Margin{}, cfg)
+		}},
+		{"heldout", DefaultSeedLabels, func(t *testing.T) *Session {
+			return mustSession(t, pool, linear.NewSVM(24), Margin{}, Config{Seed: 24, MaxLabels: 60, Mode: HeldOut})
+		}},
+		{"warm-start", 0, func(t *testing.T) *Session {
+			s := mustSession(t, pool, linear.NewSVM(24), Margin{}, cfg)
+			if err := s.SetWarmStart(warmLearner(24)); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"ensemble", DefaultSeedLabels, func(t *testing.T) *Session {
+			pool := ambiguousPool(300, 24)
+			s, err := NewEnsembleSession(pool, resilience.BatchOf(resilience.Wrap(poolOracle(pool))),
+				EnsembleConfig{Config: Config{Seed: 24, MaxLabels: 100}, Tau: 0.6, Factory: svmFactory, Selector: Margin{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.session(t)
+			var events []Event
+			s.AddObserver(ObserverFunc(func(e Event) { events = append(events, e) }))
+			if _, err := s.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			accepted := checkEventOrder(t, events, tc.seedRound, s.Result().Curve)
+			if s.ens != nil && (accepted == 0 || accepted != len(s.ens.members)) {
+				t.Errorf("%d CandidateAccepted events for %d members; the ensemble case needs at least one", accepted, len(s.ens.members))
+			}
+		})
 	}
+}
 
-	iters := len(s.Result().Curve)
-	if iters == 0 {
+// checkEventOrder walks a finished run's events. The seed bootstrap
+// emits its round's OracleBatchDone (when it buys one), then one
+// PhaseDone(-1). Each iteration then emits PhaseDone train, evaluate and
+// select; every iteration but the last adds the round's OracleBatchDone
+// and PhaseDone(label), and an ensemble's acceptance follows the label
+// phase. One RunEnd closes the stream. Each select carries the curve
+// point the run recorded, and each evaluate the same point before the
+// selector's latencies were known. It returns the number of acceptances.
+func checkEventOrder(t *testing.T, events []Event, seedRound int, curve eval.Curve) (accepted int) {
+	t.Helper()
+	if len(curve) == 0 {
 		t.Fatal("no iterations ran")
 	}
-	// The seed bootstrap emits its round's OracleBatchDone, then one
-	// PhaseDone(-1). Then per iteration: IterationStart, PhaseDone(train),
-	// EvalDone, PhaseDone(evaluate), PhaseDone(select); every iteration
-	// but the last adds BatchSelected, the round's OracleBatchDone and
-	// PhaseDone(label). One RunEnd closes the stream.
-	want := 0
-	expectPhase := func(name string, iter int) {
+	next := 0
+	event := func(what string) Event {
 		t.Helper()
-		if want >= len(events) {
-			t.Fatalf("stream ended early before PhaseDone(%s) of iteration %d", name, iter)
+		if next >= len(events) {
+			t.Fatalf("stream ended early before %s", what)
 		}
-		pd, ok := events[want].(PhaseDone)
+		next++
+		return events[next-1]
+	}
+	expectPhase := func(name string, iter int) PhaseDone {
+		t.Helper()
+		e := event(fmt.Sprintf("PhaseDone(%s) of iteration %d", name, iter))
+		pd, ok := e.(PhaseDone)
 		if !ok || pd.Phase != name || pd.Iteration != iter {
-			t.Fatalf("event %d is %T%+v, want PhaseDone(%s) of iteration %d", want, events[want], events[want], name, iter)
+			t.Fatalf("event %d is %T%+v, want PhaseDone(%s) of iteration %d", next-1, e, e, name, iter)
 		}
 		if pd.Workers < 1 {
 			t.Fatalf("PhaseDone(%s) has unresolved Workers=%d", name, pd.Workers)
 		}
-		want++
+		if name != "evaluate" && name != "select" && pd.Point != (eval.Point{}) {
+			t.Fatalf("PhaseDone(%s) of iteration %d carries point %+v, want none", name, iter, pd.Point)
+		}
+		return pd
 	}
 	expectRound := func(iter, pairs int) {
 		t.Helper()
-		if want >= len(events) {
-			t.Fatalf("stream ended early before OracleBatchDone of iteration %d", iter)
-		}
-		ob, ok := events[want].(OracleBatchDone)
+		e := event(fmt.Sprintf("OracleBatchDone of iteration %d", iter))
+		ob, ok := e.(OracleBatchDone)
 		if !ok || ob.Iteration != iter || ob.Pairs != pairs || ob.Labels != pairs || ob.Answers != pairs {
-			t.Fatalf("event %d is %T%+v, want OracleBatchDone of %d labels in iteration %d",
-				want, events[want], events[want], pairs, iter)
+			t.Fatalf("event %d is %T%+v, want OracleBatchDone of %d labels in iteration %d", next-1, e, e, pairs, iter)
 		}
-		want++
 	}
-	expectRound(0, DefaultSeedLabels)
+	if seedRound > 0 {
+		expectRound(0, seedRound)
+	}
 	expectPhase("seed", -1)
-	for i := 0; i < iters; i++ {
-		for _, typ := range []string{"start", "phase:train", "eval", "phase:evaluate", "phase:select"} {
-			if want >= len(events) {
-				t.Fatalf("stream ended early at iteration %d (%s)", i, typ)
-			}
-			if phase, isPhase := strings.CutPrefix(typ, "phase:"); isPhase {
-				expectPhase(phase, i)
-				continue
-			}
-			var ok bool
-			switch typ {
-			case "start":
-				var ev IterationStart
-				ev, ok = events[want].(IterationStart)
-				if ok && (ev.Iteration != i) {
-					t.Fatalf("IterationStart #%d has Iteration=%d", i, ev.Iteration)
-				}
-			case "eval":
-				_, ok = events[want].(EvalDone)
-			}
-			if !ok {
-				t.Fatalf("event %d is %T, want %s of iteration %d", want, events[want], typ, i)
-			}
-			want++
+	for i, want := range curve {
+		expectPhase("train", i)
+		ev := expectPhase("evaluate", i).Point
+		if ev.Labels != want.Labels || ev.F1 != want.F1 || ev.Precision != want.Precision ||
+			ev.Recall != want.Recall || ev.TrainTime != want.TrainTime {
+			t.Fatalf("iteration %d: evaluate point %+v, curve point %+v", i, ev, want)
 		}
-		if i < iters-1 {
-			bs, ok := events[want].(BatchSelected)
-			if !ok {
-				t.Fatalf("event %d is %T, want BatchSelected", want, events[want])
-			}
-			want++
-			expectRound(i, len(bs.Batch))
-			expectPhase("label", i)
+		sel := expectPhase("select", i)
+		if sel.Point != want {
+			t.Fatalf("iteration %d: select point %+v, curve point %+v", i, sel.Point, want)
+		}
+		if i == len(curve)-1 {
+			break
+		}
+		expectRound(i, sel.Batch)
+		expectPhase("label", i)
+		if ca, ok := events[next].(CandidateAccepted); ok && ca.Iteration == i {
+			next++
+			accepted++
 		}
 	}
-	if _, ok := events[want].(RunEnd); !ok {
-		t.Fatalf("event %d is %T, want RunEnd", want, events[want])
+	if _, ok := event("RunEnd").(RunEnd); !ok {
+		t.Fatalf("event %d is %T, want RunEnd", next-1, events[next-1])
 	}
-	if want+1 != len(events) {
-		t.Errorf("stream has %d events, want %d", len(events), want+1)
+	if next != len(events) {
+		t.Errorf("stream has %d events, want %d", len(events), next)
 	}
-}
-
-func TestCurveObserverBuildsLiveCurve(t *testing.T) {
-	pool := syntheticPool(300, 25)
-	s := mustSession(t, pool, linear.NewSVM(25), Margin{}, Config{Seed: 25, MaxLabels: 60})
-	var b eval.CurveBuilder
-	s.AddObserver(NewCurveObserver(&b))
-	res, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := b.Curve()
-	if len(built) != len(res.Curve) {
-		t.Fatalf("builder curve has %d points, result has %d", len(built), len(res.Curve))
-	}
-	for i := range built {
-		if built[i].F1 != res.Curve[i].F1 || built[i].Labels != res.Curve[i].Labels {
-			t.Fatalf("builder point %d = %+v, result %+v", i, built[i], res.Curve[i])
-		}
-	}
+	return accepted
 }
 
 func TestConfigValidate(t *testing.T) {

@@ -11,6 +11,15 @@ import (
 	"github.com/alem/alem/internal/resilience"
 )
 
+// ErrInvalidSnapshot is wrapped by every error that rejects the content
+// of a snapshot or of the label WAL restored with it: a truncated or
+// malformed file, state that contradicts itself or the pool, a WAL
+// record that disagrees with the snapshot or names a pair outside the
+// pool, an ensemble member outside the curve. errors.Is separates such
+// a checkpoint, which only other files can fix, from a wiring mistake
+// such as restoring with the wrong constructor.
+var ErrInvalidSnapshot = errors.New("core: invalid snapshot")
+
 // Snapshot is a serializable checkpoint of a Session: the labeled set,
 // the RNG position (draw counters over the seeded source), the stability
 // counters and the curve so far. A snapshot is always a consistent,
@@ -48,8 +57,7 @@ import (
 // implement Stateful is outside the snapshot's scope, and resuming with
 // one reproduces the labeled set but not future noise draws.
 type Snapshot struct {
-	// Config is the run's protocol with defaults applied. OnIteration is
-	// a function and is not serialized; re-set it after Restore if used.
+	// Config is the run's protocol with defaults applied.
 	Config Config `json:"config"`
 	// Draws63 and Draws64 are the RNG draw counters.
 	Draws63 uint64 `json:"draws63"`
@@ -141,9 +149,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var sn Snapshot
 	if err := json.NewDecoder(r).Decode(&sn); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("core: snapshot is truncated or empty (interrupted write?): %w", err)
+			return nil, fmt.Errorf("%w: truncated or empty (interrupted write?): %w", ErrInvalidSnapshot, err)
 		}
-		return nil, fmt.Errorf("core: reading snapshot: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrInvalidSnapshot, err)
 	}
 	return &sn, nil
 }
@@ -240,7 +248,7 @@ func (s *Session) restore(sn *Snapshot, wal []resilience.LabelRecord) error {
 		labelOrd := 0
 		for _, rec := range wal {
 			if rec.Index < 0 || rec.Index >= s.pool.Len() {
-				return fmt.Errorf("core: WAL record %d names pair %d outside the pool of %d pairs",
+				return fmt.Errorf("%w: WAL record %d names pair %d outside the pool of %d pairs", ErrInvalidSnapshot,
 					rec.Seq, rec.Index, s.pool.Len())
 			}
 			if rec.Seq > s.ledger.Answers {
@@ -250,7 +258,7 @@ func (s *Session) restore(sn *Snapshot, wal []resilience.LabelRecord) error {
 			if !rec.Abstained() {
 				labelOrd++
 				if labelOrd > len(sn.Labeled) || sn.Labeled[labelOrd-1] != rec.Index || sn.Labels[labelOrd-1] != rec.Label {
-					return fmt.Errorf("core: label WAL record %d (index %d) disagrees with snapshot",
+					return fmt.Errorf("%w: label WAL record %d (index %d) disagrees with snapshot", ErrInvalidSnapshot,
 						rec.Seq, rec.Index)
 				}
 			}
@@ -293,13 +301,13 @@ func walAnswer(rec resilience.LabelRecord) oracle.Answer {
 // fit the pool they are being restored against.
 func (sn *Snapshot) validate(pool *Pool) error {
 	if len(sn.Labeled) != len(sn.Labels) {
-		return fmt.Errorf("core: snapshot labeled/labels length mismatch: %d vs %d",
+		return fmt.Errorf("%w: labeled/labels length mismatch: %d vs %d", ErrInvalidSnapshot,
 			len(sn.Labeled), len(sn.Labels))
 	}
 	for _, idx := range [][]int{sn.Labeled, sn.Unlabeled, sn.TestIdx} {
 		for _, i := range idx {
 			if i < 0 || i >= pool.Len() {
-				return fmt.Errorf("core: snapshot index %d outside pool of %d pairs", i, pool.Len())
+				return fmt.Errorf("%w: index %d outside pool of %d pairs", ErrInvalidSnapshot, i, pool.Len())
 			}
 		}
 	}
@@ -308,14 +316,14 @@ func (sn *Snapshot) validate(pool *Pool) error {
 	for _, idx := range [][]int{sn.Labeled, sn.Unlabeled} {
 		for _, i := range idx {
 			if listed[i] {
-				return fmt.Errorf("core: snapshot lists pair %d twice across its labeled and unlabeled sets", i)
+				return fmt.Errorf("%w: pair %d listed twice across its labeled and unlabeled sets", ErrInvalidSnapshot, i)
 			}
 			listed[i] = true
 		}
 	}
 	for _, pt := range sn.Curve {
 		if pt.Labels < 0 || pt.Labels > len(sn.Labeled) {
-			return fmt.Errorf("core: snapshot curve point trained on %d labels but %d are recorded",
+			return fmt.Errorf("%w: curve point trained on %d labels but %d are recorded", ErrInvalidSnapshot,
 				pt.Labels, len(sn.Labeled))
 		}
 	}

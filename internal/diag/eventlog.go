@@ -11,9 +11,9 @@ import (
 
 // EventLog is a core.Observer that renders a Session's event stream as a
 // human-readable, timestamped trace — the diagnostic companion to the
-// live progress lines in the CLIs. One line per event, relative
+// live progress lines in the CLIs. At most one line per event, relative
 // timestamps since the log was created, so a slow phase is visible as a
-// gap between its start and done lines.
+// gap between its line and the one before.
 //
 // EventLog serializes writes with a mutex, so one log may observe
 // several concurrent runs (interleaved lines, consistent formatting).
@@ -40,17 +40,23 @@ func (l *EventLog) Observe(e core.Event) {
 	defer l.mu.Unlock()
 	elapsed := l.now().Sub(l.start).Round(time.Millisecond)
 	switch ev := e.(type) {
-	case core.IterationStart:
-		fmt.Fprintf(l.w, "[%8s] iter %3d  start      labels=%d pool=%d\n",
-			elapsed, ev.Iteration, ev.LabelsUsed, ev.PoolRemaining)
-	case core.EvalDone:
-		fmt.Fprintf(l.w, "[%8s] iter %3d  eval       F1=%.4f P=%.4f R=%.4f in %s\n",
-			elapsed, ev.Iteration, ev.Point.F1, ev.Point.Precision, ev.Point.Recall,
-			ev.Elapsed.Round(time.Microsecond))
-	case core.BatchSelected:
-		fmt.Fprintf(l.w, "[%8s] iter %3d  select     batch=%d committee=%s score=%s\n",
-			elapsed, ev.Iteration, len(ev.Batch),
-			ev.CommitteeCreate.Round(time.Microsecond), ev.Score.Round(time.Microsecond))
+	case core.PhaseDone:
+		// The seed and label spans repeat what the batch lines show, and
+		// a select that ends the run picked nothing: they render no line
+		// (trace observers collect every span).
+		switch {
+		case ev.Phase == "train":
+			fmt.Fprintf(l.w, "[%8s] iter %3d  train      n=%d in %s\n",
+				elapsed, ev.Iteration, ev.Labels, ev.Elapsed.Round(time.Microsecond))
+		case ev.Phase == "evaluate":
+			fmt.Fprintf(l.w, "[%8s] iter %3d  eval       F1=%.4f P=%.4f R=%.4f in %s\n",
+				elapsed, ev.Iteration, ev.Point.F1, ev.Point.Precision, ev.Point.Recall,
+				ev.Elapsed.Round(time.Microsecond))
+		case ev.Phase == "select" && ev.Batch > 0:
+			fmt.Fprintf(l.w, "[%8s] iter %3d  select     batch=%d committee=%s score=%s\n",
+				elapsed, ev.Iteration, ev.Batch, ev.Point.CommitteeCreateTime.Round(time.Microsecond),
+				ev.Point.ScoreTime.Round(time.Microsecond))
+		}
 	case core.OracleBatchDone:
 		fmt.Fprintf(l.w, "[%8s] iter %3d  batch      pairs=%d labels=%d abstain=%d fail=%d retired=%d cost=$%.4f spent=$%.4f in %s\n",
 			elapsed, ev.Iteration, ev.Pairs, ev.Labels, ev.Abstains, ev.Failures,
@@ -64,14 +70,6 @@ func (l *EventLog) Observe(e core.Event) {
 	case core.RunEnd:
 		fmt.Fprintf(l.w, "[%8s] run end: %s after %d iterations, %d labels\n",
 			elapsed, ev.Reason, ev.Iterations, ev.LabelsUsed)
-	case core.PhaseDone:
-		// The train span is the train phase's only event. The other
-		// spans duplicate what the phase-specific lines show; they are
-		// collected by trace observers, not logged.
-		if ev.Phase == "train" {
-			fmt.Fprintf(l.w, "[%8s] iter %3d  train      n=%d in %s\n",
-				elapsed, ev.Iteration, ev.Labels, ev.Elapsed.Round(time.Microsecond))
-		}
 	default:
 		// Events from outside core (embedding core.ExternalEvent) supply
 		// their own one-line rendering; anything else falls back to %T.

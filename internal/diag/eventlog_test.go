@@ -19,29 +19,32 @@ func TestEventLogRendersStream(t *testing.T) {
 	l := newEventLog(&buf, func() time.Time { return clock })
 
 	clock = clock.Add(5 * time.Millisecond)
-	l.Observe(core.IterationStart{Iteration: 0, LabelsUsed: 30, PoolRemaining: 470})
+	pt := eval.Point{Labels: 30, F1: 0.51, Precision: 0.6, Recall: 0.44, TrainTime: 2 * time.Millisecond}
+	l.Observe(core.PhaseDone{Phase: "seed", Iteration: -1, Labels: 30, LabelsDelta: 30})
 	l.Observe(core.PhaseDone{Phase: "train", Iteration: 0, Labels: 30, Elapsed: 2 * time.Millisecond})
-	l.Observe(core.PhaseDone{Phase: "evaluate", Iteration: 0, Labels: 30})
-	l.Observe(core.EvalDone{Iteration: 0, Point: eval.Point{Labels: 30, F1: 0.51, Precision: 0.6, Recall: 0.44}})
-	l.Observe(core.BatchSelected{Iteration: 0, Batch: []int{1, 2, 3}})
+	l.Observe(core.PhaseDone{Phase: "evaluate", Iteration: 0, Labels: 30, Elapsed: 3 * time.Millisecond, Point: pt})
+	pt.CommitteeCreateTime, pt.ScoreTime = 4*time.Millisecond, time.Millisecond
+	l.Observe(core.PhaseDone{Phase: "select", Iteration: 0, Labels: 30, Batch: 3, Point: pt})
+	l.Observe(core.PhaseDone{Phase: "label", Iteration: 0, Labels: 33, LabelsDelta: 3, Batch: 3})
 	l.Observe(core.CandidateAccepted{Iteration: 0, Accepted: 1})
-	l.Observe(core.RunEnd{Iterations: 1, LabelsUsed: 40, Reason: core.StopBudget})
+	l.Observe(core.PhaseDone{Phase: "select", Iteration: 1, Labels: 40, Point: pt})
+	l.Observe(core.RunEnd{Iterations: 2, LabelsUsed: 40, Reason: core.StopBudget})
 
 	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("got %d lines, want 6:\n%s", len(lines), out)
+	want := []string{
+		"iter   0  train      n=30 in 2ms",
+		"iter   0  eval       F1=0.5100 P=0.6000 R=0.4400 in 3ms",
+		"iter   0  select     batch=3 committee=4ms score=1ms",
+		"iter   0  ensemble   accepted classifier #1",
+		"run end: label budget exhausted after 2 iterations, 40 labels",
 	}
-	for _, want := range []string{
-		"iter   0  start      labels=30 pool=470",
-		"train      n=30 in 2ms",
-		"F1=0.5100",
-		"select     batch=3",
-		"accepted classifier #1",
-		"run end: label budget exhausted after 1 iterations, 40 labels",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("got %d lines, want %d (seed, label and a run-ending select render none):\n%s", len(lines), len(want), out)
+	}
+	for i, w := range want {
+		if !strings.HasSuffix(lines[i], w) {
+			t.Errorf("line %d = %q, want it to end with %q", i, lines[i], w)
 		}
 	}
 	// Relative timestamps, not wall-clock ones.
@@ -103,7 +106,7 @@ func TestEventLogObservesLiveSession(t *testing.T) {
 	if _, err := s.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"start", "train", "eval", "select", "run end"} {
+	for _, want := range []string{"train", "eval", "select", "run end"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("live log missing %q phase", want)
 		}

@@ -6,7 +6,7 @@ import (
 	"github.com/alem/alem/internal/core"
 	"github.com/alem/alem/internal/eval"
 	"github.com/alem/alem/internal/interp"
-	"github.com/alem/alem/internal/rules"
+	"github.com/alem/alem/internal/oracle"
 	"github.com/alem/alem/internal/tree"
 )
 
@@ -22,34 +22,23 @@ func Figure18(opts Options) (*Report, error) {
 	r := &Report{ID: "fig18", Title: "Interpretability Experiments (Abt-Buy)"}
 
 	for _, nt := range []int{2, 10, 20} {
-		cfg := core.Config{
-			Seed: opts.Seed, MaxLabels: opts.MaxLabels,
-			OnIteration: func(l core.Learner, pt *eval.Point) {
-				if f, ok := l.(*tree.Forest); ok {
-					pt.DNFAtoms = interp.ForestAtoms(f)
-					pt.Depth = f.Depth()
-				}
-			},
-		}
-		res := runApproach(opts, pool, tree.NewForest(nt, opts.Seed), core.ForestQBC{}, perfectOracle(d), cfg)
+		f := tree.NewForest(nt, opts.Seed)
+		curve := measuredCurve(opts, pool, f, core.ForestQBC{}, perfectOracle(d), func(pt *eval.Point) {
+			pt.DNFAtoms = interp.ForestAtoms(f)
+			pt.Depth = f.Depth()
+		})
 		r.Series = append(r.Series,
-			Series{Name: fmt.Sprintf("Trees(%d) atoms", nt), Metric: MetricAtoms, Curve: res.Curve},
-			Series{Name: fmt.Sprintf("Trees(%d) depth", nt), Metric: MetricDepth, Curve: res.Curve})
+			Series{Name: fmt.Sprintf("Trees(%d) atoms", nt), Metric: MetricAtoms, Curve: curve},
+			Series{Name: fmt.Sprintf("Trees(%d) depth", nt), Metric: MetricDepth, Curve: curve})
 	}
 
 	// Rules on the Boolean pool, with the final DNF printed.
 	bpool, _ := mustPool("abt-buy", boolPool, opts)
 	model := rulesLearner(d)
-	cfg := core.Config{
-		Seed: opts.Seed, MaxLabels: opts.MaxLabels,
-		OnIteration: func(l core.Learner, pt *eval.Point) {
-			if m, ok := l.(*rules.Model); ok {
-				pt.DNFAtoms = m.NumAtoms()
-			}
-		},
-	}
-	res := runApproach(opts, bpool, model, core.LFPLFN{}, perfectOracle(d), cfg)
-	r.Series = append(r.Series, Series{Name: "Rules(LFP/LFN) atoms", Metric: MetricAtoms, Curve: res.Curve})
+	curve := measuredCurve(opts, bpool, model, core.LFPLFN{}, perfectOracle(d), func(pt *eval.Point) {
+		pt.DNFAtoms = model.NumAtoms()
+	})
+	r.Series = append(r.Series, Series{Name: "Rules(LFP/LFN) atoms", Metric: MetricAtoms, Curve: curve})
 
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("final rule ensemble (#DNF atoms = %d):", model.NumAtoms()),
@@ -57,4 +46,25 @@ func Figure18(opts Options) (*Report, error) {
 		"expected shape: tree atoms and depths grow with labels and committee size;",
 		"rules stay 2-3 orders of magnitude smaller (Fig. 18a, log scale).")
 	return r, nil
+}
+
+// measuredCurve runs one session and returns its curve with each point
+// passed through measure at the point's select phase, while the learner
+// still holds the model that point evaluated. The event stream reaches
+// opts.Observer unchanged.
+func measuredCurve(opts Options, pool *core.Pool, l core.Learner, sel core.Selector,
+	o oracle.Oracle, measure func(*eval.Point)) eval.Curve {
+	var curve eval.Curve
+	next := opts.Observer
+	opts.Observer = core.ObserverFunc(func(e core.Event) {
+		if pd, ok := e.(core.PhaseDone); ok && pd.Phase == "select" {
+			measure(&pd.Point)
+			curve = append(curve, pd.Point)
+		}
+		if next != nil {
+			next.Observe(e)
+		}
+	})
+	runApproach(opts, pool, l, sel, o, core.Config{Seed: opts.Seed, MaxLabels: opts.MaxLabels})
+	return curve
 }
