@@ -40,9 +40,9 @@ cover:
 # import, the similarity metrics' range and symmetry, the tokenizers
 # (FuzzTokenizers) and Soundex codes (FuzzSoundex), the fused character
 # kernels' and the interned token-set metrics' (FuzzTokenSetMetrics)
-# bit-equality with each metric's Compare, the candidate index, built
-# and then extended with Add, against the Cartesian reference
-# (FuzzCandidateIndex), and the /v1/match and /v1/score request bodies
+# bit-equality with each metric's Compare, the candidate index against
+# the Cartesian reference (FuzzCandidateIndex), and the /v1/match and
+# /v1/score request bodies
 # (see scripts/fuzz_smoke.sh; FUZZTIME=1m for longer runs).
 fuzz:
 	GO="$(GO)" sh scripts/fuzz_smoke.sh
@@ -66,8 +66,9 @@ fuzz:
 # against frozen copies of the per-row Score and Predict-then-Score loop
 # they replaced (internal/match), and the
 # indexed candidate generator against the
-# brute-force blocking reference, including incremental Add and
-# worker-count sweeps (internal/blocking), and the fused character kernels
+# brute-force blocking reference, including worker-count sweeps and
+# re-Builds cancelled at every poll (internal/blocking), and the fused
+# character kernels
 # against each metric's Compare plus batched featurization, float and
 # Boolean, against per-pair Extract on generated pools (internal/textsim,
 # internal/feature), and the fan-out's own chunk, block and poll
@@ -101,7 +102,7 @@ bench:
 # pair and candidate enumeration (synthetic and dblp-scholar) so a
 # broken benchmark fails `make check` rather than the next BENCH run.
 bench-ratchet:
-	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|RetainsNothing|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|CharKernelsMatchCompare|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|KnownCacheAcrossAdds|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
+	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|RetainsNothing|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|CharKernelsMatchCompare|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
 		./internal/textsim/ ./internal/feature/ ./internal/match/ ./internal/blocking/ ./internal/neural/
 	$(GO) test -count=1 -run '^$$' -bench 'MatcherScoreAll' -benchtime=1x -benchmem ./internal/match/
 	$(GO) test -count=1 -run '^$$' -bench 'ExtractPairs' -benchtime=1x -benchmem ./internal/feature/

@@ -66,26 +66,28 @@ type (
 	// recall.
 	BlockingResult = blocking.Result
 	// CandidateGenerator is the candidate-generation contract: build an
-	// index over the right table, stream further records in with Add, and
-	// enumerate candidate pairs under a context.
+	// index over a dataset's tables, then enumerate candidate pairs under
+	// a context.
 	CandidateGenerator = blocking.CandidateGenerator
 	// CandidateIndex is the indexed generator: inverted posting lists
-	// over one token dictionary, with prefix and count filters,
-	// incrementally extendable.
+	// over one token dictionary, with prefix and count filters, built
+	// once and then enumerated.
 	CandidateIndex = blocking.CandidateIndex
 	// CandidateIndexOptions sizes a CandidateIndex (threshold, workers);
 	// the zero value takes the dataset's defaults.
 	CandidateIndexOptions = blocking.IndexOptions
 	// CandidateIndexStats reports index shape and the probe → size/count
-	// filter → verify → keep funnel.
+	// filter → verify → keep funnel. A MatchServer's /metrics serves these
+	// counters as alem_blocking_*, summed over the indexes its own
+	// /v1/match requests built.
 	CandidateIndexStats = blocking.IndexStats
 )
 
-// ErrIndexNotBuilt is returned by generator Add/Candidates before Build.
+// ErrIndexNotBuilt is returned by a generator's Candidates before Build.
 var ErrIndexNotBuilt = blocking.ErrNotBuilt
 
 // NewCandidateIndex returns an unbuilt candidate index over d; call
-// Build (or GenerateCandidates) before Add or Candidates.
+// Build (or GenerateCandidates) before Candidates.
 func NewCandidateIndex(d *Dataset, opts CandidateIndexOptions) *CandidateIndex {
 	return blocking.NewCandidateIndex(d, opts)
 }
@@ -446,11 +448,6 @@ func WriteTraceSummary(w io.Writer, spans []TraceSpan) { obs.WriteSummary(w, spa
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// RegisterBlockingMetrics exposes the process-wide candidate-index
-// counters (builds, adds, postings, filter funnel) on r; the MatchServer
-// registers them on its own /metrics registry automatically.
-func RegisterBlockingMetrics(r *MetricsRegistry) { blocking.RegisterMetrics(r) }
 
 // Learners.
 type (

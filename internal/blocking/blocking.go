@@ -7,7 +7,7 @@
 //
 // Candidate generation is served by the CandidateGenerator interface:
 // CandidateIndex (inverted posting lists over one token dictionary, with
-// prefix and count filters, incrementally extendable with Add) is the
+// prefix and count filters, built once and then enumerated) is the
 // production path, Naive is the Cartesian reference it is pinned against.
 // Block and BlockThreshold remain as one-shot convenience wrappers.
 //
@@ -50,8 +50,8 @@ func (r *Result) Skew(d *dataset.Dataset) float64 {
 
 // Block computes the post-blocking candidate pairs of d at its profile
 // threshold through an indexed CandidateGenerator. It is a one-shot
-// convenience wrapper; callers that want cancellation, incremental
-// ingest or index statistics should build a CandidateIndex themselves.
+// convenience wrapper; callers that want cancellation or index
+// statistics should build a CandidateIndex themselves.
 func Block(d *dataset.Dataset) *Result {
 	return BlockThreshold(d, d.BlockThreshold)
 }

@@ -172,23 +172,3 @@ func TestCandidatesCancelled(t *testing.T) {
 		}
 	}
 }
-
-// TestAddCancelled checks the ingest path rejects cancelled contexts
-// without mutating the index.
-func TestAddCancelled(t *testing.T) {
-	d := cancelFixture(t)
-	idx := NewCandidateIndex(d, IndexOptions{})
-	if err := idx.Build(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	before := idx.Stats()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := idx.Add(ctx, dataset.Record{ID: "X", Values: []string{"alpha beta"}}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Add on cancelled ctx: err = %v, want context.Canceled", err)
-	}
-	after := idx.Stats()
-	if after.RightRecords != before.RightRecords || after.Adds != before.Adds {
-		t.Fatal("cancelled Add mutated the index")
-	}
-}

@@ -36,46 +36,35 @@ func tableText(tb *dataset.Table) string {
 }
 
 // FuzzCandidateIndex checks the index against the Cartesian reference
-// on arbitrary tables: an index built over the right records before the
-// split point and extended with Add for the rest must enumerate exactly
-// Naive's pairs over the full right table, set and order, and account
-// for every probed pair in its funnel. The threshold byte b maps to
-// θ = (b mod 100 + 1)/100, so boundary ratios such as 3/20 are reachable.
+// on arbitrary tables: it must enumerate exactly Naive's pairs, set and
+// order, and account for every probed pair in its funnel. The threshold
+// byte b maps to θ = (b mod 100 + 1)/100, so boundary ratios such as
+// 3/20 are reachable.
 func FuzzCandidateIndex(f *testing.F) {
 	// TestIndexThresholdBoundaryExact's pair: Jaccard 3/20 at θ 0.15.
 	var boundary []string
 	for i := 0; i < 17; i++ {
 		boundary = append(boundary, fmt.Sprintf("filler%02d", i))
 	}
-	f.Add("alpha beta gamma", "alpha beta gamma "+strings.Join(boundary, " "), byte(14), byte(0))
+	f.Add("alpha beta gamma", "alpha beta gamma "+strings.Join(boundary, " "), byte(14))
 	// A hot-token table: nearly every record shares a stop word.
 	r := rand.New(rand.NewSource(1))
-	f.Add(tableText(hotVocabTable(r, 30, "L")), tableText(hotVocabTable(r, 32, "R")), byte(33), byte(20))
+	f.Add(tableText(hotVocabTable(r, 30, "L")), tableText(hotVocabTable(r, 32, "R")), byte(33))
 
-	f.Fuzz(func(t *testing.T, leftText, rightText string, thetaByte, split byte) {
+	f.Fuzz(func(t *testing.T, leftText, rightText string, thetaByte byte) {
 		threshold := float64(int(thetaByte)%100+1) / 100
-		left, right := fuzzTable(leftText, "L"), fuzzTable(rightText, "R")
-		cut := int(split) % (len(right.Rows) + 1)
+		d := dataset.NewDataset("fuzz", fuzzTable(leftText, "L"), fuzzTable(rightText, "R"), nil, threshold)
 
-		want, err := Generate(context.Background(), NewNaive(dataset.NewDataset("full", left, right, nil, threshold), threshold))
+		want, err := Generate(context.Background(), NewNaive(d, threshold))
 		if err != nil {
 			t.Fatal(err)
 		}
-		prefix := &dataset.Table{Name: right.Name, Rows: right.Rows[:cut]}
-		idx := NewCandidateIndex(dataset.NewDataset("prefix", left, prefix, nil, threshold), IndexOptions{Threshold: threshold})
-		if err := idx.Build(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		for i, rec := range right.Rows[cut:] {
-			if ri, err := idx.Add(context.Background(), rec); err != nil || ri != cut+i {
-				t.Fatalf("Add of right record %d = (%d, %v)", cut+i, ri, err)
-			}
-		}
-		got, err := idx.Candidates(context.Background())
+		idx := NewCandidateIndex(d, IndexOptions{Threshold: threshold})
+		got, err := Generate(context.Background(), idx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertPairsEqual(t, fmt.Sprintf("θ=%.2f split=%d", threshold, cut), got.Pairs, want.Pairs)
+		assertPairsEqual(t, fmt.Sprintf("θ=%.2f", threshold), got.Pairs, want.Pairs)
 		if st := idx.Stats(); st.Probed != st.SizeSkipped+st.CountSkipped+st.Verified {
 			t.Fatalf("funnel leak: %+v", st)
 		}

@@ -11,9 +11,9 @@ import (
 )
 
 // CandidateGenerator is the candidate-generation contract the rest of the
-// framework programs against: build an index over the right table, stream
-// further right-side records into it without rebuilding, and enumerate
-// the candidate pairs at or above the generator's Jaccard threshold.
+// framework programs against: build an index over the dataset's tables,
+// then enumerate the candidate pairs at or above the generator's Jaccard
+// threshold.
 //
 // The contract all implementations share, pinned by the equivalence suite
 // in property_test.go: Candidates returns exactly the pairs whose
@@ -23,29 +23,24 @@ import (
 // share no token and are never candidates; thresholds must be positive,
 // so any other token-disjoint pair is below threshold anyway.)
 //
-// Build, Add and Candidates honour context cancellation: every worker
-// polls the context at least every par.Stride records or pairs, and a
+// Build and Candidates honour context cancellation: every worker polls
+// the context at least every par.Stride records or pairs, and a
 // cancelled call returns the context's error and leaves any previously
 // built index intact.
 type CandidateGenerator interface {
 	// Build (re)constructs the generator's index over the dataset it was
-	// created for. It must be called before Add or Candidates.
+	// created for, as the tables stand. It must be called before
+	// Candidates.
 	Build(ctx context.Context) error
-	// Add streams one additional right-side record into the index without
-	// a rebuild and returns the right index assigned to it (records added
-	// after Build extend the right table's index space). The caller owns
-	// appending the record to whatever table downstream featurization
-	// reads; Add only maintains the index.
-	Add(ctx context.Context, rec dataset.Record) (int, error)
 	// Candidates enumerates the candidate pairs of left × indexed-right.
-	// It may be called repeatedly, interleaved with Add.
+	// It may be called repeatedly.
 	Candidates(ctx context.Context) (*Result, error)
 	// Stats reports index shape and filter-funnel counters.
 	Stats() IndexStats
 }
 
-// ErrNotBuilt is returned by Add and Candidates when Build has not
-// completed successfully yet.
+// ErrNotBuilt is returned by Candidates when Build has not completed
+// successfully yet.
 var ErrNotBuilt = errors.New("blocking: index not built (call Build first)")
 
 // IndexOptions sizes a CandidateIndex. The zero value is the right
@@ -67,8 +62,8 @@ type IndexOptions struct {
 type IndexStats struct {
 	// Built reports whether Build has completed successfully.
 	Built bool
-	// Builds and Adds count full Build passes and incremental Add calls.
-	Builds, Adds int64
+	// Builds counts completed Build passes.
+	Builds int64
 	// RightRecords is the number of indexed right-side records, Tokens the
 	// distinct-token dictionary size, Postings the total posting entries.
 	RightRecords, Tokens, Postings int
@@ -80,6 +75,18 @@ type IndexStats struct {
 	// unposted tokens, the count filter. Verified counts the exact
 	// Jaccard computations, Kept the pairs at or above threshold.
 	Probed, SizeSkipped, CountSkipped, Verified, Kept int64
+}
+
+// Accumulate adds o's counters (Builds, Postings and the funnel) into s,
+// for totals over many indexes; the shape fields stay as s has them.
+func (s *IndexStats) Accumulate(o IndexStats) {
+	s.Builds += o.Builds
+	s.Postings += o.Postings
+	s.Probed += o.Probed
+	s.SizeSkipped += o.SizeSkipped
+	s.CountSkipped += o.CountSkipped
+	s.Verified += o.Verified
+	s.Kept += o.Kept
 }
 
 // Generate builds gen and enumerates its candidates in one call — the

@@ -10,7 +10,6 @@ import (
 
 	"github.com/alem/alem/internal/dataset"
 	"github.com/alem/alem/internal/par"
-	"github.com/alem/alem/internal/textsim"
 )
 
 // CandidateIndex is the indexed CandidateGenerator: inverted posting
@@ -30,9 +29,7 @@ import (
 // pigeonhole at least one shared token is posted — the same argument the
 // pre-index stop-token repair used, now applied at build time instead of
 // probe time. Probing walks *all* of a left record's tokens, which keeps
-// the filter correct for any per-record prefix order and therefore keeps
-// incremental Add exact even as document frequencies drift from the
-// values older prefixes were chosen under.
+// the filter correct for any per-record prefix order.
 //
 // need is computed in the same float arithmetic the verifier uses
 // (smallest i with float64(i)/float64(n) >= threshold), not with
@@ -47,8 +44,9 @@ import (
 // output is identical to the naive Cartesian scan, in the same
 // left-major, right-ascending order.
 //
-// A CandidateIndex is safe for concurrent use: Add takes the write lock,
-// Candidates and Stats share the read lock.
+// A CandidateIndex is built once and then enumerated; it is safe for
+// concurrent use: Build takes the write lock, Candidates and Stats share
+// the read lock.
 type CandidateIndex struct {
 	d         *dataset.Dataset
 	threshold float64
@@ -61,23 +59,8 @@ type CandidateIndex struct {
 	rightSets [][]int32 // per right record: sorted distinct token ids
 	unposted  []int32   // per right record: distinct tokens its prefix leaves unposted
 	postings  int       // posting entries across all tokens
-
-	// Left-side tokenization is fixed at construction, so Build caches the
-	// distinct token strings once.
-	leftDistinct [][]string
-
-	// Candidates also caches each left record's sorted known-token-id
-	// list. Token ids are append-only — an interned token never changes
-	// id — so the mapping of a left token can only change when a
-	// previously unknown token enters the dictionary, which always grows
-	// it. The cache therefore stays exact as long as the dictionary holds
-	// exactly cacheTokens tokens and is rebuilt (lazily, on the next
-	// Candidates call) when an Add interns something new. Guarded by
-	// cacheMu, not mu: Candidates holds only the read lock, and the
-	// dictionary cannot move underneath it there.
-	cacheMu     sync.Mutex
-	leftKnown   [][]int32
-	cacheTokens int
+	leftKnown [][]int32 // per left record: sorted ids of its tokens the dictionary holds
+	leftSizes []int32   // per left record: distinct tokens, known or not
 
 	c funnelCounters
 }
@@ -114,13 +97,12 @@ func (dc *tokenDict) intern(toks []string) []int32 {
 }
 
 type funnelCounters struct {
-	builds, adds                                      atomic.Int64
-	probed, sizeSkipped, countSkipped, verified, kept atomic.Int64
+	builds, probed, sizeSkipped, countSkipped, verified, kept atomic.Int64
 }
 
 // NewCandidateIndex returns an unbuilt index over d. The zero options
 // take the dataset's own blocking threshold and one worker per CPU; call
-// Build before Add or Candidates.
+// Build before Candidates.
 func NewCandidateIndex(d *dataset.Dataset, opts IndexOptions) *CandidateIndex {
 	threshold := opts.Threshold
 	if threshold <= 0 {
@@ -206,51 +188,14 @@ func (st *stampSet) mark() int32 {
 	return st.cur
 }
 
-// leftKnownLocked returns the per-left sorted known-token-id lists,
-// rebuilding the cache when the dictionary has grown since it was
-// computed. Callers must hold the read lock (so the dictionary is
-// stable); cacheMu serialises rebuilds between concurrent Candidates
-// calls. A cancelled rebuild commits nothing.
-func (x *CandidateIndex) leftKnownLocked(ctx context.Context) ([][]int32, error) {
-	dictTokens := len(x.dict.df)
-	x.cacheMu.Lock()
-	defer x.cacheMu.Unlock()
-	if x.leftKnown != nil && x.cacheTokens == dictTokens {
-		return x.leftKnown, nil
-	}
-	nL := len(x.leftDistinct)
-	known := make([][]int32, nL)
-	err := par.Blocks(ctx, nL, x.workers, 2, func(lo, hi int) {
-		for li := lo; li < hi; li++ {
-			toks := x.leftDistinct[li]
-			if len(toks) == 0 {
-				continue
-			}
-			ids := make([]int32, 0, len(toks))
-			for _, t := range toks {
-				if id, ok := x.dict.ids[t]; ok {
-					ids = append(ids, id)
-				}
-			}
-			slices.Sort(ids)
-			known[li] = ids
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	x.leftKnown = known
-	x.cacheTokens = dictTokens
-	return known, nil
-}
-
-// Build constructs the index over the dataset's current right table and
-// caches the left-side tokenization. Tokenizing and the prefix sweep run
-// in parallel over the configured worker count; the dictionary and the
-// posting lists are filled by serial passes in record order, so token ids
-// and posting order never depend on it. Every stage polls ctx every
-// par.Stride records, and on cancellation the index keeps its previous
-// state (the new structures are committed only at the end).
+// Build constructs the index over the dataset's current tables: the
+// right table's dictionary, prefixes and posting lists, and each left
+// record's token ids. Tokenizing, the left-id mapping and the prefix
+// sweep run in parallel over the configured worker count; the dictionary
+// and the posting lists are filled by serial passes in record order, so
+// token ids and posting order never depend on it. Every stage polls ctx
+// every par.Stride records, and on cancellation the index keeps its
+// previous state (the new structures are committed only at the end).
 func (x *CandidateIndex) Build(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -284,7 +229,33 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 		rightSets[ri] = dict.intern(toks)
 	}
 
-	// Stage 3: per-record prefixes — rarest-first order, truncated so only
+	// Stage 3: each left record's known token ids. Unknown tokens have no
+	// postings but still count toward the union through leftSizes.
+	nL := len(leftDistinct)
+	leftKnown := make([][]int32, nL)
+	leftSizes := make([]int32, nL)
+	err = par.Blocks(ctx, nL, x.workers, 2, func(lo, hi int) {
+		for li := lo; li < hi; li++ {
+			toks := leftDistinct[li]
+			leftSizes[li] = int32(len(toks))
+			if len(toks) == 0 {
+				continue
+			}
+			ids := make([]int32, 0, len(toks))
+			for _, t := range toks {
+				if id, ok := dict.ids[t]; ok {
+					ids = append(ids, id)
+				}
+			}
+			slices.Sort(ids)
+			leftKnown[li] = ids
+		}
+	})
+	if err != nil {
+		return err
+	}
+
+	// Stage 4: per-record prefixes — rarest-first order, truncated so only
 	// need−1 tokens stay unposted.
 	prefixes := make([][]int32, nR)
 	unposted := make([]int32, nR)
@@ -298,7 +269,7 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 		return err
 	}
 
-	// Stage 4: posting lists, in a second serial pass, so each list holds
+	// Stage 5: posting lists, in a second serial pass, so each list holds
 	// its record ids in ascending order.
 	postings := 0
 	for ri, pre := range prefixes {
@@ -317,15 +288,10 @@ func (x *CandidateIndex) Build(ctx context.Context) error {
 	x.rightSets = rightSets
 	x.unposted = unposted
 	x.postings = postings
-	x.leftDistinct = leftDistinct
-	x.cacheMu.Lock()
-	x.leftKnown = nil // rebuilt lazily against the new dictionary
-	x.cacheTokens = 0
-	x.cacheMu.Unlock()
+	x.leftKnown = leftKnown
+	x.leftSizes = leftSizes
 	x.built = true
 	x.c.builds.Add(1)
-	totalBuilds.Add(1)
-	totalPostings.Add(int64(postings))
 	return nil
 }
 
@@ -346,40 +312,6 @@ func prefixOf(threshold float64, df, set []int32) []int32 {
 	return ordered[:p]
 }
 
-// Add streams one right-side record into the index: it interns any new
-// tokens, bumps the document frequencies of the record's tokens, and
-// appends the record to the posting lists of its prefix — no rebuild.
-// The prefix is chosen under the document frequencies at insert time;
-// that only steers which tokens are posted, never correctness, because
-// probing walks every left token. Returns the right index assigned to
-// the record.
-func (x *CandidateIndex) Add(ctx context.Context, rec dataset.Record) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if !x.built {
-		return 0, ErrNotBuilt
-	}
-	set := x.dict.intern(textsim.Whitespace{}.Tokens(recordText(rec)))
-	ri := len(x.rightSets)
-	x.rightSets = append(x.rightSets, set)
-	pre := prefixOf(x.threshold, x.dict.df, set)
-	x.unposted = append(x.unposted, int32(len(set)-len(pre)))
-	for _, id := range pre {
-		x.dict.post[id] = append(x.dict.post[id], int32(ri))
-	}
-	x.postings += len(pre)
-	x.c.adds.Add(1)
-	totalAdds.Add(1)
-	totalPostings.Add(int64(len(pre)))
-	return ri, nil
-}
-
 // Candidates enumerates the candidate pairs of left × indexed-right:
 // posting-list probe, per-left dedup and hit count, count filter, exact
 // verification.
@@ -395,19 +327,12 @@ func (x *CandidateIndex) Candidates(ctx context.Context) (*Result, error) {
 	if !x.built {
 		return nil, ErrNotBuilt
 	}
-	nL := len(x.leftDistinct)
+	nL := len(x.leftKnown)
 	nR := len(x.rightSets)
 	threshold := x.threshold
 	perLeft := make([][]dataset.PairKey, nL)
-	// The left record → known-id mapping is cached across calls; unknown
-	// tokens have no postings but still count toward the union via the
-	// distinct-token count.
-	leftKnown, err := x.leftKnownLocked(ctx)
-	if err != nil {
-		return nil, err
-	}
 
-	err = par.Chunks(ctx, nL, x.workers, 2, func(lo, hi int) {
+	err := par.Chunks(ctx, nL, x.workers, 2, func(lo, hi int) {
 		// Worker-local probe state: a pooled stamp array dedups and counts
 		// posting hits without clearing between left records or between
 		// calls, and one pairs buffer serves every left record.
@@ -422,21 +347,16 @@ func (x *CandidateIndex) Candidates(ctx context.Context) (*Result, error) {
 			x.c.countSkipped.Add(countSkipped)
 			x.c.verified.Add(verified)
 			x.c.kept.Add(kept)
-			totalProbed.Add(probed)
-			totalSizeSkipped.Add(sizeSkipped)
-			totalCountSkipped.Add(countSkipped)
-			totalVerified.Add(verified)
-			totalKept.Add(kept)
 		}()
 		for li := lo; li < hi; li++ {
 			if (li-lo)%par.Stride == 0 && ctx.Err() != nil {
 				return
 			}
-			nx := len(x.leftDistinct[li])
+			nx := int(x.leftSizes[li])
 			if nx == 0 {
 				continue
 			}
-			known := leftKnown[li]
+			known := x.leftKnown[li]
 			// Probe every known token's postings, deduping right ids and
 			// counting each one's hits. A posting list holds a record at
 			// most once and known is distinct, so hits is exactly the
@@ -523,7 +443,6 @@ func (x *CandidateIndex) Stats() IndexStats {
 	return IndexStats{
 		Built:        x.built,
 		Builds:       x.c.builds.Load(),
-		Adds:         x.c.adds.Load(),
 		RightRecords: len(x.rightSets),
 		Tokens:       len(x.dict.df),
 		Postings:     x.postings,

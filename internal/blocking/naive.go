@@ -16,7 +16,7 @@ import (
 // at or above the threshold that share at least one token. It is the
 // specification the indexed path is pinned against in the equivalence
 // suite, the baseline side of the naive-vs-indexed benchmark pair, and
-// deliberately index-free — Add just appends to its token table.
+// deliberately index-free.
 type Naive struct {
 	d         *dataset.Dataset
 	threshold float64
@@ -27,7 +27,7 @@ type Naive struct {
 	left  [][]string
 	right [][]string
 
-	builds, adds, verified, kept atomic.Int64
+	builds, verified, kept atomic.Int64
 }
 
 // NewNaive returns an unbuilt naive generator over d; a non-positive
@@ -58,25 +58,6 @@ func (n *Naive) Build(ctx context.Context) error {
 	n.built = true
 	n.builds.Add(1)
 	return nil
-}
-
-// Add appends one right-side record.
-func (n *Naive) Add(ctx context.Context, rec dataset.Record) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.built {
-		return 0, ErrNotBuilt
-	}
-	ri := len(n.right)
-	n.right = append(n.right, textsim.Whitespace{}.Tokens(recordText(rec)))
-	n.adds.Add(1)
-	return ri, nil
 }
 
 // Candidates scores every pair of the Cartesian product.
@@ -146,7 +127,6 @@ func (n *Naive) Stats() IndexStats {
 	return IndexStats{
 		Built:        n.built,
 		Builds:       n.builds.Load(),
-		Adds:         n.adds.Load(),
 		RightRecords: len(n.right),
 		Probed:       n.verified.Load(),
 		Verified:     n.verified.Load(),

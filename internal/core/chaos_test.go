@@ -503,7 +503,9 @@ func TestChaosNoisyOracleSnapshotResume(t *testing.T) {
 
 // TestReadSnapshotRejectsTruncated covers the crash-safety contract of
 // checkpoint files: a partially written snapshot must be reported as
-// truncated, not as an opaque JSON error or (worse) decoded as valid.
+// truncated, not as an opaque JSON error or (worse) decoded as valid,
+// and a snapshot followed by anything but whitespace must be rejected
+// as trailing data.
 func TestReadSnapshotRejectsTruncated(t *testing.T) {
 	pool := syntheticPool(100, 35)
 	s := mustSession(t, pool, linear.NewSVM(35), Margin{}, Config{Seed: 35, MaxLabels: 30})
@@ -531,8 +533,31 @@ func TestReadSnapshotRejectsTruncated(t *testing.T) {
 		}
 	}
 
-	// The intact snapshot still round-trips.
-	if _, err := ReadSnapshot(bytes.NewReader(full.Bytes())); err != nil {
-		t.Errorf("intact snapshot rejected: %v", err)
+	for _, tc := range []struct {
+		name, tail string
+	}{
+		{"half an object", `{"garbage": tru`},
+		{"a second object", `{"iteration": 3}`},
+		{"one stray byte", "x"},
+		{"a stray closing brace", "}"},
+	} {
+		data := append(bytes.Clone(full.Bytes()), tc.tail...)
+		_, err := ReadSnapshot(bytes.NewReader(data))
+		if err == nil {
+			t.Errorf("snapshot followed by %s accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "trailing data") || !errors.Is(err, ErrInvalidSnapshot) {
+			t.Errorf("snapshot followed by %s: error %q does not say trailing data or does not wrap ErrInvalidSnapshot", tc.name, err)
+		}
+	}
+
+	// The intact snapshot still round-trips, with or without trailing
+	// whitespace (Encode ends it with a newline).
+	for _, tail := range []string{"", "\n \t\r\n"} {
+		data := append(bytes.Clone(full.Bytes()), tail...)
+		if _, err := ReadSnapshot(bytes.NewReader(data)); err != nil {
+			t.Errorf("intact snapshot with trailing %q rejected: %v", tail, err)
+		}
 	}
 }

@@ -366,8 +366,8 @@ func (iw legacyIWAL) Select(ctx *SelectContext, k int) []int {
 
 // legacyLFPLFN is the pre-refactor LFPLFN.Select, including the
 // pre-refactor rules.Model.SelectLFPLFNCancel body (frozen here because
-// the rules method itself was re-based on RankLFPLFN), rebuilt on the
-// exported rules.Model surface (Predict, Rules).
+// the rules method was re-based on RankLFPLFN and later deleted),
+// rebuilt on the exported rules.Model surface (Predict, Rules).
 type legacyLFPLFN struct{}
 
 func (legacyLFPLFN) Name() string { return "legacy-lfp-lfn" }

@@ -144,14 +144,20 @@ func (sn *Snapshot) Encode(w io.Writer) error {
 // ReadSnapshot deserializes a snapshot written by Encode. A truncated or
 // empty file — the signature of a non-atomic write interrupted by a
 // crash — is reported as such, pointing the operator at the intact
-// previous checkpoint instead of a JSON syntax error.
+// previous checkpoint instead of a JSON syntax error. Only whitespace may
+// follow the snapshot; anything else means the file was mangled after
+// it, and is rejected as trailing data.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var sn Snapshot
-	if err := json.NewDecoder(r).Decode(&sn); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&sn); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, fmt.Errorf("%w: truncated or empty (interrupted write?): %w", ErrInvalidSnapshot, err)
 		}
 		return nil, fmt.Errorf("%w: %w", ErrInvalidSnapshot, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after the snapshot", ErrInvalidSnapshot)
 	}
 	return &sn, nil
 }

@@ -110,6 +110,7 @@ type Matcher struct {
 	boolExt  *feature.BoolExtractor
 	hits     atomic.Uint64
 	misses   atomic.Uint64
+	indexed  blocking.IndexStats // counters of every index Match built; guarded by mu
 }
 
 // ExtractorReuse reports how often Match reused its cached extractor
@@ -117,6 +118,15 @@ type Matcher struct {
 // rate the serving layer exports on /metrics.
 func (m *Matcher) ExtractorReuse() (hits, misses uint64) {
 	return m.hits.Load(), m.misses.Load()
+}
+
+// IndexTotals sums the counters of the candidate indexes Match calls
+// have built (see blocking.IndexStats.Accumulate), cancelled calls
+// included — the blocking work the serving layer exports on /metrics.
+func (m *Matcher) IndexTotals() blocking.IndexStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.indexed
 }
 
 // ctxCheckEvery is how many rows Decide scores between context
@@ -158,7 +168,11 @@ func (m *Matcher) Match(ctx context.Context, left, right *dataset.Table) ([]Pair
 	// context — featurization is the heaviest pre-scoring stage — so a
 	// request past its deadline aborts mid-stage instead of finishing the
 	// index pass and featurizing every candidate.
-	res, err := blocking.Generate(ctx, blocking.NewCandidateIndex(d, blocking.IndexOptions{}))
+	idx := blocking.NewCandidateIndex(d, blocking.IndexOptions{})
+	res, err := blocking.Generate(ctx, idx)
+	m.mu.Lock()
+	m.indexed.Accumulate(idx.Stats())
+	m.mu.Unlock()
 	if err != nil {
 		return nil, 0, err
 	}

@@ -2,7 +2,10 @@ package match
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/alem/alem/internal/blocking"
@@ -203,6 +206,128 @@ func TestMatcherExtractorReuse(t *testing.T) {
 	hits, misses := m.ExtractorReuse()
 	if misses != 1 || hits != 2 {
 		t.Errorf("extractor reuse hits=%d misses=%d, want 2/1", hits, misses)
+	}
+}
+
+// summedIndexStats is what IndexTotals should read after n complete
+// Match calls over these tables: n times the counters of the one index
+// each call builds.
+func summedIndexStats(t *testing.T, left, right *dataset.Table, threshold float64, n int) blocking.IndexStats {
+	t.Helper()
+	idx := blocking.NewCandidateIndex(dataset.NewDataset("match", left, right, nil, threshold), blocking.IndexOptions{})
+	if _, err := blocking.Generate(context.Background(), idx); err != nil {
+		t.Fatal(err)
+	}
+	var sum blocking.IndexStats
+	for i := 0; i < n; i++ {
+		sum.Accumulate(idx.Stats())
+	}
+	return sum
+}
+
+// TestMatcherIndexTotalsConcurrent runs Match from several goroutines
+// on one Matcher while another goroutine reads IndexTotals, as a
+// server's requests and scrapes do: the totals must sum every call's
+// index.
+func TestMatcherIndexTotalsConcurrent(t *testing.T) {
+	f, train := trainForest(t, 37)
+	fresh, err := dataset.Load("beer", 1.0, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 4
+	want := summedIndexStats(t, fresh.Left, fresh.Right, train.BlockThreshold, calls)
+	m := &Matcher{Learner: f, BlockThreshold: train.BlockThreshold}
+	stop := make(chan struct{})
+	var wg, reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.IndexTotals()
+			}
+		}
+	}()
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := m.Match(context.Background(), fresh.Left, fresh.Right); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	reader.Wait()
+	if got := m.IndexTotals(); got != want {
+		t.Errorf("IndexTotals after %d calls = %+v, want %+v", calls, got, want)
+	}
+}
+
+// pollBudgetCtx reports Canceled once its budget of Err polls is spent,
+// so a budget lands a cancellation at one point of the pipeline without
+// timing races.
+type pollBudgetCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *pollBudgetCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestMatcherIndexTotalsCountCancelledCalls cancels Match at every poll
+// budget up to completion. Every exit after candidate generation counts
+// the call's index: a call cancelled before or inside Build counts
+// nothing, one cancelled inside Candidates counts its build and the
+// funnel so far, and one cancelled during featurization or scoring
+// counts the whole index.
+func TestMatcherIndexTotalsCountCancelledCalls(t *testing.T) {
+	f, train := trainForest(t, 38)
+	fresh, err := dataset.Load("beer", 1.0, 81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := summedIndexStats(t, fresh.Left, fresh.Right, train.BlockThreshold, 1)
+	var enumerating, generated int
+	for polls := int64(0); ; polls++ {
+		m := &Matcher{Learner: f, BlockThreshold: train.BlockThreshold}
+		ctx := &pollBudgetCtx{Context: context.Background()}
+		ctx.left.Store(polls)
+		_, _, err := m.Match(ctx, fresh.Left, fresh.Right)
+		got := m.IndexTotals()
+		if got.Probed != got.SizeSkipped+got.CountSkipped+got.Verified {
+			t.Fatalf("budget %d: funnel leak in %+v", polls, got)
+		}
+		if err == nil {
+			if got != want {
+				t.Fatalf("completed call: IndexTotals = %+v, want %+v", got, want)
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("budget %d: err = %v, want context.Canceled", polls, err)
+		}
+		switch {
+		case got == blocking.IndexStats{}:
+		case got == want:
+			generated++
+		case got.Builds == 1 && got.Postings == want.Postings && got.Kept <= want.Kept:
+			enumerating++
+		default:
+			t.Fatalf("budget %d: IndexTotals = %+v fits no exit (whole index %+v)", polls, got, want)
+		}
+	}
+	if enumerating == 0 || generated == 0 {
+		t.Errorf("cancelled in Candidates %d times and after Generate %d times; want both", enumerating, generated)
 	}
 }
 

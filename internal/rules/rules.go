@@ -258,44 +258,17 @@ func simScore(x feature.Vector) float64 {
 	return s / float64(len(x))
 }
 
-// SelectLFPLFN implements the §4.3 heuristic. From the unlabeled indices
-// it returns up to k examples: likely false positives (covered by the
-// DNF but with low feature similarity) interleaved with likely false
-// negatives (covered by some Rule-Minus relaxation but not the full DNF,
-// with high feature similarity). An empty result signals that no LFPs or
-// LFNs remain, the paper's early-termination condition for rule learning.
-func (m *Model) SelectLFPLFN(X []feature.Vector, unlabeled []int, k int) []int {
-	return m.SelectLFPLFNCancel(X, unlabeled, k, nil)
-}
-
-// SelectLFPLFNCancel is SelectLFPLFN with a cooperative cancellation
-// hook: cancelled (nil-safe) is polled every par.Stride examples,
-// and a true return abandons scoring with a nil batch — the engine
-// discards the batch of a cancelled iteration, so a partial result is
-// never recorded.
-func (m *Model) SelectLFPLFNCancel(X []feature.Vector, unlabeled []int, k int, cancelled func() bool) []int {
-	if len(m.rules) == 0 || k <= 0 {
-		return nil
-	}
-	rank, ok := m.RankLFPLFN(X, unlabeled, cancelled)
-	if !ok || len(rank) == 0 {
-		return nil
-	}
-	if k > len(rank) {
-		k = len(rank)
-	}
-	return rank[:k]
-}
-
-// RankLFPLFN returns the FULL LFP/LFN interleaved ranking of the
-// unlabeled pool — every likely false positive and likely false negative
-// in the §4.3 order (LFPs ascending by similarity interleaved with LFNs
-// descending), with no batch cap. The interleaving is prefix-stable:
-// for any k, the first k entries are exactly SelectLFPLFN's batch, which
-// is what lets core express LFP/LFN as a rank-valued informativeness
-// score composable with any deterministic picker. The second result is
-// false iff the cancellation hook (nil-safe, polled every
-// par.Stride examples) fired, distinguishing an abandoned scan
+// RankLFPLFN implements the §4.3 heuristic. It returns the FULL LFP/LFN
+// interleaved ranking of the unlabeled pool: every likely false positive
+// (covered by the DNF but with low feature similarity) and likely false
+// negative (covered by some Rule-Minus relaxation but not the full DNF,
+// with high feature similarity), LFPs ascending by similarity
+// interleaved with LFNs descending, with no batch cap. The interleaving
+// is prefix-stable: for any k, the first k entries are the §4.3 batch of
+// k, which is what lets core express LFP/LFN as a rank-valued
+// informativeness score composable with any deterministic picker. The
+// second result is false iff the cancellation hook (nil-safe, polled
+// every par.Stride examples) fired, distinguishing an abandoned scan
 // from a genuinely empty ranking — the paper's rule-learning
 // early-termination condition.
 func (m *Model) RankLFPLFN(X []feature.Vector, unlabeled []int, cancelled func() bool) ([]int, bool) {

@@ -131,6 +131,13 @@ func TestModelString(t *testing.T) {
 	}
 }
 
+// lfpLFNBatch is the §4.3 batch of at most k examples: the first k
+// entries of the prefix-stable LFP/LFN ranking.
+func lfpLFNBatch(m *Model, X []feature.Vector, unlabeled []int, k int) []int {
+	rank, _ := m.RankLFPLFN(X, unlabeled, nil)
+	return rank[:min(k, len(rank))]
+}
+
 func TestSelectLFPPicksLowSimilarityPredictedMatches(t *testing.T) {
 	X, y := singleAtomData()
 	m := NewModel(testExtractor())
@@ -143,7 +150,7 @@ func TestSelectLFPPicksLowSimilarityPredictedMatches(t *testing.T) {
 		boolVec(0, 0, 0), // non-match, not covered by rule-minus (single-atom rule)
 	}
 	idx := []int{0, 1, 2}
-	sel := m.SelectLFPLFN(pool, idx, 2)
+	sel := lfpLFNBatch(m, pool, idx, 2)
 	if len(sel) == 0 {
 		t.Fatal("no examples selected")
 	}
@@ -166,7 +173,7 @@ func TestSelectLFNViaRuleMinus(t *testing.T) {
 		boolVec(1, 0, 1), // rule-minus covered (atom0 holds, atom1 dropped)
 		boolVec(0, 0, 0), // nothing
 	}
-	sel := m.SelectLFPLFN(pool, []int{0, 1}, 2)
+	sel := lfpLFNBatch(m, pool, []int{0, 1}, 2)
 	found := false
 	for _, s := range sel {
 		if s == 0 {
@@ -188,12 +195,12 @@ func TestSelectLFPLFNEmptyOnNoCandidates(t *testing.T) {
 	m := NewModel(testExtractor())
 	m.Train(X, y)
 	pool := []feature.Vector{boolVec(0, 1, 1), boolVec(0, 0, 1)}
-	if sel := m.SelectLFPLFN(pool, []int{0, 1}, 5); len(sel) != 0 {
+	if sel := lfpLFNBatch(m, pool, []int{0, 1}, 5); len(sel) != 0 {
 		t.Errorf("selected %v from a pool with no LFPs/LFNs (termination condition)", sel)
 	}
 	// Untrained model also selects nothing.
 	m2 := NewModel(testExtractor())
-	if sel := m2.SelectLFPLFN(pool, []int{0, 1}, 5); len(sel) != 0 {
+	if sel := lfpLFNBatch(m2, pool, []int{0, 1}, 5); len(sel) != 0 {
 		t.Errorf("untrained model selected %v", sel)
 	}
 }
@@ -330,16 +337,16 @@ func TestSelectLFPLFNCancelAbortsScoring(t *testing.T) {
 	}
 	idx := []int{0, 1, 2}
 	// Sanity: without cancellation this pool yields candidates.
-	if sel := m.SelectLFPLFNCancel(pool, idx, 2, nil); len(sel) == 0 {
-		t.Fatal("uncancelled selection returned nothing")
+	if rank, ok := m.RankLFPLFN(pool, idx, nil); !ok || len(rank) == 0 {
+		t.Fatalf("uncancelled ranking = %v, %v; want candidates", rank, ok)
 	}
-	if sel := m.SelectLFPLFNCancel(pool, idx, 2, func() bool { return false }); len(sel) == 0 {
-		t.Fatal("selection with a live context returned nothing")
+	if rank, ok := m.RankLFPLFN(pool, idx, func() bool { return false }); !ok || len(rank) == 0 {
+		t.Fatalf("ranking with a live context = %v, %v; want candidates", rank, ok)
 	}
-	// A cancellation that has already fired aborts with a nil batch
-	// before any example is scored.
-	if sel := m.SelectLFPLFNCancel(pool, idx, 2, func() bool { return true }); sel != nil {
-		t.Fatalf("cancelled selection returned %v, want nil", sel)
+	// A cancellation that has already fired aborts with a nil ranking,
+	// reported as abandoned, before any example is scored.
+	if rank, ok := m.RankLFPLFN(pool, idx, func() bool { return true }); ok || rank != nil {
+		t.Fatalf("cancelled ranking = %v, %v; want nil, false", rank, ok)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"sync/atomic"
 
-	"github.com/alem/alem/internal/blocking"
 	"github.com/alem/alem/internal/obs"
 	"github.com/alem/alem/internal/oracle"
 )
@@ -57,10 +56,6 @@ func newMetrics() *metrics {
 	reg.GaugeFunc("alem_http_in_flight_requests",
 		"Requests currently being served.",
 		func() float64 { return float64(m.inFlight.Load()) })
-	// The match path runs candidate generation per request; expose the
-	// process-wide index build/ingest and filter-funnel counters on the
-	// same scrape.
-	blocking.RegisterMetrics(reg)
 	// Labeling-cost totals from batch oracles (batch calls, answer mix,
 	// microdollars billed) ride the same scrape.
 	oracle.RegisterMetrics(reg)

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/alem/alem/internal/blocking"
 	"github.com/alem/alem/internal/core"
 	"github.com/alem/alem/internal/match"
 	"github.com/alem/alem/internal/model"
@@ -104,13 +105,14 @@ type Registry struct {
 // entryTotals is one version's share of the summed /metrics counters.
 type entryTotals struct {
 	jobs, batches, vectors, opens, hits, misses int64
+	index                                       blocking.IndexStats // its matcher's candidate indexes
 }
 
 // totals reads e's counters as they stand.
 func (e *modelEntry) totals() entryTotals {
 	jobs, batches, vectors := e.pool.totals()
 	hits, misses := e.matcher.ExtractorReuse()
-	return entryTotals{jobs, batches, vectors, e.breaker.Opens(), int64(hits), int64(misses)}
+	return entryTotals{jobs, batches, vectors, e.breaker.Opens(), int64(hits), int64(misses), e.matcher.IndexTotals()}
 }
 
 func (t *entryTotals) add(u entryTotals) {
@@ -120,6 +122,7 @@ func (t *entryTotals) add(u entryTotals) {
 	t.opens += u.opens
 	t.hits += u.hits
 	t.misses += u.misses
+	t.index.Accumulate(u.index)
 }
 
 // newRegistry builds an empty registry serving with cfg's pool and

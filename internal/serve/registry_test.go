@@ -214,7 +214,8 @@ func TestRegistryRemoveWaitsForInFlight(t *testing.T) {
 // version is removed, while a holder still pins it (as an in-flight
 // request does), and after its drain: no _total series may fall. The
 // removed version served /v1/match and /v1/score traffic, so its pool,
-// breaker and extractor-reuse counts must stay in the sums throughout.
+// breaker, extractor-reuse and candidate-index counts must stay in the
+// sums throughout.
 func TestRegistryCountersMonotoneAcrossRemove(t *testing.T) {
 	art, X := beerArtifact(t)
 	s := NewMulti(Config{Linger: -1})
@@ -254,6 +255,7 @@ func TestRegistryCountersMonotoneAcrossRemove(t *testing.T) {
 	for _, name := range []string{
 		"alem_matcher_extractor_reuse_hits_total", "alem_matcher_extractor_reuse_misses_total",
 		"alem_score_requests_total", "alem_score_batches_total", "alem_score_vectors_total",
+		"alem_blocking_candidates_probed_total",
 	} {
 		if before[name] == 0 {
 			t.Fatalf("%s reads 0 before the remove; the fixture sent no traffic it counts", name)

@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/alem/alem/internal/blocking"
 	"github.com/alem/alem/internal/core"
 	"github.com/alem/alem/internal/dataset"
 	"github.com/alem/alem/internal/feature"
@@ -207,10 +208,10 @@ func NewMulti(cfg Config, observers ...core.Observer) *Server {
 	}
 	// Registry, pool and matcher statistics live in their own components;
 	// they join the scrape as registry callbacks so /metrics stays one
-	// rendering pass over one registry. Pool, breaker and extractor
-	// series are summed across model versions, removed ones included
-	// (see Registry.counterTotals), so the counters survive swaps
-	// monotonically.
+	// rendering pass over one registry. Pool, breaker, extractor and
+	// candidate-index series are summed across this server's model
+	// versions, removed ones included (see Registry.counterTotals), so
+	// the counters survive swaps monotonically.
 	reg := s.met.reg
 	reg.GaugeFunc("alem_breaker_state",
 		"Active model's circuit-breaker position (0 closed, 1 open, 2 half-open).",
@@ -254,6 +255,29 @@ func NewMulti(cfg Config, observers ...core.Observer) *Server {
 	reg.CounterFunc("alem_matcher_extractor_reuse_misses_total",
 		"Match calls that built a fresh extractor.",
 		func() int64 { return s.models.counterTotals().misses })
+	// The match path builds one candidate index per request: its build
+	// volume and the probe → size/count filter → verify → keep funnel.
+	for _, c := range []struct {
+		name, help string
+		read       func(blocking.IndexStats) int64
+	}{
+		{"alem_blocking_index_builds_total", "Full candidate-index Build passes.",
+			func(st blocking.IndexStats) int64 { return st.Builds }},
+		{"alem_blocking_index_postings_total", "Posting-list entries written by Build.",
+			func(st blocking.IndexStats) int64 { return int64(st.Postings) }},
+		{"alem_blocking_candidates_probed_total", "Distinct candidate pairs surfaced by posting-list probes.",
+			func(st blocking.IndexStats) int64 { return st.Probed }},
+		{"alem_blocking_size_filter_skipped_total", "Probed candidates pruned by the distinct-token-count size filter, min(nx, ny) being the binding overlap bound.",
+			func(st blocking.IndexStats) int64 { return st.SizeSkipped }},
+		{"alem_blocking_count_filter_skipped_total", "Probed candidates pruned by the posting-hit count filter, bound below the size filter's min(nx, ny).",
+			func(st blocking.IndexStats) int64 { return st.CountSkipped }},
+		{"alem_blocking_pairs_verified_total", "Candidates verified with exact Jaccard.",
+			func(st blocking.IndexStats) int64 { return st.Verified }},
+		{"alem_blocking_pairs_kept_total", "Verified pairs kept at or above the blocking threshold.",
+			func(st blocking.IndexStats) int64 { return st.Kept }},
+	} {
+		reg.CounterFunc(c.name, c.help, func() int64 { return c.read(s.models.counterTotals().index) })
+	}
 	return s
 }
 

@@ -630,6 +630,63 @@ func TestMetricsEndpoint(t *testing.T) {
 	_ = s
 }
 
+// TestBlockingSeriesPerServer runs two servers in one process and sends
+// /v1/match traffic to the first only. The alem_blocking_* series are
+// per server: the idle one's must read 0, and the serving one's must
+// equal the summed IndexStats of the indexes its requests built (an
+// index built outside either server, like beerArtifact's, counts for
+// neither).
+func TestBlockingSeriesPerServer(t *testing.T) {
+	art, _ := beerArtifact(t)
+	_, serving := newTestServer(t, Config{})
+	_, idle := newTestServer(t, Config{})
+	var want blocking.IndexStats
+	for _, seed := range []int64{22, 23} {
+		fresh, err := dataset.Load("beer", 1.0, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := matchRequest{Left: tableToJSON(fresh.Left), Right: tableToJSON(fresh.Right)}
+		if resp, body := postJSON(t, serving.URL+"/v1/match", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("match seed %d: status %d: %s", seed, resp.StatusCode, body)
+		}
+		d := dataset.NewDataset("match", fresh.Left, fresh.Right, nil, art.Meta.BlockThreshold)
+		idx := blocking.NewCandidateIndex(d, blocking.IndexOptions{})
+		if _, err := blocking.Generate(context.Background(), idx); err != nil {
+			t.Fatal(err)
+		}
+		want.Accumulate(idx.Stats())
+	}
+	if want.Builds != 2 || want.Probed == 0 || want.Kept == 0 {
+		t.Fatalf("fixture broken: requests' summed stats %+v", want)
+	}
+	wantSeries := map[string]int64{
+		"alem_blocking_index_builds_total":         want.Builds,
+		"alem_blocking_index_postings_total":       int64(want.Postings),
+		"alem_blocking_candidates_probed_total":    want.Probed,
+		"alem_blocking_size_filter_skipped_total":  want.SizeSkipped,
+		"alem_blocking_count_filter_skipped_total": want.CountSkipped,
+		"alem_blocking_pairs_verified_total":       want.Verified,
+		"alem_blocking_pairs_kept_total":           want.Kept,
+	}
+	for _, srv := range []struct {
+		name, url string
+		scale     int64
+	}{{"serving", serving.URL, 1}, {"idle", idle.URL, 0}} {
+		got := totalSeries(t, srv.url)
+		for series := range got {
+			if _, ok := wantSeries[series]; strings.HasPrefix(series, "alem_blocking_") && !ok {
+				t.Errorf("%s server: unexpected series %s", srv.name, series)
+			}
+		}
+		for name, w := range wantSeries {
+			if g, ok := got[name]; !ok || g != float64(srv.scale*w) {
+				t.Errorf("%s server: %s = %v (present %v), want %d", srv.name, name, g, ok, srv.scale*w)
+			}
+		}
+	}
+}
+
 // TestMetricsNamesStable pins the full scrape vocabulary: every metric
 // family the hand-rolled renderer used to emit must survive the
 // migration onto the internal/obs registry with its name and TYPE
@@ -667,7 +724,6 @@ func TestMetricsNamesStable(t *testing.T) {
 		"# TYPE alem_matcher_extractor_reuse_hits_total counter",
 		"# TYPE alem_matcher_extractor_reuse_misses_total counter",
 		"# TYPE alem_blocking_index_builds_total counter",
-		"# TYPE alem_blocking_index_adds_total counter",
 		"# TYPE alem_blocking_index_postings_total counter",
 		"# TYPE alem_blocking_candidates_probed_total counter",
 		"# TYPE alem_blocking_size_filter_skipped_total counter",
