@@ -54,7 +54,9 @@ fuzz:
 # values against the same sessions sweeping the pool, plus the
 # serial-vs-parallel pins, the batched-oracle-vs-per-pair pins and the
 # active-ensemble golden recorded from the pre-Session ensemble loop
-# (internal/core), the sorted-sweep tree split search against the frozen
+# (internal/core), the one-pair-per-call pins of the BatchOracle
+# contract for the per-pair adapter (internal/oracle) and for the fault
+# injector and the Retrier (internal/resilience), the sorted-sweep tree split search against the frozen
 # rescan and the forest's DecisionValues against its votes
 # (internal/tree), the blocked neural-net Train and Margin against the
 # frozen per-unit trainer and Margin, and DecisionValues against Margin
@@ -77,6 +79,7 @@ fuzz:
 # re-run on their own.
 equiv:
 	$(GO) test -race -count=1 -run 'CompositionEquivalence|SerialParallelEquivalent|WorkerInvariant|BatchOracleEquivalence|EnsembleLoopEquivalence|PickersMatchLegacySort|PoolValues' ./internal/core/
+	$(GO) test -race -count=1 -run 'OnePairPerCall' ./internal/oracle/ ./internal/resilience/
 	$(GO) test -race -count=1 -run 'GrowMatchesLegacy|ForestDecisionValuesMatchVotes' ./internal/tree/
 	$(GO) test -race -count=1 -run 'TrainMatchesLegacy|NetDecisionValuesMatchMargin' ./internal/neural/
 	$(GO) test -race -count=1 -run 'SVMTrainMatchesLegacy|DecisionValuesMatchDecisionValue' ./internal/linear/

@@ -390,7 +390,7 @@ const (
 
 // NewSession validates cfg and prepares a run without starting it; the
 // Oracle is asked one pair per call (NewBatchSession over
-// BatchOfOracle(WrapOracle(o))).
+// BatchOfOracle(o)).
 func NewSession(pool *Pool, l Learner, s Selector, o Oracle, cfg Config) (*Session, error) {
 	return core.NewSession(pool, l, s, o, cfg)
 }
@@ -675,19 +675,17 @@ func NewMajorityVoteOracle(inner Oracle, k int) Oracle {
 // overload protection. Real labeling back ends (crowds, APIs, humans on
 // call) fail; these types let a Session survive transient faults, resume
 // a killed run bit-identically from a snapshot plus label WAL, and let a
-// MatchServer shed load instead of collapsing.
+// MatchServer shed load instead of collapsing. A labeler that can fail
+// is a BatchOracle whose answers carry per-pair errors; RetryOracle and
+// FaultyOracle wrap one BatchOracle in another.
 type (
-	// FallibleOracle is an Oracle whose queries can fail: labeling is an
-	// RPC to a human or service, so Label takes a context and returns an
-	// error alongside the label.
-	FallibleOracle = resilience.FallibleOracle
 	// RetryPolicy bounds retries with exponential backoff and jitter.
 	RetryPolicy = resilience.RetryPolicy
-	// RetryOracle wraps a FallibleOracle with a RetryPolicy.
+	// RetryOracle retries a BatchOracle's failed answers under a
+	// RetryPolicy, one pair per call.
 	RetryOracle = resilience.Retrier
-	// FaultConfig parameterizes deterministic fault injection.
-	FaultConfig = resilience.FaultConfig
-	// FaultyOracle injects seeded, replayable faults for chaos testing.
+	// FaultyOracle injects seeded, replayable faults into a BatchOracle
+	// for chaos testing, one pair per call.
 	FaultyOracle = resilience.FaultyOracle
 	// LabelWAL is the append-only, fsync-per-record label log that makes
 	// resumed runs replay granted labels instead of re-paying for them.
@@ -697,7 +695,8 @@ type (
 	// LabelSink receives each granted label as it is paid for.
 	LabelSink = core.LabelSink
 	// StatefulOracle is an oracle whose label decisions consume RNG
-	// draws (NoisyOracle); snapshots capture and restore its position.
+	// draws (NoisyOracle, and a majority vote over one); snapshots
+	// capture and restore its position.
 	StatefulOracle = oracle.Stateful
 	// CircuitBreaker trips after consecutive failures and sheds load
 	// until a cooldown probe succeeds; MatchServer runs one internally.
@@ -727,21 +726,22 @@ var (
 	ErrInvalidSnapshot = core.ErrInvalidSnapshot
 )
 
-// WrapOracle adapts an infallible Oracle to the FallibleOracle
-// interface (its Label never fails, only honors ctx cancellation).
-func WrapOracle(o Oracle) FallibleOracle { return resilience.Wrap(o) }
-
-// NewRetryOracle wraps inner with bounded, jittered retries. A zero
-// policy gets defaults (4 attempts, 50ms base delay doubling to 2s).
-func NewRetryOracle(inner FallibleOracle, policy RetryPolicy, seed int64) *RetryOracle {
+// NewRetryOracle wraps inner with bounded, jittered retries of one pair
+// per call: a failed answer is re-asked, an answer the labeler gave (an
+// abstention included) passes through, and an exhausted budget answers
+// an error wrapping ErrOracleExhausted. A zero policy gets defaults (4
+// attempts, 50ms base delay doubling to 2s).
+func NewRetryOracle(inner BatchOracle, policy RetryPolicy, seed int64) *RetryOracle {
 	return resilience.NewRetrier(inner, policy, seed)
 }
 
 // NewFaultyOracle wraps inner with deterministic seeded fault
-// injection: the same seed yields the same per-pair fault pattern
-// regardless of call interleaving, so chaos tests are replayable.
-func NewFaultyOracle(inner FallibleOracle, cfg FaultConfig, seed int64) *FaultyOracle {
-	return resilience.NewFaultyOracle(inner, cfg, seed)
+// injection, one pair per call: each attempt fails with probability
+// rate (1 is a dead labeler), and the same seed yields the same per-pair
+// fault pattern regardless of call interleaving, so chaos tests are
+// replayable.
+func NewFaultyOracle(inner BatchOracle, rate float64, seed int64) *FaultyOracle {
+	return resilience.NewFaultyOracle(inner, rate, seed)
 }
 
 // NewCircuitBreaker builds a standalone breaker (MatchServer wires its
@@ -776,8 +776,8 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	return resilience.WriteFileAtomic(path, write)
 }
 
-// Costly oracles: batched labelers that charge per answer, abstain, and
-// take wall-clock time — the LLM/crowd labeling regime — plus the dollar
+// Costly oracles: batched labelers that charge per answer, abstain and
+// fail per pair — the LLM/crowd labeling regime — plus the dollar
 // budgets, cost ledger and transfer warm-start that go with them.
 type (
 	// BatchOracle labels whole batches in one call; answers are priced
@@ -793,7 +793,7 @@ type (
 	// LLMSimConfig parameterizes the simulated LLM labeler.
 	LLMSimConfig = oracle.LLMSimConfig
 	// SimulatedLLMOracle is a deterministic, seeded stand-in for an LLM
-	// labeling API: priced answers, abstentions, failures, latency.
+	// labeling API: priced answers, abstentions, failures, noise.
 	SimulatedLLMOracle = oracle.SimulatedLLMOracle
 	// CostLedger is a Session's running bill: answers bought, the
 	// label/abstain split, and dollars spent.
@@ -828,13 +828,13 @@ func NewSimulatedLLMOracle(d *Dataset, cfg LLMSimConfig, seed int64) *SimulatedL
 	return oracle.NewSimulatedLLM(d, cfg, seed)
 }
 
-// BatchOfOracle adapts a FallibleOracle to the BatchOracle interface
-// a Session labels through, one pair per call, mapping per-pair errors
-// to per-answer errors. Pass it to NewBatchSession and
-// RestoreBatchSessionWithWAL for a labeler that can fail: failed
-// queries emit OracleFault events and requeue their pairs, and a fully
-// failed round stops with StopOracleFailed instead of spinning.
-func BatchOfOracle(fo FallibleOracle) BatchOracle { return resilience.BatchOf(fo) }
+// BatchOfOracle adapts a per-pair Oracle to the BatchOracle interface
+// a Session labels through, asking one pair per call. Wrap the result
+// in NewFaultyOracle or NewRetryOracle, or pass it to NewBatchSession
+// and RestoreBatchSessionWithWAL directly. Failed answers emit
+// OracleFault events and requeue their pairs, and a fully failed round
+// stops with StopOracleFailed instead of spinning.
+func BatchOfOracle(o Oracle) BatchOracle { return oracle.PerPair(o) }
 
 // NewBatchSession prepares a run that labels through a BatchOracle:
 // each round's pairs are asked in order, abstentions are billed and
@@ -854,11 +854,6 @@ func RestoreBatchSessionWithWAL(pool *Pool, l Learner, s Selector, bo BatchOracl
 	sn *SessionSnapshot, wal []LabelRecord) (*Session, error) {
 	return core.RestoreBatchWithWAL(pool, l, s, bo, sn, wal)
 }
-
-// RegisterOracleMetrics exposes the process-wide labeling-cost counters
-// (batches, answer mix, microdollars billed) on a metrics registry; the
-// match server's /metrics includes them automatically.
-func RegisterOracleMetrics(r *MetricsRegistry) { oracle.RegisterMetrics(r) }
 
 // Evaluation.
 type (

@@ -177,13 +177,11 @@ func train(o trainOpts) error {
 			Price:       alem.PriceTable{PerLabel: o.priceLabel, PerAbstain: o.priceAbstain},
 		}, o.seed)
 	} else {
-		fo := alem.WrapOracle(alem.NewPerfectOracle(d))
+		labeler = alem.BatchOfOracle(alem.NewPerfectOracle(d))
 		if o.flaky > 0 {
-			fo = alem.NewRetryOracle(
-				alem.NewFaultyOracle(fo, alem.FaultConfig{TransientRate: o.flaky}, o.seed),
+			labeler = alem.NewRetryOracle(alem.NewFaultyOracle(labeler, o.flaky, o.seed),
 				alem.RetryPolicy{}, o.seed)
 		}
-		labeler = alem.BatchOfOracle(fo)
 	}
 
 	var session *alem.Session

@@ -43,7 +43,7 @@ func main() {
 	// in the WAL — before dying without warning.
 	oracle := alem.NewPerfectOracle(d)
 	session, err := alem.NewBatchSession(pool, alem.NewSVM(1), alem.MarginSelector{},
-		alem.BatchOfOracle(alem.WrapOracle(oracle)), cfg)
+		alem.BatchOfOracle(oracle), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func main() {
 	defer wal2.Close()
 	oracle2 := alem.NewPerfectOracle(d)
 	resumed, err := alem.RestoreBatchSessionWithWAL(pool, alem.NewSVM(1), alem.MarginSelector{},
-		alem.BatchOfOracle(alem.WrapOracle(oracle2)), sn, records)
+		alem.BatchOfOracle(oracle2), sn, records)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -85,15 +85,14 @@ func perfectRig(t *testing.T, workers int) labelPathRig {
 // Retrier when attempts > 0.
 func faultRig(t *testing.T, size int, seed int64, maxLabels int, rate float64, faultSeed int64, attempts int) labelPathRig {
 	pool := syntheticPool(size, seed)
-	faulty := resilience.NewFaultyOracle(resilience.Wrap(poolOracle(pool)),
-		resilience.FaultConfig{TransientRate: rate}, faultSeed)
-	var fo resilience.FallibleOracle = faulty
+	faulty := resilience.NewFaultyOracle(oracle.PerPair(poolOracle(pool)), rate, faultSeed)
+	var fo oracle.BatchOracle = faulty
 	if attempts > 0 {
 		fo = resilience.NewRetrier(faulty, resilience.RetryPolicy{
 			MaxAttempts: attempts, BaseDelay: time.Nanosecond, Sleep: func(time.Duration) {},
 		}, faultSeed)
 	}
-	s, err := NewBatchSession(pool, linear.NewSVM(seed), Margin{}, resilience.BatchOf(fo),
+	s, err := NewBatchSession(pool, linear.NewSVM(seed), Margin{}, fo,
 		Config{Seed: seed, MaxLabels: maxLabels})
 	if err != nil {
 		t.Fatal(err)

@@ -25,8 +25,7 @@ import (
 // seeds build an identically-behaving chain, which is what the
 // bit-identity assertions lean on.
 func chaosLabeler(pool *Pool, rate float64, seed int64) (*resilience.Retrier, *resilience.FaultyOracle) {
-	faulty := resilience.NewFaultyOracle(resilience.Wrap(poolOracle(pool)),
-		resilience.FaultConfig{TransientRate: rate}, seed)
+	faulty := resilience.NewFaultyOracle(oracle.PerPair(poolOracle(pool)), rate, seed)
 	retrier := resilience.NewRetrier(faulty, resilience.RetryPolicy{
 		MaxAttempts: 8,
 		BaseDelay:   time.Nanosecond,
@@ -38,20 +37,21 @@ func chaosLabeler(pool *Pool, rate float64, seed int64) (*resilience.Retrier, *r
 // killSwitch simulates a hard process kill: after `after` label requests
 // it cancels the run's context and answers nothing further, like a
 // process that died between paying for one label and requesting the next.
+// Its inner labeler answers one pair per call, so a call is one request.
 type killSwitch struct {
-	inner resilience.FallibleOracle
+	inner oracle.BatchOracle
 	after int
 	calls int
 	kill  context.CancelFunc
 }
 
-func (k *killSwitch) Label(ctx context.Context, p dataset.PairKey) (bool, error) {
+func (k *killSwitch) LabelBatch(ctx context.Context, pairs []dataset.PairKey) ([]oracle.Answer, error) {
 	k.calls++
 	if k.calls > k.after {
 		k.kill()
-		return false, context.Canceled
+		return nil, context.Canceled
 	}
-	return k.inner.Label(ctx, p)
+	return k.inner.LabelBatch(ctx, pairs)
 }
 
 func (k *killSwitch) Queries() int      { return k.inner.Queries() }
@@ -69,7 +69,7 @@ func TestChaosKillResumeBitIdentical(t *testing.T) {
 
 	// Reference: the uninterrupted faulty run.
 	refLabeler, refFaulty := chaosLabeler(pool, faultRate, faultSeed)
-	ref, err := NewBatchSession(pool, linear.NewSVM(31), Margin{}, resilience.BatchOf(refLabeler), cfg)
+	ref, err := NewBatchSession(pool, linear.NewSVM(31), Margin{}, refLabeler, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestChaosKillResumeBitIdentical(t *testing.T) {
 	defer cancel()
 	victimLabeler, _ := chaosLabeler(pool, faultRate, faultSeed)
 	ks := &killSwitch{inner: victimLabeler, after: 63, kill: cancel}
-	victim, err := NewBatchSession(pool, linear.NewSVM(31), Margin{}, resilience.BatchOf(ks), cfg)
+	victim, err := NewBatchSession(pool, linear.NewSVM(31), Margin{}, ks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestChaosKillResumeBitIdentical(t *testing.T) {
 			len(records), len(sn.Labeled))
 	}
 	resLabeler, _ := chaosLabeler(pool, faultRate, faultSeed)
-	resumed, err := RestoreBatchWithWAL(pool, linear.NewSVM(31), Margin{}, resilience.BatchOf(resLabeler), sn, records)
+	resumed, err := RestoreBatchWithWAL(pool, linear.NewSVM(31), Margin{}, resLabeler, sn, records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +185,11 @@ func TestChaosKillResumeBitIdentical(t *testing.T) {
 // failed pair must surface as an OracleFault event.
 func TestChaosStallTerminates(t *testing.T) {
 	pool := syntheticPool(200, 32)
-	faulty := resilience.NewFaultyOracle(resilience.Wrap(poolOracle(pool)),
-		resilience.FaultConfig{TransientRate: 1.0}, 5)
+	faulty := resilience.NewFaultyOracle(oracle.PerPair(poolOracle(pool)), 1.0, 5)
 	retrier := resilience.NewRetrier(faulty, resilience.RetryPolicy{
 		MaxAttempts: 2, BaseDelay: time.Nanosecond, Sleep: func(time.Duration) {},
 	}, 5)
-	s, err := NewBatchSession(pool, linear.NewSVM(32), Margin{}, resilience.BatchOf(retrier),
+	s, err := NewBatchSession(pool, linear.NewSVM(32), Margin{}, retrier,
 		Config{Seed: 32, MaxLabels: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -237,9 +236,8 @@ func TestChaosPartialRoundDegradesGracefully(t *testing.T) {
 	pool := syntheticPool(400, 33)
 	// No retrier: every injected fault is terminal at the session level,
 	// so ~20% of queries fail outright and must be requeued.
-	faulty := resilience.NewFaultyOracle(resilience.Wrap(poolOracle(pool)),
-		resilience.FaultConfig{TransientRate: 0.2}, 9)
-	s, err := NewBatchSession(pool, linear.NewSVM(33), Margin{}, resilience.BatchOf(faulty),
+	faulty := resilience.NewFaultyOracle(oracle.PerPair(poolOracle(pool)), 0.2, 9)
+	s, err := NewBatchSession(pool, linear.NewSVM(33), Margin{}, faulty,
 		Config{Seed: 33, MaxLabels: 80})
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +267,7 @@ func TestChaosPartialRoundDegradesGracefully(t *testing.T) {
 // TestChaosJournalBeforeNextQuery: on every query it checks that each
 // label it has granted so far is already in the WAL.
 type journalAudit struct {
-	inner   resilience.FallibleOracle
+	inner   oracle.BatchOracle
 	wal     *resilience.LabelWAL
 	granted int
 	calls   int
@@ -277,7 +275,7 @@ type journalAudit struct {
 	first   string
 }
 
-func (j *journalAudit) Label(ctx context.Context, p dataset.PairKey) (bool, error) {
+func (j *journalAudit) LabelBatch(ctx context.Context, pairs []dataset.PairKey) ([]oracle.Answer, error) {
 	j.calls++
 	if seq := j.wal.LastSeq(); seq != j.granted {
 		if j.lagged == 0 {
@@ -285,11 +283,13 @@ func (j *journalAudit) Label(ctx context.Context, p dataset.PairKey) (bool, erro
 		}
 		j.lagged++
 	}
-	lab, err := j.inner.Label(ctx, p)
-	if err == nil {
-		j.granted++
+	answers, err := j.inner.LabelBatch(ctx, pairs)
+	for _, a := range answers {
+		if a.Err == nil {
+			j.granted++
+		}
 	}
-	return lab, err
+	return answers, err
 }
 
 func (j *journalAudit) Queries() int      { return j.inner.Queries() }
@@ -308,7 +308,7 @@ func TestChaosJournalBeforeNextQuery(t *testing.T) {
 	defer wal.Close()
 	retrier, faulty := chaosLabeler(pool, 0.3, 77)
 	audit := &journalAudit{inner: retrier, wal: wal}
-	s, err := NewBatchSession(pool, linear.NewSVM(31), Margin{}, resilience.BatchOf(audit),
+	s, err := NewBatchSession(pool, linear.NewSVM(31), Margin{}, audit,
 		Config{Seed: 31, MaxLabels: 120})
 	if err != nil {
 		t.Fatal(err)
@@ -357,8 +357,8 @@ func TestChaosNoisyMidRoundResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ks := &killSwitch{inner: resilience.Wrap(noisyPoolOracle(pool, noise, noiseSeed)), after: 63, kill: cancel}
-	victim, err := NewBatchSession(pool, linear.NewSVM(36), Margin{}, resilience.BatchOf(ks), cfg)
+	ks := &killSwitch{inner: oracle.PerPair(noisyPoolOracle(pool, noise, noiseSeed)), after: 63, kill: cancel}
+	victim, err := NewBatchSession(pool, linear.NewSVM(36), Margin{}, ks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestChaosNoisyMidRoundResume(t *testing.T) {
 	}
 	resNoisy := noisyPoolOracle(pool, noise, noiseSeed)
 	resumed, err := RestoreBatchWithWAL(pool, linear.NewSVM(36), Margin{},
-		resilience.BatchOf(resilience.Wrap(resNoisy)), sn, records)
+		oracle.PerPair(resNoisy), sn, records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,6 +499,154 @@ func TestChaosNoisyOracleSnapshotResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	curvesEqual(t, refRes.Curve, resRes.Curve)
+}
+
+// TestSessionFindsStatefulThroughWrappers pins the session's one walk
+// down the labeler chain: a Noisy oracle behind
+// Retrier(FaultyOracle(PerPair(noisy))) is found, so the snapshot's
+// OracleDraws is the Noisy's draw count, and a Perfect chain holds none.
+func TestSessionFindsStatefulThroughWrappers(t *testing.T) {
+	pool := syntheticPool(300, 38)
+	cfg := Config{Seed: 38, MaxLabels: 60}
+	chain := func(o oracle.Oracle) oracle.BatchOracle {
+		faulty := resilience.NewFaultyOracle(oracle.PerPair(o), 0.3, 7)
+		return resilience.NewRetrier(faulty, resilience.RetryPolicy{
+			MaxAttempts: 8, BaseDelay: time.Nanosecond, Sleep: func(time.Duration) {},
+		}, 7)
+	}
+	run := func(o oracle.Oracle) (*Session, *Snapshot) {
+		s, err := NewBatchSession(pool, linear.NewSVM(38), Margin{}, chain(o), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if done, err := s.Step(context.Background()); done || err != nil {
+				t.Fatalf("step %d: done=%v err=%v", i, done, err)
+			}
+		}
+		return s, s.Snapshot()
+	}
+
+	noisy := noisyPoolOracle(pool, 0.2, 19)
+	if _, sn := run(noisy); sn.OracleDraws == 0 || sn.OracleDraws != noisy.Draws() {
+		t.Errorf("snapshot OracleDraws = %d, want the Noisy's %d", sn.OracleDraws, noisy.Draws())
+	}
+	if s, sn := run(poolOracle(pool)); s.stateful != nil || sn.OracleDraws != 0 {
+		t.Errorf("a Perfect chain reported state (%v, OracleDraws %d)", s.stateful, sn.OracleDraws)
+	}
+}
+
+// TestChaosMajorityVoteResume pins resume through a majority vote over a
+// Noisy oracle, whose Stateful hook counts vote rounds: a restored voter
+// must skip k noise draws per round, both from a step-boundary snapshot
+// and from a kill three labels into a round resumed through the WAL,
+// where every cached answer stands for one whole round.
+func TestChaosMajorityVoteResume(t *testing.T) {
+	pool := syntheticPool(500, 36)
+	cfg := Config{Seed: 36, MaxLabels: 120}
+	const noise, noiseSeed, k = 0.3, 17, 3
+	voter := func() (*oracle.MajorityVote, *oracle.Noisy) {
+		n := noisyPoolOracle(pool, noise, noiseSeed)
+		return oracle.NewMajorityVote(n, k), n
+	}
+
+	refVote, refNoisy := voter()
+	ref, err := NewSession(pool, linear.NewSVM(36), Margin{}, refVote, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRes, err := ref.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, res *Result, resNoisy *oracle.Noisy, walLabels int) {
+		t.Helper()
+		curvesEqual(t, refRes.Curve, res.Curve)
+		if resNoisy.Draws() != refNoisy.Draws() {
+			t.Errorf("resumed noise stream at draw %d, uninterrupted at %d", resNoisy.Draws(), refNoisy.Draws())
+		}
+		if walLabels > 0 && resNoisy.Queries() != refNoisy.Queries()-k*walLabels {
+			t.Errorf("resumed process paid %d votes, want %d (WAL labels must not be re-bought)",
+				resNoisy.Queries(), refNoisy.Queries()-k*walLabels)
+		}
+	}
+
+	t.Run("step boundary", func(t *testing.T) {
+		vote, _ := voter()
+		s, err := NewSession(pool, linear.NewSVM(36), Margin{}, vote, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if done, err := s.Step(context.Background()); done || err != nil {
+				t.Fatalf("step %d: done=%v err=%v", i, done, err)
+			}
+		}
+		sn := s.Snapshot()
+		if sn.OracleDraws != vote.Draws() || sn.OracleDraws == 0 {
+			t.Fatalf("snapshot OracleDraws = %d, want the voter's %d rounds", sn.OracleDraws, vote.Draws())
+		}
+		resVote, resNoisy := voter()
+		resumed, err := Restore(pool, linear.NewSVM(36), Margin{}, resVote, sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := resumed.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, res, resNoisy, 0)
+	})
+
+	t.Run("mid-round WAL", func(t *testing.T) {
+		walPath := filepath.Join(t.TempDir(), "labels.wal")
+		wal, _, err := resilience.OpenLabelWAL(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		vote, _ := voter()
+		ks := &killSwitch{inner: oracle.PerPair(vote), after: 63, kill: cancel}
+		victim, err := NewBatchSession(pool, linear.NewSVM(36), Margin{}, ks, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim.SetLabelSink(wal)
+		sn := victim.Snapshot()
+		for {
+			done, err := victim.Step(ctx)
+			if err != nil {
+				break // the kill
+			}
+			if done {
+				t.Fatal("victim finished before the kill fired")
+			}
+			sn = victim.Snapshot()
+		}
+		wal.Close()
+
+		wal2, records, err := resilience.OpenLabelWAL(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wal2.Close()
+		if len(records) != 63 || len(sn.Labeled) >= 63 {
+			t.Fatalf("WAL holds %d records past a %d-label snapshot, want 63 past a round boundary",
+				len(records), len(sn.Labeled))
+		}
+		resVote, resNoisy := voter()
+		resumed, err := RestoreBatchWithWAL(pool, linear.NewSVM(36), Margin{}, oracle.PerPair(resVote), sn, records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed.SetLabelSink(wal2)
+		res, err := resumed.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, res, resNoisy, len(records))
+	})
 }
 
 // TestReadSnapshotRejectsTruncated covers the crash-safety contract of

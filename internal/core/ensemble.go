@@ -60,14 +60,14 @@ func RunEnsemble(pool *Pool, o oracle.Oracle, cfg EnsembleConfig) *EnsembleResul
 
 // RunEnsembleContext is RunEnsemble with cancellation and the Session
 // event stream. It runs an ensemble session (NewEnsembleSession) over
-// resilience.BatchOf(resilience.Wrap(o)) to its end, so observers see
+// oracle.PerPair(o) to its end, so observers see
 // the events any Session emits, plus CandidateAccepted when the §5.2
 // precision test admits a classifier. On cancellation the partial
 // result is returned together with the context's error. For a WAL,
 // fault handling, a priced labeler or checkpoint/resume, build the
 // session with NewEnsembleSession instead.
 func RunEnsembleContext(ctx context.Context, pool *Pool, o oracle.Oracle, cfg EnsembleConfig, observers ...Observer) (*EnsembleResult, error) {
-	s, err := NewEnsembleSession(pool, resilience.BatchOf(resilience.Wrap(o)), cfg)
+	s, err := NewEnsembleSession(pool, oracle.PerPair(o), cfg)
 	if err != nil {
 		return nil, err
 	}

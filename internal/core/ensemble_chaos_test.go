@@ -98,7 +98,7 @@ func TestChaosEnsembleResume(t *testing.T) {
 			refSink, refTrail := &memorySink{}, &ensembleTrail{Selector: cfg.Selector}
 			refCfg := cfg
 			refCfg.Selector = refTrail
-			ref, err := NewEnsembleSession(pool, resilience.BatchOf(resilience.Wrap(refOracle)), refCfg)
+			ref, err := NewEnsembleSession(pool, oracle.PerPair(refOracle), refCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestChaosEnsembleResume(t *testing.T) {
 				for _, cut := range []int{at, min(at+4, total)} {
 					o, noisy := newOracle()
 					sink, trail := &memorySink{}, &ensembleTrail{Selector: Margin{}}
-					s, err := RestoreEnsembleWithWAL(pool, svmFactory, trail, resilience.BatchOf(resilience.Wrap(o)), sn, refSink.recs[:cut])
+					s, err := RestoreEnsembleWithWAL(pool, svmFactory, trail, oracle.PerPair(o), sn, refSink.recs[:cut])
 					if err != nil {
 						t.Fatalf("boundary %d, WAL cut at %d: %v", b, cut, err)
 					}
@@ -177,7 +177,7 @@ func TestChaosEnsembleResume(t *testing.T) {
 func TestRestoreRejectsTheOtherSessionKind(t *testing.T) {
 	pool := syntheticPool(300, 78)
 	plain := mustSession(t, pool, linear.NewSVM(78), Margin{}, Config{Seed: 78, MaxLabels: 60})
-	ens, err := NewEnsembleSession(pool, resilience.BatchOf(resilience.Wrap(poolOracle(pool))),
+	ens, err := NewEnsembleSession(pool, oracle.PerPair(poolOracle(pool)),
 		EnsembleConfig{Config: Config{Seed: 78, MaxLabels: 60}, Factory: svmFactory, Selector: Margin{}})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestRestoreRejectsTheOtherSessionKind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bo := resilience.BatchOf(resilience.Wrap(poolOracle(pool)))
+	bo := oracle.PerPair(poolOracle(pool))
 	// Restoring with the other constructor is a wiring mistake, not an
 	// invalid snapshot.
 	if _, err := RestoreEnsembleWithWAL(pool, svmFactory, Margin{}, bo, plain.Snapshot(), nil); err == nil ||

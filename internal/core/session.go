@@ -63,7 +63,7 @@ type Session struct {
 	learner Learner
 	sel     Selector
 	// batcher is the session's only labeler; a per-pair oracle comes in
-	// through resilience.BatchOf (see NewSession).
+	// through oracle.PerPair (see NewSession).
 	batcher oracle.BatchOracle
 	cfg     Config
 
@@ -128,9 +128,9 @@ type Session struct {
 }
 
 // NewSession is NewBatchSession for a classic per-pair Oracle, which
-// resilience.BatchOf asks one pair per LabelBatch call.
+// oracle.PerPair asks one pair per LabelBatch call.
 func NewSession(pool *Pool, learner Learner, sel Selector, o oracle.Oracle, cfg Config) (*Session, error) {
-	return NewBatchSession(pool, learner, sel, resilience.BatchOf(resilience.Wrap(o)), cfg)
+	return NewBatchSession(pool, learner, sel, oracle.PerPair(o), cfg)
 }
 
 // NewBatchSession validates the config and prepares a session that
@@ -143,11 +143,12 @@ func NewSession(pool *Pool, learner Learner, sel Selector, o oracle.Oracle, cfg 
 // surfaced as an OracleFault event), and only a round in which every
 // query fails stops the run (StopOracleFailed). Every answer's cost is
 // accumulated into the session's CostLedger, and Config.MaxDollars
-// bounds the total spend (StopBudgetExhausted). A per-pair fallible
-// labeler (typically a resilience.Retrier) comes in through
-// resilience.BatchOf. When the labeler chain exposes oracle.Stateful,
-// oracle.PairAdvancer or oracle.Priced, the hooks are discovered here so
-// Snapshot+WAL resume realigns the oracle's randomness.
+// bounds the total spend (StopBudgetExhausted). A labeler that retries
+// or injects faults is a resilience.Retrier or resilience.FaultyOracle
+// wrapped around another BatchOracle. One walk down the chain's
+// UnwrapOracle links finds the first oracle.Stateful, oracle.PairAdvancer
+// and oracle.Priced in it, so Snapshot+WAL resume realigns the oracle's
+// randomness and the dollar budget knows the worst-case answer price.
 func NewBatchSession(pool *Pool, learner Learner, sel Selector, bo oracle.BatchOracle, cfg Config) (*Session, error) {
 	if bo == nil {
 		return nil, fmt.Errorf("core: NewBatchSession requires a batch oracle")
@@ -176,10 +177,10 @@ func NewBatchSession(pool *Pool, learner Learner, sel Selector, bo oracle.BatchO
 		rng:      rand.New(src),
 		res:      &Result{},
 	}
-	if st, ok := resilience.StatefulOf(bo); ok {
-		s.stateful = st
-	}
 	for o := any(bo); o != nil; {
+		if st, ok := o.(oracle.Stateful); ok && s.stateful == nil {
+			s.stateful = st
+		}
 		if pa, ok := o.(oracle.PairAdvancer); ok && s.pairAdv == nil {
 			s.pairAdv = pa
 		}

@@ -13,7 +13,7 @@ import (
 	"github.com/alem/alem/internal/eval"
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/linear"
-	"github.com/alem/alem/internal/resilience"
+	"github.com/alem/alem/internal/oracle"
 )
 
 // curvesEqual compares the deterministic fields of two curves (the
@@ -346,7 +346,7 @@ func TestSessionEventOrdering(t *testing.T) {
 		}},
 		{"ensemble", DefaultSeedLabels, func(t *testing.T) *Session {
 			pool := ambiguousPool(300, 24)
-			s, err := NewEnsembleSession(pool, resilience.BatchOf(resilience.Wrap(poolOracle(pool))),
+			s, err := NewEnsembleSession(pool, oracle.PerPair(poolOracle(pool)),
 				EnsembleConfig{Config: Config{Seed: 24, MaxLabels: 100}, Tau: 0.6, Factory: svmFactory, Selector: Margin{}})
 			if err != nil {
 				t.Fatal(err)

@@ -169,9 +169,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 // labeled prefix), which reproduces the learner's model and internal RNG
 // state exactly — see Snapshot for why the resumed curve is then
 // identical to an uninterrupted run. It is RestoreBatchWithWAL over
-// resilience.BatchOf, without a WAL.
+// oracle.PerPair, without a WAL.
 func Restore(pool *Pool, learner Learner, sel Selector, o oracle.Oracle, sn *Snapshot) (*Session, error) {
-	return RestoreBatchWithWAL(pool, learner, sel, resilience.BatchOf(resilience.Wrap(o)), sn, nil)
+	return RestoreBatchWithWAL(pool, learner, sel, oracle.PerPair(o), sn, nil)
 }
 
 // RestoreBatchWithWAL rebuilds a Session from a snapshot plus the label

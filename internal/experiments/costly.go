@@ -13,7 +13,6 @@ import (
 	"github.com/alem/alem/internal/core"
 	"github.com/alem/alem/internal/linear"
 	"github.com/alem/alem/internal/oracle"
-	"github.com/alem/alem/internal/resilience"
 )
 
 // costlyPrice is the simulated labeler's price list for both drivers:
@@ -80,7 +79,7 @@ func AblationCostly(opts Options) (*Report, error) {
 	// The paper's regime: free, perfect, per-pair, asked one pair per
 	// LabelBatch call.
 	freeRes, freeSes := runBatchApproach(opts, pool, svmFactory(opts.Seed), core.Margin{},
-		resilience.BatchOf(resilience.Wrap(perfectOracle(d))), mkCfg(opts))
+		oracle.PerPair(perfectOracle(d)), mkCfg(opts))
 	addRow("perfect (free)", freeRes, freeSes)
 
 	uncappedCfg := mkCfg(opts)

@@ -2,11 +2,11 @@ package oracle
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"time"
 
 	"github.com/alem/alem/internal/dataset"
 )
@@ -62,8 +62,8 @@ type Answer struct {
 // match/non-match verdict, an abstention, or a per-pair failure.
 //
 // LabelBatch answers a non-empty prefix of the pairs it is given, in
-// submission order — all of them, or (a per-pair adapter such as
-// resilience.BatchOf) just the first. The caller applies and journals
+// submission order — all of them, or (PerPair, and the resilience
+// wrappers) just the first. The caller applies and journals
 // the prefix, then submits the unanswered remainder again. On an error
 // the returned prefix holds the pairs acknowledged before the call died;
 // the caller must treat it as paid-for and the remainder as never
@@ -95,6 +95,42 @@ type PairAdvancer interface {
 	AdvancePair(p dataset.PairKey, n int)
 }
 
+// perPair adapts a per-pair Oracle to the BatchOracle contract.
+type perPair struct {
+	inner Oracle
+}
+
+// PerPair lifts a per-pair Oracle (Perfect, Noisy, MajorityVote) into a
+// free BatchOracle that answers one pair per call: the session applies
+// and journals that answer before it submits the rest of the round, so
+// every label is durable before the next query and a Stateful oracle
+// draws in pair order around WAL-cached answers. A cancelled context is
+// checked before the query, so a cancelled run never pays for another
+// label.
+func PerPair(o Oracle) BatchOracle { return perPair{inner: o} }
+
+// LabelBatch implements BatchOracle, answering pairs[0] only.
+func (o perPair) LabelBatch(ctx context.Context, pairs []dataset.PairKey) ([]Answer, error) {
+	if len(pairs) == 0 {
+		return nil, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	v := VerdictNonMatch
+	if o.inner.Label(pairs[0]) {
+		v = VerdictMatch
+	}
+	return []Answer{{Verdict: v}}, nil
+}
+
+// Queries implements BatchOracle.
+func (o perPair) Queries() int { return o.inner.Queries() }
+
+// UnwrapOracle exposes the wrapped oracle to the session's search for
+// Stateful, PairAdvancer and Priced hooks.
+func (o perPair) UnwrapOracle() any { return o.inner }
+
 // PriceTable is a batch labeler's billing schedule, in dollars.
 type PriceTable struct {
 	// PerLabel is charged for every match/non-match verdict.
@@ -117,7 +153,7 @@ func (t PriceTable) Max() float64 {
 var ErrSimulated = errors.New("oracle: simulated labeler failure")
 
 // LLMSimConfig shapes a SimulatedLLMOracle. The zero value is a free,
-// instant, always-answering, noise-free labeler.
+// always-answering, noise-free labeler.
 type LLMSimConfig struct {
 	// AbstainRate is the probability in [0, 1] that an answer abstains.
 	AbstainRate float64
@@ -129,20 +165,17 @@ type LLMSimConfig struct {
 	FailRate float64
 	// Price is the billing schedule.
 	Price PriceTable
-	// Latency is simulated once per LabelBatch call — the fixed per-call
-	// overhead batching amortizes. It honors context cancellation.
-	Latency time.Duration
 }
 
 // SimulatedLLMOracle is a deterministic, seeded stand-in for an
-// LLM-style batch labeler: per-batch latency, per-answer cost,
-// abstentions and label noise — no network. Every abstain/noise/failure
-// decision is a pure function of (seed, pair, that pair's attempt
-// ordinal), the same construction as resilience.FaultyOracle: two
-// instances built with the same seed and driven with the same per-pair
-// attempt sequence answer identically, regardless of how batches
-// interleave pairs — which is what lets the chaos suite assert a
-// killed-and-resumed run matches an uninterrupted one.
+// LLM-style batch labeler: per-answer cost, abstentions and label
+// noise — no network. Every abstain/noise/failure decision is a
+// PairDraw of (seed, pair, that pair's attempt ordinal), as are
+// resilience.FaultyOracle's faults: two instances built with the same
+// seed and driven with the same per-pair attempt sequence answer
+// identically, regardless of how batches interleave pairs — which is
+// what lets the chaos suite assert a killed-and-resumed run matches an
+// uninterrupted one.
 //
 // The per-pair attempt ordinals are process-local state; a resumed
 // process realigns them from the WAL via AdvancePair. Failed answers are
@@ -184,39 +217,26 @@ func (o *SimulatedLLMOracle) LabelBatch(ctx context.Context, pairs []dataset.Pai
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if o.cfg.Latency > 0 {
-		timer := time.NewTimer(o.cfg.Latency)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, ctx.Err()
-		}
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.batches++
-	costBatches.Add(1)
 	out := make([]Answer, 0, len(pairs))
 	for _, p := range pairs {
 		o.attempts[p]++
 		n := o.attempts[p]
 		switch {
-		case o.cfg.FailRate > 0 && simDraw(o.seed, p, n, saltFail) < o.cfg.FailRate:
+		case o.cfg.FailRate > 0 && PairDraw(o.seed, p, n, saltFail) < o.cfg.FailRate:
 			o.failures++
-			costFailures.Add(1)
 			out = append(out, Answer{Err: fmt.Errorf("%w (pair %d,%d attempt %d)",
 				ErrSimulated, p.L, p.R, n)})
-		case o.cfg.AbstainRate > 0 && simDraw(o.seed, p, n, saltAbstain) < o.cfg.AbstainRate:
+		case o.cfg.AbstainRate > 0 && PairDraw(o.seed, p, n, saltAbstain) < o.cfg.AbstainRate:
 			o.queries++
 			o.abstains++
 			o.spent += o.cfg.Price.PerAbstain
-			costAbstains.Add(1)
-			addCostDollars(o.cfg.Price.PerAbstain)
 			out = append(out, Answer{Verdict: VerdictAbstain, Cost: o.cfg.Price.PerAbstain})
 		default:
 			lab := o.d.IsMatch(p)
-			if o.cfg.NoiseRate > 0 && simDraw(o.seed, p, n, saltNoise) < o.cfg.NoiseRate {
+			if o.cfg.NoiseRate > 0 && PairDraw(o.seed, p, n, saltNoise) < o.cfg.NoiseRate {
 				lab = !lab
 			}
 			v := VerdictNonMatch
@@ -226,8 +246,6 @@ func (o *SimulatedLLMOracle) LabelBatch(ctx context.Context, pairs []dataset.Pai
 			o.queries++
 			o.labels++
 			o.spent += o.cfg.Price.PerLabel
-			costLabels.Add(1)
-			addCostDollars(o.cfg.Price.PerLabel)
 			out = append(out, Answer{Verdict: v, Cost: o.cfg.Price.PerLabel})
 		}
 	}
@@ -288,17 +306,26 @@ func (o *SimulatedLLMOracle) Failures() int {
 	return o.failures
 }
 
-// simDraw maps (seed, pair, attempt, salt) to a uniform [0, 1) value via
-// FNV-1a — cheap, stable across processes, independent of batch
-// interleaving, and decorrelated across the salted decision streams.
-func simDraw(seed int64, p dataset.PairKey, attempt, salt int) float64 {
+// PairDraw maps (seed, pair, attempt, salts...) to a uniform [0, 1)
+// value via FNV-1a over their little-endian 64-bit words — cheap, stable
+// across processes and independent of how calls for different pairs
+// interleave. Salts decorrelate several decision streams derived from
+// one attempt ordinal. It is the per-attempt randomness of every
+// seeded labeler: the simulated LLM's failures, abstentions and noise,
+// and resilience.FaultyOracle's injected faults.
+func PairDraw(seed int64, p dataset.PairKey, attempt int, salts ...int) float64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for _, v := range []uint64{uint64(seed), uint64(p.L), uint64(p.R), uint64(attempt), uint64(salt)} {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
+	}
+	word(uint64(seed))
+	word(uint64(p.L))
+	word(uint64(p.R))
+	word(uint64(attempt))
+	for _, s := range salts {
+		word(uint64(s))
 	}
 	return float64(h.Sum64()>>11) / float64(1<<53)
 }

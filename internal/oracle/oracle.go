@@ -102,9 +102,15 @@ func (o *Noisy) Advance(n uint64) {
 // flipping a majority of K independent p-noisy votes needs ⌈K/2⌉
 // simultaneous errors. Queries counts every worker response, so the
 // #labels metric reflects the true crowd cost.
+//
+// MajorityVote is Stateful in vote rounds: Draws counts Label calls, and
+// Advance(n) advances a Stateful voter by n·k draws, so a snapshot or a
+// WAL-cached answer realigns the voters' noise stream one whole round at
+// a time.
 type MajorityVote struct {
-	inner Oracle
-	k     int
+	inner  Oracle
+	k      int
+	rounds uint64
 }
 
 // NewMajorityVote wraps inner with k-worker voting; even k is rounded up
@@ -121,6 +127,7 @@ func NewMajorityVote(inner Oracle, k int) *MajorityVote {
 
 // Label implements Oracle.
 func (o *MajorityVote) Label(p dataset.PairKey) bool {
+	o.rounds++
 	pos := 0
 	for i := 0; i < o.k; i++ {
 		if o.inner.Label(p) {
@@ -132,3 +139,15 @@ func (o *MajorityVote) Label(p dataset.PairKey) bool {
 
 // Queries implements Oracle: the total worker responses paid for.
 func (o *MajorityVote) Queries() int { return o.inner.Queries() }
+
+// Draws implements Stateful: one per vote round.
+func (o *MajorityVote) Draws() uint64 { return o.rounds }
+
+// Advance implements Stateful, fast-forwarding n vote rounds: k draws
+// each of a Stateful voter (a stateless one has nothing to skip).
+func (o *MajorityVote) Advance(n uint64) {
+	if st, ok := o.inner.(Stateful); ok {
+		st.Advance(n * uint64(o.k))
+	}
+	o.rounds += n
+}

@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"github.com/alem/alem/internal/dataset"
@@ -149,5 +151,76 @@ func TestNoisyStatefulAdvanceRealignsRNG(t *testing.T) {
 		if ref.Label(p) != resumed.Label(p) {
 			t.Fatalf("label %d diverged after Advance", i)
 		}
+	}
+}
+
+// TestMajorityVoteStatefulInRounds pins MajorityVote's Stateful hook:
+// Draws counts vote rounds, and a fresh voter advanced by them continues
+// the exact vote sequence of the one it replaces.
+func TestMajorityVoteStatefulInRounds(t *testing.T) {
+	d := toyDataset()
+	keys := []dataset.PairKey{{L: 0, R: 0}, {L: 1, R: 1}, {L: 2, R: 3}, {L: 0, R: 1}}
+	ref := NewMajorityVote(NewNoisy(d, 0.4, 42), 3)
+	for i := 0; i < 7; i++ {
+		ref.Label(keys[i%len(keys)])
+	}
+	if ref.Draws() != 7 {
+		t.Fatalf("Draws = %d after 7 votes, want 7", ref.Draws())
+	}
+	inner := NewNoisy(d, 0.4, 42)
+	resumed := NewMajorityVote(inner, 3)
+	resumed.Advance(ref.Draws())
+	if resumed.Draws() != 7 || inner.Draws() != 21 {
+		t.Fatalf("after Advance(7): %d rounds, voter at draw %d; want 7 and 21", resumed.Draws(), inner.Draws())
+	}
+	for i := 0; i < 40; i++ {
+		p := keys[i%len(keys)]
+		if ref.Label(p) != resumed.Label(p) {
+			t.Fatalf("vote %d diverged after Advance", i)
+		}
+	}
+	stateless := NewMajorityVote(NewPerfect(d), 3)
+	stateless.Advance(5)
+	if stateless.Draws() != 5 || stateless.Queries() != 0 {
+		t.Errorf("stateless voter after Advance(5): %d rounds, %d queries; want 5 and 0",
+			stateless.Draws(), stateless.Queries())
+	}
+}
+
+// TestPerPairAnswersOnePairPerCall pins the per-pair adapter's contract:
+// each LabelBatch call asks the oracle about its first pair only, and a
+// cancelled context aborts before the query.
+func TestPerPairAnswersOnePairPerCall(t *testing.T) {
+	d := toyDataset()
+	p, q := dataset.PairKey{L: 1, R: 1}, dataset.PairKey{L: 1, R: 2}
+	o := NewPerfect(d)
+	bo := PerPair(o)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		pairs []dataset.PairKey
+		want  Verdict
+	}{
+		{[]dataset.PairKey{p, q}, VerdictMatch},
+		{[]dataset.PairKey{q, p}, VerdictNonMatch},
+	} {
+		answers, err := bo.LabelBatch(ctx, tc.pairs)
+		if err != nil || len(answers) != 1 || answers[0].Verdict != tc.want || answers[0].Err != nil || answers[0].Cost != 0 {
+			t.Fatalf("LabelBatch(%v) = %+v, %v; want one free %v answer", tc.pairs, answers, err, tc.want)
+		}
+	}
+	if answers, err := bo.LabelBatch(ctx, nil); len(answers) != 0 || err != nil {
+		t.Errorf("empty batch answered %+v, %v", answers, err)
+	}
+	if o.Queries() != 2 || bo.Queries() != 2 {
+		t.Errorf("queries = %d (adapter %d), want one per call", o.Queries(), bo.Queries())
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if answers, err := bo.LabelBatch(cancelled, []dataset.PairKey{p}); len(answers) != 0 || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled call gave %+v, %v", answers, err)
+	}
+	if o.Queries() != 2 {
+		t.Errorf("a cancelled call reached the oracle")
 	}
 }

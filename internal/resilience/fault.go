@@ -4,43 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
-	"time"
 
 	"github.com/alem/alem/internal/dataset"
+	"github.com/alem/alem/internal/oracle"
 )
 
 // ErrInjected marks an error produced by the fault injector; chaos tests
 // match it with errors.Is to separate injected faults from real ones.
 var ErrInjected = errors.New("resilience: injected fault")
 
-// FaultConfig shapes a FaultyOracle's failure behavior. The zero value
-// injects nothing.
-type FaultConfig struct {
-	// TransientRate is the probability in [0, 1] that any single attempt
-	// fails with a transient error.
-	TransientRate float64
-	// Latency is added to every successful attempt (0: none). Chaos
-	// tests keep it at 0 or microseconds; soak runs use realistic values.
-	Latency time.Duration
-	// OutageAfter / OutageFor, when OutageFor > 0, hard-fail every
-	// attempt in the call-count window
-	// [OutageAfter, OutageAfter+OutageFor) — a labeler that goes down
-	// and comes back. The window is counted on the injector's own
-	// attempt counter, so unlike transient faults it is not stable
-	// across a Snapshot+WAL resume; align outages with checkpoint
-	// boundaries when asserting bit-identical resume.
-	OutageAfter int
-	OutageFor   int
-}
-
-// FaultyOracle wraps a FallibleOracle with deterministic, seeded fault
-// injection. Each transient-fault decision is a pure function of
-// (seed, pair, that pair's attempt ordinal): two injectors built with
-// the same seed, driven with the same per-pair attempt sequence, make
-// identical decisions — which is what lets the chaos suite assert a
-// killed-and-resumed run is bit-identical to an uninterrupted one.
+// FaultyOracle wraps a labeler with deterministic, seeded fault
+// injection, one pair per call. Each transient-fault decision is an
+// oracle.PairDraw of (seed, pair, that pair's attempt ordinal): two
+// injectors built with the same seed, driven with the same per-pair
+// attempt sequence, make identical decisions — which is what lets the
+// chaos suite assert a killed-and-resumed run is bit-identical to an
+// uninterrupted one. At rate 1 every attempt fails: a dead labeler.
 //
 // The per-pair attempt ordinals are process-local state. A resumed
 // process replays WAL-cached labels without re-attempting them, which is
@@ -50,77 +30,55 @@ type FaultConfig struct {
 // ordinal). Chaos tests assert Retrier.Exhausted() == 0 to pin that
 // precondition.
 //
-// Faults fire BEFORE the inner oracle is consulted, so failed attempts
+// Faults fire BEFORE the inner labeler is asked, so failed attempts
 // never advance the inner labeler's query count or RNG state.
 type FaultyOracle struct {
-	inner FallibleOracle
-	cfg   FaultConfig
+	inner oracle.BatchOracle
+	rate  float64
 	seed  int64
 
 	mu       sync.Mutex
 	attempts map[dataset.PairKey]int // per-pair attempt ordinals
-	calls    int                     // total attempts, drives the outage window
+	calls    int
 	injected int
 }
 
-// NewFaultyOracle wraps inner with seeded fault injection.
-func NewFaultyOracle(inner FallibleOracle, cfg FaultConfig, seed int64) *FaultyOracle {
-	return &FaultyOracle{inner: inner, cfg: cfg, seed: seed, attempts: map[dataset.PairKey]int{}}
+// NewFaultyOracle wraps inner with seeded fault injection: each attempt
+// fails with probability rate in [0, 1].
+func NewFaultyOracle(inner oracle.BatchOracle, rate float64, seed int64) *FaultyOracle {
+	return &FaultyOracle{inner: inner, rate: rate, seed: seed, attempts: map[dataset.PairKey]int{}}
 }
 
-// Label implements FallibleOracle.
-func (f *FaultyOracle) Label(ctx context.Context, p dataset.PairKey) (bool, error) {
+// LabelBatch implements oracle.BatchOracle, answering pairs[0] only: an
+// injected fault is that answer's Err, otherwise the inner labeler
+// answers.
+func (f *FaultyOracle) LabelBatch(ctx context.Context, pairs []dataset.PairKey) ([]oracle.Answer, error) {
+	if len(pairs) == 0 {
+		return nil, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	p := pairs[0]
 	f.mu.Lock()
 	f.calls++
-	call := f.calls
 	f.attempts[p]++
 	attempt := f.attempts[p]
+	fault := f.rate > 0 && oracle.PairDraw(f.seed, p, attempt) < f.rate
+	if fault {
+		f.injected++
+	}
 	f.mu.Unlock()
-
-	if f.cfg.OutageFor > 0 && call > f.cfg.OutageAfter && call <= f.cfg.OutageAfter+f.cfg.OutageFor {
-		f.fault()
-		return false, fmt.Errorf("%w: labeler outage (call %d)", ErrInjected, call)
+	if fault {
+		return []oracle.Answer{{Err: fmt.Errorf("%w: transient labeler error (pair %d,%d attempt %d)",
+			ErrInjected, p.L, p.R, attempt)}}, nil
 	}
-	if f.cfg.TransientRate > 0 && faultDraw(f.seed, p, attempt) < f.cfg.TransientRate {
-		f.fault()
-		return false, fmt.Errorf("%w: transient labeler error (pair %d,%d attempt %d)",
-			ErrInjected, p.L, p.R, attempt)
-	}
-	if f.cfg.Latency > 0 {
-		timer := time.NewTimer(f.cfg.Latency)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return false, ctx.Err()
-		}
-	}
-	return f.inner.Label(ctx, p)
+	answers, err := f.inner.LabelBatch(ctx, pairs[:1])
+	return answers[:min(len(answers), 1)], err
 }
 
-func (f *FaultyOracle) fault() {
-	f.mu.Lock()
-	f.injected++
-	f.mu.Unlock()
-}
-
-// faultDraw maps (seed, pair, attempt) to a uniform [0, 1) value via
-// FNV-1a — cheap, stable across processes, and independent of how calls
-// for different pairs interleave.
-func faultDraw(seed int64, p dataset.PairKey, attempt int) float64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range []uint64{uint64(seed), uint64(p.L), uint64(p.R), uint64(attempt)} {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return float64(h.Sum64()>>11) / float64(1<<53)
-}
-
-// Queries implements FallibleOracle: the attempts that reached the inner
-// labeler.
+// Queries implements oracle.BatchOracle: the attempts that reached the
+// inner labeler.
 func (f *FaultyOracle) Queries() int { return f.inner.Queries() }
 
 // Injected reports how many faults have been injected so far.
@@ -137,5 +95,5 @@ func (f *FaultyOracle) Calls() int {
 	return f.calls
 }
 
-// UnwrapOracle exposes the wrapped oracle for StatefulOf.
+// UnwrapOracle exposes the wrapped labeler to the session's hook search.
 func (f *FaultyOracle) UnwrapOracle() any { return f.inner }

@@ -1,9 +1,10 @@
-// Package resilience is the framework's fault-tolerance layer: it models
-// labelers that fail (FallibleOracle), makes those failures reproducible
-// (FaultyOracle, a seeded deterministic fault injector), bounds them
-// (Retrier: exponential backoff with jitter, per-attempt timeouts, a
-// typed exhaustion error), and contains them (Breaker, the circuit
-// breaker the serving layer wraps around the matcher).
+// Package resilience is the framework's fault-tolerance layer: it makes
+// labeler failures reproducible (FaultyOracle, a seeded deterministic
+// fault injector), bounds them (Retrier: exponential backoff with
+// jitter and a typed exhaustion error), and contains them (Breaker, the
+// circuit breaker the serving layer wraps around the matcher). Both
+// labeler wrappers are oracle.BatchOracles over an oracle.BatchOracle,
+// so a fault chain reaches a core.Session like any other labeler.
 //
 // It also owns the durability primitives the checkpointing story builds
 // on: LabelWAL, an fsync'd append-only log of granted labels, and
@@ -29,67 +30,22 @@ import (
 	"github.com/alem/alem/internal/oracle"
 )
 
-// FallibleOracle is the failure-aware labeler interface: unlike
-// oracle.Oracle, Label takes a context and can fail. Implementations
-// must be safe to call sequentially from one goroutine; the Session
-// engine never issues concurrent label queries.
-type FallibleOracle interface {
-	// Label returns the label of a pair, or an error when the labeler
-	// timed out, rate-limited or is down. Implementations should honor
-	// ctx cancellation promptly.
-	Label(ctx context.Context, p dataset.PairKey) (bool, error)
-	// Queries returns how many label requests reached the underlying
-	// labeler (the paper's #labels cost metric).
-	Queries() int
-}
-
-// ErrOracleExhausted is returned (wrapped, with the final attempt's
-// error) by Retrier.Label once MaxAttempts have failed. Callers match it
+// ErrOracleExhausted is wrapped, with the final attempt's error, in the
+// answer a Retrier gives once MaxAttempts have failed. Callers match it
 // with errors.Is.
 var ErrOracleExhausted = errors.New("resilience: oracle retries exhausted")
 
-// infallible adapts a classic oracle.Oracle to the fallible interface.
-// The only failure it can report is context cancellation, checked before
-// the query so a cancelled run never pays for another label.
-type infallible struct {
-	inner oracle.Oracle
-}
+// errNoAnswer is the attempt error of a labeler call that returned no
+// answer and no error (the BatchOracle contract's "remainder failed").
+var errNoAnswer = errors.New("resilience: labeler returned no answer")
 
-// Wrap lifts an infallible oracle.Oracle into the FallibleOracle
-// interface.
-func Wrap(o oracle.Oracle) FallibleOracle { return &infallible{inner: o} }
-
-// Label implements FallibleOracle.
-func (w *infallible) Label(ctx context.Context, p dataset.PairKey) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return w.inner.Label(p), nil
-}
-
-// Queries implements FallibleOracle.
-func (w *infallible) Queries() int { return w.inner.Queries() }
-
-// UnwrapOracle exposes the wrapped oracle for StatefulOf.
-func (w *infallible) UnwrapOracle() any { return w.inner }
-
-// StatefulOf walks an oracle wrapper chain (anything exposing
-// UnwrapOracle() any) looking for an oracle.Stateful implementation —
-// the hook Snapshot/Restore use to capture a Noisy oracle's RNG position
-// through however many resilience layers wrap it.
-func StatefulOf(o any) (oracle.Stateful, bool) {
-	for o != nil {
-		if st, ok := o.(oracle.Stateful); ok {
-			return st, true
-		}
-		u, ok := o.(interface{ UnwrapOracle() any })
-		if !ok {
-			return nil, false
-		}
-		o = u.UnwrapOracle()
-	}
-	return nil, false
-}
+// Backoff shape: each retry doubles the previous delay up to maxDelay,
+// plus a uniform jitter of up to jitter·delay that decorrelates retry
+// storms without changing which attempt succeeds.
+const (
+	maxDelay = 2 * time.Second
+	jitter   = 0.2
+)
 
 // RetryPolicy bounds how hard a Retrier leans on a failing labeler.
 // The zero value picks the defaults documented per field.
@@ -98,20 +54,8 @@ type RetryPolicy struct {
 	// (default 4).
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt (default 50ms);
-	// each further attempt doubles it (Multiplier) up to MaxDelay.
+	// each further attempt doubles it, up to 2s.
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 2s).
-	MaxDelay time.Duration
-	// Multiplier is the backoff growth factor (default 2).
-	Multiplier float64
-	// Jitter is the uniform random fraction added to each backoff, in
-	// [0, 1] (default 0.2): delay * (1 + Jitter*U). Jitter decorrelates
-	// retry storms; it never changes which attempt succeeds, so
-	// deterministic replays are unaffected.
-	Jitter float64
-	// PerAttemptTimeout, when positive, bounds each attempt with its own
-	// context deadline (default 0: the query's context is the only bound).
-	PerAttemptTimeout time.Duration
 	// Sleep overrides the backoff clock, for tests (nil: a real timer
 	// that races ctx.Done, so a cancelled run never waits out a backoff).
 	Sleep func(time.Duration)
@@ -124,26 +68,20 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 50 * time.Millisecond
 	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		p.Jitter = 0.2
-	}
 	return p
 }
 
-// Retrier wraps a FallibleOracle with bounded retries: transient
-// failures are re-attempted with exponential backoff and jitter; once
-// the budget is spent Label returns ErrOracleExhausted (wrapped with the
-// final error) so the Session can requeue the pair instead of aborting
-// the run. Context errors are never retried — a cancelled run must stop
-// immediately, and a deadline that already fired cannot succeed later.
+// Retrier wraps a labeler with bounded retries of one pair per call:
+// a failed attempt (a per-pair Err, or a call that returned no answer)
+// is re-attempted with exponential backoff and jitter; once the budget
+// is spent the call answers an Err wrapping ErrOracleExhausted, so the
+// Session requeues the pair instead of aborting the run. Any answer the
+// labeler gave — an abstention included — passes through unretried,
+// even when ctx fired during the call, because it is paid for. Context
+// errors are never retried: a cancelled run must stop immediately, and a
+// deadline that already fired cannot succeed later.
 type Retrier struct {
-	inner  FallibleOracle
+	inner  oracle.BatchOracle
 	policy RetryPolicy
 	rng    *rand.Rand
 	mu     sync.Mutex // guards rng (jitter draws only; never affects outcomes)
@@ -154,48 +92,55 @@ type Retrier struct {
 
 // NewRetrier wraps inner with the policy. seed drives only the backoff
 // jitter, so it has no effect on which queries succeed.
-func NewRetrier(inner FallibleOracle, policy RetryPolicy, seed int64) *Retrier {
+func NewRetrier(inner oracle.BatchOracle, policy RetryPolicy, seed int64) *Retrier {
 	return &Retrier{inner: inner, policy: policy.withDefaults(), rng: rand.New(rand.NewSource(seed))}
 }
 
-// Label implements FallibleOracle with retry.
-func (r *Retrier) Label(ctx context.Context, p dataset.PairKey) (bool, error) {
+// LabelBatch implements oracle.BatchOracle with retry, answering
+// pairs[0] only.
+func (r *Retrier) LabelBatch(ctx context.Context, pairs []dataset.PairKey) ([]oracle.Answer, error) {
+	if len(pairs) == 0 {
+		return nil, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	p := pairs[0]
 	var lastErr error
 	delay := r.policy.BaseDelay
 	for attempt := 1; attempt <= r.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			r.retries++
 			if !r.backoff(ctx, delay) {
-				return false, ctx.Err()
+				return nil, ctx.Err()
 			}
-			delay = time.Duration(float64(delay) * r.policy.Multiplier)
-			if delay > r.policy.MaxDelay {
-				delay = r.policy.MaxDelay
-			}
+			delay = min(2*delay, maxDelay)
 		}
-		actx, cancel := ctx, context.CancelFunc(func() {})
-		if r.policy.PerAttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, r.policy.PerAttemptTimeout)
+		answers, err := r.inner.LabelBatch(ctx, pairs[:1])
+		if len(answers) > 0 && answers[0].Err == nil {
+			return answers[:1], nil
 		}
-		lab, err := r.inner.Label(actx, p)
-		cancel()
-		if err == nil {
-			return lab, nil
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
 		}
-		if ctx.Err() != nil {
-			return false, ctx.Err()
+		switch {
+		case len(answers) > 0:
+			lastErr = answers[0].Err
+		case err != nil:
+			lastErr = err
+		default:
+			lastErr = errNoAnswer
 		}
-		lastErr = err
 	}
 	r.exhausted++
-	return false, fmt.Errorf("%w after %d attempts on pair (%d,%d): %w",
-		ErrOracleExhausted, r.policy.MaxAttempts, p.L, p.R, lastErr)
+	return []oracle.Answer{{Err: fmt.Errorf("%w after %d attempts on pair (%d,%d): %w",
+		ErrOracleExhausted, r.policy.MaxAttempts, p.L, p.R, lastErr)}}, nil
 }
 
 // backoff sleeps the jittered delay, returning false if ctx fired first.
 func (r *Retrier) backoff(ctx context.Context, delay time.Duration) bool {
 	r.mu.Lock()
-	jittered := time.Duration(float64(delay) * (1 + r.policy.Jitter*r.rng.Float64()))
+	jittered := time.Duration(float64(delay) * (1 + jitter*r.rng.Float64()))
 	r.mu.Unlock()
 	if r.policy.Sleep != nil {
 		r.policy.Sleep(jittered)
@@ -211,7 +156,7 @@ func (r *Retrier) backoff(ctx context.Context, delay time.Duration) bool {
 	}
 }
 
-// Queries implements FallibleOracle.
+// Queries implements oracle.BatchOracle.
 func (r *Retrier) Queries() int { return r.inner.Queries() }
 
 // Retries reports how many extra attempts the policy has paid so far.
@@ -220,5 +165,5 @@ func (r *Retrier) Retries() int { return r.retries }
 // Exhausted reports how many label queries burned their whole budget.
 func (r *Retrier) Exhausted() int { return r.exhausted }
 
-// UnwrapOracle exposes the wrapped oracle for StatefulOf.
+// UnwrapOracle exposes the wrapped labeler to the session's hook search.
 func (r *Retrier) UnwrapOracle() any { return r.inner }

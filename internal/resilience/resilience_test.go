@@ -16,46 +16,72 @@ import (
 	"github.com/alem/alem/internal/oracle"
 )
 
-// stubOracle answers from a fixed map and counts queries.
+// stubOracle answers every pair it is given from a fixed map, one
+// query per answer.
 type stubOracle struct {
 	labels  map[dataset.PairKey]bool
 	queries int
 }
 
-func (s *stubOracle) Label(ctx context.Context, p dataset.PairKey) (bool, error) {
+func (s *stubOracle) LabelBatch(ctx context.Context, pairs []dataset.PairKey) ([]oracle.Answer, error) {
 	if err := ctx.Err(); err != nil {
-		return false, err
+		return nil, err
 	}
-	s.queries++
-	return s.labels[p], nil
+	out := make([]oracle.Answer, len(pairs))
+	for i, p := range pairs {
+		if s.labels[p] {
+			out[i].Verdict = oracle.VerdictMatch
+		}
+	}
+	s.queries += len(pairs)
+	return out, nil
 }
 
 func (s *stubOracle) Queries() int { return s.queries }
 
-// flakyOracle fails the first failures calls, then succeeds.
+// flakyOracle fails the first failures calls with a per-pair error, then
+// answers match.
 type flakyOracle struct {
 	failures int
 	calls    int
 }
 
-func (f *flakyOracle) Label(ctx context.Context, p dataset.PairKey) (bool, error) {
+func (f *flakyOracle) LabelBatch(ctx context.Context, pairs []dataset.PairKey) ([]oracle.Answer, error) {
 	f.calls++
 	if f.calls <= f.failures {
-		return false, fmt.Errorf("boom %d", f.calls)
+		return []oracle.Answer{{Err: fmt.Errorf("boom %d", f.calls)}}, nil
 	}
-	return true, nil
+	return []oracle.Answer{{Verdict: oracle.VerdictMatch}}, nil
 }
 
 func (f *flakyOracle) Queries() int { return f.calls }
 
+// funcOracle answers each call with fn, counting calls.
+type funcOracle struct {
+	fn    func(ctx context.Context) ([]oracle.Answer, error)
+	calls int
+}
+
+func (f *funcOracle) LabelBatch(ctx context.Context, pairs []dataset.PairKey) ([]oracle.Answer, error) {
+	f.calls++
+	return f.fn(ctx)
+}
+
+func (f *funcOracle) Queries() int { return f.calls }
+
 func noSleep(time.Duration) {}
+
+// labelOne asks bo about p alone.
+func labelOne(ctx context.Context, bo oracle.BatchOracle, p dataset.PairKey) ([]oracle.Answer, error) {
+	return bo.LabelBatch(ctx, []dataset.PairKey{p})
+}
 
 func TestRetrierRecoversFromTransientFailures(t *testing.T) {
 	inner := &flakyOracle{failures: 3}
 	r := NewRetrier(inner, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Nanosecond, Sleep: noSleep}, 1)
-	lab, err := r.Label(context.Background(), dataset.PairKey{L: 1, R: 2})
-	if err != nil || !lab {
-		t.Fatalf("Label = (%v, %v), want (true, nil)", lab, err)
+	answers, err := labelOne(context.Background(), r, dataset.PairKey{L: 1, R: 2})
+	if err != nil || len(answers) != 1 || answers[0].Err != nil || answers[0].Verdict != oracle.VerdictMatch {
+		t.Fatalf("LabelBatch = (%+v, %v), want one match answer", answers, err)
 	}
 	if r.Retries() != 3 {
 		t.Errorf("Retries = %d, want 3", r.Retries())
@@ -68,9 +94,12 @@ func TestRetrierRecoversFromTransientFailures(t *testing.T) {
 func TestRetrierExhaustsBudget(t *testing.T) {
 	inner := &flakyOracle{failures: 100}
 	r := NewRetrier(inner, RetryPolicy{MaxAttempts: 4, BaseDelay: time.Nanosecond, Sleep: noSleep}, 1)
-	_, err := r.Label(context.Background(), dataset.PairKey{L: 7, R: 9})
-	if !errors.Is(err, ErrOracleExhausted) {
-		t.Fatalf("err = %v, want ErrOracleExhausted", err)
+	answers, err := labelOne(context.Background(), r, dataset.PairKey{L: 7, R: 9})
+	if err != nil || len(answers) != 1 {
+		t.Fatalf("LabelBatch = (%+v, %v), want one errored answer", answers, err)
+	}
+	if !errors.Is(answers[0].Err, ErrOracleExhausted) {
+		t.Fatalf("answer err = %v, want ErrOracleExhausted", answers[0].Err)
 	}
 	if inner.calls != 4 {
 		t.Errorf("inner saw %d attempts, want 4", inner.calls)
@@ -78,8 +107,8 @@ func TestRetrierExhaustsBudget(t *testing.T) {
 	if r.Exhausted() != 1 {
 		t.Errorf("Exhausted = %d, want 1", r.Exhausted())
 	}
-	// The final error's cause is preserved.
-	if got := err.Error(); got == "" || !errors.Is(err, ErrOracleExhausted) {
+	// The final attempt's error is preserved.
+	if got := answers[0].Err.Error(); !strings.Contains(got, "boom 4") {
 		t.Errorf("error %q lost its cause", got)
 	}
 }
@@ -89,12 +118,156 @@ func TestRetrierHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := NewRetrier(inner, RetryPolicy{MaxAttempts: 10, BaseDelay: time.Nanosecond,
 		Sleep: func(time.Duration) { cancel() }}, 1)
-	_, err := r.Label(ctx, dataset.PairKey{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	answers, err := labelOne(ctx, r, dataset.PairKey{})
+	if !errors.Is(err, context.Canceled) || len(answers) != 0 {
+		t.Fatalf("LabelBatch = (%+v, %v), want context.Canceled and no answer", answers, err)
 	}
 	if inner.calls != 1 {
 		t.Errorf("inner saw %d attempts after cancel, want 1", inner.calls)
+	}
+}
+
+// TestRetrierBackoffSchedule pins the backoff constants through the
+// Sleep hook: the delay starts at BaseDelay, doubles up to the 2 s cap,
+// and each sleep adds under 20% jitter.
+func TestRetrierBackoffSchedule(t *testing.T) {
+	var slept []time.Duration
+	r := NewRetrier(&flakyOracle{failures: 100}, RetryPolicy{MaxAttempts: 5, BaseDelay: 600 * time.Millisecond,
+		Sleep: func(d time.Duration) { slept = append(slept, d) }}, 1)
+	labelOne(context.Background(), r, dataset.PairKey{})
+	want := []time.Duration{600 * time.Millisecond, 1200 * time.Millisecond, 2 * time.Second, 2 * time.Second}
+	if len(slept) != len(want) {
+		t.Fatalf("slept %v, want %d backoffs", slept, len(want))
+	}
+	jittered := 0
+	for i, d := range slept {
+		if d < want[i] || float64(d) >= 1.2*float64(want[i]) {
+			t.Errorf("backoff %d slept %v, want [%v, %v)", i+1, d, want[i], time.Duration(1.2*float64(want[i])))
+		}
+		if d > want[i] {
+			jittered++
+		}
+	}
+	if jittered == 0 {
+		t.Errorf("no backoff carried jitter: %v", slept)
+	}
+}
+
+// TestRetrierAnswersOnePairPerCall pins the Retrier's side of the
+// BatchOracle contract: each call asks the inner labeler about pairs[0]
+// alone and answers it alone; an answer the labeler gave — an
+// abstention, or one that arrived as ctx fired — passes through
+// unretried; a call that returned nothing is retried like a failed
+// answer; a cancelled context aborts before the query.
+func TestRetrierAnswersOnePairPerCall(t *testing.T) {
+	p, q := dataset.PairKey{L: 1, R: 2}, dataset.PairKey{L: 3, R: 4}
+	ctx := context.Background()
+	policy := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Nanosecond, Sleep: noSleep}
+
+	stub := &stubOracle{labels: map[dataset.PairKey]bool{p: true}}
+	r := NewRetrier(stub, policy, 1)
+	for _, tc := range []struct {
+		pairs []dataset.PairKey
+		want  oracle.Verdict
+	}{
+		{[]dataset.PairKey{p, q}, oracle.VerdictMatch},
+		{[]dataset.PairKey{q, p}, oracle.VerdictNonMatch},
+	} {
+		answers, err := r.LabelBatch(ctx, tc.pairs)
+		if err != nil || len(answers) != 1 || answers[0].Verdict != tc.want || answers[0].Err != nil {
+			t.Fatalf("LabelBatch(%v) = %+v, %v; want one %v answer", tc.pairs, answers, err, tc.want)
+		}
+	}
+	if answers, err := r.LabelBatch(ctx, nil); len(answers) != 0 || err != nil {
+		t.Errorf("empty batch answered %+v, %v", answers, err)
+	}
+	if stub.Queries() != 2 || r.Queries() != 2 {
+		t.Errorf("queries = %d (retrier %d), want one per call", stub.Queries(), r.Queries())
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if answers, err := r.LabelBatch(cancelled, []dataset.PairKey{p}); len(answers) != 0 || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled call gave %+v, %v", answers, err)
+	}
+	if stub.Queries() != 2 {
+		t.Errorf("a cancelled call reached the labeler")
+	}
+
+	abstain := &funcOracle{fn: func(context.Context) ([]oracle.Answer, error) {
+		return []oracle.Answer{{Verdict: oracle.VerdictAbstain, Cost: 0.5}}, nil
+	}}
+	r = NewRetrier(abstain, policy, 1)
+	answers, err := r.LabelBatch(ctx, []dataset.PairKey{p, q})
+	if err != nil || len(answers) != 1 || answers[0].Verdict != oracle.VerdictAbstain || answers[0].Cost != 0.5 {
+		t.Errorf("abstention came back as %+v, %v", answers, err)
+	}
+	if abstain.calls != 1 || r.Retries() != 0 {
+		t.Errorf("an abstention was retried: %d calls, %d retries", abstain.calls, r.Retries())
+	}
+
+	late, cancelLate := context.WithCancel(ctx)
+	defer cancelLate()
+	paid := &funcOracle{fn: func(context.Context) ([]oracle.Answer, error) {
+		cancelLate()
+		return []oracle.Answer{{Verdict: oracle.VerdictMatch}}, nil
+	}}
+	answers, err = NewRetrier(paid, policy, 1).LabelBatch(late, []dataset.PairKey{p})
+	if err != nil || len(answers) != 1 || answers[0].Verdict != oracle.VerdictMatch {
+		t.Errorf("an answer given as ctx fired came back as %+v, %v", answers, err)
+	}
+
+	silent := &funcOracle{fn: func(context.Context) ([]oracle.Answer, error) { return nil, nil }}
+	answers, err = NewRetrier(silent, policy, 1).LabelBatch(ctx, []dataset.PairKey{p})
+	if err != nil || len(answers) != 1 || !errors.Is(answers[0].Err, ErrOracleExhausted) || silent.calls != 3 {
+		t.Errorf("a labeler answering nothing gave %+v, %v after %d calls; want exhaustion after 3",
+			answers, err, silent.calls)
+	}
+}
+
+// TestFaultyOracleAnswersOnePairPerCall pins the injector's side of the
+// BatchOracle contract: each call asks the inner labeler about pairs[0]
+// alone, an injected fault is that answer's Err and never reaches the
+// inner labeler, and a cancelled context aborts before the attempt is
+// counted.
+func TestFaultyOracleAnswersOnePairPerCall(t *testing.T) {
+	p, q := dataset.PairKey{L: 1, R: 2}, dataset.PairKey{L: 3, R: 4}
+	ctx := context.Background()
+	stub := &stubOracle{labels: map[dataset.PairKey]bool{p: true}}
+	f := NewFaultyOracle(stub, 0, 1)
+	for _, tc := range []struct {
+		pairs []dataset.PairKey
+		want  oracle.Verdict
+	}{
+		{[]dataset.PairKey{p, q}, oracle.VerdictMatch},
+		{[]dataset.PairKey{q, p}, oracle.VerdictNonMatch},
+	} {
+		answers, err := f.LabelBatch(ctx, tc.pairs)
+		if err != nil || len(answers) != 1 || answers[0].Verdict != tc.want || answers[0].Err != nil {
+			t.Fatalf("LabelBatch(%v) = %+v, %v; want one %v answer", tc.pairs, answers, err, tc.want)
+		}
+	}
+	if answers, err := f.LabelBatch(ctx, nil); len(answers) != 0 || err != nil {
+		t.Errorf("empty batch answered %+v, %v", answers, err)
+	}
+	if stub.Queries() != 2 || f.Queries() != 2 || f.Calls() != 2 {
+		t.Errorf("queries = %d (injector %d, calls %d), want one per call", stub.Queries(), f.Queries(), f.Calls())
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if answers, err := f.LabelBatch(cancelled, []dataset.PairKey{p}); len(answers) != 0 || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled call gave %+v, %v", answers, err)
+	}
+	if stub.Queries() != 2 || f.Calls() != 2 {
+		t.Errorf("a cancelled call counted an attempt or reached the labeler")
+	}
+
+	dead := NewFaultyOracle(stub, 1, 1)
+	answers, err := dead.LabelBatch(ctx, []dataset.PairKey{p, q})
+	if err != nil || len(answers) != 1 || !errors.Is(answers[0].Err, ErrInjected) {
+		t.Errorf("a dead labeler answered %+v, %v; want one injected fault", answers, err)
+	}
+	if stub.Queries() != 2 || dead.Injected() != 1 {
+		t.Errorf("an injected fault reached the labeler (%d queries, %d injected)", stub.Queries(), dead.Injected())
 	}
 }
 
@@ -105,17 +278,16 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 	mkInner := func() *stubOracle {
 		return &stubOracle{labels: map[dataset.PairKey]bool{}}
 	}
-	cfg := FaultConfig{TransientRate: 0.3}
-	a := NewFaultyOracle(mkInner(), cfg, 99)
-	b := NewFaultyOracle(mkInner(), cfg, 99)
+	a := NewFaultyOracle(mkInner(), 0.3, 99)
+	b := NewFaultyOracle(mkInner(), 0.3, 99)
 
 	// Drive a with pairs 0..19 in order; drive b with the same pairs in
 	// a different interleaving. Per-pair outcomes must match exactly.
 	outcome := func(f *FaultyOracle, p dataset.PairKey) []bool {
 		var outs []bool
 		for i := 0; i < 4; i++ {
-			_, err := f.Label(context.Background(), p)
-			outs = append(outs, err == nil)
+			answers, err := labelOne(context.Background(), f, p)
+			outs = append(outs, err == nil && len(answers) == 1 && answers[0].Err == nil)
 		}
 		return outs
 	}
@@ -143,22 +315,6 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 	}
 	if a.Injected() != faults {
 		t.Errorf("Injected = %d, want %d", a.Injected(), faults)
-	}
-}
-
-func TestFaultInjectorOutageWindow(t *testing.T) {
-	inner := &stubOracle{labels: map[dataset.PairKey]bool{}}
-	f := NewFaultyOracle(inner, FaultConfig{OutageAfter: 3, OutageFor: 2}, 1)
-	var errs []bool
-	for i := 0; i < 7; i++ {
-		_, err := f.Label(context.Background(), dataset.PairKey{L: i, R: i})
-		errs = append(errs, err != nil)
-	}
-	want := []bool{false, false, false, true, true, false, false}
-	for i := range want {
-		if errs[i] != want[i] {
-			t.Fatalf("call %d: failed=%v, want %v (outage window [4,5])", i+1, errs[i], want[i])
-		}
 	}
 }
 
@@ -492,67 +648,5 @@ func TestWriteFileAtomicOverwriteAndErrors(t *testing.T) {
 	}
 	if !payloads[string(got)] {
 		t.Fatalf("final content %q is not any writer's full payload — torn write", got)
-	}
-}
-
-func TestStatefulOfUnwrapsChains(t *testing.T) {
-	// A plain stub exposes no state; wrapping it should not invent one.
-	base := Wrap(pairCounter{})
-	if _, ok := StatefulOf(base); ok {
-		t.Fatal("stateless oracle reported stateful")
-	}
-	chained := NewRetrier(NewFaultyOracle(base, FaultConfig{}, 1),
-		RetryPolicy{Sleep: noSleep}, 1)
-	if _, ok := StatefulOf(chained); ok {
-		t.Fatal("stateless chain reported stateful")
-	}
-}
-
-// pairCounter is a minimal oracle.Oracle for wrap tests.
-type pairCounter struct{}
-
-func (pairCounter) Label(dataset.PairKey) bool { return true }
-func (pairCounter) Queries() int               { return 0 }
-
-// TestBatchOfAnswersOnePairPerCall pins the per-pair adapter's contract:
-// each LabelBatch call asks the chain about its first pair only, a
-// per-pair error becomes that answer's Err, and a cancelled context
-// aborts before the query.
-func TestBatchOfAnswersOnePairPerCall(t *testing.T) {
-	p, q := dataset.PairKey{L: 1, R: 2}, dataset.PairKey{L: 3, R: 4}
-	stub := &stubOracle{labels: map[dataset.PairKey]bool{p: true}}
-	bo := BatchOf(stub)
-	ctx := context.Background()
-	for _, tc := range []struct {
-		pairs []dataset.PairKey
-		want  oracle.Verdict
-	}{
-		{[]dataset.PairKey{p, q}, oracle.VerdictMatch},
-		{[]dataset.PairKey{q, p}, oracle.VerdictNonMatch},
-	} {
-		answers, err := bo.LabelBatch(ctx, tc.pairs)
-		if err != nil || len(answers) != 1 || answers[0].Verdict != tc.want || answers[0].Err != nil {
-			t.Fatalf("LabelBatch(%v) = %+v, %v; want one %v answer", tc.pairs, answers, err, tc.want)
-		}
-	}
-	if answers, err := bo.LabelBatch(ctx, nil); len(answers) != 0 || err != nil {
-		t.Errorf("empty batch answered %+v, %v", answers, err)
-	}
-	if stub.Queries() != 2 || bo.Queries() != 2 {
-		t.Errorf("queries = %d (adapter %d), want one per call", stub.Queries(), bo.Queries())
-	}
-
-	answers, err := BatchOf(&flakyOracle{failures: 1}).LabelBatch(ctx, []dataset.PairKey{p, q})
-	if err != nil || len(answers) != 1 || answers[0].Err == nil {
-		t.Errorf("failing query gave %+v, %v; want one errored answer", answers, err)
-	}
-
-	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
-	if answers, err := bo.LabelBatch(cancelled, []dataset.PairKey{p}); len(answers) != 0 || !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled call gave %+v, %v", answers, err)
-	}
-	if stub.Queries() != 2 {
-		t.Errorf("a cancelled call reached the labeler")
 	}
 }

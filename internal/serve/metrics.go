@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"github.com/alem/alem/internal/obs"
-	"github.com/alem/alem/internal/oracle"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds, chosen to
@@ -56,9 +55,6 @@ func newMetrics() *metrics {
 	reg.GaugeFunc("alem_http_in_flight_requests",
 		"Requests currently being served.",
 		func() float64 { return float64(m.inFlight.Load()) })
-	// Labeling-cost totals from batch oracles (batch calls, answer mix,
-	// microdollars billed) ride the same scrape.
-	oracle.RegisterMetrics(reg)
 	return m
 }
 

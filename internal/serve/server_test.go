@@ -730,11 +730,6 @@ func TestMetricsNamesStable(t *testing.T) {
 		"# TYPE alem_blocking_count_filter_skipped_total counter",
 		"# TYPE alem_blocking_pairs_verified_total counter",
 		"# TYPE alem_blocking_pairs_kept_total counter",
-		"# TYPE alem_oracle_cost_batches_total counter",
-		"# TYPE alem_oracle_cost_labels_total counter",
-		"# TYPE alem_oracle_cost_abstains_total counter",
-		"# TYPE alem_oracle_cost_failures_total counter",
-		"# TYPE alem_oracle_cost_microdollars_total counter",
 	} {
 		if !strings.Contains(body, typeLine+"\n") {
 			t.Errorf("metrics output missing %q", typeLine)
