@@ -159,7 +159,8 @@ serve-smoke:
 
 # Ctrl-C resume drill: trains a cora model uninterrupted, trains it again
 # with -checkpoint and SIGINT at iteration 10 (mid-round under flaky
-# labeling), resumes with -resume and asserts the two saved models are
-# byte-identical (see scripts/resume_drill.sh). About 15 s.
+# labeling), resumes with -resume -workers 1 and asserts the two saved
+# models are byte-identical, so the resume path is also checked across
+# worker counts (see scripts/resume_drill.sh). About 15 s.
 resume-drill:
 	GO="$(GO)" sh scripts/resume_drill.sh

@@ -337,7 +337,8 @@ func RunEnsembleContext(ctx context.Context, pool *Pool, o Oracle,
 // directly for context cancellation, the typed event stream, or
 // checkpoint/resume.
 type (
-	// Session is one active-learning run as an explicit state machine.
+	// Session is one active-learning run as an explicit state machine;
+	// Resume continues an interrupted one from its snapshot.
 	Session = core.Session
 	// SessionSnapshot is a serializable checkpoint of a Session.
 	SessionSnapshot = core.Snapshot
@@ -393,12 +394,6 @@ const (
 // BatchOfOracle(o)).
 func NewSession(pool *Pool, l Learner, s Selector, o Oracle, cfg Config) (*Session, error) {
 	return core.NewSession(pool, l, s, o, cfg)
-}
-
-// RestoreSession rebuilds a Session from a snapshot; see
-// core.Restore for the learner-state contract.
-func RestoreSession(pool *Pool, l Learner, s Selector, o Oracle, sn *SessionSnapshot) (*Session, error) {
-	return core.Restore(pool, l, s, o, sn)
 }
 
 // ReadSessionSnapshot deserializes a snapshot written by
@@ -696,7 +691,7 @@ type (
 	LabelSink = core.LabelSink
 	// StatefulOracle is an oracle whose label decisions consume RNG
 	// draws (NoisyOracle, and a majority vote over one); snapshots
-	// capture and restore its position.
+	// capture its position and Resume advances it back.
 	StatefulOracle = oracle.Stateful
 	// CircuitBreaker trips after consecutive failures and sheds load
 	// until a cooldown probe succeeds; MatchServer runs one internally.
@@ -722,7 +717,7 @@ var (
 	// failed; the Session stops with StopOracleFailed.
 	ErrLabelingStalled = core.ErrLabelingStalled
 	// ErrInvalidSnapshot is wrapped by every error that rejects a
-	// snapshot's or label WAL's content when a session is restored.
+	// snapshot's or label WAL's content when a session is resumed.
 	ErrInvalidSnapshot = core.ErrInvalidSnapshot
 )
 
@@ -765,7 +760,7 @@ func NewTenantLimiter(rate float64, burst int) *TenantLimiter {
 // OpenLabelWAL opens (or creates) a label write-ahead log, replaying
 // its intact prefix and truncating any torn tail from a crash
 // mid-append. Wire the WAL into a Session with SetLabelSink; pass the
-// replayed records to RestoreBatchSessionWithWAL on resume.
+// replayed records to Session.Resume on resume.
 func OpenLabelWAL(path string) (*LabelWAL, []LabelRecord, error) {
 	return resilience.OpenLabelWAL(path)
 }
@@ -831,9 +826,9 @@ func NewSimulatedLLMOracle(d *Dataset, cfg LLMSimConfig, seed int64) *SimulatedL
 // BatchOfOracle adapts a per-pair Oracle to the BatchOracle interface
 // a Session labels through, asking one pair per call. Wrap the result
 // in NewFaultyOracle or NewRetryOracle, or pass it to NewBatchSession
-// and RestoreBatchSessionWithWAL directly. Failed answers emit
-// OracleFault events and requeue their pairs, and a fully failed round
-// stops with StopOracleFailed instead of spinning.
+// directly. Failed answers emit OracleFault events and requeue their
+// pairs, and a fully failed round stops with StopOracleFailed instead
+// of spinning.
 func BatchOfOracle(o Oracle) BatchOracle { return oracle.PerPair(o) }
 
 // NewBatchSession prepares a run that labels through a BatchOracle:
@@ -845,14 +840,11 @@ func NewBatchSession(pool *Pool, l Learner, s Selector, bo BatchOracle, cfg Conf
 	return core.NewBatchSession(pool, l, s, bo, cfg)
 }
 
-// RestoreBatchSessionWithWAL resumes a run from a snapshot plus label
-// WAL: answers the dead process paid for — labels and billed
-// abstentions alike — are replayed from the WAL, never re-bought, so
-// the resumed run reproduces the uninterrupted one bit-identically and
-// its ledger matches to the cent.
-func RestoreBatchSessionWithWAL(pool *Pool, l Learner, s Selector, bo BatchOracle,
-	sn *SessionSnapshot, wal []LabelRecord) (*Session, error) {
-	return core.RestoreBatchWithWAL(pool, l, s, bo, sn, wal)
+// NewEnsembleSession prepares a §5.2 active-ensemble run (Fig. 7) that
+// labels through bo; see core.NewEnsembleSession. Like every Session,
+// it can be checkpointed with Snapshot and continued with Resume.
+func NewEnsembleSession(pool *Pool, bo BatchOracle, cfg EnsembleConfig) (*Session, error) {
+	return core.NewEnsembleSession(pool, bo, cfg)
 }
 
 // Evaluation.

@@ -65,13 +65,54 @@ func TestFacadeEnsembleAndInterp(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := alem.NewPool(d)
-	ens := alem.RunEnsemble(pool, alem.NewPerfectOracle(d), alem.EnsembleConfig{
+	cfg := alem.EnsembleConfig{
 		Config:   alem.Config{Seed: 9, MaxLabels: 200},
 		Factory:  alem.SVMFactory,
 		Selector: alem.MarginSelector{},
-	})
+	}
+	ens := alem.RunEnsemble(pool, alem.NewPerfectOracle(d), cfg)
 	if ens.Curve.BestF1() <= 0 {
 		t.Error("ensemble produced no useful model")
+	}
+
+	// The same run checkpointed after three steps and resumed on a fresh
+	// ensemble session ends on the uninterrupted curve.
+	newEnsemble := func() *alem.Session {
+		s, err := alem.NewEnsembleSession(pool, alem.BatchOfOracle(alem.NewPerfectOracle(d)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	first := newEnsemble()
+	for i := 0; i < 3; i++ {
+		if done, err := first.Step(context.Background()); done || err != nil {
+			t.Fatalf("step %d: done=%v err=%v", i, done, err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := first.Snapshot().Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := alem.ReadSessionSnapshot(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := newEnsemble()
+	if err := resumed.Resume(sn, nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := resumed.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Curve) != len(ens.Curve) {
+		t.Fatalf("resumed curve has %d points, uninterrupted %d", len(res.Curve), len(ens.Curve))
+	}
+	for i := range res.Curve {
+		if res.Curve[i].Labels != ens.Curve[i].Labels || res.Curve[i].F1 != ens.Curve[i].F1 {
+			t.Fatalf("curve point %d: resumed %+v, uninterrupted %+v", i, res.Curve[i], ens.Curve[i])
+		}
 	}
 
 	forest := alem.NewRandomForest(5, 9)

@@ -184,7 +184,13 @@ func train(o trainOpts) error {
 		}
 	}
 
-	var session *alem.Session
+	// One session for a fresh, a checkpointed and a resumed run alike:
+	// -resume loads the checkpoint's protocol and state into it, and only
+	// -workers keeps the value given here.
+	session, err := alem.NewBatchSession(pool, learner, sel, labeler, cfg)
+	if err != nil {
+		return err
+	}
 	var wal *alem.LabelWAL
 	walPath := o.checkpoint + ".wal"
 	switch {
@@ -203,8 +209,7 @@ func train(o trainOpts) error {
 			return err
 		}
 		wal = w
-		session, err = alem.RestoreBatchSessionWithWAL(pool, learner, sel, labeler, sn, records)
-		if err != nil {
+		if err := session.Resume(sn, records); err != nil {
 			wal.Close()
 			return err
 		}
@@ -215,20 +220,11 @@ func train(o trainOpts) error {
 		// would poison the WAL replay, so they are removed up front.
 		os.Remove(o.checkpoint)
 		os.Remove(walPath)
-		session, err = alem.NewBatchSession(pool, learner, sel, labeler, cfg)
-		if err != nil {
-			return err
-		}
 		w, _, err := alem.OpenLabelWAL(walPath)
 		if err != nil {
 			return err
 		}
 		wal = w
-	default:
-		session, err = alem.NewBatchSession(pool, learner, sel, labeler, cfg)
-		if err != nil {
-			return err
-		}
 	}
 	if o.warmstart != "" {
 		f, err := os.Open(o.warmstart)

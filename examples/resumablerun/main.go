@@ -92,10 +92,15 @@ func main() {
 		log.Fatal(err)
 	}
 	defer wal2.Close()
+	// The session is built with the run's wiring, exactly as the first
+	// process built its own; Resume loads the snapshot's state into it.
 	oracle2 := alem.NewPerfectOracle(d)
-	resumed, err := alem.RestoreBatchSessionWithWAL(pool, alem.NewSVM(1), alem.MarginSelector{},
-		alem.BatchOfOracle(oracle2), sn, records)
+	resumed, err := alem.NewBatchSession(pool, alem.NewSVM(1), alem.MarginSelector{},
+		alem.BatchOfOracle(oracle2), cfg)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := resumed.Resume(sn, records); err != nil {
 		log.Fatal(err)
 	}
 	resumed.SetLabelSink(wal2)

@@ -167,7 +167,7 @@ func TestChaosBatchKillResumeLedgerExact(t *testing.T) {
 			"the test needs post-checkpoint answers to exercise WAL replay", len(records), answersAt)
 	}
 	resSim := simPoolOracle(pool, simCfg, simSeed)
-	resumed, err := RestoreBatchWithWAL(pool, linear.NewSVM(41), Margin{}, resSim, sn, records)
+	resumed, err := resume(pool, linear.NewSVM(41), Margin{}, resSim, sn, records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +178,7 @@ func TestChaosBatchKillResumeLedgerExact(t *testing.T) {
 	}
 
 	curvesEqual(t, refRes.Curve, resRes.Curve)
+	drawsEqual(t, ref, resumed)
 	if refRes.LabelsUsed != resRes.LabelsUsed {
 		t.Errorf("LabelsUsed differ: %d vs %d", refRes.LabelsUsed, resRes.LabelsUsed)
 	}
@@ -260,7 +261,7 @@ func TestChaosBatchAllFailTerminates(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsForeignWAL feeds RestoreBatchWithWAL label WALs
+// TestRestoreRejectsForeignWAL feeds Resume label WALs
 // that do not belong to the snapshot: one whose first record names
 // another pair, one that journals labels where the checkpointed run
 // billed abstentions, so it holds more labels at or below the
@@ -302,7 +303,7 @@ func TestRestoreRejectsForeignWAL(t *testing.T) {
 		"abstention past pool":   {abstainAt(pool.Len()), "WAL record 1 names pair 300 outside the pool"},
 		"abstention below pool":  {abstainAt(-1), "WAL record 1 names pair -1 outside the pool"},
 	} {
-		_, err := RestoreBatchWithWAL(pool, linear.NewSVM(44), Margin{}, simPoolOracle(pool, simCfg, 5), sn, tc.wal)
+		_, err := resume(pool, linear.NewSVM(44), Margin{}, simPoolOracle(pool, simCfg, 5), sn, tc.wal)
 		if !errors.Is(err, ErrInvalidSnapshot) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want ErrInvalidSnapshot containing %q", name, err, tc.want)
 		}

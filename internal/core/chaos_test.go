@@ -150,7 +150,7 @@ func TestChaosKillResumeBitIdentical(t *testing.T) {
 			len(records), len(sn.Labeled))
 	}
 	resLabeler, _ := chaosLabeler(pool, faultRate, faultSeed)
-	resumed, err := RestoreBatchWithWAL(pool, linear.NewSVM(31), Margin{}, resLabeler, sn, records)
+	resumed, err := resume(pool, linear.NewSVM(31), Margin{}, resLabeler, sn, records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,6 +161,7 @@ func TestChaosKillResumeBitIdentical(t *testing.T) {
 	}
 
 	curvesEqual(t, refRes.Curve, resRes.Curve)
+	drawsEqual(t, ref, resumed)
 	if refRes.LabelsUsed != resRes.LabelsUsed {
 		t.Errorf("LabelsUsed differ: %d vs %d", refRes.LabelsUsed, resRes.LabelsUsed)
 	}
@@ -386,8 +387,7 @@ func TestChaosNoisyMidRoundResume(t *testing.T) {
 			len(records), len(sn.Labeled))
 	}
 	resNoisy := noisyPoolOracle(pool, noise, noiseSeed)
-	resumed, err := RestoreBatchWithWAL(pool, linear.NewSVM(36), Margin{},
-		oracle.PerPair(resNoisy), sn, records)
+	resumed, err := resume(pool, linear.NewSVM(36), Margin{}, oracle.PerPair(resNoisy), sn, records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,6 +398,7 @@ func TestChaosNoisyMidRoundResume(t *testing.T) {
 	}
 
 	curvesEqual(t, refRes.Curve, resRes.Curve)
+	drawsEqual(t, ref, resumed)
 	if resNoisy.Draws() != refNoisy.Draws() {
 		t.Errorf("resumed noise stream at draw %d, uninterrupted at %d", resNoisy.Draws(), refNoisy.Draws())
 	}
@@ -490,7 +491,7 @@ func TestChaosNoisyOracleSnapshotResume(t *testing.T) {
 		t.Fatal("snapshot did not capture the Noisy oracle's draw count")
 	}
 
-	resumed, err := Restore(pool, linear.NewSVM(34), Margin{}, noisyPoolOracle(pool, noise, noiseSeed), sn)
+	resumed, err := resume(pool, linear.NewSVM(34), Margin{}, oracle.PerPair(noisyPoolOracle(pool, noise, noiseSeed)), sn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,6 +500,7 @@ func TestChaosNoisyOracleSnapshotResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	curvesEqual(t, refRes.Curve, resRes.Curve)
+	drawsEqual(t, ref, resumed)
 }
 
 // TestSessionFindsStatefulThroughWrappers pins the session's one walk
@@ -559,9 +561,10 @@ func TestChaosMajorityVoteResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(t *testing.T, res *Result, resNoisy *oracle.Noisy, walLabels int) {
+	check := func(t *testing.T, resumed *Session, resNoisy *oracle.Noisy, walLabels int) {
 		t.Helper()
-		curvesEqual(t, refRes.Curve, res.Curve)
+		curvesEqual(t, refRes.Curve, resumed.Result().Curve)
+		drawsEqual(t, ref, resumed)
 		if resNoisy.Draws() != refNoisy.Draws() {
 			t.Errorf("resumed noise stream at draw %d, uninterrupted at %d", resNoisy.Draws(), refNoisy.Draws())
 		}
@@ -587,15 +590,14 @@ func TestChaosMajorityVoteResume(t *testing.T) {
 			t.Fatalf("snapshot OracleDraws = %d, want the voter's %d rounds", sn.OracleDraws, vote.Draws())
 		}
 		resVote, resNoisy := voter()
-		resumed, err := Restore(pool, linear.NewSVM(36), Margin{}, resVote, sn)
+		resumed, err := resume(pool, linear.NewSVM(36), Margin{}, oracle.PerPair(resVote), sn, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := resumed.Run(context.Background())
-		if err != nil {
+		if _, err := resumed.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		check(t, res, resNoisy, 0)
+		check(t, resumed, resNoisy, 0)
 	})
 
 	t.Run("mid-round WAL", func(t *testing.T) {
@@ -636,16 +638,15 @@ func TestChaosMajorityVoteResume(t *testing.T) {
 				len(records), len(sn.Labeled))
 		}
 		resVote, resNoisy := voter()
-		resumed, err := RestoreBatchWithWAL(pool, linear.NewSVM(36), Margin{}, oracle.PerPair(resVote), sn, records)
+		resumed, err := resume(pool, linear.NewSVM(36), Margin{}, oracle.PerPair(resVote), sn, records)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resumed.SetLabelSink(wal2)
-		res, err := resumed.Run(context.Background())
-		if err != nil {
+		if _, err := resumed.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		check(t, res, resNoisy, len(records))
+		check(t, resumed, resNoisy, len(records))
 	})
 }
 

@@ -28,7 +28,7 @@ type CostLedger struct {
 
 // trivial reports whether the ledger carries no information beyond the
 // labeled set itself (no money spent, no abstentions), in which case a
-// Snapshot omits it and Restore derives it, so a free session's
+// Snapshot omits it and Resume derives it, so a free session's
 // snapshot carries no ledger.
 func (l CostLedger) trivial() bool { return l.Spent == 0 && l.Abstains == 0 }
 
@@ -41,7 +41,7 @@ func (s *Session) Ledger() CostLedger { return s.ledger }
 // drive evaluation and selection until the labeled set contains both
 // classes, at which point the session's own learner takes over under the
 // usual retrain-from-scratch protocol. The warm learner is never
-// trained. Call before the first Step (and again after Restore — learner
+// trained. Call before the first Step (and again after Resume — learner
 // wiring is not serialized; Step refuses to run a warm-start session
 // whose learner is missing).
 func (s *Session) SetWarmStart(l Learner) error {

@@ -9,7 +9,6 @@ import (
 
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/oracle"
-	"github.com/alem/alem/internal/resilience"
 )
 
 // EnsembleConfig configures the §5.2 active-ensemble enhancement: an
@@ -90,7 +89,8 @@ func RunEnsembleContext(ctx context.Context, pool *Pool, o oracle.Oracle, cfg En
 // pool. A run whose uncovered pairs cannot train a candidate stops with
 // StopSelectorEmpty. The labeled set keeps every label paid, so the
 // budget, curve points, WAL and ledger count labels as a plain
-// session's do; RestoreEnsembleWithWAL resumes its snapshots.
+// session's do; Session.Resume resumes its snapshots on a session built
+// here.
 func NewEnsembleSession(pool *Pool, bo oracle.BatchOracle, cfg EnsembleConfig) (*Session, error) {
 	if cfg.Factory == nil {
 		return nil, fmt.Errorf("core: NewEnsembleSession requires a Factory")
@@ -234,39 +234,4 @@ func (e *ensemble) snapshot() *EnsembleState {
 	st := e.EnsembleState
 	st.Members = append([]EnsembleMember(nil), e.Members...)
 	return &st
-}
-
-// RestoreEnsembleWithWAL is RestoreBatchWithWAL for a snapshot of an
-// ensemble session (NewEnsembleSession), with the Factory and Selector
-// the run was built with. It replays the accepted members only: member
-// k is factory(seed_k) trained on the pairs of its iteration's labeled
-// prefix that members 1..k−1 leave uncovered. Every other candidate
-// was discarded, and the next is drawn from the replayed RNG.
-func RestoreEnsembleWithWAL(pool *Pool, factory Factory, sel Selector, bo oracle.BatchOracle, sn *Snapshot, wal []resilience.LabelRecord) (*Session, error) {
-	if sn.Ensemble == nil {
-		return nil, fmt.Errorf("core: snapshot is of a plain session; restore it with RestoreBatchWithWAL")
-	}
-	s, err := NewEnsembleSession(pool, bo, EnsembleConfig{
-		Config: sn.Config, Tau: sn.Ensemble.Tau, MinPositive: sn.Ensemble.MinPositive,
-		Factory: factory, Selector: sel,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.restore(sn, wal); err != nil {
-		return nil, err
-	}
-	e := s.ens
-	for _, m := range sn.Ensemble.Members {
-		if m.Iteration < 0 || m.Iteration >= len(sn.Curve) {
-			return nil, fmt.Errorf("%w: ensemble member of iteration %d outside its %d-point curve",
-				ErrInvalidSnapshot, m.Iteration, len(sn.Curve))
-		}
-		labeled, labels := e.uncovered(pool, s.labeled, s.labels, sn.Curve[m.Iteration].Labels)
-		c := factory(m.Seed)
-		c.Train(gatherTraining(pool, labeled, labels, len(labeled)))
-		e.members = append(e.members, c)
-		e.Members = append(e.Members, m)
-	}
-	return s, nil
 }

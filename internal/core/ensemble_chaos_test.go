@@ -74,10 +74,11 @@ func (tr *ensembleTrail) since(it int) ensembleTrail {
 // TestChaosEnsembleResume snapshots an ensemble run at every step
 // boundary, through a JSON round trip, and resumes each snapshot with
 // the label WAL cut at that boundary and again four answers later (a
-// kill mid-round). Every resumed run must end on the uninterrupted run's
-// curve, accepted count, stop reason and noise draws; its batches and
-// acceptances must be the tail of the uninterrupted run's; and it must
-// pay for no label the WAL already holds.
+// kill mid-round), on a session built with the default Config, τ and
+// minimum positives. Every resumed run must end on the uninterrupted
+// run's curve, accepted count, stop reason, labeled set and draws; its
+// batches and acceptances must be the tail of the uninterrupted run's;
+// and it must pay for no label the WAL already holds.
 func TestChaosEnsembleResume(t *testing.T) {
 	pool := ambiguousPool(400, 77)
 	cfg := EnsembleConfig{Config: Config{Seed: 77, MaxLabels: 200}, Tau: 0.6, Factory: svmFactory, Selector: Margin{}}
@@ -136,8 +137,11 @@ func TestChaosEnsembleResume(t *testing.T) {
 				for _, cut := range []int{at, min(at+4, total)} {
 					o, noisy := newOracle()
 					sink, trail := &memorySink{}, &ensembleTrail{Selector: Margin{}}
-					s, err := RestoreEnsembleWithWAL(pool, svmFactory, trail, oracle.PerPair(o), sn, refSink.recs[:cut])
+					s, err := NewEnsembleSession(pool, oracle.PerPair(o), EnsembleConfig{Factory: svmFactory, Selector: trail})
 					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Resume(sn, refSink.recs[:cut]); err != nil {
 						t.Fatalf("boundary %d, WAL cut at %d: %v", b, cut, err)
 					}
 					s.SetLabelSink(sink)
@@ -147,6 +151,7 @@ func TestChaosEnsembleResume(t *testing.T) {
 						t.Fatalf("boundary %d, WAL cut at %d: %v", b, cut, err)
 					}
 					curvesEqual(t, ref.Result().Curve, res.Curve)
+					drawsEqual(t, ref, s)
 					if len(s.ens.members) != len(ref.ens.members) || s.Reason() != ref.Reason() {
 						t.Errorf("boundary %d, cut %d: %d accepted, %v; uninterrupted %d, %v",
 							b, cut, len(s.ens.members), s.Reason(), len(ref.ens.members), ref.Reason())
@@ -171,37 +176,55 @@ func TestChaosEnsembleResume(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsTheOtherSessionKind pins that a plain session's
-// snapshot does not restore as an ensemble, nor an ensemble's as a plain
-// session, and that an ensemble takes no warm start.
+// TestRestoreRejectsTheOtherSessionKind pins that Resume refuses a
+// session that has stepped, a plain session's snapshot on an ensemble
+// session and an ensemble's on a plain one, each as a wiring mistake
+// naming the constructor to use, and that an ensemble takes no warm
+// start.
 func TestRestoreRejectsTheOtherSessionKind(t *testing.T) {
 	pool := syntheticPool(300, 78)
-	plain := mustSession(t, pool, linear.NewSVM(78), Margin{}, Config{Seed: 78, MaxLabels: 60})
-	ens, err := NewEnsembleSession(pool, oracle.PerPair(poolOracle(pool)),
-		EnsembleConfig{Config: Config{Seed: 78, MaxLabels: 60}, Factory: svmFactory, Selector: Margin{}})
-	if err != nil {
-		t.Fatal(err)
+	bo := oracle.PerPair(poolOracle(pool))
+	newPlain := func(cfg Config) *Session {
+		s, err := NewBatchSession(pool, linear.NewSVM(78), Margin{}, bo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+	newEns := func(cfg Config) *Session {
+		s, err := NewEnsembleSession(pool, bo, EnsembleConfig{Config: cfg, Factory: svmFactory, Selector: Margin{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	cfg := Config{Seed: 78, MaxLabels: 60}
+	plain, ens := newPlain(cfg), newEns(cfg)
 	for _, s := range []*Session{plain, ens} {
 		if _, err := s.Step(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bo := oracle.PerPair(poolOracle(pool))
-	// Restoring with the other constructor is a wiring mistake, not an
-	// invalid snapshot.
-	if _, err := RestoreEnsembleWithWAL(pool, svmFactory, Margin{}, bo, plain.Snapshot(), nil); err == nil ||
-		!strings.Contains(err.Error(), "RestoreBatchWithWAL") || errors.Is(err, ErrInvalidSnapshot) {
-		t.Errorf("ensemble restore of a plain snapshot: err = %v", err)
-	}
-	if _, err := RestoreBatchWithWAL(pool, linear.NewSVM(78), Margin{}, bo, ens.Snapshot(), nil); err == nil ||
-		!strings.Contains(err.Error(), "RestoreEnsembleWithWAL") || errors.Is(err, ErrInvalidSnapshot) {
-		t.Errorf("plain restore of an ensemble snapshot: err = %v", err)
+	// Resuming on a stepped session or one of the other kind is a wiring
+	// mistake, not an invalid snapshot.
+	for _, tc := range []struct {
+		name string
+		s    *Session
+		sn   *Snapshot
+		want string
+	}{
+		{"a stepped session", plain, plain.Snapshot(), "not stepped"},
+		{"an ensemble session resuming a plain snapshot", newEns(Config{}), plain.Snapshot(), "NewBatchSession"},
+		{"a plain session resuming an ensemble snapshot", newPlain(Config{}), ens.Snapshot(), "NewEnsembleSession"},
+	} {
+		if err := tc.s.Resume(tc.sn, nil); err == nil || !strings.Contains(err.Error(), tc.want) || errors.Is(err, ErrInvalidSnapshot) {
+			t.Errorf("%s: err = %v, want a plain error naming %q", tc.name, err, tc.want)
+		}
 	}
 	sn := ens.Snapshot()
 	sn.Ensemble.Members = append(sn.Ensemble.Members, EnsembleMember{Iteration: 5, Seed: 1})
-	if _, err := RestoreEnsembleWithWAL(pool, svmFactory, Margin{}, bo, sn, nil); !errors.Is(err, ErrInvalidSnapshot) {
-		t.Errorf("ensemble restore of a member from outside the curve: err = %v, want ErrInvalidSnapshot", err)
+	if err := newEns(Config{}).Resume(sn, nil); !errors.Is(err, ErrInvalidSnapshot) {
+		t.Errorf("ensemble resume of a member from outside the curve: err = %v, want ErrInvalidSnapshot", err)
 	}
 	if err := ens.SetWarmStart(linear.NewSVM(1)); err == nil {
 		t.Error("SetWarmStart on an ensemble session returned no error")

@@ -21,7 +21,7 @@ import (
 // both sides of the parallel cutoff, the composition behind the exported
 // type must produce a bit-identical batch AND leave the counted RNG at
 // the identical draw position. The RNG position is part of the contract:
-// Snapshot/Restore replays a run by draw count, so a composition that
+// Snapshot/Resume replays a run by draw count, so a composition that
 // picked the same batch with different draws would still corrupt
 // resumed runs.
 //

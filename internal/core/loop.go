@@ -96,7 +96,7 @@ type Config struct {
 	// usual retrain-from-scratch protocol takes over. CLIs store the
 	// artifact path here; in-process callers get "inline". A snapshot of
 	// a warm-started run carries the value, and Step refuses to run a
-	// restored session whose warm learner was not re-attached.
+	// resumed session whose warm learner was not re-attached.
 	WarmStartModel string `json:",omitempty"`
 	// Workers caps the goroutines used by the run's parallel hot paths:
 	// evaluation prediction, selector scoring and QBC committee training.
@@ -105,8 +105,8 @@ type Config struct {
 	// machine tuning, not protocol — all shared randomness is pre-drawn
 	// before any fan-out, so every worker count produces bit-identical
 	// results — which is why it is excluded from Snapshots and
-	// checkpoints stay portable across machines (a restored session
-	// defaults to the restoring machine's CPU count).
+	// checkpoints stay portable across machines (a resumed session keeps
+	// the worker count it was built with).
 	Workers int `json:"-"`
 }
 

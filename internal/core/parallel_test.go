@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -166,7 +167,7 @@ func (st *selectorSetup) valuesOf(t testing.TB, dl DecisionLearner) poolValues {
 // TestSelectorsSerialParallelEquivalent pins the tentpole invariant: for
 // every ported selector, every worker count produces the identical batch
 // AND the identical counted-RNG position, at pool sizes on both sides of
-// the parallel cutoff. This is what keeps Snapshot/Restore bit-identity
+// the parallel cutoff. This is what keeps Snapshot/Resume bit-identity
 // independent of the machine's CPU count.
 func TestSelectorsSerialParallelEquivalent(t *testing.T) {
 	for _, size := range []int{parallelCutoff / 2, 3*parallelCutoff + 41} {
@@ -254,44 +255,92 @@ func TestSessionBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSnapshotPortableAcrossWorkerCounts checkpoints a parallel run
-// mid-flight and resumes it with the default worker count (as a
-// different machine would): the stitched curve must equal the
-// uninterrupted serial run's.
+// TestSnapshotPortableAcrossWorkerCounts checkpoints a run at 6 workers
+// mid-flight and resumes it at 2 (as a different machine would): the
+// stitched curve and draws must equal the uninterrupted serial run's.
 func TestSnapshotPortableAcrossWorkerCounts(t *testing.T) {
 	pool := syntheticPool(800, 84)
-	mkSession := func(workers int) *Session {
-		s, err := NewSession(pool, linear.NewSVM(84), QBC{B: 5, Factory: svmFactory},
-			poolOracle(pool), Config{Seed: 84, MaxLabels: 80, Workers: workers})
+	mkSession := func(cfg Config) *Session {
+		s, err := NewSession(pool, linear.NewSVM(84), QBC{B: 5, Factory: svmFactory}, poolOracle(pool), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	ref, err := mkSession(1).Run(context.Background())
+	cfg := Config{Seed: 84, MaxLabels: 80, Workers: 1}
+	serial := mkSession(cfg)
+	ref, err := serial.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	par := mkSession(6)
+	cfg.Workers = 6
+	par := mkSession(cfg)
 	for i := 0; i < 3; i++ {
 		if done, err := par.Step(context.Background()); done || err != nil {
 			t.Fatalf("parallel run finished early: done=%v err=%v", done, err)
 		}
 	}
-	sn := par.Snapshot()
-	restored, err := Restore(pool, linear.NewSVM(84), QBC{B: 5, Factory: svmFactory},
-		poolOracle(pool), sn)
-	if err != nil {
+	resumed := mkSession(Config{Workers: 2})
+	if err := resumed.Resume(par.Snapshot(), nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := restored.Run(context.Background())
+	if resumed.cfg.Workers != 2 {
+		t.Fatalf("resumed at %d workers, want the 2 it was built with", resumed.cfg.Workers)
+	}
+	res, err := resumed.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	curvesEqual(t, ref.Curve, res.Curve)
 	if res.LabelsUsed != ref.LabelsUsed {
 		t.Errorf("resumed LabelsUsed %d vs uninterrupted %d", res.LabelsUsed, ref.LabelsUsed)
+	}
+	drawsEqual(t, serial, resumed)
+}
+
+// TestResumeKeepsConstructionWorkers pins that a resumed session runs at
+// the worker count it was built with, although snapshot JSON leaves
+// Config.Workers out: every evaluate and select phase after Resume must
+// report the construction count. It tries 1 and one more than
+// GOMAXPROCS, which the snapshot's zero never resolves to.
+func TestResumeKeepsConstructionWorkers(t *testing.T) {
+	pool := syntheticPool(300, 86)
+	s := mustSession(t, pool, linear.NewSVM(86), Margin{}, Config{Seed: 86, MaxLabels: 80})
+	for i := 0; i < 2; i++ {
+		if done, err := s.Step(context.Background()); done || err != nil {
+			t.Fatalf("step %d: done=%v err=%v", i, done, err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0) + 1} {
+		sn, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed := mustSession(t, pool, linear.NewSVM(86), Margin{}, Config{Workers: workers})
+		if err := resumed.Resume(sn, nil); err != nil {
+			t.Fatal(err)
+		}
+		phases := 0
+		resumed.AddObserver(ObserverFunc(func(e Event) {
+			if pd, ok := e.(PhaseDone); ok && (pd.Phase == "evaluate" || pd.Phase == "select") {
+				phases++
+				if pd.Workers != workers {
+					t.Errorf("built with %d workers: %s phase of iteration %d reports %d",
+						workers, pd.Phase, pd.Iteration, pd.Workers)
+				}
+			}
+		}))
+		if _, err := resumed.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if phases == 0 {
+			t.Fatal("no evaluate or select phase ran after the resume")
+		}
 	}
 }
 

@@ -46,18 +46,19 @@ type LabelSink interface {
 //     run aborts within one iteration without losing its partial curve;
 //   - observation: a typed event stream (Observer) reports phase
 //     transitions with per-phase timings while the run is in flight;
-//   - checkpointing: Snapshot/Restore serialize the labeled set, RNG
-//     position and stability counters so long runs survive restarts (see
-//     snapshot.go).
+//   - checkpointing: Snapshot serializes the labeled set, RNG position
+//     and stability counters, and Resume loads them into a freshly built
+//     session, so long runs survive restarts (see snapshot.go).
 //
 // A Session produces bit-identical curves to the core.Run it replaces:
 // the engine draws from the same RNG in the same order, and core.Run is
 // now a thin wrapper over it.
 //
 // A Session is single-use: construct with NewSession, NewBatchSession or
-// NewEnsembleSession (or restore one), drive with Run or Step, then read
-// Result. It is not safe for concurrent use; run concurrent sessions
-// instead (they share nothing).
+// NewEnsembleSession (then Resume a snapshot on it to continue an
+// interrupted run), drive with Run or Step, then read Result. It is not
+// safe for concurrent use; run concurrent sessions instead (they share
+// nothing).
 type Session struct {
 	pool    *Pool
 	learner Learner
@@ -80,7 +81,7 @@ type Session struct {
 	// sink, when set, durably records every answer (see LabelSink).
 	sink LabelSink
 	// wal holds the answers a crashed run paid for after its last
-	// checkpoint, recovered by RestoreBatchWithWAL: pool index → answers
+	// checkpoint, recovered by Resume: pool index → answers
 	// in WAL order (billed abstentions first, then the final label).
 	// labelBatch consumes them in round order instead of querying the
 	// labeler, so a resumed run never re-pays for an answer.
@@ -199,7 +200,7 @@ func NewBatchSession(pool *Pool, learner Learner, sel Selector, bo oracle.BatchO
 // SetLabelSink wires a durable label log (typically a
 // resilience.LabelWAL) into the session. Call before Run/Step; labels
 // granted earlier are not re-sent. Appends are idempotent on a WAL, so
-// attaching the same WAL a resumed run was restored from is safe.
+// attaching the same WAL a run was resumed from is safe.
 func (s *Session) SetLabelSink(sink LabelSink) { s.sink = sink }
 
 // AddObserver subscribes obs to the session's event stream. Call before
@@ -534,10 +535,10 @@ func (s *Session) cancel(err error) error {
 	return err
 }
 
-// ---- shared phase helpers (used by the phases and by restore) ----
+// ---- shared phase helpers (used by the phases and by Resume) ----
 
 // gatherTraining copies the labeled set's vectors and labels into
-// training slices. n caps the prefix taken (Restore replays historical
+// training slices. n caps the prefix taken (Resume replays historical
 // prefixes; live phases pass len(labeled)).
 func gatherTraining(pool *Pool, labeled []int, labels []bool, n int) ([]feature.Vector, []bool) {
 	trainX := make([]feature.Vector, n)
@@ -602,10 +603,10 @@ func removeFromPool(unlabeled *[]int, batch []int) {
 
 // countingSource wraps the standard math/rand source with draw counters,
 // making the RNG position serializable: a Snapshot records how many
-// values were drawn, and Restore replays that many draws on a fresh
-// source with the same seed. Every draw advances the underlying state
-// exactly once, so the replayed source is state-identical — and because
-// the wrapped source is rand.NewSource itself, Session runs are
+// values were drawn, and Resume reseeds the source with the snapshot's
+// seed and replays that many draws. Every draw advances the underlying
+// state exactly once, so the replayed source is state-identical — and
+// because the wrapped source is rand.NewSource itself, Session runs are
 // bit-identical to the old core.Run.
 type countingSource struct {
 	src      rand.Source64

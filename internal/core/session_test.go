@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -28,6 +29,22 @@ func curvesEqual(t *testing.T, a, b eval.Curve) {
 			a[i].Precision != b[i].Precision || a[i].Recall != b[i].Recall {
 			t.Fatalf("curve point %d differs: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// drawsEqual compares what two finished sessions drew and bought: the
+// labeled set in draw order, the session RNG's draw counters and the
+// oracle's. A resumed run whose RNG was replayed from the wrong seed can
+// end on the uninterrupted run's curve, but not on its draws.
+func drawsEqual(t *testing.T, want, got *Session) {
+	t.Helper()
+	w, g := want.Snapshot(), got.Snapshot()
+	if !slices.Equal(w.Labeled, g.Labeled) || !slices.Equal(w.Labels, g.Labels) {
+		t.Errorf("labeled sets differ:\nwant %v\ngot  %v", w.Labeled, g.Labeled)
+	}
+	if w.Draws63 != g.Draws63 || w.Draws64 != g.Draws64 || w.OracleDraws != g.OracleDraws {
+		t.Errorf("draws (session %d/%d, oracle %d) differ from (%d/%d, %d)",
+			g.Draws63, g.Draws64, g.OracleDraws, w.Draws63, w.Draws64, w.OracleDraws)
 	}
 }
 
@@ -152,9 +169,9 @@ func TestSessionStepAfterDoneIsNoop(t *testing.T) {
 }
 
 // TestSnapshotRestoreIdenticalCurve is the resume-identity contract: run
-// a few iterations, snapshot, serialize, restore against a FRESH learner
-// with the same constructor seed, finish — the combined curve must be
-// bit-identical to an uninterrupted run.
+// a few iterations, snapshot, serialize, resume on a session built with
+// a FRESH learner of the same constructor seed, finish — the combined
+// curve and the draws must be bit-identical to an uninterrupted run's.
 func TestSnapshotRestoreIdenticalCurve(t *testing.T) {
 	cases := []struct {
 		name string
@@ -169,7 +186,8 @@ func TestSnapshotRestoreIdenticalCurve(t *testing.T) {
 			pool := syntheticPool(500, 21)
 			cfg := Config{Seed: 21, MaxLabels: 110}
 
-			full, err := mustSession(t, pool, linear.NewSVM(21), tc.sel(), cfg).Run(context.Background())
+			ref := mustSession(t, pool, linear.NewSVM(21), tc.sel(), cfg)
+			full, err := ref.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +209,7 @@ func TestSnapshotRestoreIdenticalCurve(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			resumed, err := Restore(pool, linear.NewSVM(21), tc.sel(), poolOracle(pool), sn)
+			resumed, err := resume(pool, linear.NewSVM(21), tc.sel(), oracle.PerPair(poolOracle(pool)), sn, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,6 +218,7 @@ func TestSnapshotRestoreIdenticalCurve(t *testing.T) {
 				t.Fatal(err)
 			}
 			curvesEqual(t, full.Curve, res.Curve)
+			drawsEqual(t, ref, resumed)
 			if full.LabelsUsed != res.LabelsUsed {
 				t.Errorf("LabelsUsed differ: %d vs %d", full.LabelsUsed, res.LabelsUsed)
 			}
@@ -210,37 +229,54 @@ func TestSnapshotRestoreIdenticalCurve(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsCorruptState checks that Resume refuses snapshot
+// content that contradicts itself, the pool or Config.Validate with
+// ErrInvalidSnapshot. A previous-prediction vector shorter than the test
+// universe would otherwise index past its end in the first Step's
+// stability check.
 func TestSnapshotRejectsCorruptState(t *testing.T) {
 	pool := syntheticPool(100, 22)
-	s := mustSession(t, pool, linear.NewSVM(22), Margin{}, Config{Seed: 22, MaxLabels: 40})
+	s := mustSession(t, pool, linear.NewSVM(22), Margin{}, Config{Seed: 22, MaxLabels: 40, StabilityWindow: 3})
 	if _, err := s.Step(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	base := s.Snapshot()
-
-	corrupt := *base
-	corrupt.Labels = corrupt.Labels[:len(corrupt.Labels)-1]
-	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, poolOracle(pool), &corrupt); !errors.Is(err, ErrInvalidSnapshot) {
-		t.Errorf("Restore of mismatched labeled/labels lengths: err = %v, want ErrInvalidSnapshot", err)
+	for name, corrupt := range map[string]func(sn *Snapshot){
+		"mismatched labeled/labels lengths": func(sn *Snapshot) {
+			sn.Labels = sn.Labels[:len(sn.Labels)-1]
+		},
+		"an out-of-range pool index": func(sn *Snapshot) {
+			sn.Labeled = append([]int(nil), sn.Labeled...)
+			sn.Labeled[0] = pool.Len() + 5
+		},
+		"a curve point trained on more labels than recorded": func(sn *Snapshot) {
+			sn.Curve = append(eval.Curve(nil), sn.Curve...)
+			sn.Curve[0].Labels = len(sn.Labeled) + 1
+		},
+		"previous predictions shorter than the test universe": func(sn *Snapshot) {
+			sn.PrevPred = sn.PrevPred[:1]
+		},
+		"a negative batch size": func(sn *Snapshot) {
+			sn.Config.BatchSize = -1
+		},
+	} {
+		sn := *base
+		corrupt(&sn)
+		if _, err := resume(pool, linear.NewSVM(22), Margin{}, oracle.PerPair(poolOracle(pool)), &sn, nil); !errors.Is(err, ErrInvalidSnapshot) {
+			t.Errorf("Resume of %s: err = %v, want ErrInvalidSnapshot", name, err)
+		}
 	}
-
-	corrupt = *base
-	corrupt.Labeled = append([]int(nil), corrupt.Labeled...)
-	corrupt.Labeled[0] = pool.Len() + 5
-	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, poolOracle(pool), &corrupt); !errors.Is(err, ErrInvalidSnapshot) {
-		t.Errorf("Restore of an out-of-range pool index: err = %v, want ErrInvalidSnapshot", err)
+	intact, err := resume(pool, linear.NewSVM(22), Margin{}, oracle.PerPair(poolOracle(pool)), base, nil)
+	if err != nil {
+		t.Fatalf("Resume refused the intact snapshot: %v", err)
 	}
-
-	corrupt = *base
-	corrupt.Curve = append(eval.Curve(nil), corrupt.Curve...)
-	corrupt.Curve[0].Labels = len(corrupt.Labeled) + 1
-	if _, err := Restore(pool, linear.NewSVM(22), Margin{}, poolOracle(pool), &corrupt); !errors.Is(err, ErrInvalidSnapshot) {
-		t.Errorf("Restore of a curve point trained on more labels than recorded: err = %v, want ErrInvalidSnapshot", err)
+	if _, err := intact.Run(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestSnapshotRejectsNegativeCurveLabels checks that a curve point with
-// a negative label count is an error from Restore, not a panic while
+// a negative label count is an error from Resume, not a panic while
 // gathering its training prefix.
 func TestSnapshotRejectsNegativeCurveLabels(t *testing.T) {
 	pool := syntheticPool(100, 24)
@@ -251,12 +287,12 @@ func TestSnapshotRejectsNegativeCurveLabels(t *testing.T) {
 	corrupt := *s.Snapshot()
 	corrupt.Curve = append(eval.Curve(nil), corrupt.Curve...)
 	corrupt.Curve[0].Labels = -1
-	if _, err := Restore(pool, linear.NewSVM(24), Margin{}, poolOracle(pool), &corrupt); !errors.Is(err, ErrInvalidSnapshot) {
-		t.Errorf("Restore of a curve point trained on -1 labels: err = %v, want ErrInvalidSnapshot", err)
+	if _, err := resume(pool, linear.NewSVM(24), Margin{}, oracle.PerPair(poolOracle(pool)), &corrupt, nil); !errors.Is(err, ErrInvalidSnapshot) {
+		t.Errorf("Resume of a curve point trained on -1 labels: err = %v, want ErrInvalidSnapshot", err)
 	}
 }
 
-// TestSnapshotRejectsDoublyListedPair checks that Restore refuses a pair
+// TestSnapshotRejectsDoublyListedPair checks that Resume refuses a pair
 // listed twice across the labeled and unlabeled sets, where the resumed
 // run would train on it twice or pay for it again.
 func TestSnapshotRejectsDoublyListedPair(t *testing.T) {
@@ -280,12 +316,12 @@ func TestSnapshotRejectsDoublyListedPair(t *testing.T) {
 	} {
 		sn := *base
 		corrupt(&sn)
-		if _, err := Restore(pool, linear.NewSVM(25), Margin{}, poolOracle(pool), &sn); !errors.Is(err, ErrInvalidSnapshot) {
-			t.Errorf("%s: Restore of a pair listed twice: err = %v, want ErrInvalidSnapshot", name, err)
+		if _, err := resume(pool, linear.NewSVM(25), Margin{}, oracle.PerPair(poolOracle(pool)), &sn, nil); !errors.Is(err, ErrInvalidSnapshot) {
+			t.Errorf("%s: Resume of a pair listed twice: err = %v, want ErrInvalidSnapshot", name, err)
 		}
 	}
-	if _, err := Restore(pool, linear.NewSVM(25), Margin{}, poolOracle(pool), base); err != nil {
-		t.Fatalf("Restore refused the intact snapshot: %v", err)
+	if _, err := resume(pool, linear.NewSVM(25), Margin{}, oracle.PerPair(poolOracle(pool)), base, nil); err != nil {
+		t.Fatalf("Resume refused the intact snapshot: %v", err)
 	}
 }
 

@@ -12,19 +12,19 @@ import (
 )
 
 // ErrInvalidSnapshot is wrapped by every error that rejects the content
-// of a snapshot or of the label WAL restored with it: a truncated or
-// malformed file, state that contradicts itself or the pool, a WAL
-// record that disagrees with the snapshot or names a pair outside the
-// pool, an ensemble member outside the curve. errors.Is separates such
-// a checkpoint, which only other files can fix, from a wiring mistake
-// such as restoring with the wrong constructor.
+// of a snapshot or of the label WAL resumed with it: a truncated or
+// malformed file, a config outside its ranges, state that contradicts
+// itself or the pool, a WAL record that disagrees with the snapshot or
+// names a pair outside the pool, an ensemble member out of order or
+// outside the curve. errors.Is separates such a checkpoint, which only other files can fix,
+// from a wiring mistake such as resuming on a session of the other kind.
 var ErrInvalidSnapshot = errors.New("core: invalid snapshot")
 
 // Snapshot is a serializable checkpoint of a Session: the labeled set,
 // the RNG position (draw counters over the seeded source), the stability
 // counters and the curve so far. A snapshot is always a consistent,
 // resumable state; one taken between Step calls (or after a run cancelled
-// at a phase boundary) is exact — Restore followed by Run produces the
+// at a phase boundary) is exact — Resume followed by Run produces the
 // same curve the uninterrupted run would have — because
 //
 //   - the RNG is replayed draw-for-draw on the same seed,
@@ -35,27 +35,29 @@ var ErrInvalidSnapshot = errors.New("core: invalid snapshot")
 //
 // An ensemble session's snapshot is exact in the same way. Its Ensemble
 // field records each accepted member's iteration and factory seed, and
-// RestoreEnsembleWithWAL rebuilds every member on the uncovered part of
-// that iteration's labeled prefix. The next candidate is a fresh one,
-// seeded from the replayed RNG.
+// Resume rebuilds every member on the uncovered part of that iteration's
+// labeled prefix. The next candidate is a fresh one, seeded from the
+// replayed RNG.
 //
 // The one exception is a run cancelled mid-way through labeling a batch:
 // the already-paid Oracle labels are kept (they cost money; rolling them
 // back would discard them), so the resumed run continues from a labeled
 // set the uninterrupted run never had — a consistent but different
-// trajectory. RestoreBatchWithWAL closes even that gap: with a label WAL
-// attached, the resumed run re-selects the same batch deterministically
-// and consumes the paid-for answers from the WAL instead of re-querying,
-// which puts it back on the uninterrupted trajectory exactly.
+// trajectory. Resuming the round-start snapshot with the label WAL closes
+// even that gap: the resumed run re-selects the same batch
+// deterministically and consumes the paid-for answers from the WAL
+// instead of re-querying, which puts it back on the uninterrupted
+// trajectory exactly.
 //
-// The pool, learner, selector and Oracle are wiring, not state: Restore
-// takes them as arguments. Pass a learner freshly constructed with the
-// same constructor seed as the original. An Oracle implementing
-// oracle.Stateful (Noisy does) has its random position captured in
-// OracleDraws and replayed by Restore, so pass it freshly constructed
-// with its original seed too; an oracle with hidden state that does not
-// implement Stateful is outside the snapshot's scope, and resuming with
-// one reproduces the labeled set but not future noise draws.
+// The pool, learner, selector and Oracle are wiring, not state: the
+// session Resume is called on was built with them. Build it with a
+// learner freshly constructed with the same constructor seed as the
+// original. An Oracle implementing oracle.Stateful (Noisy does) has its
+// random position captured in OracleDraws and replayed by Resume, so
+// pass it freshly constructed with its original seed too; an oracle with
+// hidden state that does not implement Stateful is outside the
+// snapshot's scope, and resuming with one reproduces the labeled set but
+// not future noise draws.
 type Snapshot struct {
 	// Config is the run's protocol with defaults applied.
 	Config Config `json:"config"`
@@ -82,14 +84,14 @@ type Snapshot struct {
 	Curve eval.Curve `json:"curve"`
 	// Ledger is the session's cost accounting, omitted when trivial
 	// (nothing spent, nothing abstained) so a free session's snapshot
-	// carries no ledger; Restore derives the trivial ledger from the
+	// carries no ledger; Resume derives the trivial ledger from the
 	// labeled set.
 	Ledger *CostLedger `json:"ledger,omitempty"`
 	// AbstainCounts is the per-pending-pair billed-abstention tally the
 	// starvation cutoff is checked against.
 	AbstainCounts map[int]int `json:"abstain_counts,omitempty"`
 	// Ensemble is an ensemble session's acceptance test and accepted
-	// members (see RestoreEnsembleWithWAL); nil for a plain session.
+	// members (see Resume); nil for a plain session.
 	Ensemble *EnsembleState `json:"ensemble,omitempty"`
 }
 
@@ -162,74 +164,65 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return &sn, nil
 }
 
-// Restore rebuilds a Session from a snapshot so an interrupted run can
-// continue where it left off. The learner must be freshly constructed
-// with the same constructor seed as the original run's; Restore replays
-// every historical training on it (one per curve point, on the recorded
-// labeled prefix), which reproduces the learner's model and internal RNG
-// state exactly — see Snapshot for why the resumed curve is then
-// identical to an uninterrupted run. It is RestoreBatchWithWAL over
-// oracle.PerPair, without a WAL.
-func Restore(pool *Pool, learner Learner, sel Selector, o oracle.Oracle, sn *Snapshot) (*Session, error) {
-	return RestoreBatchWithWAL(pool, learner, sel, oracle.PerPair(o), sn, nil)
-}
-
-// RestoreBatchWithWAL rebuilds a Session from a snapshot plus the label
-// WAL the crashed run was writing through (see LabelSink). The cost
-// ledger and abstain tallies are restored alongside the labeled set. WAL
-// records up to the snapshot's answer cursor are cross-checked against
-// its labeled set; records past it — answers the dead process paid for
+// Resume continues an interrupted run on s, a session just built with
+// the run's wiring: NewSession or NewBatchSession for a plain run's
+// snapshot, NewEnsembleSession for an ensemble's. Pass the learner (or
+// Factory) and the labeler freshly constructed with their original
+// seeds. The protocol is the snapshot's: s takes sn.Config, and an
+// ensemble's τ and minimum positives, whatever it was built with. Only
+// Config.Workers, machine tuning that snapshots leave out, keeps its
+// construction value.
+//
+// Resume restores the labeled set, the RNG position, the stability
+// counters, the cost ledger and the abstain tallies, then replays the
+// learners' training history (see Snapshot for why the resumed curve is
+// then identical to an uninterrupted run). wal is the label WAL the
+// interrupted run was writing through (see LabelSink), or nil. Records
+// up to the snapshot's answer cursor are cross-checked against its
+// labeled set; records past it — answers the dead process paid for
 // after its last checkpoint, billed abstentions included — are cached,
 // and the resumed run consumes them instead of re-querying the labeler,
 // re-charging exactly what the crashed run paid. Because selection is
-// deterministic (the RNG position and learner state are replayed
-// exactly), the resumed run re-selects the same pairs the dead one did
+// deterministic, the resumed run re-selects the pairs the dead one did
 // and the cached answers land on the same indices, making the resumed
 // trajectory bit-identical to an uninterrupted run — provided no pair
 // exhausted its retry budget, or failed, after the checkpoint while
 // still pending at the kill (see resilience.FaultyOracle).
 //
-// Pass the labeler freshly constructed with its original seed; an
-// oracle.Stateful in its chain is advanced to the snapshot's position,
-// and an oracle.PairAdvancer's per-pair attempt ordinals are realigned
-// from the WAL. Attach the same WAL with SetLabelSink afterwards: its
-// appends are idempotent, so the replayed answers no-op and fresh ones
-// extend it. A warm-start session additionally needs SetWarmStart
-// re-attached before Step. An ensemble session's snapshot is rejected:
-// restore it with RestoreEnsembleWithWAL.
-func RestoreBatchWithWAL(pool *Pool, learner Learner, sel Selector, bo oracle.BatchOracle, sn *Snapshot, wal []resilience.LabelRecord) (*Session, error) {
-	if sn.Ensemble != nil {
-		return nil, fmt.Errorf("core: snapshot is of an ensemble session; restore it with RestoreEnsembleWithWAL")
+// An oracle.Stateful in the labeler chain is advanced to the snapshot's
+// position, and an oracle.PairAdvancer's per-pair attempt ordinals are
+// realigned from the WAL. Attach the same WAL with SetLabelSink
+// afterwards: its appends are idempotent, so the replayed answers no-op
+// and fresh ones extend it. A warm-start session additionally needs
+// SetWarmStart re-attached before Step.
+//
+// A session that has stepped, or one of the other kind, is refused with
+// a plain error: that is a wiring mistake. Snapshot or WAL content that
+// cannot be resumed is refused with an error wrapping
+// ErrInvalidSnapshot. A failed Resume may leave s partly loaded; build a
+// new session to try again.
+func (s *Session) Resume(sn *Snapshot, wal []resilience.LabelRecord) error {
+	if s.seeded || s.done || len(s.res.Curve) > 0 {
+		return fmt.Errorf("core: Resume needs a session that has not stepped yet")
 	}
-	s, err := NewBatchSession(pool, learner, sel, bo, sn.Config)
-	if err != nil {
-		return nil, err
+	e := s.ens
+	switch {
+	case sn.Ensemble != nil && e == nil:
+		return fmt.Errorf("core: snapshot is of an ensemble session; resume it on a session built by NewEnsembleSession")
+	case sn.Ensemble == nil && e != nil:
+		return fmt.Errorf("core: snapshot is of a plain session; resume it on a session built by NewBatchSession")
 	}
-	if err := s.restore(sn, wal); err != nil {
-		return nil, err
+	if err := sn.Config.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidSnapshot, err)
 	}
-
-	// Replay historical trainings: iteration i trained on the first
-	// Curve[i].Labels draws of the labeled set (labels are cumulative and
-	// append-only, so the prefix is the exact historical training set).
-	// Warm-start iterations whose prefix could not train (empty or
-	// single-class — the warm learner served instead) are skipped, which
-	// reproduces the live run's training history exactly.
-	warmStart := sn.Config.WarmStartModel != ""
-	for _, pt := range sn.Curve {
-		if warmStart && !trainablePrefix(s.labels, pt.Labels) {
-			continue
-		}
-		trainX, trainY := gatherTraining(pool, s.labeled, s.labels, pt.Labels)
-		learner.Train(trainX, trainY)
+	workers := s.cfg.Workers
+	s.cfg = sn.Config.withDefaults()
+	s.cfg.Workers = workers
+	var members []EnsembleMember
+	if e != nil {
+		e.Tau, e.MinPositive = sn.Ensemble.Tau, sn.Ensemble.MinPositive
+		members = sn.Ensemble.Members
 	}
-	return s, nil
-}
-
-// restore loads a snapshot's state, and the WAL's answers past it, into
-// a freshly constructed session; the learners are the caller's to
-// replay.
-func (s *Session) restore(sn *Snapshot, wal []resilience.LabelRecord) error {
 	if err := sn.validate(s.pool); err != nil {
 		return err
 	}
@@ -273,6 +266,9 @@ func (s *Session) restore(sn *Snapshot, wal []resilience.LabelRecord) error {
 			}
 		}
 	}
+	// Construction seeded the RNG from the caller's config; the
+	// snapshot's draws were counted from its own seed.
+	s.src.Seed(sn.Config.Seed)
 	s.src.replay(sn.Draws63, sn.Draws64)
 	if s.stateful != nil && sn.OracleDraws > 0 {
 		s.stateful.Advance(sn.OracleDraws)
@@ -288,6 +284,35 @@ func (s *Session) restore(sn *Snapshot, wal []resilience.LabelRecord) error {
 	s.stableIters = sn.StableIters
 	s.res.Curve = append(eval.Curve(nil), sn.Curve...)
 	s.res.TestSize = len(s.testIdx)
+
+	// Replay the training history. Iteration i trained on the first
+	// Curve[i].Labels draws of the labeled set (labels are cumulative and
+	// append-only, so the prefix is the exact historical training set).
+	// A plain session retrains its learner on every prefix, skipping the
+	// warm-start iterations whose prefix could not train (empty or
+	// single-class — the warm learner served instead). An ensemble
+	// session rebuilds only its accepted members: member k is
+	// factory(seed_k) trained on the pairs of its iteration's prefix that
+	// members 1..k−1 leave uncovered. Every other candidate was
+	// discarded, and the next is drawn from the replayed RNG.
+	for it, pt := range sn.Curve {
+		switch {
+		case e != nil:
+			if k := len(e.members); k < len(members) && members[k].Iteration == it {
+				labeled, labels := e.uncovered(s.pool, s.labeled, s.labels, pt.Labels)
+				c := e.factory(members[k].Seed)
+				c.Train(gatherTraining(s.pool, labeled, labels, len(labeled)))
+				e.members = append(e.members, c)
+				e.Members = append(e.Members, members[k])
+			}
+		case s.cfg.WarmStartModel == "" || trainablePrefix(s.labels, pt.Labels):
+			s.learner.Train(gatherTraining(s.pool, s.labeled, s.labels, pt.Labels))
+		}
+	}
+	if e != nil && len(e.members) < len(members) {
+		return fmt.Errorf("%w: ensemble member %d, of iteration %d, is out of order or outside the %d-point curve",
+			ErrInvalidSnapshot, len(e.members), members[len(e.members)].Iteration, len(sn.Curve))
+	}
 	return nil
 }
 
@@ -304,7 +329,7 @@ func walAnswer(rec resilience.LabelRecord) oracle.Answer {
 }
 
 // validate rejects snapshots that are internally inconsistent or do not
-// fit the pool they are being restored against.
+// fit the pool they are being resumed against.
 func (sn *Snapshot) validate(pool *Pool) error {
 	if len(sn.Labeled) != len(sn.Labels) {
 		return fmt.Errorf("%w: labeled/labels length mismatch: %d vs %d", ErrInvalidSnapshot,
@@ -326,6 +351,11 @@ func (sn *Snapshot) validate(pool *Pool) error {
 			}
 			listed[i] = true
 		}
+	}
+	// The stability check compares each prediction with the last one.
+	if len(sn.PrevPred) > 0 && len(sn.PrevPred) != len(sn.TestIdx) {
+		return fmt.Errorf("%w: %d previous predictions for a test universe of %d pairs", ErrInvalidSnapshot,
+			len(sn.PrevPred), len(sn.TestIdx))
 	}
 	for _, pt := range sn.Curve {
 		if pt.Labels < 0 || pt.Labels > len(sn.Labeled) {

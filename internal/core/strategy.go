@@ -59,7 +59,7 @@ type Scorer interface {
 // randomness (shuffled tie-breaks, acceptance sampling, weighted cluster
 // draws) and must draw it from ctx.Rand serially, so a composition's RNG
 // position is a pure function of the pool state — the property Snapshot
-// /Restore bit-identity rests on. A Picker may consult ctx.Pool.X for
+// /Resume bit-identity rests on. A Picker may consult ctx.Pool.X for
 // diversity terms (k-center, cluster sampling); it must not mutate
 // anything reachable from ctx.
 type Picker interface {

@@ -14,6 +14,7 @@ import (
 	"github.com/alem/alem/internal/feature"
 	"github.com/alem/alem/internal/linear"
 	"github.com/alem/alem/internal/oracle"
+	"github.com/alem/alem/internal/resilience"
 )
 
 // syntheticPool builds a learnable pool: matches cluster near high
@@ -70,6 +71,22 @@ func poolOracle(p *Pool) oracle.Oracle {
 }
 
 func svmFactory(seed int64) Learner { return linear.NewSVM(seed) }
+
+// resume builds a plain session with the run's wiring and the zero
+// Config, and resumes sn on it with the label WAL records wal. Resume
+// takes the protocol, seed included, from the snapshot, so every pin
+// that resumes through here also checks that none of it need be passed
+// again.
+func resume(pool *Pool, l Learner, sel Selector, bo oracle.BatchOracle, sn *Snapshot, wal []resilience.LabelRecord) (*Session, error) {
+	s, err := NewBatchSession(pool, l, sel, bo, Config{})
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Resume(sn, wal); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
 // mustSession builds a Session over the pool's own truth oracle,
 // failing the test on config errors.

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/alem/alem/internal/linear"
+	"github.com/alem/alem/internal/oracle"
 )
 
 // warmLearner trains a fresh SVM on a source pool's full truth — the
@@ -60,9 +61,10 @@ func TestWarmStartSkipsBootstrapAndHandsOver(t *testing.T) {
 }
 
 // TestWarmStartResumeBitIdentical pins the checkpoint story: a warm-start
-// run snapshotted mid-way and restored — with the warm learner
-// re-attached — reproduces the uninterrupted run's curve exactly; the
-// replay skips retraining on prefixes the warm learner served.
+// run snapshotted mid-way and resumed — with the warm learner
+// re-attached — reproduces the uninterrupted run's curve and draws
+// exactly; the replay skips retraining on prefixes the warm learner
+// served.
 func TestWarmStartResumeBitIdentical(t *testing.T) {
 	pool := ambiguousPool(400, 92)
 	cfg := Config{Seed: 92, MaxLabels: 80}
@@ -94,7 +96,7 @@ func TestWarmStartResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed, err := Restore(pool, linear.NewSVM(92), Margin{}, poolOracle(pool), sn)
+	resumed, err := resume(pool, linear.NewSVM(92), Margin{}, oracle.PerPair(poolOracle(pool)), sn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +108,10 @@ func TestWarmStartResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	curvesEqual(t, refRes.Curve, resRes.Curve)
+	drawsEqual(t, ref, resumed)
 }
 
-// TestWarmStartMissingLearnerRefusesToRun pins the restore guard: a
+// TestWarmStartMissingLearnerRefusesToRun pins the resume guard: a
 // snapshot that records a warm-start protocol cannot be driven without
 // re-attaching the learner — silently falling back to a cold start would
 // diverge from the recorded trajectory.
@@ -129,7 +132,7 @@ func TestWarmStartMissingLearnerRefusesToRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(pool, linear.NewSVM(93), Margin{}, poolOracle(pool), sn)
+	restored, err := resume(pool, linear.NewSVM(93), Margin{}, oracle.PerPair(poolOracle(pool)), sn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

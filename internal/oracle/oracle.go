@@ -41,8 +41,8 @@ func (o *Perfect) Queries() int { return o.queries }
 // Stateful is implemented by oracles whose answers depend on internal
 // random state. Draws reports how many random draws have been consumed;
 // Advance replays that many draws against a freshly seeded instance so a
-// restored oracle continues the exact random sequence a checkpointed run
-// would have seen. core.Snapshot captures Draws and Restore calls
+// resumed oracle continues the exact random sequence a checkpointed run
+// would have seen. core.Snapshot captures Draws and Session.Resume calls
 // Advance, which is what keeps a Noisy oracle's flips bit-identical
 // across a kill/resume.
 type Stateful interface {

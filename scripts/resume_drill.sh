@@ -5,7 +5,11 @@
 # iteration 10, resume that run with -resume, and assert the resumed
 # run saves a model byte-identical to the reference's. Flaky labeling
 # (10% transient faults behind retries) keeps the run inside a labeling
-# round long enough for the interrupt to land mid-round.
+# round long enough for the interrupt to land mid-round. The reference
+# and interrupted runs use every CPU and the resume runs with -workers 1,
+# so the drill also checks that a checkpoint resumes byte-identically at
+# another worker count; the resumed run's trace must show every evaluate
+# and select phase at one worker.
 set -eu
 
 GO=${GO:-go}
@@ -47,11 +51,16 @@ pid=
 grep -q '(cancelled)' "$tmp/victim.out" ||
     { cat "$tmp/victim.out" >&2; fail "interrupt did not cancel the run"; }
 
-echo "resume-drill: resuming"
-"$tmp/almatch" "$@" -checkpoint "$tmp/run.ckpt" -resume \
-    -model "$tmp/victim.json" >"$tmp/resume.out" 2>"$tmp/resume.log" ||
+echo "resume-drill: resuming serially"
+"$tmp/almatch" "$@" -checkpoint "$tmp/run.ckpt" -resume -workers 1 \
+    -trace "$tmp/resume.jsonl" -model "$tmp/victim.json" >"$tmp/resume.out" 2>"$tmp/resume.log" ||
     { cat "$tmp/resume.log" >&2; fail "resumed run failed"; }
 sed -n 's/^resuming from [^:]*: /resume-drill: resumed from /p' "$tmp/resume.log"
+grep -E '"name":"(evaluate|select)"' "$tmp/resume.jsonl" >"$tmp/spans" ||
+    fail "the resumed run traced no evaluate or select phase"
+if grep -qv '"workers":1[,}]' "$tmp/spans"; then
+    fail "the resumed run ignored -workers 1"
+fi
 
 cmp "$tmp/ref.json" "$tmp/victim.json" ||
     fail "the resumed model differs from the uninterrupted run's"
