@@ -1,8 +1,8 @@
 # Development targets. `make check` is the full pre-merge gate: gofmt,
-# static vetting, a clean build of every package, the test suite under
-# the race detector (the Session engine's cancellation paths are
-# concurrent), the coverage ratchet, and a short fuzz smoke over every
-# parser target.
+# static vetting (native and for arm64), a clean build of every
+# package, the test suite under the race detector (the Session engine's
+# cancellation paths are concurrent), the coverage ratchet, and a short
+# fuzz smoke over every parser target.
 
 GO ?= go
 
@@ -20,8 +20,11 @@ fmt:
 	@unformatted=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs "$$($(GO) env GOROOT)/bin/gofmt" -l); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
+# Vets the tree as built here and as built for arm64, so the portable
+# fallback of every amd64 assembly kernel keeps compiling.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -69,9 +72,10 @@ fuzz:
 # they replaced (internal/match), and the
 # indexed candidate generator against the
 # brute-force blocking reference, including worker-count sweeps and
-# re-Builds cancelled at every poll (internal/blocking), and the fused
-# character kernels
-# against each metric's Compare plus batched featurization, float and
+# re-Builds cancelled at every poll (internal/blocking), the fused
+# character kernels against each metric's Compare and the alignment
+# pass's SIMD lane path against its row path, plus batched
+# featurization, float and
 # Boolean, against per-pair Extract on generated pools (internal/textsim,
 # internal/feature), and the fan-out's own chunk, block and poll
 # contract (internal/par). `race` already covers these;
@@ -86,7 +90,7 @@ equiv:
 	$(GO) test -race -count=1 -run 'ModelDecisionValuesMatchPredict|NaiveBayesDecisionValuesMatchPredict' ./internal/rules/ ./internal/bayes/
 	$(GO) test -race -count=1 -run 'DecideMatchesLegacyScore|MatchMatchesLegacyLoop' ./internal/match/
 	$(GO) test -race -count=1 -run 'IndexEquivalence|BruteForce|HotTokenRecall|ThresholdBoundary|RebuildOverChangedTable' ./internal/blocking/
-	$(GO) test -race -count=1 -run 'CharKernelsMatchCompare|ExtractPairsMatchesExtract' ./internal/textsim/ ./internal/feature/
+	$(GO) test -race -count=1 -run 'CharKernelsMatchCompare|AlignKernelsAgree|ExtractPairsMatchesExtract' ./internal/textsim/ ./internal/feature/
 	$(GO) test -race -count=1 ./internal/par/
 
 bench:
@@ -100,15 +104,16 @@ bench:
 # budget (nothing of an ExtractPairs call outlives it) — plus the
 # bit-identity pins the ratchets rely on, and a -benchtime=1x smoke over
 # the paired scoring benchmarks, the batched featurization benchmark,
-# the forest, neural-net and linear-SVM training benchmarks, the forest
+# the fused character kernels and both alignment paths, the forest, neural-net and linear-SVM training benchmarks, the forest
 # and SVM DecisionValues and neural-net Margin sweeps, the QBC selection
 # pair and candidate enumeration (synthetic and dblp-scholar) so a
 # broken benchmark fails `make check` rather than the next BENCH run.
 bench-ratchet:
-	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|RetainsNothing|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|CharKernelsMatchCompare|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
+	$(GO) test -count=1 -run 'AllocRatchet|AllocReduction|AllocSteadyState|AllocsConstantPerFit|RetainsNothing|QGramLowerOnce|TokenSetMetricEquivalence|TFIDFTokenSetEquivalence|TFIDFCosineDeterministic|InternQGramsMatchesTokens|SoundexCodeEquivalence|CharKernelsMatchCompare|AlignKernelsAgree|ExtractPairsMatchesExtract|ScoreAllInternedMatchesString|TrainMatchesLegacy|LowerJoinKeyEquivalence|SortedNeighborhoodDeterministic' \
 		./internal/textsim/ ./internal/feature/ ./internal/match/ ./internal/blocking/ ./internal/neural/
 	$(GO) test -count=1 -run '^$$' -bench 'MatcherScoreAll' -benchtime=1x -benchmem ./internal/match/
 	$(GO) test -count=1 -run '^$$' -bench 'ExtractPairs' -benchtime=1x -benchmem ./internal/feature/
+	$(GO) test -count=1 -run '^$$' -bench '^BenchmarkCharKernels$$' -benchtime=1x -benchmem ./internal/textsim/
 	$(GO) test -count=1 -run '^$$' -bench 'ForestTrain|ForestPredict|NeuralNetTrain|NeuralNetMargin|SVMTrain|SVMDecisionValues' -benchtime=1x -benchmem .
 	$(GO) test -count=1 -run '^$$' -bench '^BenchmarkQBCSelect$$' -benchtime=1x -benchmem ./internal/core/
 	$(GO) test -count=1 -run '^$$' -bench '^BenchmarkCandidates$$' -benchtime=1x -benchmem ./internal/blocking/

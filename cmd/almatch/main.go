@@ -137,6 +137,9 @@ type trainOpts struct {
 }
 
 func train(o trainOpts) error {
+	if o.resume && o.checkpoint == "" {
+		return errors.New("-resume needs -checkpoint, the snapshot file of the run to resume")
+	}
 	d, err := alem.LoadDataset(o.dataset, o.scale, o.seed)
 	if err != nil {
 		return err

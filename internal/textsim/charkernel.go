@@ -1,6 +1,7 @@
 package textsim
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 )
@@ -16,7 +17,10 @@ import (
 //   - Jaro scans the same match masks, and Jaro-Winkler is derived from
 //     that value (jaroBits);
 //   - one integer DP pass yields Needleman-Wunsch and, in half-units,
-//     Smith-Waterman and Smith-Waterman-Gotoh (alignPass);
+//     Smith-Waterman and Smith-Waterman-Gotoh (alignPass): on amd64 it
+//     fills eight int16 cells of an anti-diagonal per SSE2 instruction
+//     (alignLanes, align_amd64.s), elsewhere and for values too short
+//     or too long for the lanes it runs row by row (alignRows);
 //   - Monge-Elkan runs over pre-decoded token runes and scores each token
 //     pair at most once (MongeElkan).
 //
@@ -25,9 +29,11 @@ import (
 // the distances and lengths are the same integers the per-metric DPs
 // compute, fed into the same final expressions; every Smith-Waterman
 // cell is a multiple of 0.5, so running the DP in half-units and scaling
-// the best cell by 0.5 reproduces the float DP exactly; Jaro's match
-// flags are the ones jaroSim sets, and Jaro-Winkler goes through the
-// same winklerBoost as JaroWinkler.Compare.
+// the best cell by 0.5 reproduces the float DP exactly, and an integer
+// DP has the same cells in any evaluation order, so the lane path equals
+// the row path (TestAlignKernelsAgree); Jaro's match flags are the ones
+// jaroSim sets, and Jaro-Winkler goes through the same winklerBoost as
+// JaroWinkler.Compare.
 
 // charFamily lists the fused character metrics in CharScores slot
 // order.
@@ -73,18 +79,22 @@ type CharKernel struct {
 	// 64-rune word of the pattern, the positions where the pattern has
 	// the rune mapped to s. Slot 0 is all zeros (a rune the pattern
 	// lacks). ASCII runes map through ascii; the rest through the
-	// parallel wide/wideSlot lists. tslot is each text rune's slot.
+	// parallel wide/wideSlot lists. pslot and tslot are each pattern and
+	// text rune's slot.
 	ascii           [128]int32
 	wide            []rune
 	wideSlot        []int32
 	peq             []uint64
-	tslot           []int32
+	pslot, tslot    []int32
 	lev, osa, lcs   []uint64 // per-word bit-vector state, see bitPass
 	aflag, bflag    []uint64 // Jaro match flags, see jaroBits
 	runPrev, runCur []int32  // common-substring run lengths, see bitPass
 
-	// Two DP rows of the alignment pass.
-	prev, cur []alignCell
+	// Two DP rows of the alignment pass's row path; the lane path's
+	// three diagonals of each recurrence and its int16 rune slots (see
+	// alignLanes).
+	prev, cur         []alignCell
+	lanes, arow, bcol []int16
 
 	// Monge-Elkan's best inner score per token of each side.
 	rowBest, colBest []float64
@@ -187,8 +197,12 @@ func (k *CharKernel) bitPass(p, t []rune) (lev, osa, lcs, sub int) {
 	k.peq = grow(k.peq, (int(nslot)+1)*words)
 	peq := k.peq
 	clear(peq)
+	k.pslot = grow(k.pslot, len(p))
+	pslot := k.pslot
 	for j, r := range p {
-		peq[int(k.slotOf(r))*words+j/64] |= 1 << (j % 64)
+		s := k.slotOf(r)
+		pslot[j] = s
+		peq[int(s)*words+j/64] |= 1 << (j % 64)
 	}
 	k.tslot = grow(k.tslot, len(t))
 	tslot := k.tslot
@@ -357,8 +371,39 @@ func (k *CharKernel) jaroBits(a, b []rune) float64 {
 // Smith-Waterman (gap -1) and Smith-Waterman-Gotoh (gap -0.5) over a×b
 // (both non-empty) in one DP and returns the global score and the two
 // best local cells. The local alignments run in integer half-units —
-// match +2, mismatch -2, gaps -2 and -1 — so every cell is exact.
+// match +2, mismatch -2, gaps -2 and -1 — so every cell is exact. It
+// must follow bitPass(b, a), whose rune slots the lane path compares.
+// The lane path (alignLanes) runs where the platform has the kernel and
+// onLanes admits the shape, the row path (alignRows) everywhere else.
 func (k *CharKernel) alignPass(a, b []rune) (nw, sw, swg int) {
+	if alignKernel && onLanes(len(a), len(b)) {
+		return k.alignLanes(len(a), len(b))
+	}
+	return k.alignRows(a, b)
+}
+
+// laneMin is the shorter side's length from which the lane path beats
+// the row path; below it most of a diagonal's eight lanes are padding.
+const laneMin = 4
+
+// onLanes reports whether alignPass runs an n×m DP on lanes: from
+// laneMin runes on the shorter side, and only while every value fits
+// int16. A Needleman-Wunsch cell (i, j) lies in [-max(i, j), min(i, j)]:
+// pairing min(i, j) runes as mismatches and gapping the rest scores
+// -max(i, j). Its candidates diag+s and max(up, left)-1 therefore lie in
+// [-max(n, m)-1, min(n, m)]. A half-unit local cell lies in
+// [0, 2·min(i, j)] and its candidates in [-2, 2·min(n, m)]. Both fit
+// int16 when max(n, m)+1 ≤ 32768 and 2·min(n, m) ≤ 32767, and since the
+// shorter side has at least one rune, n+m ≤ 32767 implies both (n+m =
+// 32768 does not: 16384×16384 reaches 32768). The slots fit too: b has
+// at most m distinct runes.
+func onLanes(n, m int) bool {
+	return min(n, m) >= laneMin && n+m <= math.MaxInt16
+}
+
+// alignRows is the row path of alignPass, and the reference the lane
+// path is pinned to (TestAlignKernelsAgree).
+func (k *CharKernel) alignRows(a, b []rune) (nw, sw, swg int) {
 	m := len(b)
 	k.prev = grow(k.prev, m+1)
 	k.cur = grow(k.cur, m+1)
@@ -373,6 +418,73 @@ func (k *CharKernel) alignPass(a, b []rune) (nw, sw, swg int) {
 		prev, cur = cur, prev
 	}
 	return int(prev[m].nw), int(bestSW), int(bestSWG)
+}
+
+// alignLanes is alignPass over an n×m DP on SIMD lanes, reading the rune
+// slots of bitPass(b, a). Cell (i, j) lies on anti-diagonal d = i+j, and
+// a diagonal's cells depend only on the two diagonals before it, so
+// alignDiag fills one diagonal eight int16 rows at a time. Each
+// recurrence keeps three rotating diagonals indexed by row i: cell
+// (i, j)'s diagonal neighbour is D[d-2][i-1], its upper neighbour
+// D[d-1][i-1] and its left neighbour D[d-1][i]. Row i compares a's slot
+// arow[i-1] with b[d-i-1]'s, bcol[m-d+i] of b's slots reversed, so the
+// eight rows of a chunk read both sides contiguously. After each kernel
+// call the driver writes the diagonal's boundary cells (0, d) and (d, 0):
+// -d for Needleman-Wunsch, 0 for the two local scores.
+//
+// The last chunk of a diagonal runs up to seven padding lanes past its
+// last row hi, so the kernel touches rows up to hi+7 ≤ n+7 and slots up
+// to arow[n+6] and bcol[m+6]. Padding slots are -1 on a's side and -2
+// on b's, and real slots are at least 0, so a padding lane always
+// mismatches. Every buffer is zeroed first, so a local value a padding
+// lane reads is 0, a real cell or an earlier padding lane's value; its
+// own local score is 0 or such a neighbour minus 1 or 2, so no value
+// ever exceeds the largest real cell and the running maxima need no
+// mask. A real cell reads only real and boundary cells, and the one of
+// those a padding lane overwrites, (d, 0), is rewritten after the call,
+// so no real cell reads a padding lane's Needleman-Wunsch value.
+func (k *CharKernel) alignLanes(n, m int) (nw, sw, swg int) {
+	rows := n + 8
+	k.lanes = grow(k.lanes, 9*rows)
+	k.arow = grow(k.arow, n+7)
+	k.bcol = grow(k.bcol, m+7)
+	lanes, arow, bcol := k.lanes, k.arow, k.bcol
+	clear(lanes)
+	for i, s := range k.tslot[:n] {
+		arow[i] = int16(s)
+	}
+	for j, s := range k.pslot[:m] {
+		bcol[m-1-j] = int16(s)
+	}
+	for p := range 7 {
+		arow[n+p], bcol[m+p] = -1, -2
+	}
+	// A diagonal holds its Needleman-Wunsch, Smith-Waterman and
+	// Smith-Waterman-Gotoh rows one after another; dg, up and out are the
+	// offsets of diagonals d-2, d-1 and d. Diagonal 0 is cell (0, 0), all
+	// zero; diagonal 1 holds (0, 1) at row 0 and (1, 0) at row 1.
+	dg, up, out := 0, 3*rows, 6*rows
+	lanes[up], lanes[up+1] = -1, -1
+	var best [16]int16
+	for d := 2; ; d++ {
+		lo, hi := max(1, d-m), min(n, d-1)
+		alignDiag(&lanes[out+lo], &lanes[up+lo-1], &lanes[dg+lo-1], 2*rows,
+			&arow[lo-1], &bcol[m-d+lo], (hi-lo+8)/8, &best)
+		if d <= m {
+			lanes[out], lanes[out+rows], lanes[out+2*rows] = int16(-d), 0, 0
+		}
+		if d <= n {
+			lanes[out+d], lanes[out+rows+d], lanes[out+2*rows+d] = int16(-d), 0, 0
+		}
+		if d == n+m {
+			break
+		}
+		dg, up, out = up, out, dg
+	}
+	for l := range 8 {
+		sw, swg = max(sw, int(best[l])), max(swg, int(best[8+l]))
+	}
+	return int(lanes[out+n]), sw, swg
 }
 
 // alignRow fills cur[1:] from prev for text rune ai, carrying the left

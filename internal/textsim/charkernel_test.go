@@ -1,6 +1,7 @@
 package textsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -171,7 +172,10 @@ func FuzzCharKernels(f *testing.F) {
 }
 
 // BenchmarkCharKernels times the fused kernels against running each
-// fused metric's Compare on one pair of product titles.
+// fused metric's Compare on one pair of product titles, and the
+// alignment pass's lane path (align/simd) against its row path
+// (align/portable) on a year, a title and a description pair: laneMin
+// comes from where the two cross.
 func BenchmarkCharKernels(b *testing.B) {
 	x := "Samsung Galaxy S21 Ultra 128GB Phantom Black smartphone unlocked"
 	y := "Samsung Galaxy S21 Ultra 5G (128 GB) - Schwarz, entsperrt, Dual-SIM"
@@ -190,4 +194,108 @@ func BenchmarkCharKernels(b *testing.B) {
 			}
 		}
 	})
+	for _, p := range [][2]string{
+		{"2004", "2005"},
+		{x, y},
+		{"Portable Bluetooth speaker with 20 W stereo sound, 12-hour battery, IPX7 waterproofing and a built-in microphone",
+			"Wireless waterproof speaker (IPX7): 20W stereo, up to 12 hours of playback, hands-free calls via built-in mic"},
+	} {
+		a, c := []rune(p[0]), []rune(p[1])
+		shape := fmt.Sprintf("%dx%d", len(a), len(c))
+		b.Run("align/simd/"+shape, func(b *testing.B) {
+			if !alignKernel {
+				b.Skip("no SIMD alignment kernel on this platform")
+			}
+			k := GetCharKernel()
+			defer k.Release()
+			k.bitPass(c, a)
+			for i := 0; i < b.N; i++ {
+				k.alignLanes(len(a), len(c))
+			}
+		})
+		b.Run("align/portable/"+shape, func(b *testing.B) {
+			k := GetCharKernel()
+			defer k.Release()
+			for i := 0; i < b.N; i++ {
+				k.alignRows(a, c)
+			}
+		})
+	}
+}
+
+// TestAlignKernelsAgree pins the alignment pass's lane path (alignLanes)
+// to its row path (alignRows) on the (Needleman-Wunsch, Smith-Waterman,
+// Smith-Waterman-Gotoh) triple: alphabets of 2, 5 and 27 runes and a
+// non-ASCII mix, every length 1–300 against a random one, mutated
+// copies (long local alignments), and the 1×300 and 300×1 extremes where
+// most lanes are padding. Two pairs at the edge of onLanes' int16 guard,
+// one just inside and one just outside, must also equal every metric's
+// Compare; FuzzCharKernels' length cap keeps it far from that edge.
+func TestAlignKernelsAgree(t *testing.T) {
+	if !alignKernel {
+		t.Skip("no SIMD alignment kernel on this platform")
+	}
+	k := GetCharKernel()
+	defer k.Release()
+	check := func(a, b []rune) {
+		t.Helper()
+		k.bitPass(b, a)
+		nw, sw, swg := k.alignLanes(len(a), len(b))
+		rnw, rsw, rswg := k.alignRows(a, b)
+		if nw != rnw || sw != rsw || swg != rswg {
+			t.Fatalf("%d×%d runes %q × %q: lanes (%d, %d, %d), rows (%d, %d, %d)",
+				len(a), len(b), string(a), string(b), nw, sw, swg, rnw, rsw, rswg)
+		}
+	}
+	rng := rand.New(rand.NewSource(32))
+	for _, alphabet := range []string{"ab", "abcde", "abcdefghijklmnopqrstuvwxyz ", "aé世Ж€ 𝄞b"} {
+		for n := 1; n <= 300; n++ {
+			a := []rune(randomRunes(rng, alphabet, n))
+			check(a, []rune(randomRunes(rng, alphabet, 1+rng.Intn(300))))
+			check(a, mutateRunes(rng, a, alphabet))
+		}
+		check([]rune(randomRunes(rng, alphabet, 1)), []rune(randomRunes(rng, alphabet, 300)))
+		check([]rune(randomRunes(rng, alphabet, 300)), []rune(randomRunes(rng, alphabet, 1)))
+	}
+
+	// The guard's edge: n+m = 32767 runs on lanes, 32768 does not. The
+	// short side has laneMin runes, so the long side is as long as lanes
+	// allow and its Needleman-Wunsch candidates reach -(32768-laneMin).
+	dict := NewDict()
+	short := runesOf("abcdefghij", laneMin)
+	for _, total := range []int{math.MaxInt16, math.MaxInt16 + 1} {
+		long := strings.Repeat("z", total-2*laneMin) + short
+		inside := total <= math.MaxInt16
+		if got := onLanes(laneMin, total-laneMin); got != inside {
+			t.Fatalf("onLanes(%d, %d) = %v, want %v", laneMin, total-laneMin, got, inside)
+		}
+		if inside {
+			check([]rune(short), []rune(long))
+			check([]rune(long), []rune(short))
+		}
+		checkCharKernels(t, k, dict, short, long)
+		checkCharKernels(t, k, dict, long, short)
+	}
+}
+
+// mutateRunes returns a copy of a with about one rune in eight replaced,
+// deleted or followed by an inserted rune from alphabet.
+func mutateRunes(rng *rand.Rand, a []rune, alphabet string) []rune {
+	rs := []rune(alphabet)
+	var out []rune
+	for _, r := range a {
+		switch rng.Intn(24) {
+		case 0:
+			out = append(out, rs[rng.Intn(len(rs))])
+		case 1:
+		case 2:
+			out = append(out, r, rs[rng.Intn(len(rs))])
+		default:
+			out = append(out, r)
+		}
+	}
+	if len(out) == 0 {
+		out = append(out, rs[0])
+	}
+	return out
 }
